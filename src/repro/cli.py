@@ -362,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="stop admitting new work after SECONDS and "
                             "return the partial result marked DEGRADED")
-        p.add_argument("--no-supervise", action="store_true",
-                       help="disable worker supervision and the backend "
-                            "degradation ladder (PR-3 behavior)")
         p.add_argument("--shards", type=int, default=None, metavar="N",
                        help="run the job scaled out across N supervised "
                             "shard worker processes (fault-tolerant "
@@ -402,15 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process-backend result transport: shared-memory "
                             "segments (shm), queue pipes (pipe), or auto "
                             "(shm when /dev/shm works; the default)")
-        p.add_argument("--no-persistent-pool", action="store_true",
-                       help="fork a fresh worker pool per wave instead of "
-                            "reusing one pre-forked pool per job")
         p.add_argument("--ingest-readers", type=int, default=None, metavar="N",
                        help="concurrent ingest prefetch readers (N>1 enables "
                             "the multi-queue async ingest pipeline)")
         p.add_argument("--ingest-depth", type=int, default=None, metavar="N",
                        help="buffered-chunk window for the prefetch pipeline "
-                            "(default: readers+1)")
+                            "(default: 1 for one reader, else readers+1)")
 
     p_wc = sub.add_parser("wordcount", help="run word count on real files")
     p_wc.add_argument("files", nargs="+")

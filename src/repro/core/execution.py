@@ -7,7 +7,7 @@ onto :func:`run_mapper_wave` / :func:`run_reducers` here.
 
 Each phase honors ``options.executor_backend``: the ``serial`` and
 ``thread`` backends drive the parent-side ``pool``, while ``process``
-forks workers per phase (:mod:`repro.parallel.fork_pool`) — map tasks
+runs supervised workers (:mod:`repro.resilience.supervisor`) — map tasks
 read their splits through ``mmap`` in the worker, combine locally, and
 ship back :class:`~repro.containers.base.ContainerDelta` objects the
 parent absorbs in task order.
@@ -28,7 +28,6 @@ from repro.faults.plan import SITE_MAP_TASK, SITE_RECORD_CORRUPT
 from repro.io.records import corrupt_record
 from repro.io.span import ByteSpan, as_span
 from repro.parallel.backends import ExecutorBackend
-from repro.parallel.fork_pool import ForkExecutor, fork_map
 from repro.parallel.splits import ChunkHandle, SplitRef, split_refs_for_chunk
 from repro.resilience.gates import gate_worker_sites, worker_sites_armed
 from repro.resilience.supervisor import (
@@ -91,10 +90,9 @@ def job_task_handler(job: JobSpec) -> "Any":
 class ProcessPoolContext:
     """Job-lifetime process-backend state: one transport, one pool.
 
-    Created by the runtimes once per job run when the backend is
+    Created by the round driver once per job run when the backend is
     ``process``; every wave shares its transport (so segments carry one
-    job nonce and one cleanup covers them all) and, when
-    ``options.persistent_pool`` is on, its lazily-forked
+    job nonce and one cleanup covers them all) and its lazily-forked
     :class:`~repro.resilience.supervisor.WorkerPool`.  ``close()`` is
     the job-exit guarantee: workers are shut down and every
     shared-memory segment of this job — including a SIGKILLed worker's
@@ -105,11 +103,6 @@ class ProcessPoolContext:
         self.job = job
         self.options = options
         self.transport = make_transport(options.transport)
-        #: Descriptor waves need the supervisor's dispatch protocol;
-        #: with supervision off the wave falls back to fork-per-wave.
-        self.persistent = bool(
-            options.persistent_pool and options.supervised_pool
-        )
         self._pool: "WorkerPool | None" = None
 
     @property
@@ -130,20 +123,14 @@ class ProcessPoolContext:
     def close(self) -> None:
         """Shut down the pool and unlink every live segment (idempotent).
 
-        The runtimes call this in their ``finally`` — it is the job-exit
-        guarantee that no shared-memory segment outlives the job, even
-        on a crash-path abort.
+        The round driver calls this in its ``finally`` — it is the
+        job-exit guarantee that no shared-memory segment outlives the
+        job, even on a crash-path abort.
         """
         if self._pool is not None:
             self._pool.close()
             self._pool = None
         self.transport.cleanup()
-
-    def __enter__(self) -> "ProcessPoolContext":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
 
 def build_container(
@@ -377,8 +364,8 @@ def _run_mapper_wave_process(
     wave_stats: "dict[str, int] | None" = None,
     xfer: "ProcessPoolContext | None" = None,
 ) -> int:
-    """The process backend's wave: fork (or reuse the pool), map+combine
-    in-worker, absorb.
+    """The process backend's wave: dispatch to the pool (or fork),
+    map+combine in-worker, absorb.
 
     Splits are either :class:`~repro.parallel.splits.SplitRef` ranges
     (unloaded chunks — workers mmap their own bytes) or zero-copy spans
@@ -388,11 +375,11 @@ def _run_mapper_wave_process(
     *in task order* — making the wave's effect on the shared container
     deterministic and identical to the serial backend's.
 
-    With a persistent ``xfer`` pool and ``SplitRef`` splits the wave is
+    With an ``xfer`` pool and ``SplitRef`` splits the wave is
     dispatched as descriptors to the already-forked workers — no forks,
-    no COW dependency.  Parent-loaded spans keep fork-per-wave: the
-    buffer reaches the workers copy-on-write for free, which no
-    transport can beat.
+    no COW dependency.  Parent-loaded spans fork per wave: the buffer
+    reaches the workers copy-on-write for free, which no transport can
+    beat.
     """
     delimiter = job.codec.delimiter
     splits: "Sequence[SplitRef | ByteSpan]"
@@ -448,70 +435,45 @@ def _run_mapper_wave_process(
         local.seal()
         return local.drain()
 
-    map_task_armed = injector is not None and injector.armed(SITE_MAP_TASK)
-    if options.supervised_pool:
-        # The supervised wave: worker-fault sites are decided at dispatch
-        # (killing/hanging real workers under the same per-scope
-        # schedule the serial gate replays), orphaned tasks re-dispatch,
-        # poison tasks quarantine, and the map.task gate runs as the
-        # pre-dispatch hook so per-task site ordering matches serial.
-        pre_run = (
-            (lambda i: map_task_gate(task_id_base + i))
-            if map_task_armed else None
+    # Worker-fault sites are decided at dispatch (killing/hanging real
+    # workers under the same per-scope schedule the serial gate
+    # replays), orphaned tasks re-dispatch, poison tasks quarantine, and
+    # the map.task gate runs as the pre-dispatch hook so per-task site
+    # ordering matches serial.
+    pre_run = (
+        (lambda i: map_task_gate(task_id_base + i))
+        if injector is not None and injector.armed(SITE_MAP_TASK) else None
+    )
+    if xfer is not None and ref_splits:
+        # Descriptor dispatch: the pool's workers were forked once at
+        # job start; each task ships as a tiny SplitRef frame and the
+        # worker mmaps its own byte range.
+        outcome = xfer.pool().run_wave(
+            [
+                ("map", task_id_base + i, chunk_index, split)
+                for i, split in enumerate(splits)
+            ],
+            workers=options.num_mappers,
+            policy=options.recovery,
+            injector=injector,
+            scope_of=lambda i: (chunk_index, task_id_base + i),
+            allow_skip=True,
+            pre_run=pre_run,
         )
-        if xfer is not None and xfer.persistent and ref_splits:
-            # Descriptor dispatch: the pool's workers were forked once
-            # at job start; each task ships as a tiny SplitRef frame
-            # and the worker mmaps its own byte range.
-            outcome = xfer.pool().run_wave(
-                [
-                    ("map", task_id_base + i, chunk_index, split)
-                    for i, split in enumerate(splits)
-                ],
-                workers=options.num_mappers,
-                policy=options.recovery,
-                injector=injector,
-                scope_of=lambda i: (chunk_index, task_id_base + i),
-                allow_skip=True,
-                pre_run=pre_run,
-            )
-        else:
-            outcome = supervised_fork_map(
-                map_task,
-                list(enumerate(splits)),
-                options.num_mappers,
-                policy=options.recovery,
-                injector=injector,
-                scope_of=lambda i: (chunk_index, task_id_base + i),
-                allow_skip=True,
-                pre_run=pre_run,
-                transport=xfer.transport if xfer is not None else None,
-            )
-        accumulate_wave_stats(wave_stats, outcome)
-        deltas = outcome.completed()
     else:
-        # PR-3 behaviour: unsupervised fork_map (any worker death aborts
-        # the wave).  Worker-fault sites are still gated in the parent so
-        # the fault schedule stays backend-independent.
-        indices = list(range(len(splits)))
-        if injector is not None and worker_sites_armed(injector):
-            indices = [
-                i for i in indices
-                if gate_worker_sites(
-                    injector, (chunk_index, task_id_base + i),
-                    allow_skip=True,
-                    task_repr=(
-                        f"map task {(chunk_index, task_id_base + i)}".encode()
-                    ),
-                )
-            ]
-        if map_task_armed:
-            for i in indices:
-                map_task_gate(task_id_base + i)
-        deltas = fork_map(
-            map_task, [(i, splits[i]) for i in indices], options.num_mappers,
+        outcome = supervised_fork_map(
+            map_task,
+            list(enumerate(splits)),
+            options.num_mappers,
+            policy=options.recovery,
+            injector=injector,
+            scope_of=lambda i: (chunk_index, task_id_base + i),
+            allow_skip=True,
+            pre_run=pre_run,
             transport=xfer.transport if xfer is not None else None,
         )
+    accumulate_wave_stats(wave_stats, outcome)
+    deltas = outcome.completed()
     for delta in deltas:
         container.absorb(delta)
     return len(splits)
@@ -545,28 +507,22 @@ def run_reducers(
         return out
 
     if options.executor_backend is ExecutorBackend.PROCESS:
-        if options.supervised_pool:
-            # Reduce tasks are pure (partition -> pairs), so genuine
-            # worker deaths are safely re-dispatched; no fault sites are
-            # checked here, keeping reduce schedules backend-identical.
-            if xfer is not None and xfer.persistent:
-                outcome = xfer.pool().run_wave(
-                    [("reduce", partition) for partition in partitions],
-                    workers=options.num_reducers,
-                    policy=options.recovery,
-                )
-            else:
-                outcome = supervised_fork_map(
-                    reduce_task, partitions, options.num_reducers,
-                    policy=options.recovery,
-                    transport=xfer.transport if xfer is not None else None,
-                )
-            accumulate_wave_stats(wave_stats, outcome)
-            return outcome.results
-        return fork_map(
-            reduce_task, partitions, options.num_reducers,
-            transport=xfer.transport if xfer is not None else None,
-        )
+        # Reduce tasks are pure (partition -> pairs), so genuine worker
+        # deaths are safely re-dispatched; no fault sites are checked
+        # here, keeping reduce schedules backend-identical.
+        if xfer is not None:
+            outcome = xfer.pool().run_wave(
+                [("reduce", partition) for partition in partitions],
+                workers=options.num_reducers,
+                policy=options.recovery,
+            )
+        else:
+            outcome = supervised_fork_map(
+                reduce_task, partitions, options.num_reducers,
+                policy=options.recovery,
+            )
+        accumulate_wave_stats(wave_stats, outcome)
+        return outcome.results
     return list(pool.map(reduce_task, partitions))
 
 
@@ -603,17 +559,11 @@ def merge_outputs(
             # Merge workers close over the runs (COW), so they stay
             # fork-per-wave; the merged ranges still ride back through
             # the job transport.
-            transport = xfer.transport if xfer is not None else None
-            if options.supervised_pool:
-                executor = SupervisedForkExecutor(
-                    options.effective_merge_parallelism,
-                    policy=options.recovery,
-                    transport=transport,
-                )
-            else:
-                executor = ForkExecutor(
-                    options.effective_merge_parallelism, transport=transport,
-                )
+            executor = SupervisedForkExecutor(
+                options.effective_merge_parallelism,
+                policy=options.recovery,
+                transport=xfer.transport if xfer is not None else None,
+            )
         merged = pway_merge(
             runs, options.effective_merge_parallelism,
             key=job.output_key, executor=executor,

@@ -5,28 +5,25 @@ work the paper cites ([8] Twister, [11] HaLoop): jobs like k-means run
 the same input through many map/reduce passes, and re-ingesting it every
 iteration wastes exactly the bandwidth SupMR exists to save.
 
-:class:`IterativeSession` ingests the input through the chunk pipeline
-**once** — overlapping that first pass's map with ingest as usual — and
-caches the loaded chunk bytes in memory (scale-up's whole premise is
-that the input fits).  Subsequent iterations run mapper waves straight
-from the cache: no disk reads at all, so every later iteration's
-read+map cost is just the map.
+:class:`IterativeSession` ingests the input through the round driver
+(:class:`~repro.core.driver.JobRun`) **once** — overlapping that first
+pass's map with ingest as usual — and caches the loaded chunk bytes in
+memory (scale-up's whole premise is that the input fits).  Subsequent
+iterations run the same rounds with a ``load`` that replays the cache:
+no disk reads at all, so every later iteration's read+map cost is just
+the map.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.chunking.chunk import Chunk, ChunkPlan
 from repro.chunking.planner import plan_chunks
-from repro.core.execution import merge_outputs, run_mapper_wave, run_reducers
+from repro.core.driver import JobRun
 from repro.core.job import JobSpec
 from repro.core.options import ChunkStrategy, RuntimeOptions
-from repro.core.result import JobResult, PhaseTimings
-from repro.core.timers import PhaseTimer
+from repro.core.result import JobResult
 from repro.errors import ConfigError, RuntimeStateError
-from repro.parallel.backends import make_pool
-from repro.pipeline.double_buffer import DoubleBufferedPipeline
+from repro.parallel.splits import ChunkHandle
 
 
 class IterativeSession:
@@ -39,6 +36,8 @@ class IterativeSession:
             r2 = session.run(job_for_iteration_2)   # from cache
     """
 
+    name = "supmr-iterative"
+
     def __init__(self, inputs, codec, options: RuntimeOptions) -> None:
         if options.chunk_strategy is ChunkStrategy.NONE:
             raise ConfigError(
@@ -49,7 +48,7 @@ class IterativeSession:
         self.codec = codec
         self.inputs = tuple(inputs)
         self.plan: ChunkPlan = plan_chunks(self.inputs, codec, options)
-        self._cache: list[bytes] | None = None
+        self._cache: dict[int, bytes] | None = None
         self.iterations = 0
 
     # -- context manager ---------------------------------------------------
@@ -70,7 +69,7 @@ class IterativeSession:
 
     @property
     def cached_bytes(self) -> int:
-        return sum(len(b) for b in (self._cache or ()))
+        return sum(len(b) for b in (self._cache or {}).values())
 
     # -- execution -----------------------------------------------------------
 
@@ -81,81 +80,27 @@ class IterativeSession:
                 "job inputs differ from the session's cached inputs"
             )
         self.iterations += 1
-        if self._cache is None:
-            return self._run_and_fill_cache(job)
-        return self._run_from_cache(job)
+        cache = self._cache
+        with JobRun(job, self.options) as run:
+            if cache is not None:  # no reads: pure map
+                result = run.execute(
+                    self.plan, self.name, load=lambda chunk: cache[chunk.index]
+                )
+            else:
+                filled: dict[int, bytes] = {}
 
-    def _run_and_fill_cache(self, job: JobSpec) -> JobResult:
-        cache: list[bytes] = []
-        options = self.options
-        timer = PhaseTimer()
-        container = job.container_factory()
+                def load(chunk: Chunk) -> bytes:
+                    data = run.load(chunk)
+                    if isinstance(data, ChunkHandle):
+                        data = data.load()
+                    filled[chunk.index] = data
+                    return data
 
-        with make_pool(options.executor_backend, options.num_mappers) as pool:
-
-            def work(chunk: Chunk, data: bytes) -> None:
-                cache.append(data)
-                run_mapper_wave(job, container, data, options, pool,
-                                chunk_index=chunk.index)
-
-            pipeline = DoubleBufferedPipeline(
-                load=lambda chunk: chunk.load(),
-                work=work,
-                pipelined=options.pipelined_ingest,
-            )
-            with timer.phase("total"):
-                with timer.phase("read_map"):
-                    pipeline.run(list(self.plan.chunks))
-                with timer.phase("reduce"):
-                    runs = run_reducers(job, container, options, pool)
-                with timer.phase("merge"):
-                    output, merge_rounds = merge_outputs(runs, job, options)
-
-        self._cache = cache
-        return self._result(job, output, timer, container, merge_rounds,
-                            from_cache=False)
-
-    def _run_from_cache(self, job: JobSpec) -> JobResult:
-        assert self._cache is not None
-        options = self.options
-        timer = PhaseTimer()
-        container = job.container_factory()
-
-        with make_pool(options.executor_backend, options.num_mappers) as pool:
-            with timer.phase("total"):
-                with timer.phase("read_map"):  # no reads: pure map
-                    for chunk, data in zip(self.plan.chunks, self._cache):
-                        run_mapper_wave(job, container, data, options, pool,
-                                        chunk_index=chunk.index)
-                with timer.phase("reduce"):
-                    runs = run_reducers(job, container, options, pool)
-                with timer.phase("merge"):
-                    output, merge_rounds = merge_outputs(runs, job, options)
-
-        return self._result(job, output, timer, container, merge_rounds,
-                            from_cache=True)
-
-    def _result(self, job, output, timer, container, merge_rounds,
-                from_cache: bool) -> JobResult:
-        timings = PhaseTimings(
-            read_s=timer.elapsed("read_map"),
-            map_s=0.0,
-            reduce_s=timer.elapsed("reduce"),
-            merge_s=timer.elapsed("merge"),
-            total_s=timer.elapsed("total"),
-            read_map_combined=True,
-        )
-        return JobResult(
-            job_name=job.name,
-            runtime="supmr-iterative",
-            output=output,
-            timings=timings,
-            container_stats=container.stats(),
-            input_bytes=self.plan.total_bytes,
-            n_chunks=self.plan.n_chunks,
-            counters={
-                "merge_rounds": merge_rounds,
-                "iteration": self.iterations,
-                "from_cache": from_cache,
-            },
-        )
+                result = run.execute(self.plan, self.name, load=load)
+                # A pass cut short (deadline, rounds restored from a
+                # journal) saw only part of the input: not a cache.
+                if len(filled) == self.plan.n_chunks:
+                    self._cache = filled
+        result.counters["iteration"] = self.iterations
+        result.counters["from_cache"] = cache is not None
+        return result

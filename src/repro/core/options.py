@@ -84,8 +84,9 @@ class RuntimeOptions:
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: How map/reduce/merge tasks execute (``"serial"`` | ``"thread"`` |
     #: ``"process"``; see :mod:`repro.parallel.backends`).  ``thread``
-    #: is the historical default; ``process`` forks workers per phase
-    #: for real multicore with zero-copy (mmap) split ingest.
+    #: is the historical default; ``process`` runs supervised forked
+    #: workers (lease tracking, respawn, poison-task quarantine) for
+    #: real multicore with zero-copy (mmap) split ingest.
     executor_backend: ExecutorBackend | str = ExecutorBackend.THREAD
     #: Directory for the crash-safe job journal (:mod:`repro.resilience`).
     #: When set, the runtime checkpoints each completed ingest round and
@@ -99,10 +100,6 @@ class RuntimeOptions:
     #: runtime stops admitting new ingest rounds and returns the partial
     #: result with ``counters["degraded"]`` set.  None never expires.
     job_deadline_s: float | None = None
-    #: Run the process backend's forked waves under the resilience
-    #: supervisor (lease tracking, worker respawn, poison-task
-    #: quarantine).  Off = PR-3 behaviour: any worker death aborts.
-    supervised_pool: bool = True
     #: Step the executor backend down (process -> thread -> serial) and
     #: re-run the job when a pool failure escapes the supervisor,
     #: instead of propagating :class:`~repro.errors.ParallelError`.
@@ -139,11 +136,6 @@ class RuntimeOptions:
     #: the PR-3 pickle-over-the-queue path; ``"auto"`` (default) picks
     #: shm when the box supports it and falls back to pipe otherwise.
     transport: str = "auto"
-    #: Fork the process backend's workers once per job and feed them
-    #: task descriptors over a command channel, instead of forking a
-    #: fresh pool every mapper wave.  Off restores fork-per-wave (each
-    #: wave COW-inherits the parent at dispatch time).
-    persistent_pool: bool = True
     #: Remote agent endpoints (``"host:port,..."`` or a sequence) the
     #: sharded coordinator may place shard worker groups on
     #: (:mod:`repro.net`).  Requires ``num_shards``; shards are placed
@@ -161,7 +153,9 @@ class RuntimeOptions:
     #: ingest keeps up with more than two concurrent mapper waves.
     ingest_readers: int = 1
     #: Bound on chunks buffered ahead of the mapper (the prefetch
-    #: window); None defaults to ``ingest_readers + 1``.
+    #: window; one more is being mapped).  None defaults to the paper's
+    #: double buffer (``1``) for one reader, ``ingest_readers + 1`` for
+    #: more.
     ingest_depth: int | None = None
 
     def __post_init__(self) -> None:
@@ -253,11 +247,6 @@ class RuntimeOptions:
             raise ConfigError("ingest_readers must be >= 1")
         if self.ingest_depth is not None and self.ingest_depth < 1:
             raise ConfigError("ingest_depth must be >= 1")
-
-    @property
-    def effective_ingest_depth(self) -> int:
-        """Chunks buffered ahead of the mapper under pipelined ingest."""
-        return self.ingest_depth or (self.ingest_readers + 1)
 
     @property
     def effective_merge_parallelism(self) -> int:

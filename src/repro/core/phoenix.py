@@ -7,40 +7,24 @@ sorted runs with iterative 2-way merge rounds.  The ingest is one
 serial scan (the long low-utilization prefix of Figs. 1/5a) and the merge
 re-scans keys every round (the step-down tail of Fig. 1).
 
-Resilience (PR 4): the baseline shares the SupMR runtime's degradation
-ladder and deadline handling, and — having no ingest rounds to journal —
-checkpoints only the reduced stage, so a crash during the merge phase
+That is the SupMR schedule over a single whole-input chunk — the
+pipeline's ``n + 1`` rounds for one chunk are exactly "serial ingest,
+then map" — so this runtime is :class:`~repro.core.driver.JobRun` over
+:func:`~repro.chunking.planner.plan_whole_input`, reporting read and map
+as separate Table II columns.  It shares the driver's degradation
+ladder, deadline handling and journal, so a crash during the merge phase
 resumes straight into the merge.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.chunking.planner import plan_whole_input
-from repro.core.execution import (
-    ProcessPoolContext,
-    build_container,
-    merge_outputs,
-    run_mapper_wave,
-    run_reducers,
-)
+from repro.core.driver import JobRun
 from repro.core.job import JobSpec
 from repro.core.options import ChunkStrategy, MergeAlgorithm, RuntimeOptions
-from repro.core.result import JobResult, PhaseTimings
-from repro.core.timers import PhaseTimer
-from repro.errors import ConfigError, DeadlineExceeded
-from repro.faults.log import ACTION_DEGRADED
-from repro.faults.plan import SITE_INGEST_READ
-from repro.parallel.backends import ExecutorBackend, make_pool
-from repro.qos.throttle import bucket_from_options
-from repro.resilience.degrade import Deadline, run_with_degradation
-from repro.resilience.journal import STAGE_REDUCED, JobJournal, job_fingerprint
-from repro.util.logging import get_logger
-
-logger = get_logger(__name__)
-
-_SITE_DEADLINE = "job.deadline"
+from repro.core.result import JobResult
+from repro.errors import ConfigError
+from repro.resilience.degrade import run_with_degradation
 
 
 class PhoenixRuntime:
@@ -66,162 +50,10 @@ class PhoenixRuntime:
 
     def _run_once(self, job: JobSpec, options: RuntimeOptions) -> JobResult:
         """One full execution under explicit ``options`` (one ladder rung)."""
-        timer = PhaseTimer()
-        injector = None
-        if options.fault_plan is not None:
-            injector = options.fault_plan.arm(
-                options.recovery, clock=time.perf_counter
+        with JobRun(job, options) as run:
+            return run.execute(
+                plan_whole_input(job.inputs), self.name, combined=False
             )
-        journal = None
-        if options.checkpoint_dir is not None:
-            journal = JobJournal(
-                options.checkpoint_dir,
-                job_fingerprint(job, options),
-                resume=options.resume,
-            )
-        throttle = bucket_from_options(options, injector)
-        container, spill_mgr = build_container(
-            job, options, injector,
-            spill_dir=str(journal.spill_dir) if journal is not None else None,
-            throttle=throttle,
-        )
-        plan = plan_whole_input(job.inputs)
-        whole = plan.chunks[0]
-        wave_stats: dict[str, int] = {}
-        deadline = Deadline(options.job_deadline_s)
-        deadline_hit = False
-        resume_at_reduced = (
-            journal is not None
-            and journal.resumed
-            and journal.stage == STAGE_REDUCED
-        )
-
-        xfer = None
-        if options.executor_backend is ExecutorBackend.PROCESS:
-            xfer = ProcessPoolContext(job, options)
-        succeeded = False
-        try:
-            with timer.phase("total"):
-                with timer.phase("read"):
-                    data = b""
-                    if not resume_at_reduced:
-                        try:
-                            deadline.check("ingest")
-                            if injector is None and throttle is None:
-                                data = whole.load()
-                            elif injector is None:
-                                data = whole.load(throttle=throttle)
-                            else:
-                                data = injector.retrying(
-                                    SITE_INGEST_READ,
-                                    lambda attempt: whole.load(
-                                        injector, attempt, throttle=throttle
-                                    ),
-                                    scope=(whole.index,),
-                                )
-                        except DeadlineExceeded as exc:
-                            deadline_hit = True
-                            logger.warning("deadline degradation: %s", exc)
-                            if injector is not None:
-                                injector.log.record(
-                                    _SITE_DEADLINE, ACTION_DEGRADED, str(exc)
-                                )
-
-                with make_pool(
-                    options.executor_backend, options.num_mappers
-                ) as pool:
-                    with timer.phase("map"):
-                        if not resume_at_reduced and not deadline_hit:
-                            run_mapper_wave(
-                                job, container, data, options, pool,
-                                injector=injector,
-                                wave_stats=wave_stats,
-                                xfer=xfer,
-                            )
-                    with timer.phase("reduce"):
-                        if resume_at_reduced:
-                            runs = journal.load_reduced()
-                        else:
-                            runs = run_reducers(
-                                job, container, options, pool,
-                                wave_stats=wave_stats, xfer=xfer,
-                            )
-                            if journal is not None:
-                                journal.record_reduced(runs)
-
-                with timer.phase("merge"):
-                    output, merge_rounds = merge_outputs(
-                        runs, job, options, xfer=xfer
-                    )
-
-            if journal is not None:
-                journal.finalize()
-            logger.info(
-                "job %s finished on phoenix: total=%.3fs read=%.3fs map=%.3fs",
-                job.name, timer.elapsed("total"), timer.elapsed("read"),
-                timer.elapsed("map"),
-            )
-            spill_stats = spill_mgr.stats() if spill_mgr else None
-            container_stats = container.stats()
-            succeeded = True
-        finally:
-            # Job-exit guarantee: shut the pool down and unlink every
-            # shared-memory segment this job created.
-            if xfer is not None:
-                xfer.close()
-            # Keep sealed runs for the resume when a journaled run fails.
-            if spill_mgr is not None and (journal is None or succeeded):
-                spill_mgr.cleanup()
-        timings = PhaseTimings(
-            read_s=timer.elapsed("read"),
-            map_s=timer.elapsed("map"),
-            reduce_s=timer.elapsed("reduce"),
-            merge_s=timer.elapsed("merge"),
-            total_s=timer.elapsed("total"),
-            read_map_combined=False,
-            spill_s=spill_stats.spill_write_s if spill_stats else 0.0,
-        )
-        counters = {
-            "merge_rounds": merge_rounds,
-            "merge_algorithm": options.merge_algorithm.value,
-            "executor_backend": options.executor_backend.value,
-        }
-        if xfer is not None:
-            counters["transport"] = xfer.transport_kind
-            counters["persistent_pool"] = xfer.persistent
-        for key, value in wave_stats.items():
-            if value:
-                counters[key] = value
-        if journal is not None:
-            counters["checkpointed"] = True
-        if resume_at_reduced:
-            counters["resumed"] = True
-        if deadline_hit:
-            counters["degraded"] = True
-            counters["deadline_expired"] = True
-        if spill_stats is not None:
-            counters["spill_runs"] = spill_stats.runs
-            counters["spilled_bytes"] = spill_stats.spilled_bytes
-        if throttle is not None:
-            counters["tenant"] = options.tenant
-            counters.update(throttle.counters())
-        fault_log = injector.log if injector is not None else None
-        if fault_log is not None:
-            counters["faults_injected"] = fault_log.injected
-            counters["fault_retries"] = fault_log.retries
-            counters["records_quarantined"] = fault_log.quarantined
-        return JobResult(
-            job_name=job.name,
-            runtime=self.name,
-            output=output,
-            timings=timings,
-            container_stats=container_stats,
-            input_bytes=whole.length,
-            n_chunks=1,
-            counters=counters,
-            spill_stats=spill_stats,
-            fault_log=fault_log,
-        )
 
 
 def run_baseline(job: JobSpec, options: RuntimeOptions | None = None) -> JobResult:

@@ -2,9 +2,11 @@
 
 :class:`PhaseTimings` carries the same columns as the paper's Table II —
 total / read / map / reduce / merge — plus the per-round detail SupMR's
-pipeline produces.  When the ingest pipeline is active, read and map
-overlap; ``read_map_combined`` marks that, and reports print the combined
-figure across both columns exactly as the paper's table does.
+pipeline produces (:class:`~repro.pipeline.prefetch.RoundTiming`, the
+pipeline's own record, re-exported here).  When the ingest pipeline is
+active, read and map overlap; ``read_map_combined`` marks that, and
+reports print the combined figure across both columns exactly as the
+paper's table does.
 """
 
 from __future__ import annotations
@@ -14,22 +16,8 @@ from typing import Any, Hashable
 
 from repro.containers.base import ContainerStats
 from repro.faults.log import FaultLog
+from repro.pipeline.prefetch import RoundTiming
 from repro.spill.stats import SpillStats
-
-
-@dataclass(frozen=True)
-class RoundTiming:
-    """One pipeline round: the ingest and map work that overlapped."""
-
-    index: int
-    ingest_s: float
-    map_s: float
-    chunk_bytes: int
-
-    @property
-    def span_s(self) -> float:
-        """Wall-clock of the round (the slower of the two overlapped legs)."""
-        return max(self.ingest_s, self.map_s)
 
 
 @dataclass(frozen=True)

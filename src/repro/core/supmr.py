@@ -1,9 +1,10 @@
 """The SupMR runtime: ingest chunk pipeline + persistent container + p-way merge.
 
 ``run_ingest_mr()`` is the paper's ``run_ingestMR()`` API call (Table I):
-it plans ingest chunks per the user-chosen strategy/size, streams them
-through the double-buffered pipeline (mapper waves on chunk *i* overlap
-the ingest of chunk *i+1*), keeps one persistent intermediate container
+it plans ingest chunks per the user-chosen strategy/size and hands them
+to the round driver (:class:`~repro.core.driver.JobRun`), which streams
+them through the ingest pipeline (mapper waves on chunk *i* overlap the
+ingest of chunk *i+1*), keeps one persistent intermediate container
 across all map rounds, runs the reducers once, and merges with the
 single-pass parallel p-way merge instead of iterative 2-way rounds.
 
@@ -19,38 +20,13 @@ and unrecoverable pool failures step the backend down the ladder via
 
 from __future__ import annotations
 
-import time
-
-from repro.chunking.chunk import Chunk, ChunkPlan
 from repro.chunking.planner import plan_chunks
-from repro.core.execution import (
-    ProcessPoolContext,
-    build_container,
-    merge_outputs,
-    run_mapper_wave,
-    run_reducers,
-)
+from repro.core.driver import JobRun
 from repro.core.job import JobSpec
 from repro.core.options import ChunkStrategy, RuntimeOptions
-from repro.core.result import JobResult, PhaseTimings, RoundTiming
-from repro.core.timers import PhaseTimer
-from repro.errors import ConfigError, DeadlineExceeded
-from repro.faults.log import ACTION_CHECKPOINTED, ACTION_DEGRADED, ACTION_RESUMED
-from repro.faults.plan import SITE_INGEST_READ
-from repro.parallel.backends import ExecutorBackend, make_pool
-from repro.parallel.splits import ChunkHandle
-from repro.pipeline.double_buffer import DoubleBufferedPipeline
-from repro.pipeline.prefetch import PrefetchPipeline
-from repro.qos.throttle import bucket_from_options
-from repro.resilience.degrade import Deadline, run_with_degradation
-from repro.resilience.journal import STAGE_REDUCED, JobJournal, job_fingerprint
-from repro.util.logging import get_logger
-
-logger = get_logger(__name__)
-
-#: Fault-log pseudo-sites for durability events.
-_SITE_CHECKPOINT = "checkpoint"
-_SITE_DEADLINE = "job.deadline"
+from repro.core.result import JobResult
+from repro.errors import ConfigError
+from repro.resilience.degrade import run_with_degradation
 
 
 class SupMRRuntime:
@@ -78,252 +54,10 @@ class SupMRRuntime:
 
     def _run_once(self, job: JobSpec, options: RuntimeOptions) -> JobResult:
         """One full execution under explicit ``options`` (one ladder rung)."""
-        timer = PhaseTimer()
-        injector = None
-        if options.fault_plan is not None:
-            injector = options.fault_plan.arm(
-                options.recovery, clock=time.perf_counter
+        with JobRun(job, options) as run:
+            return run.execute(
+                plan_chunks(job.inputs, job.codec, options), self.name
             )
-        journal = None
-        if options.checkpoint_dir is not None:
-            journal = JobJournal(
-                options.checkpoint_dir,
-                job_fingerprint(job, options),
-                resume=options.resume,
-            )
-        throttle = bucket_from_options(options, injector)
-        container, spill_mgr = build_container(
-            job, options, injector,
-            spill_dir=str(journal.spill_dir) if journal is not None else None,
-            throttle=throttle,
-        )
-        plan: ChunkPlan = plan_chunks(job.inputs, job.codec, options)
-        task_counter = [0]
-        wave_stats: dict[str, int] = {}
-        deadline = Deadline(options.job_deadline_s)
-        deadline_hit = False
-
-        def load(chunk: Chunk) -> "bytes | bytearray | ChunkHandle":
-            if injector is None and throttle is None:
-                if options.executor_backend is ExecutorBackend.PROCESS:
-                    # Zero-copy ingest: the parent never materializes the
-                    # chunk.  Warming pages it into the OS cache (that IS
-                    # the overlapped ingest work) and the forked mappers
-                    # then mmap their own split ranges out of it.
-                    chunk.warm()
-                    return ChunkHandle(chunk)
-                return chunk.load()
-            if injector is None:
-                if options.executor_backend is ExecutorBackend.PROCESS:
-                    chunk.warm(throttle=throttle)
-                    return ChunkHandle(chunk)
-                return chunk.load(throttle=throttle)
-            # The whole chunk is the retry unit: an injected read error or
-            # detected short read discards the partial buffer and re-loads.
-            return injector.retrying(
-                SITE_INGEST_READ,
-                lambda attempt: chunk.load(injector, attempt, throttle=throttle),
-                scope=(chunk.index,),
-            )
-
-        restored_rounds: frozenset[int] = frozenset()
-        resume_at_reduced = (
-            journal is not None
-            and journal.resumed
-            and journal.stage == STAGE_REDUCED
-        )
-        if (
-            journal is not None
-            and journal.resumed
-            and not resume_at_reduced
-            and journal.restore(container, spill_mgr)
-        ):
-            task_counter[0] = journal.map_tasks
-            restored_rounds = journal.completed_rounds
-            if injector is not None:
-                injector.log.record(
-                    _SITE_CHECKPOINT, ACTION_RESUMED,
-                    f"restored {len(restored_rounds)} completed round(s) "
-                    f"from {journal.directory}",
-                )
-        logger.debug(
-            "supmr run: %d chunks planned, %d restored from journal",
-            plan.n_chunks, len(restored_rounds),
-        )
-
-        xfer = None
-        if options.executor_backend is ExecutorBackend.PROCESS:
-            xfer = ProcessPoolContext(job, options)
-        succeeded = False
-        try:
-            with make_pool(options.executor_backend, options.num_mappers) as pool:
-
-                def work(chunk: Chunk, data: "bytes | bytearray | ChunkHandle") -> None:
-                    deadline.check(f"ingest round {chunk.index}")
-                    if job.set_data is not None:
-                        job.set_data(chunk, len(data))
-                    launched = run_mapper_wave(
-                        job,
-                        container,
-                        data,
-                        options,
-                        pool,
-                        chunk_index=chunk.index,
-                        task_id_base=task_counter[0],
-                        injector=injector,
-                        wave_stats=wave_stats,
-                        xfer=xfer,
-                    )
-                    task_counter[0] += launched
-                    if journal is not None:
-                        journal.record_round(
-                            chunk.index, container, task_counter[0], spill_mgr
-                        )
-                        if injector is not None:
-                            injector.log.record(
-                                _SITE_CHECKPOINT, ACTION_CHECKPOINTED,
-                                f"round {chunk.index} journaled",
-                            )
-
-                if options.pipelined_ingest and options.ingest_readers > 1:
-                    pipeline = PrefetchPipeline(
-                        load=load,
-                        work=work,
-                        readers=options.ingest_readers,
-                        depth=options.effective_ingest_depth,
-                    )
-                else:
-                    pipeline = DoubleBufferedPipeline(
-                        load=load,
-                        work=work,
-                        pipelined=options.pipelined_ingest,
-                    )
-
-                with timer.phase("total"):
-                    with timer.phase("read_map"):
-                        round_records = []
-                        chunks = [
-                            c for c in plan.chunks
-                            if c.index not in restored_rounds
-                        ]
-                        if not resume_at_reduced and chunks:
-                            try:
-                                round_records = pipeline.run(chunks)
-                            except DeadlineExceeded as exc:
-                                # Completed rounds stay in the container;
-                                # reduce/merge the partial state instead
-                                # of hanging past the operator's budget.
-                                deadline_hit = True
-                                logger.warning("deadline degradation: %s", exc)
-                                if injector is not None:
-                                    injector.log.record(
-                                        _SITE_DEADLINE, ACTION_DEGRADED,
-                                        str(exc),
-                                    )
-                    with timer.phase("reduce"):
-                        if resume_at_reduced:
-                            runs = journal.load_reduced()
-                        else:
-                            runs = run_reducers(
-                                job, container, options, pool,
-                                wave_stats=wave_stats, xfer=xfer,
-                            )
-                            if journal is not None:
-                                journal.record_reduced(runs)
-                    with timer.phase("merge"):
-                        output, merge_rounds = merge_outputs(
-                            runs, job, options, xfer=xfer
-                        )
-
-            if journal is not None:
-                journal.finalize()
-            spill_stats = spill_mgr.stats() if spill_mgr else None
-            container_stats = container.stats()
-            succeeded = True
-        finally:
-            # Pool shutdown + segment cleanup is the job-exit guarantee:
-            # no shared-memory segment of this job survives, even after
-            # a crash-path abort.
-            if xfer is not None:
-                xfer.close()
-            # On failure with a journal, sealed runs must survive for the
-            # resume; otherwise they are dead weight and go now.
-            if spill_mgr is not None and (journal is None or succeeded):
-                spill_mgr.cleanup()
-
-        logger.info(
-            "job %s finished on supmr: total=%.3fs read+map=%.3fs chunks=%d",
-            job.name, timer.elapsed("total"), timer.elapsed("read_map"),
-            plan.n_chunks,
-        )
-        rounds = tuple(
-            RoundTiming(
-                index=r.index,
-                ingest_s=r.ingest_s,
-                map_s=r.map_s,
-                chunk_bytes=r.chunk_bytes,
-            )
-            for r in round_records
-        )
-        timings = PhaseTimings(
-            read_s=timer.elapsed("read_map"),
-            map_s=0.0,
-            reduce_s=timer.elapsed("reduce"),
-            merge_s=timer.elapsed("merge"),
-            total_s=timer.elapsed("total"),
-            read_map_combined=True,
-            rounds=rounds,
-            spill_s=spill_stats.spill_write_s if spill_stats else 0.0,
-        )
-        counters = {
-            "merge_rounds": merge_rounds,
-            "merge_algorithm": options.merge_algorithm.value,
-            "executor_backend": options.executor_backend.value,
-            "chunk_strategy": plan.strategy,
-            "pipeline_rounds": len(rounds),
-            "map_tasks": task_counter[0],
-        }
-        if xfer is not None:
-            counters["transport"] = xfer.transport_kind
-            counters["persistent_pool"] = xfer.persistent
-        if options.ingest_readers > 1:
-            counters["ingest_readers"] = options.ingest_readers
-        for key, value in wave_stats.items():
-            if value:
-                counters[key] = value
-        if journal is not None:
-            counters["checkpointed"] = True
-        if restored_rounds or resume_at_reduced:
-            counters["resumed"] = True
-            counters["resumed_rounds"] = (
-                plan.n_chunks if resume_at_reduced else len(restored_rounds)
-            )
-        if deadline_hit:
-            counters["degraded"] = True
-            counters["deadline_expired"] = True
-        if spill_stats is not None:
-            counters["spill_runs"] = spill_stats.runs
-            counters["spilled_bytes"] = spill_stats.spilled_bytes
-        if throttle is not None:
-            counters["tenant"] = options.tenant
-            counters.update(throttle.counters())
-        fault_log = injector.log if injector is not None else None
-        if fault_log is not None:
-            counters["faults_injected"] = fault_log.injected
-            counters["fault_retries"] = fault_log.retries
-            counters["records_quarantined"] = fault_log.quarantined
-        return JobResult(
-            job_name=job.name,
-            runtime=self.name,
-            output=output,
-            timings=timings,
-            container_stats=container_stats,
-            input_bytes=plan.total_bytes,
-            n_chunks=plan.n_chunks,
-            counters=counters,
-            spill_stats=spill_stats,
-            fault_log=fault_log,
-        )
 
 
 def run_ingest_mr(job: JobSpec, options: RuntimeOptions) -> JobResult:

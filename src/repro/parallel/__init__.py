@@ -18,13 +18,12 @@ from repro.parallel.backends import (
     require_process_backend,
     resolve_backend,
 )
-from repro.parallel.fork_pool import ForkExecutor, fork_map
+from repro.parallel.fork_pool import fork_map
 from repro.parallel.splits import ChunkHandle, SplitRef, split_refs_for_chunk
 
 __all__ = [
     "ChunkHandle",
     "ExecutorBackend",
-    "ForkExecutor",
     "SerialExecutor",
     "SplitRef",
     "fork_available",

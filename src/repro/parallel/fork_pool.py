@@ -28,7 +28,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_mod
-from concurrent.futures import Future
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
@@ -174,44 +173,3 @@ def fork_map(
     if failures:
         raise failures[min(failures)]
     return out
-
-
-class ForkExecutor:
-    """Minimal executor facade over :func:`fork_map` for the sort library.
-
-    ``sortlib.pway_merge`` / ``parallel_sort`` drive their workers
-    through ``executor.map``; handing them a ``ForkExecutor`` makes the
-    merge phase genuinely parallel — each forked worker inherits the
-    sorted runs copy-on-write and sends back only its output range.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        transport: "PipeTransport | ShmTransport | None" = None,
-    ) -> None:
-        if workers < 1:
-            raise ParallelError("ForkExecutor needs at least one worker")
-        self.workers = workers
-        self.transport = transport
-
-    def map(self, fn: Callable[..., R], *iterables: Iterable[Any]) -> list[R]:
-        """`Executor.map` semantics (results in order, eager)."""
-        if len(iterables) == 1:
-            items = list(iterables[0])
-            return fork_map(fn, items, self.workers, transport=self.transport)
-        packed = list(zip(*iterables))
-        return fork_map(
-            lambda args: fn(*args), packed, self.workers,
-            transport=self.transport,
-        )
-
-    def submit(self, fn: Callable[..., R], /, *args: Any, **kwargs: Any) -> Future:
-        """Single-task form; runs one forked worker synchronously."""
-        future: Future = Future()
-        try:
-            result = fork_map(lambda _: fn(*args, **kwargs), [None], 1)[0]
-            future.set_result(result)
-        except BaseException as exc:  # noqa: BLE001 - parked on the future
-            future.set_exception(exc)
-        return future

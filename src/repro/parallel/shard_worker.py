@@ -31,13 +31,12 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.chunking.chunk import Chunk
-from repro.core.execution import build_container, run_mapper_wave
+from repro.core.driver import JobRun
 from repro.core.job import JobSpec
 from repro.core.options import RuntimeOptions
 from repro.errors import ParallelError
-from repro.faults.plan import SITE_INGEST_READ
-from repro.parallel.backends import ExecutorBackend, SerialExecutor
-from repro.resilience.journal import JobJournal, job_fingerprint
+from repro.parallel.backends import ExecutorBackend
+from repro.resilience.journal import job_fingerprint
 from repro.shard.exchange import (
     EventRow,
     fetch_run,
@@ -106,90 +105,65 @@ def _serve_map(
         # Nothing to checkpoint first: die straight away.
         os._exit(SHARD_CRASH_EXIT)
     straggle_s = float(msg.get("straggle_s") or 0.0)
-    # Task-level sites are re-armed per attempt inside the worker; the
-    # shard-level sites were already resolved by the coordinator.
-    injector = None
-    if options.fault_plan is not None:
-        injector = options.fault_plan.arm(
-            options.recovery, clock=time.perf_counter
-        )
-    journal = None
-    if msg.get("ckpt"):
-        journal = JobJournal(
-            msg["ckpt"],
-            shard_fingerprint(job, options, shard_id),
-            resume=bool(msg.get("resume")),
-        )
-    container, spill_mgr = build_container(
-        job, options, injector,
-        spill_dir=str(journal.spill_dir) if journal is not None else None,
-    )
-    serial = options.with_(executor_backend=ExecutorBackend.SERIAL)
-    pool = SerialExecutor()
-    restored: frozenset[int] = frozenset()
-    map_tasks = 0
-    if journal is not None and journal.resumed:
-        if journal.restore(container, spill_mgr):
-            restored = journal.completed_rounds
-            map_tasks = journal.map_tasks
-    rounds_run = 0
-    for chunk in chunks:
-        if chunk.index in restored:
-            continue
+    attempt = msg.get("attempt", 0)
+
+    def after_round(chunk: Chunk) -> None:
         if mode == MODE_STRAGGLE and straggle_s > 0:
             time.sleep(straggle_s)
-        if injector is not None and injector.armed(SITE_INGEST_READ):
-            data = injector.retrying(
-                SITE_INGEST_READ,
-                lambda attempt: chunk.load(injector, attempt),
-                scope=(chunk.index,),
-            )
-        else:
-            data = chunk.load()
-        if job.set_data is not None:
-            job.set_data(chunk, len(data))
-        # task_id_base is a pure function of the *global* chunk index,
-        # so (chunk, task) fault scopes are shard-count invariant.
-        launched = run_mapper_wave(
-            job, container, data, serial, pool,
-            chunk_index=chunk.index,
-            task_id_base=chunk.index * options.num_mappers,
-            injector=injector,
-        )
-        map_tasks += launched
-        rounds_run += 1
-        if journal is not None:
-            journal.record_round(chunk.index, container, map_tasks, spill_mgr)
-        _post(results, ("hb", shard_id, msg.get("attempt", 0), chunk.index))
+        _post(results, ("hb", shard_id, attempt, chunk.index))
         if mode == MODE_LOSS:
             # Die *after* the first journaled round, exactly the window
             # the checkpoint/resume path has to cover.
             os._exit(SHARD_CRASH_EXIT)
-    if mode == MODE_LOSS:
-        # Every round was restored from the journal, so the per-chunk
-        # death window never opened — but the coordinator has already
-        # consumed the shard.worker_loss injection, so honor it anyway
-        # to keep the seeded schedule and fault log in step.
-        os._exit(SHARD_CRASH_EXIT)
-    manifest = write_partition_runs(
-        container, num_partitions, msg["outbox"]
+
+    # The shard's block runs the one-shot runtimes' round loop, serially
+    # and without read-ahead (its fault events ship back in program
+    # order).  Task-level sites are re-armed per attempt inside the
+    # worker; the shard-level sites were already resolved by the
+    # coordinator, which also owns the job deadline and hands each
+    # shard its share of the I/O budget.
+    ckpt = msg.get("ckpt")
+    run = JobRun(
+        job,
+        options.with_(
+            executor_backend=ExecutorBackend.SERIAL,
+            pipelined_ingest=False,
+            checkpoint_dir=ckpt,
+            resume=bool(ckpt and msg.get("resume")),
+            job_deadline_s=None,
+        ),
+        fingerprint=(
+            shard_fingerprint(job, options, shard_id) if ckpt else None
+        ),
     )
-    if journal is not None:
-        journal.finalize()
-    if spill_mgr is not None:
-        spill_mgr.cleanup()
-    stats = container.stats()
+    with run:
+        rounds = run.map_rounds(chunks, after=after_round)
+        if mode == MODE_LOSS:
+            # Every round was restored from the journal, so the
+            # per-chunk death window never opened — but the coordinator
+            # has already consumed the shard.worker_loss injection, so
+            # honor it anyway to keep the seeded schedule and fault log
+            # in step.
+            os._exit(SHARD_CRASH_EXIT)
+        manifest = write_partition_runs(
+            run.container, num_partitions, msg["outbox"]
+        )
+        run.commit()
+    stats = run.container.stats()
     _post(results, (
-        "map_done", shard_id, msg.get("attempt", 0),
+        "map_done", shard_id, attempt,
         {
             "manifest": manifest,
             "outbox": msg["outbox"],
-            "rounds": rounds_run,
-            "restored_rounds": len(restored),
-            "map_tasks": map_tasks,
+            "rounds": max(len(rounds) - 1, 0),  # n chunks -> n+1 records
+            "restored_rounds": len(run.restored_rounds),
+            "map_tasks": run.map_tasks,
             "emits": stats.emits,
             "distinct_keys": stats.distinct_keys,
-            "events": _log_rows(injector),
+            "events": _log_rows(run.injector),
+            "throttle": (
+                run.throttle.counters() if run.throttle is not None else None
+            ),
         },
     ))
 

@@ -1,5 +1,5 @@
-"""The ingest chunk pipeline (double buffering)."""
+"""The ingest chunk pipeline (double buffering and its N-reader form)."""
 
-from repro.pipeline.double_buffer import DoubleBufferedPipeline, RoundRecord
+from repro.pipeline.prefetch import PrefetchPipeline, RoundTiming
 
-__all__ = ["DoubleBufferedPipeline", "RoundRecord"]
+__all__ = ["PrefetchPipeline", "RoundTiming"]

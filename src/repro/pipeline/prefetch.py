@@ -1,66 +1,102 @@
-"""Multi-queue async ingest: N prefetch readers ahead of the mapper.
+"""The ingest/compute pipeline (paper section III.B, Fig. 4).
 
-:class:`~repro.pipeline.double_buffer.DoubleBufferedPipeline` is the
-paper's schedule verbatim — exactly one ingest thread, one chunk of
-lookahead.  That is the right shape when one reader saturates the disk,
-but once mapper waves get short (persistent pool, shm transport) a
-single reader becomes the bottleneck: the mapper finishes chunk ``i``
-before chunk ``i+1`` has landed and the pipeline degrades to serial.
+The schedule is the paper's pseudo-code::
 
-:class:`PrefetchPipeline` generalizes the schedule: ``readers`` threads
-pull chunk indices from a shared cursor and load concurrently into a
-bounded window of ``depth`` buffered chunks (the memory cap — a permit
-is taken before a load starts and returned when the mapper consumes the
-chunk).  The *consumption* order is unchanged — chunk ``i`` is always
-mapped before chunk ``i+1``, so container absorption order and output
-digests are byte-identical to the double-buffered pipeline — and the
-QoS token bucket is charged inside each ``load`` exactly once per
-chunk, same as before (readers contend on the bucket's lock, never
-double-charge).
+    partition input into ingest chunks
+    ingest 1st chunk
+    for each ingest chunk do
+        create thread to ingest next chunk
+        run mappers on previous chunk
+        destroy thread
+    end
+    run mappers on last chunk
 
-Round records keep the ``n + 1`` shape the runtimes and ``--timeline``
-expect: ``ingest_s`` is the reader-measured load time of that round's
-chunk, ``map_s`` the map time of the previous one.
+giving ``n + 1`` rounds for ``n`` chunks: a serial first ingest, ``n-1``
+overlapped rounds, and a final unoverlapped map.  File reads release the
+GIL, so the overlap is genuine even under CPython.
+
+:class:`PrefetchPipeline` is the one implementation.  ``readers``
+threads pull chunk indices from a shared cursor and load concurrently
+into a bounded window of ``depth`` chunks — a permit is taken before a
+load starts and returned when the mapper takes the chunk, so at most
+``depth + 1`` chunk buffers are live (``depth`` loading or loaded, one
+being mapped).  One reader with ``depth=1`` is the paper's double
+buffer: one chunk being mapped, one in flight.  More readers help once
+mapper waves get short (persistent pool, shm transport) and a single
+reader stops keeping up.  ``pipelined=False`` runs the same rounds with
+no reader thread at all (identical results; the overlap ablation).
+
+The *consumption* order never changes — chunk ``i`` is always mapped
+before chunk ``i+1`` — so container absorption order and output digests
+are byte-identical in every mode, and the QoS token bucket is charged
+inside each ``load`` exactly once per chunk (readers contend on the
+bucket's lock, never double-charge).
 
 A load error (or an injector giving up) is re-raised at the round that
-*consumes* the failed chunk, preserving the owning-round attribution of
-the single-threaded pipeline; any error — including a mid-wave
+*consumes* the failed chunk; any error — including a mid-wave
 ``DeadlineExceeded`` — stops and joins every reader before propagating,
-so no thread outlives the run.
+so no thread or open file handle outlives the run.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from repro.chunking.chunk import Chunk
 from repro.errors import RuntimeStateError
-from repro.pipeline.double_buffer import LoadFn, RoundRecord, WorkFn
 from repro.util.logging import get_logger
 
 logger = get_logger(__name__)
 
+LoadFn = Callable[[Chunk], Any]
+WorkFn = Callable[[Chunk, Any], None]
+
+
+@dataclass(frozen=True)
+class RoundTiming:
+    """One pipeline round: the ingest and map work that overlapped.
+
+    ``ingest_s`` is the load time of chunk ``index`` and ``map_s`` the
+    map time of the previous chunk; the final round (``index == n``)
+    ingests nothing.
+    """
+
+    index: int
+    ingest_s: float
+    map_s: float
+    chunk_bytes: int
+
+    @property
+    def span_s(self) -> float:
+        """Wall-clock of the round (the slower of the two overlapped legs)."""
+        return max(self.ingest_s, self.map_s)
+
 
 class PrefetchPipeline:
-    """Drives chunks through load/work with N readers of bounded lookahead."""
+    """Drives chunks through load/work with bounded reader lookahead."""
 
     def __init__(
         self,
         load: LoadFn,
         work: WorkFn,
-        readers: int = 2,
+        readers: int = 1,
         depth: "int | None" = None,
+        pipelined: bool = True,
     ) -> None:
         if readers < 1:
             raise RuntimeStateError("prefetch pipeline needs >= 1 reader")
         self._load = load
         self._work = work
         self.readers = readers
-        self.depth = max(depth if depth is not None else readers + 1, 1)
+        if depth is None:
+            depth = 1 if readers == 1 else readers + 1
+        self.depth = max(depth, 1)
+        self.pipelined = pipelined
 
-    def run(self, chunks: Sequence[Chunk]) -> list[RoundRecord]:
+    def run(self, chunks: Sequence[Chunk]) -> list[RoundTiming]:
         """Drive all chunks; returns one record per round (n+1 total)."""
         if not chunks:
             raise RuntimeStateError("pipeline needs at least one chunk")
@@ -72,6 +108,13 @@ class PrefetchPipeline:
         window = threading.Semaphore(self.depth)
         stop = threading.Event()
 
+        def timed_load(i: int) -> tuple:
+            t0 = time.perf_counter()
+            try:
+                return ("ok", self._load(chunks[i]), time.perf_counter() - t0)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by owner
+                return ("error", exc, time.perf_counter() - t0)
+
         def reader() -> None:
             while True:
                 window.acquire()
@@ -82,75 +125,64 @@ class PrefetchPipeline:
                     if i >= n:
                         return
                     cursor[0] = i + 1
-                t0 = time.perf_counter()
-                try:
-                    entry = ("ok", self._load(chunks[i]),
-                             time.perf_counter() - t0)
-                except BaseException as exc:  # noqa: BLE001 - re-raised by owner
-                    entry = ("error", exc, time.perf_counter() - t0)
+                entry = timed_load(i)
                 with ready:
                     results[i] = entry
                     ready.notify_all()
 
+        # A lone chunk has nothing to overlap, so no reader starts.
+        n_readers = min(self.readers, n) if self.pipelined and n > 1 else 0
+        threads = [
+            threading.Thread(target=reader, daemon=True, name=f"prefetch-{r}")
+            for r in range(n_readers)
+        ]
+
         def take(i: int) -> tuple[Any, float]:
-            """Block for chunk ``i``; frees its window slot to the readers."""
-            with ready:
-                while i not in results:
-                    ready.wait()
-                kind, value, elapsed = results.pop(i)
-            window.release()
+            """Chunk ``i``'s data and load time; frees its window slot."""
+            if not threads:
+                kind, value, elapsed = timed_load(i)
+            else:
+                with ready:
+                    while i not in results:
+                        ready.wait()
+                    kind, value, elapsed = results.pop(i)
+                window.release()
             if kind == "error":
                 raise value
             return value, elapsed
 
-        threads = [
-            threading.Thread(
-                target=reader, daemon=True, name=f"prefetch-{r}",
-            )
-            for r in range(min(self.readers, n))
-        ]
-        records: list[RoundRecord] = []
+        records: list[RoundTiming] = []
         try:
             for thread in threads:
                 thread.start()
 
-            # Round 0: nothing to overlap the first chunk with (though the
-            # readers are already loading chunks 1.. behind it).
-            t0 = time.perf_counter()
+            # Round 0: nothing to overlap the first chunk with (though
+            # the readers are already loading chunks 1.. behind it).
             current, ingest_s = take(0)
-            records.append(
-                RoundRecord(
-                    0, 0, ingest_s, 0.0,
-                    time.perf_counter() - t0, chunks[0].length,
-                )
-            )
+            records.append(RoundTiming(0, ingest_s, 0.0, chunks[0].length))
 
             for i in range(1, n):
-                round_t0 = time.perf_counter()
+                t0 = time.perf_counter()
                 self._work(chunks[i - 1], current)
-                map_s = time.perf_counter() - round_t0
+                map_s = time.perf_counter() - t0
                 current, ingest_s = take(i)
-                span = time.perf_counter() - round_t0
                 logger.debug(
-                    "prefetch round %d: ingest=%.4fs map=%.4fs span=%.4fs "
-                    "chunk=%dB",
-                    i, ingest_s, map_s, span, chunks[i].length,
+                    "round %d: ingest=%.4fs map=%.4fs chunk=%dB",
+                    i, ingest_s, map_s, chunks[i].length,
                 )
                 records.append(
-                    RoundRecord(i, i, ingest_s, map_s, span, chunks[i].length)
+                    RoundTiming(i, ingest_s, map_s, chunks[i].length)
                 )
 
             # Final round: map the last chunk with nothing left to ingest.
             t0 = time.perf_counter()
             self._work(chunks[-1], current)
-            map_s = time.perf_counter() - t0
-            records.append(RoundRecord(n, None, 0.0, map_s, map_s, 0))
+            records.append(RoundTiming(n, 0.0, time.perf_counter() - t0, 0))
             return records
         finally:
             # Reached on success and on any error (including a mid-wave
             # DeadlineExceeded): wake every reader — whether blocked on
-            # the window or mid-load — and join them all, so no thread
-            # or open file handle outlives the run.
+            # the window or mid-load — and join them all.
             stop.set()
             for _ in threads:
                 window.release()

@@ -172,7 +172,7 @@ def bucket_from_options(options, injector=None) -> "TokenBucket | None":
 
     ``options.io_budget is None`` (the default) returns None — no bucket
     object, no locks, no clock reads — so unthrottled runs pay nothing
-    for the QoS layer (the BENCH_pr7 gate pins this).
+    for the QoS layer (every ``BENCHMARK.json`` workload runs this path).
     """
     budget = getattr(options, "io_budget", None)
     if budget is None:

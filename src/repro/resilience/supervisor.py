@@ -737,9 +737,9 @@ def supervised_fork_map(
 class SupervisedForkExecutor:
     """Executor facade over :func:`supervised_fork_map` for the sort library.
 
-    Drop-in for :class:`~repro.parallel.fork_pool.ForkExecutor` where
-    the caller wants merge workers supervised too (respawn on death)
-    without any fault-site checking.
+    Merge workers inherit the sorted runs copy-on-write, send back only
+    their output range, and are supervised (respawn on death) without
+    any fault-site checking.
     """
 
     def __init__(

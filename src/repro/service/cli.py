@@ -91,7 +91,6 @@ def spec_from_args(args: argparse.Namespace) -> ServiceJobSpec:
         retry=getattr(args, "retry", None),
         skip_budget=getattr(args, "skip_budget", None),
         job_deadline=getattr(args, "job_deadline", None),
-        no_supervise=bool(getattr(args, "no_supervise", False)),
         shards=getattr(args, "shards", None),
         peers=getattr(args, "peers", None),
         net_timeout=getattr(args, "net_timeout", None),
@@ -101,7 +100,6 @@ def spec_from_args(args: argparse.Namespace) -> ServiceJobSpec:
         io_budget=getattr(args, "io_budget", None),
         io_priority=getattr(args, "io_priority", 0),
         transport=getattr(args, "transport", None),
-        no_persistent_pool=bool(getattr(args, "no_persistent_pool", False)),
         ingest_readers=getattr(args, "ingest_readers", None),
         ingest_depth=getattr(args, "ingest_depth", None),
     )

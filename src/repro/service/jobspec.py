@@ -70,10 +70,6 @@ def build_options(spec: Any) -> RuntimeOptions:
         )
     if getattr(spec, "job_deadline", None) is not None:
         options = options.with_(job_deadline_s=spec.job_deadline)
-    if getattr(spec, "no_supervise", False):
-        options = options.with_(
-            supervised_pool=False, degrade_on_pool_failure=False
-        )
     if getattr(spec, "shards", None) is not None:
         options = options.with_(num_shards=spec.shards)
     if getattr(spec, "peers", None):
@@ -92,8 +88,6 @@ def build_options(spec: Any) -> RuntimeOptions:
         options = options.with_(io_priority=spec.io_priority)
     if getattr(spec, "transport", None):
         options = options.with_(transport=spec.transport)
-    if getattr(spec, "no_persistent_pool", False):
-        options = options.with_(persistent_pool=False)
     if getattr(spec, "ingest_readers", None) is not None:
         options = options.with_(ingest_readers=spec.ingest_readers)
     if getattr(spec, "ingest_depth", None) is not None:
@@ -126,7 +120,6 @@ class ServiceJobSpec:
     retry: int | None = None
     skip_budget: int | None = None
     job_deadline: float | None = None
-    no_supervise: bool = False
     shards: int | None = None
     #: Remote agent endpoints (``"host:port,..."``) the sharded run may
     #: place worker groups on; requires ``shards``.
@@ -147,14 +140,11 @@ class ServiceJobSpec:
     #: Result transport for the process backend: ``auto`` (shared memory
     #: when ``/dev/shm`` works, else pipes), ``shm``, or ``pipe``.
     transport: str | None = None
-    #: Opt out of the persistent pre-forked worker pool (fall back to
-    #: fork-per-wave).
-    no_persistent_pool: bool = False
     #: Concurrent ingest prefetch readers (>1 enables the multi-queue
     #: async ingest pipeline).
     ingest_readers: int | None = None
-    #: Buffered-chunk window for the prefetch pipeline (defaults to
-    #: ``ingest_readers + 1``).
+    #: Buffered-chunk window for the prefetch pipeline (defaults to 1
+    #: for one reader, ``ingest_readers + 1`` for more).
     ingest_depth: int | None = None
 
     def __post_init__(self) -> None:

@@ -227,11 +227,24 @@ class _Coordinator:
         self.tally = _Tally()
         self._wid = 0
         self._attempts: dict[int, int] = {}
+        #: What every shard worker runs under: the job's options with an
+        #: even share of the I/O budget, so the job as a whole stays
+        #: inside it however many shards meter their own reads and spills.
+        self.worker_options = options
+        if options.io_budget is not None:
+            n = plan.num_shards
+            self.worker_options = options.with_(
+                io_budget=max(1, options.io_budget // n),
+                io_burst=(
+                    max(1, options.io_burst // n)
+                    if options.io_burst is not None else None
+                ),
+            )
         if self.links:
             from repro.net.jobs import job_to_wire, options_to_wire
 
             self._job_wire = job_to_wire(job)
-            self._options_wire = options_to_wire(options)
+            self._options_wire = options_to_wire(self.worker_options)
             for link in self.links:
                 # Worker result blobs flow into the same queue local
                 # forks use; the collect/lease machinery cannot tell.
@@ -267,7 +280,8 @@ class _Coordinator:
             proc = self.ctx.Process(
                 target=shard_worker_main,
                 args=(
-                    sid, self.job, self.options, self.plan.chunks_for(sid),
+                    sid, self.job, self.worker_options,
+                    self.plan.chunks_for(sid),
                     self.plan.num_partitions, inbox, self.results_q,
                 ),
                 daemon=True,
@@ -977,6 +991,13 @@ class ShardedRuntime:
         if resumed_rounds:
             counters["resumed"] = True
             counters["resumed_rounds"] = resumed_rounds
+        if options.io_budget is not None:
+            # Each shard metered its own block at its share of the
+            # budget; the job's figures are the sums.
+            counters["tenant"] = options.tenant
+            for p in done.values():
+                for key, value in (p["throttle"] or {}).items():
+                    counters[key] = round(counters.get(key, 0) + value, 6)
         fault_log = injector.log if injector is not None else None
         if fault_log is not None:
             counters["faults_injected"] = fault_log.injected

@@ -51,8 +51,8 @@ def parallel_sort(
     Matches ``sorted(items, key=key)`` (stable) for any input;
     ``key=None`` sorts by natural order and takes the no-key merge fast
     path.  An ``executor`` (thread pool or
-    :class:`~repro.parallel.fork_pool.ForkExecutor`) overlaps both the
-    block sorts and the range merges.
+    :class:`~repro.resilience.supervisor.SupervisedForkExecutor`)
+    overlaps both the block sorts and the range merges.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")

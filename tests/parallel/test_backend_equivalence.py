@@ -168,26 +168,20 @@ class TestWorkerFaultBackendEquivalence:
                 ), f"{job_name}: {backend} {counter} diverged"
 
 
-#: (transport, persistent_pool) corners of the process-backend matrix.
-_XFER_AXIS = [
-    ("pipe", False),
-    ("pipe", True),
-    ("shm", False),
-    ("shm", True),
-]
+#: The process backend's result transports.
+_XFER_AXIS = ["pipe", "shm"]
 
 
 @needs_fork
 @pytest.mark.parametrize("job_name", ["wordcount", "sort"])
 class TestTransportEquivalence:
-    """Transport and pool mode change speed, never answers.
+    """The transport changes speed, never answers.
 
-    Every corner of the (pipe|shm) × (fork-per-wave|persistent-pool)
-    matrix must reproduce the serial reference byte for byte — plain and
-    with seeded worker kills/hangs, where the fault *event sequence*
-    (site, action, scope order) must match too: the supervisor's
-    deterministic fault decisions are part of the contract, whatever
-    carries the results back.
+    Both transports must reproduce the serial reference byte for byte —
+    plain and with seeded worker kills/hangs, where the fault *event
+    sequence* (site, action, scope order) must match too: the
+    supervisor's deterministic fault decisions are part of the contract,
+    whatever carries the results back.
     """
 
     def test_outputs_byte_identical(
@@ -198,32 +192,26 @@ class TestTransportEquivalence:
             _job(job_name, *job_args)
         )
         assert reference.output
-        for transport, persistent in _XFER_AXIS:
-            opts = _options("process").with_(
-                transport=transport, persistent_pool=persistent
-            )
+        for transport in _XFER_AXIS:
+            opts = _options("process").with_(transport=transport)
             result = SupMRRuntime(opts).run(_job(job_name, *job_args))
             assert result.output == reference.output, (
-                f"{job_name}: transport={transport} "
-                f"persistent_pool={persistent} diverged from serial"
+                f"{job_name}: transport={transport} diverged from serial"
             )
             assert result.counters["transport"] == transport
-            assert result.counters["persistent_pool"] is (
-                persistent and opts.supervised_pool
-            )
+            assert result.counters["persistent_pool"] is True
 
     def test_fault_sequences_identical_across_transports(
         self, job_name, text_file, terasort_file, numbers_file
     ):
         job_args = (text_file, terasort_file, numbers_file)
 
-        def run(transport, persistent):
+        def run(transport):
             opts = RuntimeOptions.supmr_interfile(
                 "16KB", num_mappers=4, num_reducers=3
             ).with_(
                 executor_backend="process",
                 transport=transport,
-                persistent_pool=persistent,
                 fault_plan=parse_faults(
                     "worker.crash=once,task.hang=once", seed=7
                 ),
@@ -231,25 +219,23 @@ class TestTransportEquivalence:
             )
             return SupMRRuntime(opts).run(_job(job_name, *job_args))
 
-        reference = run("pipe", False)  # PR-3-shaped baseline
+        reference = run("pipe")
         assert reference.counters["faults_injected"] > 0, (
             "worker fault plan never fired; the test is vacuous"
         )
         ref_events = [
             (e.site, e.action, e.scope) for e in reference.fault_log.events
         ]
-        for transport, persistent in _XFER_AXIS[1:]:
-            result = run(transport, persistent)
+        for transport in _XFER_AXIS[1:]:
+            result = run(transport)
             assert result.output == reference.output, (
-                f"{job_name}: faulted transport={transport} "
-                f"persistent_pool={persistent} output diverged"
+                f"{job_name}: faulted transport={transport} output diverged"
             )
             events = [
                 (e.site, e.action, e.scope) for e in result.fault_log.events
             ]
             assert events == ref_events, (
-                f"{job_name}: transport={transport} "
-                f"persistent_pool={persistent} fault sequence diverged"
+                f"{job_name}: transport={transport} fault sequence diverged"
             )
 
 

@@ -1,4 +1,4 @@
-"""fork_map / ForkExecutor: forked fan-out with COW inheritance."""
+"""fork_map: forked fan-out with COW inheritance."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ParallelError
 from repro.parallel.backends import fork_available
-from repro.parallel.fork_pool import ForkExecutor, fork_map
+from repro.parallel.fork_pool import fork_map
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
@@ -82,19 +82,3 @@ class TestForkMap:
 
         with pytest.raises(ParallelError, match=r"repro-fork-\d+=13"):
             fork_map(task, range(3), 2)
-
-
-class TestForkExecutor:
-    def test_map_single_iterable(self):
-        assert ForkExecutor(2).map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-
-    def test_map_zips_multiple_iterables(self):
-        assert ForkExecutor(2).map(lambda a, b: a * b, [2, 3], [5, 7]) == [10, 21]
-
-    def test_submit(self):
-        future = ForkExecutor(1).submit(lambda a, b=0: a + b, 4, b=3)
-        assert future.result() == 7
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ParallelError):
-            ForkExecutor(0)

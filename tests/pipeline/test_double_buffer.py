@@ -1,4 +1,10 @@
-"""Double-buffered ingest pipeline (the paper's pseudo-code schedule)."""
+"""The paper's round schedule, in every mode of the one pipeline.
+
+Each test runs the synchronous ablation, the default single look-ahead
+(the paper's double buffer) and a multi-reader window: the schedule's
+contract does not depend on how the chunks were loaded.  Window and
+reader mechanics are in ``test_prefetch.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,14 @@ import pytest
 
 from repro.chunking.chunk import Chunk, ChunkSource
 from repro.errors import RuntimeStateError
-from repro.pipeline.double_buffer import DoubleBufferedPipeline
+from repro.pipeline.prefetch import PrefetchPipeline
+
+#: Constructor arguments per mode.
+MODES = {
+    "synchronous": {"pipelined": False},
+    "one reader": {},
+    "three readers": {"readers": 3},
+}
 
 
 def make_chunks(tmp_path, contents):
@@ -21,52 +34,63 @@ def make_chunks(tmp_path, contents):
     return chunks
 
 
+def no_reader_threads():
+    return not [
+        t for t in threading.enumerate() if t.name.startswith("prefetch-")
+    ]
+
+
 class TestSchedule:
     def test_rounds_are_n_plus_one(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"a", b"b", b"c"])
-        pipeline = DoubleBufferedPipeline(
-            load=lambda c: c.load(), work=lambda c, d: None
-        )
-        records = pipeline.run(chunks)
-        assert len(records) == 4  # n + 1 for n = 3
+        for mode, kw in MODES.items():
+            records = PrefetchPipeline(
+                lambda c: c.load(), lambda c, d: None, **kw
+            ).run(chunks)
+            assert len(records) == 4, mode  # n + 1 for n = 3
 
     def test_round_structure(self, tmp_path):
-        chunks = make_chunks(tmp_path, [b"a", b"b"])
-        pipeline = DoubleBufferedPipeline(lambda c: c.load(), lambda c, d: None)
-        r0, r1, r2 = pipeline.run(chunks)
-        assert (r0.ingest_index, r0.map_s) == (0, 0.0)  # serial first ingest
-        assert r1.ingest_index == 1  # overlap round
-        assert r2.ingest_index is None and r2.ingest_s == 0.0  # final map
+        chunks = make_chunks(tmp_path, [b"a", b"bb"])
+        for mode, kw in MODES.items():
+            r0, r1, r2 = PrefetchPipeline(
+                lambda c: c.load(), lambda c, d: None, **kw
+            ).run(chunks)
+            # serial first ingest, one overlap round, final map
+            assert (r0.index, r0.map_s, r0.chunk_bytes) == (0, 0.0, 1), mode
+            assert (r1.index, r1.chunk_bytes) == (1, 2), mode
+            assert (r2.index, r2.ingest_s, r2.chunk_bytes) == (2, 0.0, 0), mode
 
     def test_work_sees_chunks_in_order_with_right_data(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"aaa", b"bb", b"c"])
-        seen = []
-        pipeline = DoubleBufferedPipeline(
-            lambda c: c.load(), lambda c, d: seen.append((c.index, d))
-        )
-        pipeline.run(chunks)
-        assert seen == [(0, b"aaa"), (1, b"bb"), (2, b"c")]
+        for mode, kw in MODES.items():
+            seen = []
+            PrefetchPipeline(
+                lambda c: c.load(), lambda c, d: seen.append((c.index, d)),
+                **kw,
+            ).run(chunks)
+            assert seen == [(0, b"aaa"), (1, b"bb"), (2, b"c")], mode
 
     def test_single_chunk_degenerates(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"only"])
-        seen = []
-        pipeline = DoubleBufferedPipeline(
-            lambda c: c.load(), lambda c, d: seen.append(d)
-        )
-        records = pipeline.run(chunks)
-        assert seen == [b"only"]
-        assert len(records) == 2
+        for mode, kw in MODES.items():
+            seen = []
+            records = PrefetchPipeline(
+                lambda c: c.load(), lambda c, d: seen.append(d), **kw
+            ).run(chunks)
+            assert seen == [b"only"], mode
+            assert len(records) == 2, mode
 
     def test_empty_chunk_list_raises(self):
-        pipeline = DoubleBufferedPipeline(lambda c: b"", lambda c, d: None)
-        with pytest.raises(RuntimeStateError):
-            pipeline.run([])
+        for kw in MODES.values():
+            pipeline = PrefetchPipeline(lambda c: b"", lambda c, d: None, **kw)
+            with pytest.raises(RuntimeStateError):
+                pipeline.run([])
 
     def test_synchronous_mode_identical_results(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"x", b"y", b"z"])
         for pipelined in (True, False):
             seen = []
-            DoubleBufferedPipeline(
+            PrefetchPipeline(
                 lambda c: c.load(), lambda c, d: seen.append((c.index, d)),
                 pipelined=pipelined,
             ).run(chunks)
@@ -82,9 +106,15 @@ class TestOverlap:
             loader_threads.append(threading.current_thread().name)
             return chunk.load()
 
-        DoubleBufferedPipeline(load, lambda c, d: None).run(chunks)
-        # first load on the caller thread, second on an ingest thread
-        assert loader_threads[1].startswith("ingest-")
+        PrefetchPipeline(load, lambda c, d: None).run(chunks)
+        assert all(name.startswith("prefetch-") for name in loader_threads)
+
+        # the synchronous ablation (and a lone chunk, which has nothing
+        # to overlap) never leaves the caller's thread
+        del loader_threads[:]
+        PrefetchPipeline(load, lambda c, d: None, pipelined=False).run(chunks)
+        PrefetchPipeline(load, lambda c, d: None).run(chunks[:1])
+        assert set(loader_threads) == {threading.current_thread().name}
 
     def test_overlap_saves_wall_clock(self, tmp_path):
         # load and work each sleep; pipelined total must be well under
@@ -99,36 +129,47 @@ class TestOverlap:
         def slow_work(chunk, data):
             time.sleep(delay)
 
-        t0 = time.perf_counter()
-        DoubleBufferedPipeline(slow_load, slow_work, pipelined=True).run(chunks)
-        piped = time.perf_counter() - t0
+        walls = {}
+        for mode, kw in MODES.items():
+            t0 = time.perf_counter()
+            PrefetchPipeline(slow_load, slow_work, **kw).run(chunks)
+            walls[mode] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        DoubleBufferedPipeline(slow_load, slow_work, pipelined=False).run(chunks)
-        serial = time.perf_counter() - t0
-
-        assert piped < serial * 0.8
+        assert walls["one reader"] < walls["synchronous"] * 0.8
+        assert walls["three readers"] < walls["synchronous"] * 0.8
 
 
 class TestFailureHandling:
     def test_ingest_thread_error_propagates(self, tmp_path):
-        chunks = make_chunks(tmp_path, [b"a", b"b"])
+        chunks = make_chunks(tmp_path, [b"a", b"b", b"c"])
 
         def load(chunk):
             if chunk.index == 1:
                 raise IOError("disk gone")
             return chunk.load()
 
-        pipeline = DoubleBufferedPipeline(load, lambda c, d: None)
-        with pytest.raises(IOError, match="disk gone"):
-            pipeline.run(chunks)
+        for mode, kw in MODES.items():
+            consumed = []
+            pipeline = PrefetchPipeline(
+                load, lambda c, d: consumed.append(c.index), **kw
+            )
+            with pytest.raises(IOError, match="disk gone"):
+                pipeline.run(chunks)
+            # raised at the round that owns the failed chunk: the one
+            # before it was still mapped, later ones were not
+            assert consumed == [0], mode
+            assert no_reader_threads(), mode
 
     def test_worker_error_propagates(self, tmp_path):
-        chunks = make_chunks(tmp_path, [b"a", b"b"])
+        chunks = make_chunks(tmp_path, [b"a", b"b", b"c", b"d"])
 
         def work(chunk, data):
             raise ValueError("map failed")
 
-        pipeline = DoubleBufferedPipeline(lambda c: c.load(), work)
-        with pytest.raises(ValueError, match="map failed"):
-            pipeline.run(chunks)
+        for mode, kw in MODES.items():
+            pipeline = PrefetchPipeline(lambda c: c.load(), work, **kw)
+            with pytest.raises(ValueError, match="map failed"):
+                pipeline.run(chunks)
+            # readers are joined even when the map wave fails: an
+            # abandoned one would keep a file handle and a chunk alive
+            assert no_reader_threads(), mode

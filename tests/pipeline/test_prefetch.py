@@ -41,10 +41,9 @@ class TestSchedule:
         pipeline = PrefetchPipeline(lambda c: c.load(), lambda c, d: None,
                                     readers=2)
         r0, r1, r2 = pipeline.run(chunks)
-        assert (r0.index, r0.ingest_index, r0.map_s) == (0, 0, 0.0)
-        assert (r1.index, r1.ingest_index) == (1, 1)
-        assert r2.ingest_index is None and r2.ingest_s == 0.0
-        assert r2.chunk_bytes == 0
+        assert (r0.index, r0.map_s, r0.chunk_bytes) == (0, 0.0, 1)
+        assert (r1.index, r1.chunk_bytes) == (1, 1)
+        assert (r2.index, r2.ingest_s, r2.chunk_bytes) == (2, 0.0, 0)
 
     def test_work_sees_chunks_in_order_with_right_data(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"aaa", b"bb", b"c", b"dd", b"eee"])
@@ -130,6 +129,41 @@ class TestWindow:
         assert ahead <= depth + 1, (
             f"readers loaded {ahead} chunks ahead with depth={depth}"
         )
+
+    @pytest.mark.parametrize("kw, bound", [
+        ({"pipelined": False}, 2),
+        ({}, 2),  # the default: the paper's double buffer
+        ({"readers": 1, "depth": 2}, 3),
+        ({"readers": 3}, 5),
+        ({"readers": 4, "depth": 1}, 2),
+    ])
+    def test_live_chunk_buffers_bounded_by_depth_plus_one(
+        self, tmp_path, kw, bound
+    ):
+        # A chunk's buffer is live from the moment its load starts until
+        # its map wave returns: depth of them loading or loaded, plus the
+        # one being mapped.  This bound is the job's ingest memory.
+        chunks = make_chunks(tmp_path, [b"x"] * 10)
+        lock = threading.Lock()
+        live, peak = set(), [0]
+
+        def load(chunk):
+            with lock:
+                live.add(chunk.index)
+                peak[0] = max(peak[0], len(live))
+            time.sleep(0.001)
+            return chunk.load()
+
+        def work(chunk, data):
+            time.sleep(0.004)  # slower than load: the readers run ahead
+            with lock:
+                live.discard(chunk.index)
+
+        PrefetchPipeline(load, work, **kw).run(chunks)
+        assert not live
+        assert peak[0] <= bound
+        if kw.get("pipelined", True):
+            assert peak[0] == bound, "the window never filled; vacuous"
 
     def test_no_threads_leak_after_success(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"a", b"b", b"c"])

@@ -16,6 +16,8 @@ from repro.core.phoenix import PhoenixRuntime
 from repro.core.supmr import SupMRRuntime
 from repro.errors import ConfigError
 from repro.faults import parse_faults
+from repro.parallel.backends import fork_available
+from repro.shard import ShardedRuntime
 
 
 def supmr_options(**kw) -> RuntimeOptions:
@@ -97,6 +99,50 @@ class TestThrottleCounters:
         assert line.startswith("qos:")
         assert "tenant=acme" in line
         assert render_qos_summary({}) == ""
+
+
+class _FakeTime:
+    """Stands in for the ``time`` module inside ``repro.qos.throttle``:
+    sleeping advances the clock instead of the wall.  Forked shard
+    workers inherit it, each with its own copy."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs os.fork")
+class TestShardedBudget:
+    def test_shard_workers_meter_their_share_of_the_budget(
+        self, text_file, monkeypatch
+    ):
+        # --shards 2 --io-budget 64KB: each shard worker charges its
+        # block's ingest reads to a 32KB/s bucket and ships the tallies
+        # home, where they are summed.
+        monkeypatch.setattr("repro.qos.throttle.time", _FakeTime())
+        job = make_wordcount_job([text_file])
+        options = RuntimeOptions.supmr_interfile("32KB", 2, 4).with_(
+            num_shards=2
+        )
+        plain = ShardedRuntime(options).run(job)
+        throttled = ShardedRuntime(
+            options.with_(io_budget="64KB", tenant="acme")
+        ).run(job)
+        assert throttled.output_digest() == plain.output_digest()
+        counters = throttled.counters
+        assert counters["tenant"] == "acme"
+        assert counters["throttle_bytes"] >= plain.input_bytes
+        assert counters["io_budget_bps"] == 64 * 1024
+        # ~100KB per shard against a 32KB/s share (32KB burst): seconds
+        # of (fake) waiting in each worker, none of it on the wall
+        assert counters["throttle_waits"] >= 2
+        assert counters["throttle_wait_s"] >= 2.0
+        assert "throttle_bytes" not in plain.counters
 
 
 class TestThrottleFaultSite:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.core.supmr as supmr_mod
+import repro.core.driver as driver_mod
 from repro.apps.wordcount import make_wordcount_job
 from repro.core.options import RuntimeOptions
 from repro.core.phoenix import PhoenixRuntime
@@ -38,7 +38,7 @@ class TestResumeAfterInProcessFailure:
         def exploding_reducers(*args, **kwargs):
             raise RuntimeError("simulated crash before the reduce phase")
 
-        monkeypatch.setattr(supmr_mod, "run_reducers", exploding_reducers)
+        monkeypatch.setattr(driver_mod, "run_reducers", exploding_reducers)
         with pytest.raises(RuntimeError, match="simulated crash"):
             SupMRRuntime(_opts(tmp_path / "ckpt")).run(job)
         monkeypatch.undo()
@@ -66,7 +66,7 @@ class TestResumeAfterInProcessFailure:
         def exploding_merge(*args, **kwargs):
             raise RuntimeError("simulated crash during the merge phase")
 
-        monkeypatch.setattr(supmr_mod, "merge_outputs", exploding_merge)
+        monkeypatch.setattr(driver_mod, "merge_outputs", exploding_merge)
         with pytest.raises(RuntimeError, match="simulated crash"):
             SupMRRuntime(_opts(tmp_path / "ckpt")).run(job)
         monkeypatch.undo()
@@ -99,7 +99,7 @@ class TestResumeAfterInProcessFailure:
         def exploding_reducers(*args, **kwargs):
             raise RuntimeError("simulated crash")
 
-        monkeypatch.setattr(supmr_mod, "run_reducers", exploding_reducers)
+        monkeypatch.setattr(driver_mod, "run_reducers", exploding_reducers)
         with pytest.raises(RuntimeError):
             SupMRRuntime(opts(tmp_path / "ckpt")).run(job)
         monkeypatch.undo()
@@ -119,7 +119,7 @@ class TestResumeAfterInProcessFailure:
         def exploding_reducers(*args, **kwargs):
             raise RuntimeError("simulated crash")
 
-        monkeypatch.setattr(supmr_mod, "run_reducers", exploding_reducers)
+        monkeypatch.setattr(driver_mod, "run_reducers", exploding_reducers)
         with pytest.raises(RuntimeError):
             SupMRRuntime(_opts(tmp_path / "ckpt")).run(job)
         monkeypatch.undo()
@@ -140,8 +140,6 @@ class TestResumeAfterInProcessFailure:
     def test_phoenix_resumes_at_reduced_stage(
         self, tmp_path, text_file, monkeypatch
     ):
-        import repro.core.phoenix as phoenix_mod
-
         job = make_wordcount_job([text_file])
         base = RuntimeOptions.baseline(2, 2)
         reference = PhoenixRuntime(base).run(job)
@@ -151,7 +149,7 @@ class TestResumeAfterInProcessFailure:
         def exploding_merge(*args, **kwargs):
             raise RuntimeError("simulated crash")
 
-        monkeypatch.setattr(phoenix_mod, "merge_outputs", exploding_merge)
+        monkeypatch.setattr(driver_mod, "merge_outputs", exploding_merge)
         with pytest.raises(RuntimeError):
             PhoenixRuntime(opts).run(job)
         monkeypatch.undo()

@@ -79,7 +79,6 @@ class TestJobExitGuarantee:
         ).with_(
             executor_backend="process",
             transport="shm",
-            persistent_pool=True,
             fault_plan=parse_faults("worker.crash=once,task.hang=once",
                                     seed=7),
             recovery=RecoveryPolicy(lease_timeout_s=2.0),

@@ -1,16 +1,15 @@
 #!/usr/bin/env python
 """CI smoke: shm and pipe transports agree on faulted and sharded jobs.
 
-Drives the real CLI end to end across the PR8 transport matrix:
+Drives the real CLI end to end across both result transports:
 
 1. generate a corpus and run a supervised process-backend wordcount
    with seeded worker kills (``worker.crash=once`` — hangs are left to
    the test suite: the CLI's 30s default lease would dominate a smoke)
-   under the pipe transport with fork-per-wave pools — the PR-3-shaped
-   baseline — recording its output digest;
-2. rerun the identical job under the shared-memory transport with the
-   persistent pre-forked pool (and once more with prefetch readers) and
-   require byte-identical digests;
+   under the pipe transport — the reference — recording its output
+   digest;
+2. rerun the identical job under the shared-memory transport (and once
+   more with prefetch readers) and require byte-identical digests;
 3. run the job sharded (``--shards 2``) with a seeded shard loss under
    both transports and require the same digest again;
 4. after every run, require that no ``rxf*`` shared-memory segment is
@@ -85,11 +84,10 @@ def main() -> int:
             print(f"{label:28s} digest {digest[:12]}")
             return digest
 
-        reference = faulted("faulted pipe/fork-per-wave",
-                            "--transport", "pipe", "--no-persistent-pool")
+        reference = faulted("faulted pipe", "--transport", "pipe")
         for label, extra in (
-            ("faulted shm/persistent-pool", ("--transport", "shm")),
-            ("faulted shm/pool/prefetch",
+            ("faulted shm", ("--transport", "shm")),
+            ("faulted shm/prefetch",
              ("--transport", "shm", "--ingest-readers", "2")),
         ):
             if faulted(label, *extra) != reference:
