@@ -31,9 +31,9 @@ def make_grep_job(
     compiled = re.compile(pattern)
 
     def map_fn(ctx: MapContext) -> None:
-        for line in _CODEC.iter_lines(ctx.data):
-            if compiled.search(line):
-                ctx.emit(line, 1)
+        for window in _CODEC.iter_windows(ctx.data):
+            matched = list(filter(compiled.search, _CODEC.split_records(window)))
+            ctx.emit_combined(Counter(matched), len(matched))
 
     def reduce_fn(
         key: Hashable, values: Sequence[int]

@@ -8,6 +8,7 @@ stresses the combiner path with a different key type.
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
@@ -47,10 +48,12 @@ def make_histogram_job(
         raise ConfigError(f"unknown container choice {container!r}")
 
     def map_fn(ctx: MapContext) -> None:
-        for line in _CODEC.iter_lines(ctx.data):
-            stripped = line.strip()
-            if stripped:
-                ctx.emit(bucket_of(float(stripped), lo, hi, n_buckets), 1)
+        for window in _CODEC.iter_windows(ctx.data):
+            samples = list(filter(None, map(bytes.strip, _CODEC.split_records(window))))
+            buckets = Counter(
+                bucket_of(float(sample), lo, hi, n_buckets) for sample in samples
+            )
+            ctx.emit_combined(buckets, len(samples))
 
     def reduce_fn(
         key: Hashable, values: Sequence[int]

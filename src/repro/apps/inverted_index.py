@@ -20,15 +20,25 @@ _CODEC = WholeLineCodec()
 
 
 def index_map(ctx: MapContext) -> None:
-    r"""Parse ``doc\tword word ...`` lines; emit (word, doc)."""
-    for line in _CODEC.iter_lines(ctx.data):
-        if not line.strip():
-            continue
-        doc, _tab, text = line.partition(b"\t")
-        if not _tab:
-            raise WorkloadError(f"index line missing doc id: {line[:40]!r}")
-        for word in text.split():
-            ctx.emit(word, doc)
+    r"""Parse ``doc\tword word ...`` lines; emit (word, doc).
+
+    A window's postings are gathered per word first (the ListCombiner
+    state: docs in emit order), then handed over as one delta.
+    """
+    for window in _CODEC.iter_windows(ctx.data):
+        postings: dict[bytes, list[bytes]] = {}
+        emits = 0
+        for line in _CODEC.split_records(window):
+            if not line.strip():
+                continue
+            doc, _tab, text = line.partition(b"\t")
+            if not _tab:
+                raise WorkloadError(f"index line missing doc id: {line[:40]!r}")
+            words = text.split()
+            emits += len(words)
+            for word in words:
+                postings.setdefault(word, []).append(doc)
+        ctx.emit_combined(postings, emits)
 
 
 def index_reduce(

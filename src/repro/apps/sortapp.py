@@ -1,8 +1,9 @@
 r"""Sort — the paper's merge-bottleneck benchmark (60 GB Terasort data).
 
-Map parses ``\r\n``-terminated records into (key, payload) pairs and
-emits into the **unlocked array container** — sort has unique keys, so a
-hash container would pay a pointless lookup per record (section V.B).
+Map parses ``\r\n``-terminated records into (key, payload) pairs, a
+window at a time, and emits each batch into the **unlocked array
+container** — sort has unique keys, so a hash container would pay a
+pointless lookup per record (section V.B).
 Reduce is the identity; the merge phase does the actual ordering, which
 is why the merge algorithm choice (pairwise rounds vs p-way) dominates
 this job's time.
@@ -10,6 +11,7 @@ this job's time.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
@@ -20,10 +22,11 @@ from repro.io.records import TeraRecordCodec
 _CODEC = TeraRecordCodec()
 
 
-def sort_map(ctx: MapContext) -> None:
-    """Emit (key, payload) per record; no aggregation."""
-    for key, payload in _CODEC.iter_pairs(ctx.data):
-        ctx.emit(key, payload)
+def sort_map(ctx: MapContext, codec: TeraRecordCodec = _CODEC) -> None:
+    """Emit (key, payload) per record, a window's batch at a time; no
+    aggregation."""
+    for window in codec.iter_windows(ctx.data):
+        ctx.emit_many(codec.split_pairs(window))
 
 
 def sort_reduce(
@@ -41,15 +44,10 @@ def make_sort_job(
 ) -> JobSpec:
     """A Terasort-style sort job over one big record file."""
     codec = codec or _CODEC
-
-    def map_fn(ctx: MapContext) -> None:
-        for key, payload in codec.iter_pairs(ctx.data):
-            ctx.emit(key, payload)
-
     return JobSpec(
         name=name,
         inputs=tuple(Path(p) for p in inputs),
-        map_fn=map_fn,
+        map_fn=partial(sort_map, codec=codec),
         reduce_fn=sort_reduce,
         container_factory=ArrayContainer,
         codec=codec,

@@ -8,6 +8,7 @@ effectively free — a useful point on the Conclusion 1 spectrum.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
@@ -35,11 +36,17 @@ def make_string_match_job(
     needles = tuple(needles)
 
     def map_fn(ctx: MapContext) -> None:
-        for line in _CODEC.iter_lines(ctx.data):
+        for window in _CODEC.iter_windows(ctx.data):
+            lines = _CODEC.split_records(window)
+            totals: dict[bytes, int] = {}
+            emits = 0
             for needle in needles:
-                hits = count_occurrences(line, needle)
+                # one emit per (line, needle) with a hit, as per line
+                hits = [h for h in map(methodcaller("count", needle), lines) if h]
                 if hits:
-                    ctx.emit(needle, hits)
+                    totals[needle] = sum(hits)
+                    emits += len(hits)
+            ctx.emit_combined(totals, emits)
 
     def reduce_fn(
         key: Hashable, values: Sequence[int]

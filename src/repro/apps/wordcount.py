@@ -1,10 +1,11 @@
 """Word count — the paper's ingest-bottleneck benchmark (155 GB).
 
-Map parses its split into words and emits ``(word, 1)``; the hash
-container combines on insert (SumCombiner), so reduce only folds partial
-sums.  The "more complicated map phase, namely checking a container
-before inserting a key" (section VI.B) is exactly this emit path — it is
-what makes word count's map long enough to overlap well with ingest.
+Map parses its split into words and counts them; the hash container
+combines (SumCombiner), so reduce only folds partial sums.  The "more
+complicated map phase, namely checking a container before inserting a
+key" (section VI.B) is the emit path — so map pays it once per distinct
+word of a window, not once per word: each window is split and counted
+in C, and the counts go to the container as one delta.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ _CODEC = TextCodec()
 
 
 def wordcount_map(ctx: MapContext) -> None:
-    """Emit (word, 1) for every word in the split."""
-    for word in _CODEC.iter_words(ctx.data):
-        ctx.emit(word, 1)
+    """Emit (word, 1) for every word in the split, a window at a time."""
+    for window in _CODEC.iter_windows(ctx.data):
+        words = window.split()
+        ctx.emit_combined(Counter(words), len(words))
 
 
 def wordcount_reduce(

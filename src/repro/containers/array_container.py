@@ -15,7 +15,7 @@ map rounds falls out naturally: segments accumulate per (round, task).
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable
+from typing import Any, Hashable, Iterable, Mapping
 
 from repro.containers.base import (
     Container,
@@ -37,6 +37,19 @@ class _SegmentEmitter(Emitter):
     def emit(self, key: Hashable, value: Any) -> None:
         self.container._check_open()
         self.segment.append((key, value))
+
+    def emit_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
+        """One open-check, one ``list.extend`` for the whole batch."""
+        self.container._check_open()
+        self.segment.extend(pairs)
+
+    def emit_combined(self, states: Mapping[Hashable, Any], emits: int) -> None:
+        """There is no combiner here, so each state is stored as the one
+        value of its key — what reduce would have been handed had the
+        job's own container combined.  ``emits`` is not kept: this
+        container counts cells.
+        """
+        self.emit_many(states.items())
 
 
 class ArrayContainer(Container):

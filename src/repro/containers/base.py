@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import ContainerError
 
@@ -122,7 +122,14 @@ class Container(abc.ABC):
 
 
 class Emitter:
-    """Map-task-bound handle routing ``emit(key, value)`` to the container."""
+    """Map-task-bound handle routing emits to the container.
+
+    ``emit`` is the per-record surface; ``emit_many`` and
+    ``emit_combined`` are the bulk surface a map task uses when it has
+    parsed or folded a whole window of its split with C primitives
+    (``bytes.split``, ``collections.Counter``) and wants to pay the
+    container's checks once per batch instead of once per record.
+    """
 
     __slots__ = ("container", "task_id")
 
@@ -133,6 +140,25 @@ class Emitter:
     def emit(self, key: Hashable, value: Any) -> None:
         """Route one (key, value) pair into the container."""
         raise NotImplementedError  # pragma: no cover - subclasses bind this
+
+    def emit_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
+        """Route a batch of raw pairs; same meaning as a loop of ``emit``."""
+        for key, value in pairs:
+            self.emit(key, value)
+
+    def emit_combined(self, states: Mapping[Hashable, Any], emits: int) -> None:
+        """Route per-key combiner states the task folded from ``emits``
+        raw emits.
+
+        The states must be what the container's combiner would have
+        built from those emits; the container merges them exactly as it
+        merges a worker's :class:`ContainerDelta`, and ``stats().emits``
+        grows by ``emits`` (the pre-combine count), not by
+        ``len(states)``.
+        """
+        raise ContainerError(
+            f"{type(self.container).__name__} cannot take pre-combined states"
+        )
 
     def __call__(self, key: Hashable, value: Any) -> None:
         self.emit(key, value)

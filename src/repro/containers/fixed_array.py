@@ -16,7 +16,7 @@ container family exists for.
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable
+from typing import Any, Hashable, Mapping
 
 import numpy as np
 
@@ -40,13 +40,16 @@ class _FixedEmitter(Emitter):
     def emit(self, key: Hashable, value: Any) -> None:
         container: FixedArrayContainer = self.container  # type: ignore[assignment]
         container._check_open()
-        idx = int(key)
-        if not 0 <= idx < container.n_keys:
-            raise ContainerError(
-                f"key {key!r} outside the fixed key range [0, {container.n_keys})"
-            )
-        self.cells[idx] += value
-        container._note_emit()
+        self.cells[container._cell(key)] += value
+        container._note_emits(1)
+
+    def emit_combined(self, states: Mapping[Hashable, Any], emits: int) -> None:
+        """Add per-key partial sums to this task's cells; count once."""
+        container: FixedArrayContainer = self.container  # type: ignore[assignment]
+        container._check_open()
+        for key, state in states.items():
+            self.cells[container._cell(key)] += state
+        container._note_emits(emits)
 
 
 class FixedArrayContainer(Container):
@@ -64,9 +67,17 @@ class FixedArrayContainer(Container):
         self._lock = threading.Lock()  # guards registration + emit count
         self._emits = 0
 
-    def _note_emit(self) -> None:
+    def _cell(self, key: Hashable) -> int:
+        idx = int(key)  # type: ignore[call-overload]
+        if not 0 <= idx < self.n_keys:
+            raise ContainerError(
+                f"key {key!r} outside the fixed key range [0, {self.n_keys})"
+            )
+        return idx
+
+    def _note_emits(self, n: int) -> None:
         with self._lock:
-            self._emits += 1
+            self._emits += n
 
     def emitter(self, task_id: int) -> Emitter:
         """A per-task dense accumulator array."""

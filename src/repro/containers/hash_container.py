@@ -15,7 +15,7 @@ implementation faithful and safe for alternative interpreters.)
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable
+from typing import Any, Hashable, Mapping
 
 from repro.containers.base import (
     Container,
@@ -34,6 +34,12 @@ class _HashEmitter(Emitter):
     def emit(self, key: Hashable, value: Any) -> None:
         self.container._insert(key, value)  # type: ignore[attr-defined]
 
+    def emit_combined(self, states: Mapping[Hashable, Any], emits: int) -> None:
+        """Merge the task's folded states as a worker's delta is merged."""
+        self.container.absorb(
+            ContainerDelta(kind="hash", emits=emits, items=states.items())
+        )
+
 
 class HashContainer(Container):
     """Thread-safe hash of key -> combined state."""
@@ -45,18 +51,26 @@ class HashContainer(Container):
         self.combiner = combiner or ListCombiner()
         self._shards = [dict() for _ in range(shards)]
         self._locks = [threading.Lock() for _ in range(shards)]
-        self._emits = 0
+        # Emits are counted per shard, under the lock the insert already
+        # holds; a batch (absorb / emit_combined) adds its pre-combine
+        # count once, under its own lock.  No counter has two writers.
+        self._shard_emits = [0] * shards
+        self._batch_lock = threading.Lock()
+        self._batch_emits = 0
 
     def emitter(self, task_id: int) -> Emitter:
         """A task-bound emit handle (shared shards underneath)."""
         return _HashEmitter(self, task_id)
+
+    def _emit_count(self) -> int:
+        return sum(self._shard_emits) + self._batch_emits
 
     def _insert(self, key: Hashable, value: Any) -> None:
         self._check_open()
         idx = stable_hash(key) % len(self._shards)
         shard = self._shards[idx]
         with self._locks[idx]:
-            self._emits += 1
+            self._shard_emits[idx] += 1
             if key in shard:
                 shard[key] = self.combiner.update(shard[key], value)
             else:
@@ -86,7 +100,7 @@ class HashContainer(Container):
         items = [
             (key, state) for shard in self._shards for key, state in shard.items()
         ]
-        return ContainerDelta(kind="hash", emits=self._emits, items=items)
+        return ContainerDelta(kind="hash", emits=self._emit_count(), items=items)
 
     def absorb(self, delta: ContainerDelta) -> None:
         """Merge a worker's combined pairs into the live shards."""
@@ -103,12 +117,13 @@ class HashContainer(Container):
                     shard[key] = self.combiner.merge(shard[key], state)
                 else:
                     shard[key] = state
-        self._emits += delta.emits
+        with self._batch_lock:
+            self._batch_emits += delta.emits
 
     def stats(self) -> ContainerStats:
         """Emit/key counters across all shards."""
         return ContainerStats(
-            emits=self._emits,
+            emits=self._emit_count(),
             distinct_keys=sum(len(s) for s in self._shards),
             rounds=self.rounds,
         )

@@ -19,7 +19,7 @@ from concurrent.futures import Executor
 from typing import Any, Hashable, Sequence
 
 from repro.chunking.boundary import adjust_split_point
-from repro.containers.base import Container
+from repro.containers.base import Container, ContainerDelta
 from repro.core.job import JobSpec, MapContext
 from repro.core.options import MergeAlgorithm, RuntimeOptions
 from repro.errors import FaultInjected, RuntimeStateError
@@ -49,6 +49,38 @@ Pair = tuple[Hashable, Any]
 _FORK_MERGE_MIN_PAIRS = 20_000
 
 
+def run_map_task(
+    job: JobSpec,
+    split: "bytes | bytearray | ByteSpan | SplitRef",
+    task_id: int,
+    chunk_index: int,
+    container: Container | None = None,
+) -> "ContainerDelta | None":
+    """The one map-task body: ``job.map_fn`` over one split.
+
+    With ``container`` (serial / thread) the task emits straight into
+    the job's shared container.  Without one (a forked or pooled worker)
+    it runs against a private container, so combining happens before
+    serialization, and returns that container drained — the delta the
+    parent absorbs.  A :class:`~repro.parallel.splits.SplitRef` is
+    resolved here, in whichever process runs the task.
+    """
+    shared = container is not None
+    if not shared:
+        container = job.container_factory()
+        container.begin_round()
+    job.map_fn(MapContext(
+        data=split.resolve() if isinstance(split, SplitRef) else split,
+        emitter=container.emitter(task_id),
+        task_id=task_id,
+        chunk_index=chunk_index,
+    ))
+    if shared:
+        return None
+    container.seal()
+    return container.drain()
+
+
 def job_task_handler(job: JobSpec) -> "Any":
     """The persistent pool's dispatch body: one closure for every phase.
 
@@ -63,18 +95,7 @@ def job_task_handler(job: JobSpec) -> "Any":
         kind = task[0]
         if kind == "map":
             _kind, task_id, chunk_index, split = task
-            data = split.resolve() if isinstance(split, SplitRef) else split
-            local = job.container_factory()
-            local.begin_round()
-            ctx = MapContext(
-                data=data,
-                emitter=local.emitter(task_id),
-                task_id=task_id,
-                chunk_index=chunk_index,
-            )
-            job.map_fn(ctx)
-            local.seal()
-            return local.drain()
+            return run_map_task(job, split, task_id, chunk_index)
         if kind == "reduce":
             out: list[Pair] = []
             for key, values in task[1]:
@@ -325,13 +346,7 @@ def run_mapper_wave(
                         f"(chunk {chunk_index}, task {task_id})",
                         site=SITE_MAP_TASK,
                     )
-            ctx = MapContext(
-                data=split,
-                emitter=container.emitter(task_id),
-                task_id=task_id,
-                chunk_index=chunk_index,
-            )
-            job.map_fn(ctx)
+            run_map_task(job, split, task_id, chunk_index, container)
 
         if injector is None:
             attempt_fn(0)
@@ -421,19 +436,7 @@ def _run_mapper_wave_process(
 
     def map_task(item: "tuple[int, SplitRef | ByteSpan]") -> Any:
         i, split = item
-        task_id = task_id_base + i
-        resolved = split.resolve() if isinstance(split, SplitRef) else split
-        local = job.container_factory()
-        local.begin_round()
-        ctx = MapContext(
-            data=resolved,
-            emitter=local.emitter(task_id),
-            task_id=task_id,
-            chunk_index=chunk_index,
-        )
-        job.map_fn(ctx)
-        local.seal()
-        return local.drain()
+        return run_map_task(job, split, task_id_base + i, chunk_index)
 
     # Worker-fault sites are decided at dispatch (killing/hanging real
     # workers under the same per-scope schedule the serial gate

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.chunking.chunk import Chunk
 from repro.containers.base import Container, Emitter
@@ -42,6 +42,21 @@ class MapContext:
     full codec surface — ``find``, ``len``, slicing, ``endswith`` — and
     record slices come out as real ``bytes``; call ``bytes(ctx.data)``
     only if a whole-split copy is genuinely needed.
+
+    Three ways to emit, all landing in the same container with the same
+    result.  ``emit(key, value)`` is the per-record form: simplest, and
+    each call pays the container's checks (for the hash container a
+    Python-level hash, a lock and a combiner call).  A map function
+    that parses a window of its split at once —
+    ``codec.iter_windows(ctx.data)`` yields record-aligned ``bytes``
+    windows of :data:`~repro.io.records.MAP_WINDOW_BYTES` — can hand
+    over the whole batch instead: ``emit_many(pairs)`` for raw pairs
+    (sort), or ``emit_combined(states, emits)`` for per-key combiner
+    states it already folded from ``emits`` raw emits (word count's
+    ``Counter(window.split())``).  The folded form takes the path a
+    worker's :class:`~repro.containers.base.ContainerDelta` takes:
+    ``Combiner.merge`` once per distinct key, and ``emits`` added to
+    the stats once.
     """
 
     data: "bytes | bytearray | ByteSpan"
@@ -52,6 +67,14 @@ class MapContext:
     def emit(self, key: Hashable, value: Any) -> None:
         """Emit one intermediate (key, value) pair."""
         self.emitter.emit(key, value)
+
+    def emit_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
+        """Emit a batch of raw pairs (same meaning as a loop of ``emit``)."""
+        self.emitter.emit_many(pairs)
+
+    def emit_combined(self, states: Mapping[Hashable, Any], emits: int) -> None:
+        """Emit per-key combiner states folded from ``emits`` raw emits."""
+        self.emitter.emit_combined(states, emits)
 
 
 def identity_reduce(

@@ -19,6 +19,14 @@ from typing import Iterator
 
 from repro.errors import WorkloadError
 
+#: How much of its split a map task parses at once.  The bundled apps
+#: fold one window with C primitives (``bytes.split``, ``Counter``) and
+#: hand the container the result, so a task's transient memory is a few
+#: times this — not a few times a 1 GB paper-scale chunk.  A constant,
+#: not an option: 256 KiB already amortizes the per-window Python to
+#: noise, and nothing is gained by tuning it per job.
+MAP_WINDOW_BYTES = 256 * 1024
+
 
 def corrupt_record(record: bytes, salt: int = 0) -> bytes:
     """A deterministically damaged copy of ``record`` (fault injection).
@@ -66,6 +74,18 @@ class RecordCodec:
             yield data[start:idx]
             start = idx + dlen
 
+    def split_records(self, data: bytes) -> list[bytes]:
+        """``list(iter_records(data))`` from one C-level ``split``.
+
+        ``data`` must be real ``bytes`` (a window from
+        :meth:`iter_windows`).  Empty records between two delimiters are
+        kept; the empty fragment after a final delimiter is not.
+        """
+        records = data.split(self.delimiter)
+        if not records[-1]:
+            records.pop()
+        return records
+
     def record_end(self, data: bytes, pos: int) -> int:
         """Smallest offset >= ``pos`` that ends a record (after delimiter).
 
@@ -78,6 +98,21 @@ class RecordCodec:
         if idx == -1:
             return len(data)
         return idx + len(self.delimiter)
+
+    def iter_windows(self, data: bytes) -> Iterator[bytes]:
+        """Yield ``data`` as consecutive record-aligned ``bytes`` windows.
+
+        Each window is cut at the first record end at or past
+        :data:`MAP_WINDOW_BYTES`, so no record straddles two windows and
+        the windows concatenate back to ``data``.  Windows are real
+        ``bytes`` whatever ``data`` is (``bytearray``, an mmap-backed
+        :class:`~repro.io.span.ByteSpan`), so their pieces are hashable.
+        """
+        start, size = 0, len(data)
+        while start < size:
+            end = self.record_end(data, min(start + MAP_WINDOW_BYTES, size))
+            yield bytes(data[start:end])
+            start = end
 
 
 @dataclass(frozen=True)
@@ -113,6 +148,18 @@ class TeraRecordCodec(RecordCodec):
         for record in self.iter_records(data):
             if record:  # tolerate a trailing empty fragment
                 yield self.split_record(record)
+
+    def split_pairs(self, data: bytes) -> list[tuple[bytes, bytes]]:
+        """``list(iter_pairs(data))`` from one ``split`` and one slicing
+        pass; ``data`` must be real ``bytes``.  A short record raises
+        the same :class:`~repro.errors.WorkloadError`.
+        """
+        records = [r for r in data.split(self.delimiter) if r]
+        klen = self.key_len
+        if records and min(map(len, records)) <= klen:
+            for record in records:
+                self.split_record(record)  # raises on the first short one
+        return [(r[:klen], r[klen + 1:]) for r in records]
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ live container to disk *before* the budget is crossed, never after.
 
 Charges are estimates (Python object sizes are approximations by
 nature), but they are deterministic and conservative: combining
-containers are charged per emit even when the emit collapses into an
-existing cell, so the accountant over- rather than under-states
-pressure.
+containers are charged per emit — or per folded state, when a map task
+or a worker hands over states it already combined — even when it
+collapses into an existing cell, so the accountant over- rather than
+under-states pressure.
 """
 
 from __future__ import annotations

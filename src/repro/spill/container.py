@@ -25,7 +25,7 @@ Two properties the rest of the system relies on:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.containers.base import (
     Container,
@@ -47,7 +47,18 @@ class _SpillEmitter(Emitter):
 
     def emit(self, key: Hashable, value: Any) -> None:
         """Charge the pair against the budget, spilling first if needed."""
-        self.container._insert(key, value, self.task_id)  # type: ignore[attr-defined]
+        self.emit_many(((key, value),))
+
+    def emit_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
+        """A batch through the same per-pair gate: run files cut where a
+        loop of ``emit`` would have cut them."""
+        self.container._insert_each(pairs, self.task_id)  # type: ignore[attr-defined]
+
+    def emit_combined(self, states: Mapping[Hashable, Any], emits: int) -> None:
+        """Folded states, charged one per state as an absorbed delta's are."""
+        self.container._insert_each(  # type: ignore[attr-defined]
+            states.items(), self.task_id, combined_from=emits
+        )
 
 
 class SpillableContainer(Container):
@@ -97,19 +108,51 @@ class SpillableContainer(Container):
         """A task-bound handle; inner handles are re-bound after spills."""
         return _SpillEmitter(self, task_id)
 
-    def _insert(self, key: Hashable, value: Any, task_id: int) -> None:
-        cost = estimate_pair_bytes(key, value)
+    def _insert_each(
+        self,
+        pairs: Iterable[tuple[Hashable, Any]],
+        task_id: int,
+        combined_from: int | None = None,
+    ) -> None:
+        """The one charge-or-spill gate every pair and state passes.
+
+        ``pairs`` are raw emits, or — when ``combined_from`` gives the
+        pre-combine emit count they were folded from — per-key combiner
+        states, which reach the live container through its emitter's
+        ``emit_combined`` (``Combiner.merge``) instead of ``emit``.
+        """
+        accountant = self.manager.accountant
         with self._lock:
             self._check_open()
-            if self.manager.accountant.would_exceed(cost):
-                self._spill_live()
-            self.manager.accountant.charge(cost)
-            emitter = self._task_emitters.get(task_id)
-            if emitter is None:
-                emitter = self._inner.emitter(task_id)
-                self._task_emitters[task_id] = emitter
-            emitter.emit(key, value)
-            self._emits += 1
+            before = self._emits
+            put = None
+            for key, value in pairs:
+                cost = estimate_pair_bytes(key, value)
+                if accountant.would_exceed(cost):
+                    self._spill_live()
+                    put = None  # the spill replaced the live container
+                accountant.charge(cost)
+                if put is None:
+                    put = self._live_put(task_id, combined_from is not None)
+                put(key, value)
+                self._emits += 1  # per pair, so _spill_live sees progress
+            if combined_from is not None:
+                # True up to the pre-combine emit count for stats parity.
+                self._emits = before + combined_from
+
+    def _live_put(
+        self, task_id: int, combined: bool
+    ) -> Callable[[Hashable, Any], None]:
+        """``task_id``'s way into the live inner container, one pair or
+        one state at a time (inner handles are re-bound after spills)."""
+        emitter = self._task_emitters.get(task_id)
+        if emitter is None:
+            emitter = self._inner.emitter(task_id)
+            self._task_emitters[task_id] = emitter
+        if not combined:
+            return emitter.emit
+        merge = emitter.emit_combined
+        return lambda key, state: merge({key: state}, 1)
 
     def _spill_live(self) -> None:
         """Drain the live inner container to a run file and start fresh."""
@@ -152,7 +195,7 @@ class SpillableContainer(Container):
         """
         with self._lock:
             self._check_open()
-            if delta.kind == "hash":
+            if delta.kind == "hash" and self._inner_combines:
                 self._absorb_hash(delta)
             elif delta.kind == "array":
                 self._absorb_array(delta)
@@ -163,29 +206,23 @@ class SpillableContainer(Container):
                     f"SpillableContainer cannot absorb a {delta.kind!r} delta"
                 )
 
+    def _next_absorb_task_id(self) -> int:
+        task_id = self._absorb_task_id
+        self._absorb_task_id -= 1
+        return task_id
+
     def _absorb_hash(self, delta: ContainerDelta) -> None:
-        for key, state in delta.items:
-            cost = estimate_pair_bytes(key, state)
-            if self.manager.accountant.would_exceed(cost):
-                self._spill_live()
-            self.manager.accountant.charge(cost)
-            self._inner.absorb(
-                ContainerDelta(kind="hash", emits=0, items=[(key, state)])
-            )
-            self._emits += 1  # per-pair, so _spill_live sees progress
-        # True up to the pre-combine emit count for stats parity.
-        self._emits += delta.emits - len(delta.items)
+        self._insert_each(
+            delta.items, self._next_absorb_task_id(), combined_from=delta.emits
+        )
 
     def _absorb_array(self, delta: ContainerDelta) -> None:
-        # Re-emit through _insert so the per-pair budget gate runs; one
-        # synthetic task id per segment keeps the inner array container's
-        # segment structure (and thus its reducer partitioning) identical
-        # to the serial backend's one-segment-per-task layout.
+        # One synthetic task id per segment keeps the inner array
+        # container's segment structure (and thus its reducer
+        # partitioning) identical to the serial backend's
+        # one-segment-per-task layout.
         for segment in delta.items:
-            task_id = self._absorb_task_id
-            self._absorb_task_id -= 1
-            for key, value in segment:
-                self._insert(key, value, task_id)
+            self._insert_each(segment, self._next_absorb_task_id())
 
     def _absorb_fixed(self, delta: ContainerDelta) -> None:
         cost = int(getattr(delta.items, "nbytes", 0)) or estimate_pair_bytes(

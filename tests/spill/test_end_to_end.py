@@ -100,9 +100,12 @@ class TestReporting:
         )
 
     def test_external_merge_bounded_fan_in(self, text_file):
+        # word count is charged per folded state (about 500 per map
+        # task here), not per raw emit, so the budget is small enough
+        # for more runs than one merge pass can take
         result = PhoenixRuntime(
             RuntimeOptions.baseline().with_(
-                memory_budget="64KB", spill_merge_fan_in=4
+                memory_budget="24KB", spill_merge_fan_in=4
             )
         ).run(make_wordcount_job([text_file]))
         stats = result.spill_stats
