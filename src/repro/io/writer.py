@@ -6,11 +6,13 @@ them back out.  ``write_terasort_output`` emits the standard
 :class:`~repro.io.records.TeraRecordCodec`), ``write_text_pairs`` a
 ``key<TAB>value`` text dump for the aggregate jobs.
 
-:class:`FramedRecordWriter` / :func:`iter_framed_records` are the binary
-length-prefixed framing the out-of-core spill subsystem
-(:mod:`repro.spill`) stores its run files in: each record is a 4-byte
-big-endian length followed by that many payload bytes, with a running
-CRC-32 so readers can reject corrupted or truncated files.
+:class:`FramedRecordWriter` is the binary framing the out-of-core spill
+subsystem (:mod:`repro.spill`) stores its run files in: each frame is a
+4-byte big-endian payload length and a 4-byte count of the logical
+records inside, followed by that many payload bytes, with a running
+CRC-32 so readers can reject corrupted or truncated files.  The one
+decoder lives beside the container format that owns the layout
+(:class:`repro.spill.runfile.RunReader`).
 """
 
 from __future__ import annotations
@@ -18,14 +20,17 @@ from __future__ import annotations
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, BinaryIO, Hashable, Iterable, Iterator
+from typing import Any, BinaryIO, Hashable, Iterable
 
 from repro.errors import WorkloadError
 from repro.io.records import TeraRecordCodec
 
 _FLUSH_BYTES = 1 << 20
 
-_FRAME_PREFIX = struct.Struct(">I")  # 4-byte big-endian record length
+#: payload_len(I) records(I): one frame carries a block of records, and
+#: its count sits outside the payload so a scan can total the counts
+#: without decoding anything.
+_FRAME_PREFIX = struct.Struct(">II")
 
 
 def write_terasort_output(
@@ -58,10 +63,10 @@ def write_terasort_output(
 
 
 class FramedRecordWriter:
-    """Length-prefixed binary record framing with a running CRC-32.
+    """Length-prefixed binary block framing with a running CRC-32.
 
     Writes go through a caller-supplied binary file object; the writer
-    buffers small records and tracks ``records``, ``payload_bytes`` and
+    buffers small frames and tracks ``records``, ``payload_bytes`` and
     ``crc32`` so a container format (e.g. a spill run file) can persist
     them in its header.
     """
@@ -74,14 +79,15 @@ class FramedRecordWriter:
         self.payload_bytes = 0
         self.crc32 = 0
 
-    def write(self, payload: bytes) -> None:
-        """Append one framed record."""
-        frame = _FRAME_PREFIX.pack(len(payload)) + payload
-        self.crc32 = zlib.crc32(frame, self.crc32)
-        self._buf.append(frame)
-        self._buffered += len(frame)
-        self.records += 1
-        self.payload_bytes += len(frame)
+    def write(self, payload: bytes, records: int = 1) -> None:
+        """Append one frame whose payload encodes ``records`` records."""
+        prefix = _FRAME_PREFIX.pack(len(payload), records)
+        self.crc32 = zlib.crc32(payload, zlib.crc32(prefix, self.crc32))
+        self._buf += (prefix, payload)
+        size = len(prefix) + len(payload)
+        self._buffered += size
+        self.records += records
+        self.payload_bytes += size
         if self._buffered >= _FLUSH_BYTES:
             self.flush()
 
@@ -90,35 +96,6 @@ class FramedRecordWriter:
         if self._buf:
             self._fh.write(b"".join(self._buf))
             self._buf, self._buffered = [], 0
-
-
-def iter_framed_records(
-    fh: BinaryIO, n_records: int | None = None
-) -> Iterator[bytes]:
-    """Yield framed record payloads written by :class:`FramedRecordWriter`.
-
-    Reads exactly ``n_records`` frames when given (raising
-    :class:`~repro.errors.WorkloadError` on a short file), otherwise
-    until EOF; a frame cut off mid-record always raises.
-    """
-    read = 0
-    while n_records is None or read < n_records:
-        prefix = fh.read(_FRAME_PREFIX.size)
-        if not prefix and n_records is None:
-            return
-        if len(prefix) < _FRAME_PREFIX.size:
-            raise WorkloadError(
-                f"framed stream truncated after {read} records"
-            )
-        (length,) = _FRAME_PREFIX.unpack(prefix)
-        payload = fh.read(length)
-        if len(payload) < length:
-            raise WorkloadError(
-                f"framed record {read} truncated: "
-                f"expected {length} bytes, got {len(payload)}"
-            )
-        yield payload
-        read += 1
 
 
 def write_text_pairs(

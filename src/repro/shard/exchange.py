@@ -11,8 +11,10 @@ and CRC-verifies the copy before adoption.  A verification failure
 deletes the copy and refetches from the pristine outbox (bounded by the
 recovery policy's retry budget) rather than silently merging garbage.
 
-Reduction streams the fetched runs through a grouping k-way merge:
-equal keys across shards are folded into one ``reduce_fn`` call with
+Reduction streams the fetched runs through the same block-wise grouping
+merge the spill subsystem uses
+(:func:`repro.spill.external_merge.merge_sorted_blocks`): equal keys
+across shards are folded into one ``reduce_fn`` call with
 their values concatenated in shard-id order, which — because shards map
 *contiguous* chunk blocks — is exactly the global chunk order an
 unsharded run would have produced.
@@ -20,10 +22,11 @@ unsharded run would have produced.
 
 from __future__ import annotations
 
-import heapq
 import shutil
 import time
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -32,9 +35,14 @@ from repro.core.job import JobSpec
 from repro.errors import RetryExhausted, SpillError
 from repro.faults.log import ACTION_REFETCHED
 from repro.faults.plan import SITE_SHARD_EXCHANGE_CORRUPT
-from repro.spill.manager import _flip_byte, group_sorted_pairs
+from repro.spill.external_merge import merge_sorted_blocks
+from repro.spill.manager import (
+    _flip_byte,
+    entry_sort_key,
+    group_sorted_block,
+)
 from repro.spill.runfile import HEADER_BYTES, RunReader, RunWriter
-from repro.util.hashing import stable_hash
+from repro.util.hashing import stable_hash_many
 
 Pair = tuple[Hashable, Any]
 Group = tuple[Hashable, tuple[Any, ...]]
@@ -78,7 +86,7 @@ def write_partition_runs(
     that order survives into the run; empty partitions still get a
     (zero-record) run, keeping the fetch protocol uniform.
     """
-    key_of = sort_key or (lambda key: key)
+    entry_key = entry_sort_key(sort_key)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     container.seal()
@@ -86,19 +94,18 @@ def write_partition_runs(
         [] for _ in range(num_partitions)
     ]
     (all_pairs,) = container.partitions(1)
-    for key, values in all_pairs:
-        buckets[stable_hash(key) % num_partitions].append((key, values))
+    hashes = stable_hash_many(map(itemgetter(0), all_pairs))
+    for pair, h in zip(all_pairs, hashes):
+        buckets[h % num_partitions].append(pair)
     manifest: list[ExchangeRun] = []
     for p, pairs in enumerate(buckets):
-        pairs.sort(key=lambda kv: key_of(kv[0]))
+        pairs.sort(key=entry_key)
         path = directory / run_name(p)
         with RunWriter(path) as writer:
-            for key, values in group_sorted_pairs(pairs):
-                writer.write_group(key, values)
-            records, payload = writer.records, writer.payload_bytes
+            writer.write_groups(group_sorted_block(pairs))
         manifest.append(ExchangeRun(
-            partition=p, name=path.name, records=records,
-            payload_bytes=payload,
+            partition=p, name=path.name, records=writer.records,
+            payload_bytes=writer.payload_bytes,
         ))
     return manifest
 
@@ -164,16 +171,15 @@ def merged_partition_groups(
     readers: Sequence[RunReader],
     sort_key: SortKeyFn | None = None,
 ) -> Iterator[Group]:
-    """K-way merge the shards' runs for one partition, grouping keys.
+    """Merge the shards' runs for one partition block-wise, grouping keys.
 
-    ``readers`` must be in shard-id order; ``heapq.merge`` is stable, so
-    equal keys concatenate their value tuples in that order — the global
+    ``readers`` must be in shard-id order; the merge is stable, so equal
+    keys concatenate their value tuples in that order — the global
     chunk order under contiguous block assignment.
     """
-    key_of = sort_key or (lambda key: key)
-    streams: list[Iterator[Group]] = [iter(r) for r in readers]
-    merged = heapq.merge(*streams, key=lambda group: key_of(group[0]))
-    return group_sorted_pairs(merged)
+    return chain.from_iterable(
+        merge_sorted_blocks(readers, entry_sort_key(sort_key))
+    )
 
 
 def reduce_partition(

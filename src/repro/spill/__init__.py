@@ -12,9 +12,8 @@ gap with a bounded-memory execution mode both runtimes share:
   would cross the budget — applying the job's combiner on the way out
   (combine-on-spill, as in Hadoop-style in-node combining);
 * :class:`~repro.spill.external_merge.ExternalPwayMerge` streams all
-  runs plus the resident container back through the heap-based k-way
-  machinery in bounded memory, consolidating with ``fan_in``-way
-  passes when needed;
+  runs plus the resident container back a block at a time in bounded
+  memory, consolidating with ``fan_in``-way passes when needed;
 * :class:`~repro.spill.stats.SpillStats` reports runs, bytes, combine
   reduction and merge fan-in on every job result.
 

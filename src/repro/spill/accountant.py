@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Any
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Any, Sequence
 
 from repro.errors import SpillError
 
@@ -56,6 +58,34 @@ def estimate_pair_bytes(key: Any, value: Any) -> int:
     )
 
 
+def _column_bytes(column: list[Any]) -> list[int]:
+    """``estimate_value_bytes`` of every object in one column of a batch.
+
+    A column with no list or tuple in it — the bytes/str/int keys and
+    values of every bundled app — is sized by one C-level
+    ``map(sys.getsizeof, …)``; anything else goes object by object.
+    """
+    if not any(issubclass(kind, (list, tuple)) for kind in set(map(type, column))):
+        try:
+            return list(map(sys.getsizeof, column))
+        except TypeError:  # pragma: no cover - objects without a C size
+            pass
+    return [estimate_value_bytes(value) for value in column]
+
+
+def estimate_pairs_bytes(pairs: Sequence[tuple[Any, Any]]) -> list[int]:
+    """``[estimate_pair_bytes(k, v) for k, v in pairs]``, a column at a time.
+
+    The bulk budget gate sizes a whole batch with this and finds its
+    spill points by bisection over the running total; the values are
+    exactly the per-pair ones, so the cuts land where a pair-by-pair
+    loop would put them.
+    """
+    keys = _column_bytes(list(map(itemgetter(0), pairs)))
+    values = _column_bytes(list(map(itemgetter(1), pairs)))
+    return list(map(add, map(add, keys, values), repeat(PAIR_OVERHEAD_BYTES)))
+
+
 class MemoryAccountant:
     """Charges container inserts against a byte budget.
 
@@ -87,15 +117,21 @@ class MemoryAccountant:
 
     @property
     def charges(self) -> int:
-        """Number of successful :meth:`charge` calls (one per emit)."""
+        """Pairs successfully charged (one per emit, however batched)."""
         return self._charges
+
+    @property
+    def room(self) -> int:
+        """Bytes that can still be charged before the budget is crossed."""
+        return self.budget_bytes - self._current
 
     def would_exceed(self, nbytes: int) -> bool:
         """True if charging ``nbytes`` now would cross the budget."""
         return self._current + nbytes > self.budget_bytes
 
-    def charge(self, nbytes: int) -> None:
-        """Account ``nbytes`` to the live container.
+    def charge(self, nbytes: int, pairs: int = 1) -> None:
+        """Account ``nbytes`` — the cost of ``pairs`` pairs — to the live
+        container.
 
         Raises :class:`~repro.errors.SpillError` if the charge would
         cross the budget — the caller must spill first.  A single pair
@@ -110,7 +146,7 @@ class MemoryAccountant:
                     f"({self._current} B accounted); spill first"
                 )
             self._current += nbytes
-            self._charges += 1
+            self._charges += pairs
             if self._current > self._peak:
                 self._peak = self._current
 

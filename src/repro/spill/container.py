@@ -5,8 +5,11 @@ and gives it out-of-core semantics: every emit is charged to the
 manager's :class:`~repro.spill.accountant.MemoryAccountant` *before* it
 lands, and when the next emit would cross the budget the live inner
 container is drained — sorted, grouped, optionally combined — into a
-run file and replaced by a fresh one.  ``partitions(n)`` then streams
-all runs plus the resident container through the external p-way merge.
+run file and replaced by a fresh one.  A batch of emits is sized as a
+whole and cut by bisection at exactly those pairs, so the gate costs
+one charge and one inner call per run file, not per pair.
+``partitions(n)`` then streams all runs plus the resident container
+through the external p-way merge.
 
 Two properties the rest of the system relies on:
 
@@ -25,6 +28,9 @@ Two properties the rest of the system relies on:
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
+from itertools import accumulate
+from operator import itemgetter
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.containers.base import (
@@ -34,10 +40,10 @@ from repro.containers.base import (
     Emitter,
 )
 from repro.errors import ContainerError, SpillError
-from repro.spill.accountant import estimate_pair_bytes
+from repro.spill.accountant import estimate_pair_bytes, estimate_pairs_bytes
 from repro.spill.external_merge import ExternalPwayMerge
-from repro.spill.manager import SpillManager, group_sorted_pairs
-from repro.util.hashing import stable_hash
+from repro.spill.manager import SpillManager, group_sorted_block
+from repro.util.hashing import stable_hash_many
 
 
 class _SpillEmitter(Emitter):
@@ -50,8 +56,8 @@ class _SpillEmitter(Emitter):
         self.emit_many(((key, value),))
 
     def emit_many(self, pairs: Iterable[tuple[Hashable, Any]]) -> None:
-        """A batch through the same per-pair gate: run files cut where a
-        loop of ``emit`` would have cut them."""
+        """A batch through the same gate: run files cut where a loop of
+        ``emit`` would have cut them."""
         self.container._insert_each(pairs, self.task_id)  # type: ignore[attr-defined]
 
     def emit_combined(self, states: Mapping[Hashable, Any], emits: int) -> None:
@@ -119,40 +125,51 @@ class SpillableContainer(Container):
         ``pairs`` are raw emits, or — when ``combined_from`` gives the
         pre-combine emit count they were folded from — per-key combiner
         states, which reach the live container through its emitter's
-        ``emit_combined`` (``Combiner.merge``) instead of ``emit``.
+        ``emit_combined`` (``Combiner.merge``) instead of ``emit_many``.
         """
         accountant = self.manager.accountant
+        combined = combined_from is not None
+        batch = pairs if isinstance(pairs, list) else list(pairs)
+        # totals[i] = cost of batch[:i + 1]; a run file is cut wherever
+        # the running total would cross what room the budget has left.
+        totals = list(accumulate(estimate_pairs_bytes(batch)))
         with self._lock:
             self._check_open()
             before = self._emits
-            put = None
-            for key, value in pairs:
-                cost = estimate_pair_bytes(key, value)
-                if accountant.would_exceed(cost):
+            start = charged = 0
+            while start < len(batch):
+                cut = bisect_right(totals, charged + accountant.room, start)
+                if cut == start:
                     self._spill_live()
-                    put = None  # the spill replaced the live container
-                accountant.charge(cost)
-                if put is None:
-                    put = self._live_put(task_id, combined_from is not None)
-                put(key, value)
-                self._emits += 1  # per pair, so _spill_live sees progress
-            if combined_from is not None:
+                    cut = bisect_right(
+                        totals, charged + accountant.room, start
+                    )
+                    if cut == start:
+                        # Larger than the whole budget: the typed error.
+                        accountant.charge(totals[start] - charged)
+                cost = totals[cut - 1] - charged
+                accountant.charge(cost, pairs=cut - start)
+                self._live_put(task_id, batch[start:cut], combined)
+                # Per cut, so the next _spill_live sees the progress.
+                self._emits += cut - start
+                start, charged = cut, charged + cost
+            if combined:
                 # True up to the pre-combine emit count for stats parity.
                 self._emits = before + combined_from
 
     def _live_put(
-        self, task_id: int, combined: bool
-    ) -> Callable[[Hashable, Any], None]:
-        """``task_id``'s way into the live inner container, one pair or
-        one state at a time (inner handles are re-bound after spills)."""
+        self, task_id: int, pairs: list[tuple[Hashable, Any]], combined: bool
+    ) -> None:
+        """Hand ``task_id``'s pairs — or folded states — to the live inner
+        container in one call (inner handles are re-bound after spills)."""
         emitter = self._task_emitters.get(task_id)
         if emitter is None:
             emitter = self._inner.emitter(task_id)
             self._task_emitters[task_id] = emitter
-        if not combined:
-            return emitter.emit
-        merge = emitter.emit_combined
-        return lambda key, state: merge({key: state}, 1)
+        if combined:
+            emitter.emit_combined(dict(pairs), len(pairs))
+        else:
+            emitter.emit_many(pairs)
 
     def _spill_live(self) -> None:
         """Drain the live inner container to a run file and start fresh."""
@@ -248,19 +265,20 @@ class SpillableContainer(Container):
             self.manager.record_merge(0)
             return self._inner.partitions(n)
         resident = sorted(
-            self._inner.partitions(1)[0],
-            key=lambda kv: self.manager.sort_key(kv[0]),
+            self._inner.partitions(1)[0], key=self.manager.entry_key
         )
         merger = ExternalPwayMerge(self.manager)
         sources: list[Any] = [
             self.manager.open_run(info) for info in self.manager.runs
         ]
-        sources.append(group_sorted_pairs(resident))
+        sources.append(group_sorted_block(resident))
         parts: list[list[tuple[Hashable, Any]]] = [[] for _ in range(n)]
         distinct = 0
-        for key, values in merger.merge(sources):
-            distinct += 1
-            parts[stable_hash(key) % n].append((key, list(values)))
+        for block in merger.merge_blocks(sources):
+            distinct += len(block)
+            hashes = stable_hash_many(map(itemgetter(0), block))
+            for (key, values), h in zip(block, hashes):
+                parts[h % n].append((key, list(values)))
         self._distinct_keys = distinct
         self.manager.accountant.release_all()
         return parts

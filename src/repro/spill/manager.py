@@ -23,6 +23,8 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator
 
@@ -63,6 +65,41 @@ def _flip_byte(path: Path, offset: int) -> None:
         original = fh.read(1)
         fh.seek(offset)
         fh.write(bytes(((original[0] ^ 0xFF),)) if original else b"\xff")
+
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def entry_sort_key(sort_key: SortKeyFn | None) -> Callable[[tuple], Any]:
+    """``sort_key`` lifted from keys to ``(key, values)`` entries.
+
+    The identity ``sort_key`` (``None``) needs no Python wrapper: it is
+    C ``itemgetter(0)``, which is what sorts and bisections of entries
+    then call per comparison.
+    """
+    if sort_key is None:
+        return _first
+    return lambda entry: sort_key(entry[0])
+
+
+def group_sorted_block(
+    block: list[tuple[Hashable, Iterable[Any]]],
+) -> list[Group]:
+    """:func:`group_sorted_pairs` over one materialized, key-sorted block.
+
+    The block fast path: when no two adjacent keys are equal — always,
+    for sort; for every block of already-grouped runs whose key ranges
+    do not overlap — there is nothing to collapse.  A block of finished
+    groups (tuple values) is then returned untouched, and one of
+    drained pairs only has its value lists frozen to tuples.
+    """
+    keys = list(map(_first, block))
+    if any(map(eq, keys, islice(keys, 1, None))):
+        return list(group_sorted_pairs(block))
+    if set(map(type, map(_second, block))) == {tuple}:
+        return block  # type: ignore[return-value]
+    return [(key, tuple(values)) for key, values in block]
 
 
 def group_sorted_pairs(
@@ -122,7 +159,9 @@ class SpillManager:
         )
         self.spill_dir.mkdir(parents=True, exist_ok=True)
         self.combiner = combiner
-        self.sort_key: SortKeyFn = sort_key or (lambda key: key)
+        #: ``sort_key`` as every sort and merge of this job's pairs and
+        #: groups applies it: to ``(key, values)`` entries.
+        self.entry_key = entry_sort_key(sort_key)
         self.merge_fan_in = merge_fan_in
         self.runs: list[RunInfo] = []
         self._next_index = 0
@@ -144,14 +183,12 @@ class SpillManager:
         if not pairs:
             raise SpillError("refusing to spill an empty container")
         started = time.perf_counter()
-        pairs.sort(key=lambda kv: self.sort_key(kv[0]))
-        n_in = sum(1 for _k, values in pairs for _v in values)
-        groups = self._combined(group_sorted_pairs(pairs), raw)
+        pairs.sort(key=self.entry_key)
+        n_in = sum(map(len, map(_second, pairs)))
+        groups = self._combined(group_sorted_block(pairs), raw)
         injector = self.injector
         if injector is not None and injector.armed(SITE_SPILL_CORRUPT):
-            # Re-spilling needs the groups again, so materialize them;
-            # only paid when the spill.corrupt site is actually armed.
-            info = self._write_run_verified(list(groups), injector)
+            info = self._write_run_verified(groups, injector)
         else:
             info = self._write_run(groups)
         self._stats.runs += 1
@@ -162,29 +199,28 @@ class SpillManager:
         self._stats.spill_write_s += time.perf_counter() - started
         return info
 
-    def _combined(
-        self, groups: Iterator[Group], raw: bool
-    ) -> Iterator[Group]:
+    def _combined(self, groups: list[Group], raw: bool) -> list[Group]:
         """Apply combine-on-spill to raw groups; pass aggregates through."""
-        if not raw or self.combiner is None:
-            yield from groups
-            return
+        combiner = self.combiner
+        if not raw or combiner is None:
+            return groups
+        out: list[Group] = []
         for key, values in groups:
-            state = self.combiner.initial(values[0])
+            state = combiner.initial(values[0])
             for value in values[1:]:
-                state = self.combiner.update(state, value)
-            yield key, tuple(self.combiner.finish(state))
+                state = combiner.update(state, value)
+            out.append((key, tuple(combiner.finish(state))))
+        return out
 
-    def _write_run(self, groups: Iterator[Group]) -> RunInfo:
+    def _write_run(self, groups: Iterable[Group]) -> RunInfo:
         index = self._next_index
         self._next_index += 1
         path = self.spill_dir / f"run-{index:05d}.spl"
         with RunWriter(path, throttle=self.throttle) as writer:
-            for key, values in groups:
-                writer.write_group(key, values)
-            records, payload = writer.records, writer.payload_bytes
+            writer.write_groups(groups)
         info = RunInfo(
-            index=index, path=path, records=records, payload_bytes=payload
+            index=index, path=path, records=writer.records,
+            payload_bytes=writer.payload_bytes,
         )
         self.runs.append(info)
         return info
@@ -210,9 +246,8 @@ class SpillManager:
 
         def attempt_fn(attempt: int) -> RunInfo:
             with RunWriter(path, throttle=self.throttle) as writer:
-                for key, values in groups:
-                    writer.write_group(key, values)
-                records, payload = writer.records, writer.payload_bytes
+                writer.write_groups(groups)
+            records, payload = writer.records, writer.payload_bytes
             decision = injector.check(
                 SITE_SPILL_CORRUPT, scope=(index,), attempt=attempt
             )
@@ -242,7 +277,7 @@ class SpillManager:
         self.runs.append(info)
         return info
 
-    def write_merged(self, groups: Iterator[Group]) -> RunInfo:
+    def write_merged(self, groups: Iterable[Group]) -> RunInfo:
         """Persist an intermediate external-merge pass as a new run."""
         info = self._write_run(groups)
         self._stats.merge_rewritten_bytes += info.payload_bytes

@@ -1,22 +1,32 @@
 """Spill run files: sorted on-disk runs of intermediate (key, values).
 
 A run file is the unit the spill subsystem writes when the live
-container crosses its memory budget.  The format is deliberately dumb
-and verifiable:
+container crosses its memory budget.  The format (version 2) is
+deliberately dumb and verifiable:
 
 * a fixed-size **checksummed header** — magic, version, record count,
   payload length, CRC-32 of the payload section;
-* a payload of length-prefixed frames (:class:`repro.io.writer`
-  framing), one frame per record, each frame the pickle of one
-  ``(key, values_tuple)`` group, **sorted by key** and with equal keys
-  already grouped.
+* a payload of block frames (:class:`repro.io.writer.FramedRecordWriter`
+  framing: pickle length, group count, pickle), each frame the pickle
+  of a *list* of ``(key, values_tuple)`` groups, **sorted by key** and
+  with equal keys already grouped, within and across blocks.
+
+One pickle, one frame and two CRC calls per block — not per group — is
+what keeps the codec off the critical path: everything downstream (the
+external merge, the shard exchange) takes a block at a time too.  A
+block closes at :data:`BLOCK_GROUPS` groups, or sooner when the block
+before it came out larger than :data:`BLOCK_BYTES`, so one run of fat
+groups cannot blow a reader's one-block-per-source memory bound.
 
 The header is written last (the writer seeks back over a placeholder),
 so a crash mid-spill leaves a file that fails validation instead of a
 file that silently merges garbage.  :class:`RunReader` validates the
 header and the physical length eagerly on open — a truncated run is
-rejected before the merge starts — and verifies the CRC incrementally
-while streaming, so reading stays O(1) in memory.
+rejected before the merge starts — and folds the CRC while streaming,
+checking it (and that the blocks' group counts sum to the header's)
+before the last block is handed out, so reading holds one block.
+Version 1 files (one frame per group) are refused with the same typed
+error as any other unsupported version.
 """
 
 from __future__ import annotations
@@ -24,35 +34,28 @@ from __future__ import annotations
 import mmap
 import pickle
 import struct
-import threading
 import zlib
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Hashable, Iterable, Iterator
 
 from repro.errors import SpillError
-from repro.io.writer import _FRAME_PREFIX, FramedRecordWriter, iter_framed_records
+from repro.io.writer import _FRAME_PREFIX, FramedRecordWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.qos.throttle import TokenBucket
 
 MAGIC = b"SPRN"
-VERSION = 1
+VERSION = 2
 
-_VERIFY_BLOCK = 1 << 20
-
-#: Per-thread reusable scratch for :meth:`RunReader.verify` — the CRC
-#: re-scan reads whole runs in 1 MiB blocks, and ``fetch_run`` re-scans
-#: every exchanged run, so recycling one buffer per thread keeps the
-#: verify path allocation-free.
-_verify_local = threading.local()
-
-
-def _verify_scratch() -> memoryview:
-    buf = getattr(_verify_local, "buf", None)
-    if buf is None:
-        buf = bytearray(_VERIFY_BLOCK)
-        _verify_local.buf = buf
-    return memoryview(buf)
+#: Groups per block.  Large enough that per-block costs (one pickle
+#: call, one frame, one merge round) vanish per group, small enough
+#: that ``fan_in`` loaded blocks stay a rounding error beside any
+#: budget worth configuring.
+BLOCK_GROUPS = 512
+#: Pickled size a block should stay under; a block that came out larger
+#: shrinks the group limit of the next one in proportion.
+BLOCK_BYTES = 256 * 1024
 
 #: magic(4s) version(H) reserved(H) records(Q) payload_len(Q) crc32(I)
 _HEADER = struct.Struct(">4sHHQQI")
@@ -65,8 +68,9 @@ class RunWriter:
     """Writes one sorted run file; use as a context manager.
 
     The caller streams already-sorted, already-grouped records through
-    :meth:`write_group`; the writer frames and checksums them and
-    finalizes the header on close.  A ``throttle``
+    :meth:`write_group` or :meth:`write_groups`; the writer gathers them
+    into blocks, frames and checksums each block and finalizes the
+    header on close.  A ``throttle``
     (:class:`repro.qos.throttle.TokenBucket`) charges the payload bytes
     against the job's I/O budget when the run is sealed — the spill-write
     half of bandwidth isolation.
@@ -80,30 +84,68 @@ class RunWriter:
         self._fh: BinaryIO | None = open(self.path, "wb")
         self._fh.write(b"\0" * HEADER_BYTES)  # placeholder header
         self._framer = FramedRecordWriter(self._fh)
+        self._block: list[Group] = []
+        self._limit = BLOCK_GROUPS
 
     def write_group(self, key: Hashable, values: Iterable[Any]) -> None:
         """Append one (key, grouped values) record."""
         if self._fh is None:
             raise SpillError(f"write to closed run file {self.path}")
-        payload = pickle.dumps(
-            (key, tuple(values)), protocol=pickle.HIGHEST_PROTOCOL
+        self._block.append((key, tuple(values)))
+        if len(self._block) >= self._limit:
+            self._seal_block()
+
+    def write_groups(self, groups: Iterable[Group]) -> None:
+        """Append many ``(key, values_tuple)`` groups, a block at a time.
+
+        The bulk twin of :meth:`write_group`: same file, without the
+        per-group call.  Values must already be tuples (what
+        :func:`~repro.spill.manager.group_sorted_pairs` and the readers
+        yield); they are stored as given.
+        """
+        if self._fh is None:
+            raise SpillError(f"write to closed run file {self.path}")
+        it = iter(groups)
+        block = self._block
+        while True:
+            block += islice(it, self._limit - len(block))
+            if len(block) < self._limit:
+                return
+            self._seal_block()
+
+    def _seal_block(self) -> None:
+        """Frame the pending block and size the next one from it."""
+        block = self._block
+        if not block:
+            return
+        payload = pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
+        self._framer.write(payload, len(block))
+        self._limit = max(
+            1, min(BLOCK_GROUPS, len(block) * BLOCK_BYTES // len(payload))
         )
-        self._framer.write(payload)
+        block.clear()
 
     @property
     def records(self) -> int:
-        """Records written so far."""
-        return self._framer.records
+        """Groups written so far, the pending block's included."""
+        return self._framer.records + len(self._block)
 
     @property
     def payload_bytes(self) -> int:
-        """Payload-section bytes written so far (frames included)."""
+        """Payload-section bytes written so far (frames included).
+
+        A pending block has no size until it is pickled, so reading this
+        mid-run seals it: the number is exact at any point, at the price
+        of a short block where it was read.
+        """
+        self._seal_block()
         return self._framer.payload_bytes
 
     def close(self) -> None:
         """Flush, write the real header, and close the file."""
         if self._fh is None:
             return
+        self._seal_block()
         if self._throttle is not None:
             self._throttle.acquire(self._framer.payload_bytes)
         self._framer.flush()
@@ -124,29 +166,17 @@ class RunWriter:
         self.close()
 
 
-class _Crc32Reader:
-    """File wrapper accumulating a CRC-32 over every byte read."""
-
-    def __init__(self, fh: BinaryIO) -> None:
-        self._fh = fh
-        self.crc32 = 0
-
-    def read(self, n: int = -1) -> bytes:
-        """Read and fold the bytes into the running checksum."""
-        data = self._fh.read(n)
-        self.crc32 = zlib.crc32(data, self.crc32)
-        return data
-
-
 class RunReader:
     """Validated streaming reader over one run file.
 
     Construction parses and checks the header (magic, version) and
     rejects files whose physical size disagrees with the recorded
     payload length — the truncation case.  Iteration yields the
-    ``(key, values_tuple)`` groups in on-disk (key-sorted) order and
-    verifies the payload CRC as the last frame is consumed, raising
-    :class:`~repro.errors.SpillError` on mismatch.
+    ``(key, values_tuple)`` groups in on-disk (key-sorted) order;
+    :meth:`blocks` yields them a stored block at a time.  Either way the
+    payload CRC and the block counts are checked before the last block
+    is handed out, raising :class:`~repro.errors.SpillError` on
+    mismatch.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -177,14 +207,45 @@ class RunReader:
         self.crc32 = crc
 
     def __iter__(self) -> Iterator[Group]:
-        """Stream the (key, values) groups, CRC-checking along the way.
+        """Stream the (key, values) groups, CRC-checking along the way."""
+        for block in self.blocks():
+            yield from block
 
-        The payload is walked through an ``mmap`` of the file: each
-        frame is a ``memoryview`` slice fed straight to the CRC and the
-        unpickler, so no per-frame bytes object and no read-buffer copy
-        chain — the buffer-backed twin of :meth:`Chunk.load`'s ingest
-        path.  Falls back to the plain streaming reader when the file
-        cannot be mapped (exotic filesystems).
+    def blocks(self) -> Iterator[list[Group]]:
+        """Stream the run a stored block at a time — the merge's unit.
+
+        Each block is one ``pickle.loads`` of a frame sliced out of an
+        ``mmap`` of the file, so no per-group call and no read-buffer
+        copy chain.  A block whose pickle does not decode to a list of
+        the promised length raises :class:`~repro.errors.SpillError`,
+        like every other kind of damage.
+        """
+        for count, frame in self._frames():
+            try:
+                block = pickle.loads(frame)
+            except Exception as exc:
+                raise SpillError(
+                    f"{self.path}: undecodable spill block: {exc}"
+                ) from exc
+            finally:
+                frame.release()
+            if type(block) is not list or len(block) != count:
+                raise SpillError(
+                    f"{self.path}: spill block does not hold the "
+                    f"{count} groups its frame promises"
+                )
+            yield block
+
+    def _frames(self) -> Iterator[tuple[int, memoryview]]:
+        """Walk the payload's frames: ``(group count, pickle bytes)``.
+
+        The one decoder of the framing.  The payload is a ``memoryview``
+        over an ``mmap`` of the file — over the file's bytes where it
+        cannot be mapped (exotic filesystems).  Every frame must lie
+        inside the payload; the CRC is folded frame by frame, and it and
+        the sum of the counts are checked against the header *before*
+        the last frame is yielded, so a consumer never acts on a run
+        that fails either.
         """
         try:
             fh = open(self.path, "rb")
@@ -192,89 +253,67 @@ class RunReader:
             raise SpillError(f"cannot open run file {self.path}: {exc}") from exc
         with fh:
             try:
-                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                backing: Any = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             except (ValueError, OSError):
-                yield from self._iter_streaming(fh)
-                return
-            with mm:
-                view = memoryview(mm)
-                try:
-                    yield from self._iter_view(view)
-                finally:
-                    view.release()
+                backing = fh.read()
+        view = memoryview(backing)
+        try:
+            crc = 0
+            records = 0
+            offset = HEADER_BYTES
+            end = len(view)
+            while offset < end:
+                body = offset + _FRAME_PREFIX.size
+                stop = end + 1  # a prefix that does not fit: no frame does
+                if body <= end:
+                    length, count = _FRAME_PREFIX.unpack_from(view, offset)
+                    stop = body + length
+                if stop > end:
+                    raise SpillError(
+                        f"{self.path}: frame at byte {offset} runs past "
+                        "the payload"
+                    )
+                crc = zlib.crc32(view[offset:stop], crc)
+                records += count
+                if stop == end:
+                    self._check_totals(crc, records)
+                yield count, view[body:stop]
+                offset = stop
+            if offset == HEADER_BYTES:  # no frame: an empty run
+                self._check_totals(crc, records)
+        finally:
+            view.release()
+            if not isinstance(backing, bytes):
+                backing.close()
 
-    def _iter_view(self, view: memoryview) -> Iterator[Group]:
-        """Frame-walk a mapped payload section; zero-copy until unpickle."""
-        crc = 0
-        offset = HEADER_BYTES
-        end = len(view)
-        for index in range(self.records):
-            if offset + _FRAME_PREFIX.size > end:
-                raise SpillError(
-                    f"{self.path}: frame {index} runs past the payload"
-                )
-            (length,) = _FRAME_PREFIX.unpack_from(view, offset)
-            stop = offset + _FRAME_PREFIX.size + length
-            if stop > end:
-                raise SpillError(
-                    f"{self.path}: frame {index} runs past the payload"
-                )
-            crc = zlib.crc32(view[offset:stop], crc)
-            try:
-                key, values = pickle.loads(
-                    view[offset + _FRAME_PREFIX.size:stop]
-                )
-            except Exception as exc:
-                raise SpillError(
-                    f"{self.path}: undecodable spill record: {exc}"
-                ) from exc
-            yield key, values
-            offset = stop
+    def _check_totals(self, crc: int, records: int) -> None:
         if crc != self.crc32:
             raise SpillError(
                 f"{self.path}: payload checksum mismatch "
                 f"(header {self.crc32:#010x}, computed {crc:#010x})"
             )
-
-    def _iter_streaming(self, fh: BinaryIO) -> Iterator[Group]:
-        """The pre-mmap reader, kept as the unmappable-file fallback."""
-        fh.seek(HEADER_BYTES)
-        tracker = _Crc32Reader(fh)
-        for payload in iter_framed_records(tracker, self.records):
-            try:
-                key, values = pickle.loads(payload)
-            except Exception as exc:
-                raise SpillError(
-                    f"{self.path}: undecodable spill record: {exc}"
-                ) from exc
-            yield key, values
-        if tracker.crc32 != self.crc32:
+        if records != self.records:
             raise SpillError(
-                f"{self.path}: payload checksum mismatch "
-                f"(header {self.crc32:#010x}, "
-                f"computed {tracker.crc32:#010x})"
+                f"{self.path}: blocks hold {records} groups, header "
+                f"promises {self.records}"
             )
 
     def verify(self) -> bool:
-        """Re-scan the payload bytes against the header CRC.
+        """Re-scan the payload against the header, decoding nothing.
 
-        Cheaper than iterating (no unpickling) — this is the
-        verify-after-spill check the recovery policy runs before a run
-        is allowed into the merge inventory, and the adoption gate
+        Walks the frames — CRC, frame bounds, group counts against the
+        header — without unpickling a block: the verify-after-spill
+        check the recovery policy runs before a run is allowed into the
+        merge inventory, and the adoption gate
         :func:`repro.shard.exchange.fetch_run` runs on every exchanged
-        copy.  Blocks are ``readinto`` a per-thread reusable scratch, so
-        the scan allocates nothing per run.
+        copy.  False means the run must not be merged.
         """
-        crc = 0
-        view = _verify_scratch()
-        with open(self.path, "rb") as fh:
-            fh.seek(HEADER_BYTES)
-            while True:
-                got = fh.readinto(view)
-                if not got:
-                    break
-                crc = zlib.crc32(view[:got], crc)
-        return crc == self.crc32
+        try:
+            for _count, frame in self._frames():
+                frame.release()
+        except SpillError:
+            return False
+        return True
 
     def __len__(self) -> int:
         return self.records

@@ -16,6 +16,7 @@ from repro.net.exchange import (
     serve_fetch_session,
 )
 from repro.spill.runfile import RunReader, RunWriter
+from tests.spill.damage import DAMAGE
 
 
 class _FetchServer:
@@ -117,6 +118,25 @@ class TestFetchRunRemote:
         assert attempt == 1  # first copy rejected by its checksum
         _assert_intact(reader, run_file)
         assert any("rejected" in e[2] for e in events)
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE))
+    def test_damage_matrix_every_kind_is_refetched(
+        self, server, run_file, tmp_path, monkeypatch, kind
+    ):
+        # The injected corruption site damages the received copy; swap
+        # its byte flip for each kind of format-2 damage in turn.
+        monkeypatch.setattr(
+            "repro.net.exchange._flip_byte",
+            lambda path, _offset: DAMAGE[kind](path),
+        )
+        events = []
+        reader, attempt = fetch_run_remote(
+            server.addr, run_file, tmp_path / "fetched.run",
+            corrupt_attempts=(0,), events=events, scope="(0, 1)",
+        )
+        assert attempt == 1
+        _assert_intact(reader, run_file)
+        assert [e[1] for e in events] == ["refetched"]
 
     def test_persistent_corruption_exhausts_the_budget(
         self, server, run_file, tmp_path

@@ -17,7 +17,9 @@ from repro.apps.wordcount import make_wordcount_job
 from repro.core.options import RuntimeOptions
 from repro.core.phoenix import PhoenixRuntime
 from repro.core.supmr import SupMRRuntime
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, SpillError
+from repro.exitcodes import EXIT_FAILURE, classify_exception
+from tests.spill.damage import rewrite_as_v1
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -110,6 +112,34 @@ class TestResumeAfterInProcessFailure:
         resumed = SupMRRuntime(opts(tmp_path / "ckpt", resume=True)).run(job)
         assert resumed.output == reference.output
         assert resumed.spill_stats.runs >= len(surviving)
+
+    def test_format_1_runs_are_not_resumable(
+        self, tmp_path, text_file, monkeypatch
+    ):
+        # A checkpoint sealed before the block format: resume must stop
+        # at adoption with the typed error, not merge or mis-decode it.
+        job = make_wordcount_job([text_file])
+
+        def opts(resume=False):
+            return RuntimeOptions.supmr_interfile("16KB", 2, 2).with_(
+                checkpoint_dir=str(tmp_path / "ckpt"), resume=resume,
+                memory_budget="24KB",
+            )
+
+        def exploding_reducers(*args, **kwargs):
+            raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(driver_mod, "run_reducers", exploding_reducers)
+        with pytest.raises(RuntimeError):
+            SupMRRuntime(opts()).run(job)
+        monkeypatch.undo()
+        surviving = sorted((tmp_path / "ckpt" / "spill").glob("run-*.spl"))
+        assert surviving, "budget never spilled; vacuous"
+        rewrite_as_v1(surviving[0])
+
+        with pytest.raises(SpillError, match="run format version 1") as exc:
+            SupMRRuntime(opts(resume=True)).run(job)
+        assert classify_exception(exc.value) == EXIT_FAILURE
 
     def test_resume_with_changed_options_is_refused(
         self, tmp_path, text_file, monkeypatch

@@ -19,6 +19,7 @@ from repro.shard.exchange import (
 from repro.spill.manager import _flip_byte
 from repro.spill.runfile import HEADER_BYTES
 from repro.util.hashing import stable_hash
+from tests.spill.damage import DAMAGE
 
 
 def _container(pairs):
@@ -82,6 +83,23 @@ class TestFetchRun:
         assert attempt == 2
         assert sum(1 for _ in reader) == 50
         assert [e[1] for e in events] == [ACTION_REFETCHED] * 2
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE))
+    def test_damage_matrix_every_kind_is_refetched(
+        self, tmp_path, monkeypatch, kind
+    ):
+        src = self._one_run(tmp_path)
+        monkeypatch.setattr(
+            "repro.shard.exchange._flip_byte",
+            lambda path, _offset: DAMAGE[kind](path),
+        )
+        events = []
+        reader, attempt = fetch_run(
+            src, tmp_path / "copy.spl", corrupt_attempts=[0], events=events,
+        )
+        assert attempt == 1
+        assert sum(1 for _ in reader) == 50
+        assert [e[1] for e in events] == [ACTION_REFETCHED]
 
     def test_corrupted_source_never_silently_merged(self, tmp_path):
         src = self._one_run(tmp_path)

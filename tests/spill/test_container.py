@@ -151,3 +151,98 @@ class TestBudgetEnforcement:
             assert mgr.accountant.current == 0
         finally:
             mgr.cleanup()
+
+
+def _drive_gate(inner_factory, batches, budget, combined, bulk):
+    """Push ``batches`` (one map task each) through a fresh spillable
+    container, a batch or a pair at a time; report everything the gate
+    decides."""
+    mgr = SpillManager(budget)
+    try:
+        container = SpillableContainer(inner_factory, mgr)
+        container.begin_round()
+        error = None
+        try:
+            for task_id, batch in enumerate(batches):
+                emitter = container.emitter(task_id)
+                if combined:
+                    states = dict(batch)
+                    if bulk:
+                        emitter.emit_combined(states, len(states))
+                    else:
+                        for key, state in states.items():
+                            emitter.emit_combined({key: state}, 1)
+                elif bulk:
+                    emitter.emit_many(batch)
+                else:
+                    for key, value in batch:
+                        emitter.emit(key, value)
+        except SpillError as exc:
+            error = str(exc)
+        stats = mgr.stats()
+        return {
+            "runs": [list(mgr.open_run(info)) for info in mgr.runs],
+            "run_count": stats.runs,
+            "spilled_records": stats.spilled_records,
+            "peak": stats.peak_accounted_bytes,
+            "accounted": mgr.accountant.current,
+            "charges": mgr.accountant.charges,
+            "container": container.stats(),
+            "error": error,
+        }
+    finally:
+        mgr.cleanup()
+
+
+_PAIR = st.tuples(
+    st.sampled_from(WORDS[:12]) | st.binary(max_size=30),
+    st.integers(0, 1 << 70),
+)
+_BATCHES = st.lists(st.lists(_PAIR, max_size=40), min_size=1, max_size=4)
+# From "no pair fits" through "spills every few pairs" to "never spills".
+_BUDGET = st.integers(60, 6000)
+
+
+class TestBulkGateParity:
+    """A batch through the gate == the same pairs one ``emit`` at a time:
+    run files cut at the same pair, same accounting, same errors."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_BATCHES, _BUDGET)
+    def test_array_inner(self, batches, budget):
+        bulk = _drive_gate(ArrayContainer, batches, budget, False, True)
+        single = _drive_gate(ArrayContainer, batches, budget, False, False)
+        assert bulk == single
+
+    @settings(max_examples=120, deadline=None)
+    @given(_BATCHES, _BUDGET)
+    def test_hash_inner(self, batches, budget):
+        def inner():
+            return HashContainer(SumCombiner())
+
+        bulk = _drive_gate(inner, batches, budget, False, True)
+        single = _drive_gate(inner, batches, budget, False, False)
+        assert bulk == single
+
+    @settings(max_examples=120, deadline=None)
+    @given(_BATCHES, _BUDGET)
+    def test_folded_states(self, batches, budget):
+        def inner():
+            return HashContainer(SumCombiner())
+
+        bulk = _drive_gate(inner, batches, budget, True, True)
+        single = _drive_gate(inner, batches, budget, True, False)
+        assert bulk == single
+
+    def test_matrix_is_not_vacuous(self):
+        batches = [[(w, i) for i, w in enumerate(WORDS)] * 3]
+        spilled = _drive_gate(ArrayContainer, batches, 1500, False, True)
+        assert spilled["run_count"] >= 3 and spilled["error"] is None
+        assert spilled["peak"] <= 1500
+        too_small = _drive_gate(ArrayContainer, batches, 60, False, True)
+        assert "budget too small" in too_small["error"]
+        big_second = _drive_gate(
+            ArrayContainer, [[(b"a", 1), (b"x" * 5000, 1)]], 1500, False, True
+        )
+        assert "would exceed" in big_second["error"]
+        assert big_second["run_count"] == 1

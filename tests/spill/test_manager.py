@@ -6,7 +6,13 @@ import pytest
 
 from repro.containers.combiners import SumCombiner
 from repro.errors import SpillError
-from repro.spill.manager import SpillManager, group_sorted_pairs
+from repro.exitcodes import EXIT_FAILURE, classify_exception
+from repro.spill.manager import (
+    SpillManager,
+    group_sorted_block,
+    group_sorted_pairs,
+)
+from tests.spill.damage import DAMAGE, rewrite_as_v1
 
 
 class TestGroupSortedPairs:
@@ -22,6 +28,24 @@ class TestGroupSortedPairs:
     def test_value_order_preserved(self):
         pairs = [(b"k", [3]), (b"k", [1]), (b"k", [2])]
         assert list(group_sorted_pairs(pairs)) == [(b"k", (3, 1, 2))]
+
+
+class TestGroupSortedBlock:
+    def test_equals_the_streaming_grouping(self):
+        block = [(b"a", [1]), (b"a", [2, 3]), (b"b", [4]), (b"c", (5,))]
+        assert group_sorted_block(block) == list(group_sorted_pairs(block))
+
+    def test_distinct_keys_only_freeze_the_values(self):
+        assert group_sorted_block([(b"a", [1]), (b"b", [2])]) == [
+            (b"a", (1,)), (b"b", (2,)),
+        ]
+
+    def test_finished_groups_pass_through_untouched(self):
+        block = [(b"a", (1,)), (b"b", (2, 3))]
+        assert group_sorted_block(block) is block
+
+    def test_empty(self):
+        assert group_sorted_block([]) == []
 
 
 class TestSpillPairs:
@@ -91,3 +115,33 @@ class TestLifecycle:
         assert spill_dir.exists()
         mgr.cleanup()
         assert not spill_dir.exists()
+
+
+class TestAdoptRuns:
+    def _sealed_run(self, tmp_path):
+        old = SpillManager(1024, spill_dir=tmp_path)
+        return old.spill_pairs([(b"a", [1]), (b"b", [2])], raw=True)
+
+    def test_sealed_run_is_adopted_and_counted(self, tmp_path):
+        info = self._sealed_run(tmp_path)
+        mgr = SpillManager(1024, spill_dir=tmp_path)
+        mgr.adopt_runs([info])
+        assert list(mgr.open_run(mgr.runs[0])) == [(b"a", (1,)), (b"b", (2,))]
+        assert mgr.stats().spilled_records == 2
+
+    @pytest.mark.parametrize("kind", sorted(DAMAGE))
+    def test_damaged_run_is_refused_with_the_typed_error(self, tmp_path, kind):
+        info = self._sealed_run(tmp_path)
+        DAMAGE[kind](info.path)
+        mgr = SpillManager(1024, spill_dir=tmp_path)
+        with pytest.raises(SpillError):
+            mgr.adopt_runs([info])
+        assert not mgr.runs
+
+    def test_format_1_run_from_an_older_checkpoint(self, tmp_path):
+        info = self._sealed_run(tmp_path)
+        rewrite_as_v1(info.path)
+        mgr = SpillManager(1024, spill_dir=tmp_path)
+        with pytest.raises(SpillError, match="version 1") as exc:
+            mgr.adopt_runs([info])
+        assert classify_exception(exc.value) == EXIT_FAILURE

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.util.hashing import stable_hash
+from repro.util.hashing import stable_hash, stable_hash_many
 from repro.util.units import GB, KB, MB, fmt_bytes, fmt_seconds, parse_size
 
 
@@ -48,6 +48,43 @@ class TestStableHash:
         h = stable_hash(key)
         assert h == stable_hash(key)
         assert 0 <= h < 2**64
+
+
+_MIXED_KEY = st.one_of(
+    st.binary(max_size=40), st.text(max_size=20), st.integers(), st.none(),
+    st.booleans(), st.tuples(st.integers(), st.text(max_size=5)),
+)
+
+
+class TestStableHashMany:
+    """The batch hash is the per-key hash, value for value."""
+
+    @given(st.lists(_MIXED_KEY, max_size=120))
+    def test_mixed_batch_equals_one_at_a_time(self, keys):
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+
+    @given(st.one_of(st.lists(st.binary(max_size=64), max_size=200),
+                     st.lists(st.text(max_size=24), max_size=200)))
+    def test_one_kind_batch_equals_one_at_a_time(self, keys):
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+
+    def test_fixed_width_batch_and_long_stragglers(self):
+        # Wide enough for the column path, with an empty key and a few
+        # keys far longer than the rest finished by the scalar loop.
+        keys = [b"%010d" % i for i in range(300)]
+        keys[7:7] = [b"", b"z" * 1000, b"y" * 999]
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+        assert stable_hash_many(iter(keys[:40])) == stable_hash_many(keys)[:40]
+
+    def test_subclasses_take_the_per_key_path(self):
+        class Tagged(bytes):
+            pass
+
+        keys = [Tagged(b"a"), b"a", "a", Tagged(b"")] * 10
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+
+    def test_empty_batch(self):
+        assert stable_hash_many([]) == []
 
 
 class TestParseSize:
