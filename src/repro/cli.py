@@ -21,20 +21,19 @@ deadline expired — identical for one-shot runs and ``submit --wait``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 
 from repro._version import __version__
 from repro.apps.sortapp import make_sort_job
 from repro.apps.wordcount import make_wordcount_job
-from repro.core.options import RuntimeOptions
-from repro.core.phoenix import PhoenixRuntime
+from repro.core.flags import RUNTIME_FLAGS, options_from_flags
 from repro.core.result import JobResult
-from repro.core.supmr import SupMRRuntime
+from repro.core.supmr import run_job
 from repro.errors import ReproError
 from repro.exitcodes import classify_exception, classify_result
 from repro.experiments import available_experiments, run_experiment
-from repro.service.jobspec import build_options
 from repro.util.units import fmt_bytes, fmt_seconds, parse_size
 from repro.workloads import (
     generate_small_files,
@@ -98,12 +97,6 @@ def _print_result(result: JobResult) -> None:
     print(f"  digest: {result.output_digest()}")
 
 
-#: One shared lowering for CLI namespaces and submitted job specs, so
-#: the one-shot and service paths cannot drift
-#: (:func:`repro.service.jobspec.build_options`).
-_options_from = build_options
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     if args.list:
         for exp_id in available_experiments():
@@ -123,18 +116,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_job(job, options: RuntimeOptions) -> JobResult:
-    if options.num_shards is not None:
-        from repro.shard import ShardedRuntime
-
-        return ShardedRuntime(options).run(job)
-    if options.chunk_strategy.value == "none":
-        return PhoenixRuntime(options).run(job)
-    return SupMRRuntime(options).run(job)
-
-
 def _maybe_timeline(args: argparse.Namespace, result: JobResult) -> None:
-    if not getattr(args, "timeline", False):
+    if not args.timeline:
         return
     from repro.analysis.timeline import (
         overlap_fraction,
@@ -156,30 +139,21 @@ def _maybe_timeline(args: argparse.Namespace, result: JobResult) -> None:
         print(qos_line)
 
 
-def _cmd_wordcount(args: argparse.Namespace) -> int:
-    options = _options_from(args)
-    result = _run_job(make_wordcount_job(args.files), options)
-    if getattr(args, "json", False):
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``supmr wordcount`` / ``supmr sort``: one job on the real runtime."""
+    if args.command == "wordcount":
+        job = make_wordcount_job(args.files)
+    else:
+        job = make_sort_job([args.file])
+    result = run_job(job, options_from_flags(vars(args)))
+    if args.json:
         from repro.analysis.report import to_json
 
         print(to_json(result))
         return classify_result(result.counters)
     _print_result(result)
-    for key, count in result.output[: args.top]:
+    for key, count in result.output[: getattr(args, "top", 0)]:
         print(f"  {key.decode('utf-8', 'replace'):<24s} {count}")
-    _maybe_timeline(args, result)
-    return classify_result(result.counters)
-
-
-def _cmd_sort(args: argparse.Namespace) -> int:
-    options = _options_from(args)
-    result = _run_job(make_sort_job([args.file]), options)
-    if getattr(args, "json", False):
-        from repro.analysis.report import to_json
-
-        print(to_json(result))
-        return classify_result(result.counters)
-    _print_result(result)
     _maybe_timeline(args, result)
     return classify_result(result.counters)
 
@@ -217,54 +191,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"duplicate keys   : {report.duplicate_keys}")
     print(f"checksum         : {report.checksum:016x}")
     return 0 if report.valid else 1
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service.cli import cmd_serve
-
-    return cmd_serve(args)
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service.cli import cmd_submit
-
-    return cmd_submit(args)
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.service.cli import cmd_status
-
-    return cmd_status(args)
-
-
-def _cmd_result(args: argparse.Namespace) -> int:
-    from repro.service.cli import cmd_result
-
-    return cmd_result(args)
-
-
-def _cmd_cancel(args: argparse.Namespace) -> int:
-    from repro.service.cli import cmd_cancel
-
-    return cmd_cancel(args)
-
-
-def _cmd_shutdown(args: argparse.Namespace) -> int:
-    from repro.service.cli import cmd_shutdown
-
-    return cmd_shutdown(args)
-
-
-def _cmd_agents(args: argparse.Namespace) -> int:
-    from repro.service.cli import cmd_agents
-
-    return cmd_agents(args)
-
-
-def _cmd_agent(args: argparse.Namespace) -> int:
-    from repro.net.agent import cmd_agent
-
-    return cmd_agent(args)
 
 
 def _cmd_gc(args: argparse.Namespace) -> int:
@@ -322,103 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list experiment ids and exit")
     p_exp.set_defaults(fn=_cmd_experiments)
 
-    def add_runtime_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mappers", type=int, default=4)
-        p.add_argument("--reducers", type=int, default=4)
-        p.add_argument("--backend",
-                       choices=("serial", "thread", "process"),
-                       default=None,
-                       help="execution backend: serial (inline), thread "
-                            "(default; GIL-bound CPU phases), or process "
-                            "(forked workers, zero-copy mmap ingest)")
-        p.add_argument("--baseline", action="store_true",
-                       help="original runtime (no ingest chunks)")
-        p.add_argument("--chunk-size", help="inter-file chunk size, e.g. 4MB")
-        p.add_argument("--memory-budget",
-                       help="intermediate container byte budget, e.g. 64MB; "
-                            "spills to disk when exceeded")
-        p.add_argument("--timeline", action="store_true",
-                       help="render the pipeline timeline after the run")
-        p.add_argument("--json", action="store_true",
-                       help="emit the result as JSON instead of text")
-        p.add_argument("--faults",
-                       help="fault plan, e.g. "
-                            "'ingest.read=once,record.corrupt=0.001'")
-        p.add_argument("--fault-seed", type=int, default=0,
-                       help="seed for the deterministic fault plan")
-        p.add_argument("--retry", type=int, default=None, metavar="N",
-                       help="retry budget per fault site (default 3; "
-                            "0 fails fast)")
-        p.add_argument("--skip-budget", type=int, default=None, metavar="N",
-                       help="max corrupt records to quarantine before "
-                            "aborting (default 1000)")
-        p.add_argument("--checkpoint-dir", metavar="DIR",
-                       help="journal completed work under DIR so a killed "
-                            "job can be resumed")
-        p.add_argument("--resume", action="store_true",
-                       help="resume from the journal in --checkpoint-dir "
-                            "instead of starting fresh")
-        p.add_argument("--job-deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="stop admitting new work after SECONDS and "
-                            "return the partial result marked DEGRADED")
-        p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="run the job scaled out across N supervised "
-                            "shard worker processes (fault-tolerant "
-                            "sharded runtime)")
-        p.add_argument("--shard-dir", metavar="DIR",
-                       help="working directory for shard pid files and "
-                            "exchanged run files (default: a private "
-                            "temporary directory)")
-        p.add_argument("--peers", metavar="HOST:PORT,...",
-                       help="place the shard workers on these remote "
-                            "agents (requires --shards; start each with "
-                            "'supmr agent --listen HOST:PORT'); "
-                            "unreachable hosts degrade to local "
-                            "execution with an identical digest")
-        p.add_argument("--net-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="liveness and transfer deadline for --peers "
-                            "runs (default 10)")
-        p.add_argument("--io-budget", metavar="RATE",
-                       help="token-bucket I/O bandwidth cap in bytes/s, "
-                            "e.g. 64MB; throttles ingest reads and spill "
-                            "writes (default: unthrottled)")
-        p.add_argument("--io-burst", metavar="SIZE",
-                       help="token-bucket burst capacity in bytes "
-                            "(default: one second's worth of --io-budget)")
-        p.add_argument("--tenant", default="default",
-                       help="tenant the job is accounted to (QoS counters, "
-                            "per-tenant service budgets)")
-        p.add_argument("--io-priority", type=int, default=0,
-                       help="bandwidth priority class for priority-aware "
-                            "QoS policies (higher gets bandwidth first)")
-        p.add_argument("--transport",
-                       choices=("auto", "shm", "pipe"),
-                       default=None,
-                       help="process-backend result transport: shared-memory "
-                            "segments (shm), queue pipes (pipe), or auto "
-                            "(shm when /dev/shm works; the default)")
-        p.add_argument("--ingest-readers", type=int, default=None, metavar="N",
-                       help="concurrent ingest prefetch readers (N>1 enables "
-                            "the multi-queue async ingest pipeline)")
-        p.add_argument("--ingest-depth", type=int, default=None, metavar="N",
-                       help="buffered-chunk window for the prefetch pipeline "
-                            "(default: 1 for one reader, else readers+1)")
+    def add_runtime_args(
+        p: argparse.ArgumentParser, app: str, submitted: bool = False
+    ) -> None:
+        """``app``'s rows of the one flag table; a ``submit`` parser
+        only offers what a job spec carries."""
+        for flag in RUNTIME_FLAGS:
+            if app in flag.apps and (flag.in_spec or not submitted):
+                p.add_argument(flag.name, **flag.argparse)
 
     p_wc = sub.add_parser("wordcount", help="run word count on real files")
     p_wc.add_argument("files", nargs="+")
-    p_wc.add_argument("--files-per-chunk", type=int,
-                      help="intra-file chunking (many small files)")
-    p_wc.add_argument("--top", type=int, default=10,
-                      help="print the first N output pairs")
-    add_runtime_args(p_wc)
-    p_wc.set_defaults(fn=_cmd_wordcount)
+    add_runtime_args(p_wc, "wordcount")
+    p_wc.set_defaults(fn=_cmd_run)
 
     p_sort = sub.add_parser("sort", help="run terasort on a real file")
     p_sort.add_argument("file")
-    add_runtime_args(p_sort)
-    p_sort.set_defaults(fn=_cmd_sort)
+    add_runtime_args(p_sort, "sort")
+    p_sort.set_defaults(fn=_cmd_run)
 
     p_tune = sub.add_parser(
         "tune", help="model-based optimal chunk size (paper future work)"
@@ -515,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="service-site fault plan, e.g. "
                               "'service.conn.drop=0.2,service.job.crash=once'")
     p_serve.add_argument("--fault-seed", type=int, default=0)
-    p_serve.set_defaults(fn=_cmd_serve)
+    p_serve.set_defaults(fn="repro.service.cli:cmd_serve")
 
     p_submit = sub.add_parser(
         "submit", help="submit a job to a running daemon"
@@ -538,37 +385,36 @@ def build_parser() -> argparse.ArgumentParser:
     submit_sub = p_submit.add_subparsers(dest="app", required=True)
     p_sub_wc = submit_sub.add_parser("wordcount")
     p_sub_wc.add_argument("files", nargs="+")
-    p_sub_wc.add_argument("--files-per-chunk", type=int)
-    add_runtime_args(p_sub_wc)
+    add_runtime_args(p_sub_wc, "wordcount", submitted=True)
     p_sub_sort = submit_sub.add_parser("sort")
     p_sub_sort.add_argument("file")
-    add_runtime_args(p_sub_sort)
-    p_submit.set_defaults(fn=_cmd_submit)
+    add_runtime_args(p_sub_sort, "sort", submitted=True)
+    p_submit.set_defaults(fn="repro.service.cli:cmd_submit")
 
     p_status = sub.add_parser(
         "status", help="show service / job state"
     )
     add_state_dir(p_status)
     p_status.add_argument("job_id", nargs="?", default=None)
-    p_status.set_defaults(fn=_cmd_status)
+    p_status.set_defaults(fn="repro.service.cli:cmd_status")
 
     p_result = sub.add_parser(
         "result", help="fetch a finished job's JSON report (incl. digest)"
     )
     add_state_dir(p_result)
     p_result.add_argument("job_id")
-    p_result.set_defaults(fn=_cmd_result)
+    p_result.set_defaults(fn="repro.service.cli:cmd_result")
 
     p_cancel = sub.add_parser("cancel", help="cancel a queued or running job")
     add_state_dir(p_cancel)
     p_cancel.add_argument("job_id")
-    p_cancel.set_defaults(fn=_cmd_cancel)
+    p_cancel.set_defaults(fn="repro.service.cli:cmd_cancel")
 
     p_shutdown = sub.add_parser(
         "shutdown", help="ask the daemon to drain and exit"
     )
     add_state_dir(p_shutdown)
-    p_shutdown.set_defaults(fn=_cmd_shutdown)
+    p_shutdown.set_defaults(fn="repro.service.cli:cmd_shutdown")
 
     p_agents = sub.add_parser(
         "agents", help="show or edit the daemon's agent pool"
@@ -580,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "and takes work once a probe succeeds)")
     group.add_argument("--deregister", metavar="HOST:PORT",
                        help="drop one agent from the pool")
-    p_agents.set_defaults(fn=_cmd_agents)
+    p_agents.set_defaults(fn="repro.service.cli:cmd_agents")
 
     p_agent = sub.add_parser(
         "agent", help="host shard workers for a remote coordinator"
@@ -601,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="keep hosted workers this long after losing "
                               "the coordinator connection before reaping "
                               "them (a reconnect inside it resumes)")
-    p_agent.set_defaults(fn=_cmd_agent)
+    p_agent.set_defaults(fn="repro.net.agent:cmd_agent")
 
     p_gc = sub.add_parser(
         "gc", help="remove completed checkpoint directories"
@@ -631,8 +477,14 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    fn = args.fn
+    if isinstance(fn, str):
+        # the service and agent commands name their body "module:function",
+        # so one-shot runs never import the daemon's stack
+        module, _, name = fn.partition(":")
+        fn = getattr(importlib.import_module(module), name)
     try:
-        return args.fn(args)
+        return fn(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return classify_exception(exc)

@@ -12,7 +12,7 @@ from repro.core.job import JobSpec, MapContext
 from repro.core.options import ChunkStrategy, MergeAlgorithm, RuntimeOptions
 from repro.core.phoenix import PhoenixRuntime
 from repro.core.result import JobResult, PhaseTimings, RoundTiming
-from repro.core.supmr import SupMRRuntime, run_ingest_mr
+from repro.core.supmr import SupMRRuntime, run_ingest_mr, run_job
 from repro.core.timers import PhaseTimer
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "PhoenixRuntime",
     "SupMRRuntime",
     "run_ingest_mr",
+    "run_job",
     "JobResult",
     "PhaseTimings",
     "RoundTiming",

@@ -9,8 +9,8 @@ with the thread counts and merge algorithm selection.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import Any, Callable, Sequence
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
@@ -46,6 +46,28 @@ class MergeAlgorithm(enum.Enum):
     PWAY = "pway"
 
 
+def _opt(
+    default: Any,
+    *,
+    wire: "bool | Callable[[Any], Any]" = False,
+    fingerprint: int | None = None,
+) -> Any:
+    """Declare one :class:`RuntimeOptions` field and how far it travels.
+
+    ``wire`` marks a field that rides to a remote shard worker
+    (:func:`repro.net.jobs.options_to_wire`): ``True`` for a value that
+    is JSON as it stands, or the callable that rebuilds it from its JSON
+    form.  ``fingerprint`` marks a field that shapes journaled state
+    (:func:`repro.resilience.journal.job_fingerprint`); the number is
+    its slot in the fingerprinted tuple and is frozen, because a journal
+    written by an earlier build must still match.  Every field goes
+    through here, so adding one means deciding both.
+    """
+    return field(
+        default=default, metadata={"wire": wire, "fingerprint": fingerprint}
+    )
+
+
 @dataclass(frozen=True)
 class RuntimeOptions:
     """Knobs shared by both runtimes.
@@ -58,52 +80,58 @@ class RuntimeOptions:
     out-of-core spilling (:mod:`repro.spill`).
     """
 
-    num_mappers: int = 4
-    num_reducers: int = 4
-    chunk_strategy: ChunkStrategy = ChunkStrategy.NONE
-    chunk_bytes: int | None = None
-    files_per_chunk: int | None = None
-    chunk_schedule: tuple[int, ...] | None = None
-    merge_algorithm: MergeAlgorithm = MergeAlgorithm.PAIRWISE
-    merge_parallelism: int | None = None  # default: num_reducers
-    pipelined_ingest: bool = True
+    num_mappers: int = _opt(4, wire=True)
+    num_reducers: int = _opt(4, wire=True, fingerprint=4)
+    chunk_strategy: ChunkStrategy = _opt(ChunkStrategy.NONE, fingerprint=0)
+    chunk_bytes: int | None = _opt(None, fingerprint=1)
+    files_per_chunk: int | None = _opt(None, fingerprint=2)
+    chunk_schedule: tuple[int, ...] | None = _opt(None, fingerprint=3)
+    merge_algorithm: MergeAlgorithm = _opt(
+        MergeAlgorithm.PAIRWISE, wire=MergeAlgorithm, fingerprint=5
+    )
+    merge_parallelism: int | None = _opt(None)  # default: num_reducers
+    pipelined_ingest: bool = _opt(True)
     #: Byte budget for the intermediate container ("64MB" accepted);
     #: None keeps the paper's everything-in-RAM behaviour.  When set,
     #: both runtimes wrap the job's container in the out-of-core spill
     #: subsystem (:mod:`repro.spill`).
-    memory_budget: int | str | None = None
+    memory_budget: int | str | None = _opt(None, wire=True, fingerprint=6)
     #: Streams per external-merge pass over spill runs (>= 2).
-    spill_merge_fan_in: int = 8
+    spill_merge_fan_in: int = _opt(8, wire=True)
     #: Seeded fault-injection plan (:mod:`repro.faults`); None runs
     #: clean with zero checking overhead.  The runtime arms a fresh
     #: injector per run, so the same options object replays the same
     #: fault sequence every time.
-    fault_plan: FaultPlan | None = None
+    fault_plan: FaultPlan | None = _opt(
+        None, wire=FaultPlan.from_wire, fingerprint=7
+    )
     #: How injected (and genuine transient) faults are answered: bounded
     #: retry with backoff, record quarantine, verify-then-re-spill.
-    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
+    recovery: RecoveryPolicy = _opt(
+        RecoveryPolicy(), wire=lambda data: RecoveryPolicy(**data)
+    )
     #: How map/reduce/merge tasks execute (``"serial"`` | ``"thread"`` |
     #: ``"process"``; see :mod:`repro.parallel.backends`).  ``thread``
     #: is the historical default; ``process`` runs supervised forked
     #: workers (lease tracking, respawn, poison-task quarantine) for
     #: real multicore with zero-copy (mmap) split ingest.
-    executor_backend: ExecutorBackend | str = ExecutorBackend.THREAD
+    executor_backend: ExecutorBackend | str = _opt(ExecutorBackend.THREAD)
     #: Directory for the crash-safe job journal (:mod:`repro.resilience`).
     #: When set, the runtime checkpoints each completed ingest round and
     #: the reduced partitions there; None runs without durability.
-    checkpoint_dir: str | None = None
+    checkpoint_dir: str | None = _opt(None)
     #: Resume from an existing journal in ``checkpoint_dir`` instead of
     #: starting fresh (completed rounds are skipped; output is identical
     #: to an uninterrupted run).
-    resume: bool = False
+    resume: bool = _opt(False)
     #: Whole-job wall-clock deadline in seconds; when it expires the
     #: runtime stops admitting new ingest rounds and returns the partial
     #: result with ``counters["degraded"]`` set.  None never expires.
-    job_deadline_s: float | None = None
+    job_deadline_s: float | None = _opt(None)
     #: Step the executor backend down (process -> thread -> serial) and
     #: re-run the job when a pool failure escapes the supervisor,
     #: instead of propagating :class:`~repro.errors.ParallelError`.
-    degrade_on_pool_failure: bool = True
+    degrade_on_pool_failure: bool = _opt(True)
     #: Split the job over this many fault-tolerant shard worker processes
     #: (:mod:`repro.shard`): each shard maps a contiguous block of ingest
     #: chunks and reduces the partitions a consistent-hash map assigns
@@ -111,52 +139,52 @@ class RuntimeOptions:
     #: (default) runs unsharded on the classic runtimes; ``1`` still
     #: routes through the sharded coordinator (the digest baseline the
     #: determinism tests compare multi-shard runs against).
-    num_shards: int | None = None
+    num_shards: int | None = _opt(None)
     #: Directory for the shard run exchange (outboxes, inboxes, worker
     #: pid files).  None lets the coordinator create and clean up a
     #: temporary directory.
-    shard_dir: str | None = None
+    shard_dir: str | None = _opt(None)
     #: I/O bandwidth budget in bytes/second ("64MB" accepted); when set,
     #: the runtime meters ingest reads and spill writes through a token
     #: bucket (:mod:`repro.qos.throttle`) so concurrent tenants share
     #: the node's disk bandwidth at their assigned rates.  None (the
     #: default) runs unthrottled with zero QoS overhead.
-    io_budget: int | str | None = None
+    io_budget: int | str | None = _opt(None, wire=True)
     #: Token-bucket burst allowance in bytes; None defaults to one
     #: second of tokens at ``io_budget``.
-    io_burst: int | str | None = None
+    io_burst: int | str | None = _opt(None, wire=True)
     #: Tenant label for multi-tenant accounting (service-side budgets,
     #: per-tenant counters, fault-site scoping).
-    tenant: str = "default"
+    tenant: str = _opt("default", wire=True)
     #: Bandwidth priority class fed to priority-aware allocators.
-    io_priority: int = 0
+    io_priority: int = _opt(0, wire=True)
     #: How forked workers ship results back (:mod:`repro.xfer`):
     #: ``"shm"`` posts pickle-5 payloads through shared-memory segments
     #: and sends only tiny control frames over the queue; ``"pipe"`` is
     #: the PR-3 pickle-over-the-queue path; ``"auto"`` (default) picks
     #: shm when the box supports it and falls back to pipe otherwise.
-    transport: str = "auto"
+    transport: str = _opt("auto")
     #: Remote agent endpoints (``"host:port,..."`` or a sequence) the
     #: sharded coordinator may place shard worker groups on
     #: (:mod:`repro.net`).  Requires ``num_shards``; shards are placed
     #: round-robin over the reachable peers, and an unreachable or
     #: partitioned peer degrades to local execution rather than failing
     #: the job.  None (default) keeps every worker on this host.
-    peers: tuple[str, ...] | str | None = None
+    peers: tuple[str, ...] | str | None = _opt(None)
     #: Liveness and transfer deadline in seconds for the multi-host
     #: transport: an agent silent past this is treated as lost, and a
     #: run-file transfer may not exceed it end to end.
-    net_timeout_s: float = 10.0
+    net_timeout_s: float = _opt(10.0)
     #: Prefetch reader threads for pipelined ingest.  ``1`` keeps the
     #: single look-ahead-one background thread; ``N > 1`` runs N
     #: ``readinto``-based readers over a bounded in-flight window so
     #: ingest keeps up with more than two concurrent mapper waves.
-    ingest_readers: int = 1
+    ingest_readers: int = _opt(1)
     #: Bound on chunks buffered ahead of the mapper (the prefetch
     #: window; one more is being mapped).  None defaults to the paper's
     #: double buffer (``1``) for one reader, ``ingest_readers + 1`` for
     #: more.
-    ingest_depth: int | None = None
+    ingest_depth: int | None = _opt(None)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -334,3 +362,14 @@ class RuntimeOptions:
             chunk_bytes=parse_size(chunk_size),
             **kw,
         )
+
+
+#: The fields that ride to a remote shard worker, in declaration order.
+WIRE_FIELDS: tuple[Field, ...] = tuple(
+    f for f in fields(RuntimeOptions) if f.metadata["wire"]
+)
+#: The fields that shape journaled state, in fingerprint-slot order.
+FINGERPRINT_FIELDS: tuple[Field, ...] = tuple(sorted(
+    (f for f in fields(RuntimeOptions) if f.metadata["fingerprint"] is not None),
+    key=lambda f: f.metadata["fingerprint"],
+))

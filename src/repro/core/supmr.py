@@ -24,6 +24,7 @@ from repro.chunking.planner import plan_chunks
 from repro.core.driver import JobRun
 from repro.core.job import JobSpec
 from repro.core.options import ChunkStrategy, RuntimeOptions
+from repro.core.phoenix import PhoenixRuntime
 from repro.core.result import JobResult
 from repro.errors import ConfigError
 from repro.resilience.degrade import run_with_degradation
@@ -62,4 +63,18 @@ class SupMRRuntime:
 
 def run_ingest_mr(job: JobSpec, options: RuntimeOptions) -> JobResult:
     """The paper's ``run_ingestMR()`` entry point (Table I)."""
+    return SupMRRuntime(options).run(job)
+
+
+def run_job(job: JobSpec, options: RuntimeOptions) -> JobResult:
+    """Run ``job`` on the runtime ``options`` selects: the sharded
+    coordinator when ``num_shards`` is set, Phoenix when there is no
+    chunk strategy, SupMR otherwise.  The one-shot CLI and the service
+    runner both dispatch here."""
+    if options.num_shards is not None:
+        from repro.shard import ShardedRuntime
+
+        return ShardedRuntime(options).run(job)
+    if options.chunk_strategy is ChunkStrategy.NONE:
+        return PhoenixRuntime(options).run(job)
     return SupMRRuntime(options).run(job)

@@ -28,20 +28,6 @@ class RuntimeStateError(ReproError):
     """A runtime was driven through an invalid state transition."""
 
 
-class DrainTimeout(RuntimeStateError):
-    """:meth:`~repro.core.scheduler.TaskScheduler.drain` timed out.
-
-    Carries the number of tasks still pending so callers can size a
-    retry or report how much work was abandoned.  Subclasses
-    :class:`RuntimeStateError` because an un-drained scheduler is an
-    invalid state to tear down from.
-    """
-
-    def __init__(self, message: str, pending: int = 0) -> None:
-        super().__init__(message)
-        self.pending = pending
-
-
 class DeadlineExceeded(RuntimeStateError):
     """A whole-job deadline (``RuntimeOptions.job_deadline_s``) expired.
 

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 # Real-runtime sites (checked by the executable pipeline):
 SITE_INGEST_READ = "ingest.read"        # io.datafile / chunking.chunk
 SITE_RECORD_CORRUPT = "record.corrupt"  # io.records screening
-SITE_MAP_TASK = "map.task"              # core.execution / core.scheduler
+SITE_MAP_TASK = "map.task"              # core.execution
 SITE_SPILL_CORRUPT = "spill.corrupt"    # spill.manager run files
 SITE_WORKER_CRASH = "worker.crash"      # resilience.supervisor (worker dies)
 SITE_TASK_HANG = "task.hang"            # resilience.supervisor (lease expiry)
@@ -183,6 +183,16 @@ class FaultPlan:
     def sites(self) -> tuple[str, ...]:
         """The site names this plan arms, in spec order."""
         return tuple(s.site for s in self.specs)
+
+    @classmethod
+    def from_wire(cls, data: dict) -> "FaultPlan":
+        """Rebuild a plan from its JSON form (``seed`` plus one dict per
+        spec) — bit-identical, so a remote worker rolls the same seeded
+        sites with the same scopes as a local one."""
+        return cls(
+            seed=int(data.get("seed", 0)),
+            specs=tuple(FaultSpec(**spec) for spec in data["specs"]),
+        )
 
     def roll(self, site: str, scope: Hashable, attempt: int) -> float:
         """The deterministic uniform draw for one check, in [0, 1).

@@ -63,6 +63,7 @@ from repro.parallel.shard_worker import (
     shard_worker_main,
 )
 from repro.service.protocol import recv_frame, send_frame
+from repro.util.atomic import publish
 from repro.util.logging import get_logger
 
 logger = get_logger(__name__)
@@ -580,7 +581,7 @@ def cmd_agent(args: argparse.Namespace) -> int:
     )
     print(f"supmr agent listening on {server.addr}", flush=True)
     if args.addr_file:
-        Path(args.addr_file).write_text(server.addr + "\n")
+        publish(args.addr_file, server.addr + "\n")
 
     def _terminate(_signum: int, _frame: Any) -> None:
         server._stop.set()

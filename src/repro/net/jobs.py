@@ -8,9 +8,10 @@ the identical objects from:
 * the **job** travels as its app name + input paths (the same registry
   the job service uses — callables never cross the wire);
 * the **options** travel as the subset a shard worker actually reads
-  (mapper/reducer counts, memory budget, fault plan + recovery policy,
-  QoS knobs) — ``task_id_base`` math and fault scopes stay identical,
-  which is what keeps digests byte-identical across placements;
+  (the fields :class:`~repro.core.options.RuntimeOptions` marks
+  ``wire``; ``docs/options.md`` lists them) — ``task_id_base`` math and
+  fault scopes stay identical, which is what keeps digests
+  byte-identical across placements;
 * the **chunks** travel as their source descriptors (path, offset,
   length) — inputs are expected on a shared filesystem, exactly like
   every production MapReduce's input contract.
@@ -19,15 +20,14 @@ the identical objects from:
 from __future__ import annotations
 
 import dataclasses
+import enum
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.chunking.chunk import Chunk, ChunkSource
 from repro.core.job import JobSpec
-from repro.core.options import MergeAlgorithm, RuntimeOptions
+from repro.core.options import WIRE_FIELDS, RuntimeOptions
 from repro.errors import ConfigError
-from repro.faults.plan import FaultPlan, FaultSpec
-from repro.faults.policy import RecoveryPolicy
 
 #: Apps a remote spawn may name (the job-service registry).
 KNOWN_APPS = ("wordcount", "sort")
@@ -58,59 +58,47 @@ def job_from_wire(data: dict[str, Any]) -> JobSpec:
     raise ConfigError(f"unknown remote app {app!r}")
 
 
+def _json_safe(value: Any) -> Any:
+    """Enums by value, dataclasses as field dicts, tuples as lists."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _json_safe(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, tuple):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def options_to_wire(options: RuntimeOptions) -> dict[str, Any]:
     """The worker-relevant option subset, JSON-safe.
 
-    Deliberately excludes placement-side knobs (``peers``, shard and
-    checkpoint directories, executor backend — workers run their block
-    serially either way) so the same wire form is valid on any host.
+    Carries the fields :class:`RuntimeOptions` marks ``wire``.  The
+    marks deliberately leave out placement-side knobs (``peers``, shard
+    and checkpoint directories, executor backend — workers run their
+    block serially either way) so the same wire form is valid on any
+    host.
     """
-    wire: dict[str, Any] = {
-        "num_mappers": options.num_mappers,
-        "num_reducers": options.num_reducers,
-        "memory_budget": options.memory_budget,
-        "spill_merge_fan_in": options.spill_merge_fan_in,
-        "merge_algorithm": options.merge_algorithm.value,
-        "io_budget": options.io_budget,
-        "io_burst": options.io_burst,
-        "tenant": options.tenant,
-        "io_priority": options.io_priority,
-    }
-    if options.fault_plan is not None:
-        wire["fault_plan"] = {
-            "seed": options.fault_plan.seed,
-            "specs": [
-                dataclasses.asdict(spec) for spec in options.fault_plan.specs
-            ],
-        }
-    wire["recovery"] = dataclasses.asdict(options.recovery)
+    wire: dict[str, Any] = {}
+    for f in WIRE_FIELDS:
+        value = getattr(options, f.name)
+        if value is None and f.metadata["wire"] is not True:
+            continue  # no fault plan: the key is left out, not sent as null
+        wire[f.name] = _json_safe(value)
     return wire
 
 
 def options_from_wire(data: dict[str, Any]) -> RuntimeOptions:
     """Rebuild worker options from :func:`options_to_wire`'s form."""
-    plan = None
-    if data.get("fault_plan"):
-        plan = FaultPlan(
-            seed=int(data["fault_plan"].get("seed", 0)),
-            specs=tuple(
-                FaultSpec(**spec) for spec in data["fault_plan"]["specs"]
-            ),
-        )
-    recovery = RecoveryPolicy(**data.get("recovery", {}))
-    return RuntimeOptions(
-        num_mappers=int(data.get("num_mappers", 4)),
-        num_reducers=int(data.get("num_reducers", 4)),
-        memory_budget=data.get("memory_budget"),
-        spill_merge_fan_in=int(data.get("spill_merge_fan_in", 8)),
-        merge_algorithm=MergeAlgorithm(data.get("merge_algorithm", "pairwise")),
-        io_budget=data.get("io_budget"),
-        io_burst=data.get("io_burst"),
-        tenant=data.get("tenant", "default"),
-        io_priority=int(data.get("io_priority", 0)),
-        fault_plan=plan,
-        recovery=recovery,
-    )
+    fields: dict[str, Any] = {}
+    for f in WIRE_FIELDS:
+        value = data.get(f.name)
+        if value is not None:
+            decode = f.metadata["wire"]
+            fields[f.name] = value if decode is True else decode(value)
+    return RuntimeOptions(**fields)
 
 
 def chunks_to_wire(chunks: Sequence[Chunk]) -> list[dict[str, Any]]:

@@ -16,18 +16,19 @@ finished:
   are persisted so a crash during the merge phase resumes straight into
   the merge.
 
-Every journal update is a write-to-temp + ``os.replace``: a ``kill -9``
-at any instant leaves either the old journal or the new one, never a
-torn file.  The journal also stores a **fingerprint** of the job and
-options; resuming against a different job, input, or chunking setup
-raises :class:`~repro.errors.CheckpointError` instead of silently
-merging incompatible state.
+Every journal update goes through :func:`repro.util.atomic.publish`
+(write-to-temp, fsync, rename): a ``kill -9`` at any instant leaves
+either the old journal or the new one, never a torn file.  The journal
+also stores a **fingerprint** of the job and options; resuming against a
+different job, input, or chunking setup raises
+:class:`~repro.errors.CheckpointError` instead of silently merging
+incompatible state.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
-import json
 import os
 import pickle
 import shutil
@@ -37,8 +38,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.containers.base import Container, ContainerDelta
+from repro.core.options import FINGERPRINT_FIELDS
 from repro.errors import CheckpointError
+from repro.faults.plan import FaultPlan
 from repro.spill.manager import RunInfo
+from repro.util.atomic import publish, read_json_crc, write_json_crc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.job import JobSpec
@@ -57,33 +61,37 @@ _BLOB_MAGIC = b"JCKP"
 _BLOB_HEADER = struct.Struct(">4sIQ")  # magic, crc32, payload length
 
 
+def _identity(value: Any) -> Any:
+    """How one option value enters the fingerprint: an enum by value, a
+    fault plan by its seed and sites, anything else as it stands."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, FaultPlan):
+        return (value.seed, value.sites())
+    return value
+
+
 def job_fingerprint(job: "JobSpec", options: "RuntimeOptions") -> str:
     """A stable digest of everything that must match to resume a job.
 
     Covers the job name, the input files (paths and byte sizes), and
-    every option that shapes the intermediate state: chunking, reducer
-    count, merge algorithm, memory budget, and the fault plan's seed
-    and sites.  Wall-clock knobs (deadline, lease length) and the
-    mapper count deliberately stay out — resuming with a longer
-    deadline or on a halved worker pool (the degradation ladder's
-    half-width retry) is legitimate, since the journaled container
-    state is independent of how many mappers produced it.
+    every option that shapes the intermediate state — the fields
+    :class:`~repro.core.options.RuntimeOptions` marks ``fingerprint``:
+    chunking, reducer count, merge algorithm, memory budget, and the
+    fault plan's seed and sites.  Wall-clock knobs (deadline, lease
+    length), the executor backend and the mapper count deliberately
+    stay out — resuming with a longer deadline, one backend rung down
+    or on a halved worker pool (the degradation ladder's half-width
+    retry) is legitimate, since the journaled container state is
+    independent of how many mappers produced it.
     """
     inputs = [
         (str(path), os.path.getsize(path)) for path in job.inputs
     ]
-    plan = options.fault_plan
     material = repr((
         job.name,
         inputs,
-        options.chunk_strategy.value,
-        options.chunk_bytes,
-        options.files_per_chunk,
-        options.chunk_schedule,
-        options.num_reducers,
-        options.merge_algorithm.value,
-        options.memory_budget,
-        (plan.seed, plan.sites()) if plan is not None else None,
+        *(_identity(getattr(options, f.name)) for f in FINGERPRINT_FIELDS),
     ))
     return hashlib.sha256(material.encode()).hexdigest()
 
@@ -92,13 +100,7 @@ def _write_blob(path: Path, obj: Any) -> None:
     """Atomically persist ``obj`` as a CRC-framed pickle blob."""
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     header = _BLOB_HEADER.pack(_BLOB_MAGIC, zlib.crc32(payload), len(payload))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    publish(path, header, payload, fsync=True)
 
 
 def _read_blob(path: Path) -> Any:
@@ -207,32 +209,12 @@ class JobJournal:
     # -- persistence --------------------------------------------------------
 
     def _load_existing(self) -> dict[str, Any] | None:
-        path = self.journal_path
-        if not path.exists():
+        if not self.journal_path.exists():
             return None
-        try:
-            envelope = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(f"{path}: unreadable journal: {exc}") from exc
-        payload = envelope.get("payload")
-        encoded = json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        ).encode()
-        if envelope.get("crc32") != zlib.crc32(encoded):
-            raise CheckpointError(f"{path}: journal failed its CRC check")
-        return payload
+        return read_json_crc(self.journal_path, CheckpointError, "journal")
 
     def _persist(self) -> None:
-        encoded = json.dumps(
-            self._state, sort_keys=True, separators=(",", ":")
-        ).encode()
-        envelope = {"crc32": zlib.crc32(encoded), "payload": self._state}
-        tmp = self.journal_path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(envelope, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.journal_path)
+        write_json_crc(self.journal_path, self._state)
 
     def _wipe(self) -> None:
         """Remove every prior checkpoint artifact (fresh start)."""
@@ -322,15 +304,9 @@ class JobJournal:
         if not path.exists():
             return None
         try:
-            envelope = json.loads(path.read_text())
-            payload = envelope["payload"]
-            encoded = json.dumps(
-                payload, sort_keys=True, separators=(",", ":")
-            ).encode()
-            if envelope.get("crc32") != zlib.crc32(encoded):
-                return None
+            payload = read_json_crc(path, CheckpointError, "journal")
             return str(payload.get("stage"))
-        except (OSError, ValueError, KeyError, TypeError):
+        except CheckpointError:
             return None
 
     @classmethod

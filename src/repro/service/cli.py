@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import sys
 
@@ -27,23 +28,19 @@ from repro.service.state import STATE_DONE, JobRecord
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the daemon in the foreground until SIGTERM/shutdown."""
     fault_plan = None
-    if getattr(args, "faults", None):
+    if args.faults:
         from repro.faults import parse_faults
 
         fault_plan = parse_faults(args.faults, seed=args.fault_seed)
-    extra: dict = {}
-    if getattr(args, "aging_every", None) is not None:
-        extra["aging_every"] = args.aging_every
-    if getattr(args, "shed_factor", None) is not None:
-        extra["shed_factor"] = args.shed_factor
-    if getattr(args, "agents", None):
-        extra["agents"] = args.agents
-    if getattr(args, "health_interval", None) is not None:
-        extra["health_interval_s"] = args.health_interval
-    if getattr(args, "probe_timeout", None) is not None:
-        extra["probe_timeout_s"] = args.probe_timeout
-    if getattr(args, "net_timeout", None) is not None:
-        extra["net_timeout_s"] = args.net_timeout
+    # flags that, left unset, keep the ServiceConfig default
+    optional = {
+        "aging_every": args.aging_every,
+        "shed_factor": args.shed_factor,
+        "agents": args.agents,
+        "health_interval_s": args.health_interval,
+        "probe_timeout_s": args.probe_timeout,
+        "net_timeout_s": args.net_timeout,
+    }
     config = ServiceConfig(
         state_dir=args.state_dir,
         host=args.host,
@@ -55,12 +52,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         job_timeout_s=args.job_timeout,
         fault_plan=fault_plan,
-        node_bandwidth=getattr(args, "node_bandwidth", None),
-        qos_policy=getattr(args, "qos_policy", "max-min"),
-        tenant_budget=getattr(args, "tenant_budget", None),
-        tenant_max_concurrent=getattr(args, "tenant_jobs", None),
-        default_job_budget=getattr(args, "default_job_budget", None),
-        **extra,
+        node_bandwidth=args.node_bandwidth,
+        qos_policy=args.qos_policy,
+        tenant_budget=args.tenant_budget,
+        tenant_max_concurrent=args.tenant_jobs,
+        default_job_budget=args.default_job_budget,
+        **{k: v for k, v in optional.items() if v not in (None, "")},
     )
     asyncio.run(serve(config))
     return EXIT_OK
@@ -71,37 +68,30 @@ def _client(args: argparse.Namespace) -> ServiceClient:
 
 
 def spec_from_args(args: argparse.Namespace) -> ServiceJobSpec:
-    """Build the wire spec from the shared runtime-args namespace."""
-    if args.app == "wordcount":
-        inputs = tuple(args.files)
-    else:
-        inputs = (args.file,)
+    """Build the wire spec from a ``submit <app>`` namespace: every
+    attribute that is a spec field rides, an unset one (None or an
+    empty string) takes the spec's default."""
+    names = {f.name for f in dataclasses.fields(ServiceJobSpec)}
     return ServiceJobSpec(
-        app=args.app,
-        inputs=inputs,
-        mappers=args.mappers,
-        reducers=args.reducers,
-        baseline=bool(getattr(args, "baseline", False)),
-        chunk_size=getattr(args, "chunk_size", None),
-        files_per_chunk=getattr(args, "files_per_chunk", None),
-        memory_budget=getattr(args, "memory_budget", None),
-        backend=getattr(args, "backend", None),
-        faults=getattr(args, "faults", None),
-        fault_seed=getattr(args, "fault_seed", 0),
-        retry=getattr(args, "retry", None),
-        skip_budget=getattr(args, "skip_budget", None),
-        job_deadline=getattr(args, "job_deadline", None),
-        shards=getattr(args, "shards", None),
-        peers=getattr(args, "peers", None),
-        net_timeout=getattr(args, "net_timeout", None),
-        priority=getattr(args, "priority", 0),
-        tag=getattr(args, "tag", ""),
-        tenant=getattr(args, "tenant", "default") or "default",
-        io_budget=getattr(args, "io_budget", None),
-        io_priority=getattr(args, "io_priority", 0),
-        transport=getattr(args, "transport", None),
-        ingest_readers=getattr(args, "ingest_readers", None),
-        ingest_depth=getattr(args, "ingest_depth", None),
+        inputs=tuple(args.files) if args.app == "wordcount" else (args.file,),
+        **{
+            name: value for name, value in vars(args).items()
+            if name in names and value not in (None, "")
+        },
+    )
+
+
+def _report_outcome(record: JobRecord, report: "dict | None") -> int:
+    """Print a finished job's report (or its error) and return the exit
+    code the equivalent one-shot run would have had."""
+    if report is not None:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    elif record.error:
+        print(f"error: job {record.job_id} {record.state}: {record.error}",
+              file=sys.stderr)
+    code = record.exit_code
+    return code if code is not None else (
+        EXIT_OK if record.state == STATE_DONE else EXIT_FAILURE
     )
 
 
@@ -130,15 +120,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         spec, rerun=args.rerun, on_transition=on_transition,
         timeout_s=args.wait_timeout,
     )
-    if report is not None:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif record.error:
-        print(f"error: job {record.job_id} {record.state}: {record.error}",
-              file=sys.stderr)
-    code = record.exit_code
-    return code if code is not None else (
-        EXIT_OK if record.state == STATE_DONE else EXIT_FAILURE
-    )
+    return _report_outcome(record, report)
 
 
 def cmd_status(args: argparse.Namespace) -> int:
@@ -186,15 +168,7 @@ def cmd_result(args: argparse.Namespace) -> int:
     reply = client.result(args.job_id)
     record = JobRecord.from_dict(reply["job"])
     report = reply.get("report")
-    if report is not None:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif record.error:
-        print(f"error: job {record.job_id} {record.state}: {record.error}",
-              file=sys.stderr)
-    code = record.exit_code
-    return code if code is not None else (
-        EXIT_OK if record.state == STATE_DONE else EXIT_FAILURE
-    )
+    return _report_outcome(record, report)
 
 
 def cmd_cancel(args: argparse.Namespace) -> int:

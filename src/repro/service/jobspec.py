@@ -6,9 +6,11 @@ the one-shot CLI exposes (``--backend``, ``--memory-budget``,
 ``--faults``, ``--shards``, …).  It round-trips through JSON
 (:meth:`to_dict`/:meth:`from_dict`), hashes to a stable :meth:`job_id`,
 and lowers to the same :class:`~repro.core.options.RuntimeOptions` the
-one-shot path builds — :func:`build_options` is shared with
-``repro.cli``, so a submitted job and the equivalent CLI invocation
-cannot drift apart (their output digests are byte-identical).
+one-shot path builds — its runtime fields are the ``dest`` names of
+:data:`repro.core.flags.RUNTIME_FLAGS`, and
+:func:`~repro.core.flags.options_from_flags` lowers a spec and an
+``argparse`` namespace alike, so a submitted job and the equivalent CLI
+invocation cannot drift apart (their output digests are byte-identical).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.flags import options_from_flags
 from repro.core.job import JobSpec
 from repro.core.options import RuntimeOptions
 from repro.errors import ConfigError
@@ -27,80 +30,13 @@ from repro.errors import ConfigError
 KNOWN_APPS = ("wordcount", "sort")
 
 
-def build_options(spec: Any) -> RuntimeOptions:
-    """Lower CLI-shaped knobs to :class:`RuntimeOptions`.
-
-    Duck-typed over attribute access so the one-shot CLI's
-    ``argparse.Namespace`` and :class:`ServiceJobSpec` share one code
-    path (missing attributes mean "not set").
-    """
-    budget = getattr(spec, "memory_budget", None)
-    if getattr(spec, "baseline", False):
-        options = RuntimeOptions.baseline(spec.mappers, spec.reducers)
-    elif getattr(spec, "files_per_chunk", None):
-        options = RuntimeOptions.supmr_intrafile(
-            spec.files_per_chunk, spec.mappers, spec.reducers
-        )
-    elif getattr(spec, "chunk_size", None):
-        options = RuntimeOptions.supmr_interfile(
-            spec.chunk_size, spec.mappers, spec.reducers
-        )
-    else:
-        options = RuntimeOptions.baseline(spec.mappers, spec.reducers)
-    if budget is not None:
-        options = options.with_(memory_budget=budget)
-    backend = getattr(spec, "backend", None)
-    if backend is not None:
-        options = options.with_(executor_backend=backend)
-    if getattr(spec, "faults", None):
-        from repro.faults import RecoveryPolicy, parse_faults
-
-        plan = parse_faults(spec.faults, seed=getattr(spec, "fault_seed", 0))
-        retry = getattr(spec, "retry", None)
-        skip_budget = getattr(spec, "skip_budget", None)
-        recovery = RecoveryPolicy(
-            max_retries=retry if retry is not None else 3,
-            skip_budget=skip_budget if skip_budget is not None else 1000,
-        )
-        options = options.with_(fault_plan=plan, recovery=recovery)
-    if getattr(spec, "checkpoint_dir", None):
-        options = options.with_(
-            checkpoint_dir=spec.checkpoint_dir,
-            resume=bool(getattr(spec, "resume", False)),
-        )
-    if getattr(spec, "job_deadline", None) is not None:
-        options = options.with_(job_deadline_s=spec.job_deadline)
-    if getattr(spec, "shards", None) is not None:
-        options = options.with_(num_shards=spec.shards)
-    if getattr(spec, "peers", None):
-        options = options.with_(peers=spec.peers)
-    if getattr(spec, "net_timeout", None) is not None:
-        options = options.with_(net_timeout_s=spec.net_timeout)
-    if getattr(spec, "shard_dir", None):
-        options = options.with_(shard_dir=spec.shard_dir)
-    if getattr(spec, "io_budget", None) is not None:
-        options = options.with_(io_budget=spec.io_budget)
-    if getattr(spec, "io_burst", None) is not None:
-        options = options.with_(io_burst=spec.io_burst)
-    if getattr(spec, "tenant", None):
-        options = options.with_(tenant=spec.tenant)
-    if getattr(spec, "io_priority", None):
-        options = options.with_(io_priority=spec.io_priority)
-    if getattr(spec, "transport", None):
-        options = options.with_(transport=spec.transport)
-    if getattr(spec, "ingest_readers", None) is not None:
-        options = options.with_(ingest_readers=spec.ingest_readers)
-    if getattr(spec, "ingest_depth", None) is not None:
-        options = options.with_(ingest_depth=spec.ingest_depth)
-    return options
-
-
 @dataclass(frozen=True)
 class ServiceJobSpec:
     """One submittable job: app + inputs + every one-shot CLI knob.
 
     Field names deliberately mirror the CLI flags (``chunk_size`` ↔
-    ``--chunk-size``) so :func:`build_options` serves both.  ``priority``
+    ``--chunk-size``) so one lowering serves both; every runtime field
+    here is a ``RUNTIME_FLAGS`` row marked ``in_spec``.  ``priority``
     orders the service queue (higher first, FIFO within a level) and
     ``tag`` distinguishes deliberate duplicate submissions — two specs
     that differ only in ``tag`` get distinct job ids.
@@ -224,24 +160,20 @@ class ServiceJobSpec:
         likewise override the spec's own fields when the *service*
         placed the job on its agent pool — placement lives outside the
         spec (and its hash) because the job's identity must not change
-        when the pool does.
+        when the pool does.  All five are lowered as if typed on the
+        one-shot command line.
         """
-        class _WithDirs:
-            pass
-
-        proxy = _WithDirs()
-        for f in dataclasses.fields(self):
-            setattr(proxy, f.name, getattr(self, f.name))
-        proxy.checkpoint_dir = checkpoint_dir
-        proxy.resume = resume
-        proxy.shard_dir = shard_dir
-        if peers is not None:
-            proxy.peers = (
-                peers if isinstance(peers, str) else ",".join(peers)
-            )
-        if net_timeout is not None:
-            proxy.net_timeout = net_timeout
-        return build_options(proxy)
+        assigned = {
+            "checkpoint_dir": checkpoint_dir,
+            "resume": resume,
+            "shard_dir": shard_dir,
+            "peers": peers,
+            "net_timeout": net_timeout,
+        }
+        return options_from_flags({
+            **dataclasses.asdict(self),
+            **{k: v for k, v in assigned.items() if v is not None},
+        })
 
     def build_job(self) -> JobSpec:
         """The executable :class:`~repro.core.job.JobSpec`."""

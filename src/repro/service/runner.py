@@ -33,9 +33,11 @@ import threading
 import time
 from pathlib import Path
 
+from repro.core.supmr import run_job
 from repro.exitcodes import EXIT_FAILURE, classify_exception, classify_result
 from repro.service.jobspec import ServiceJobSpec
 from repro.service.state import read_json_crc
+from repro.util.atomic import publish
 
 #: How often the crash watchdog polls the journal.
 _WATCH_INTERVAL_S = 0.002
@@ -75,23 +77,16 @@ def run_job_dir(job_dir: Path, crash_after_round: int | None = None) -> int:
         # dispatch should fan out onto.  It is re-written every attempt
         # from the live healthy pool, so a requeued job lands on the
         # survivors; its absence means a local run.
-        placement_peers = None
-        placement_timeout = None
         placement_path = job_dir / "placement.json"
-        if placement_path.exists():
-            placement = read_json_crc(placement_path)
-            placement_peers = tuple(
-                str(p) for p in placement.get("peers", ())
-            ) or None
-            raw_timeout = placement.get("net_timeout")
-            if raw_timeout is not None:
-                placement_timeout = float(raw_timeout)
+        placement = (
+            read_json_crc(placement_path) if placement_path.exists() else {}
+        )
         options = spec.to_options(
             checkpoint_dir=str(checkpoint),
             resume=True,
             shard_dir=str(shard_dir) if shard_dir else None,
-            peers=placement_peers,
-            net_timeout=placement_timeout,
+            peers=tuple(placement.get("peers", ())) or None,
+            net_timeout=placement.get("net_timeout"),
         )
         # The daemon's dispatch-time bandwidth assignment (qos.json)
         # overrides the spec's raw io_budget ask: under contention the
@@ -107,19 +102,7 @@ def run_job_dir(job_dir: Path, crash_after_round: int | None = None) -> int:
         if crash_after_round is not None:
             _arm_crash_watchdog(checkpoint, crash_after_round)
 
-        job = spec.build_job()
-        if options.num_shards is not None:
-            from repro.shard import ShardedRuntime
-
-            result = ShardedRuntime(options).run(job)
-        elif options.chunk_strategy.value == "none":
-            from repro.core.phoenix import PhoenixRuntime
-
-            result = PhoenixRuntime(options).run(job)
-        else:
-            from repro.core.supmr import SupMRRuntime
-
-            result = SupMRRuntime(options).run(job)
+        result = run_job(spec.build_job(), options)
     except Exception as exc:  # noqa: BLE001 - classified and reported below
         try:
             code = classify_exception(exc)
@@ -133,10 +116,7 @@ def run_job_dir(job_dir: Path, crash_after_round: int | None = None) -> int:
 
     from repro.analysis.report import to_json
 
-    report = to_json(result)
-    tmp = job_dir / "result.json.tmp"
-    tmp.write_text(report)
-    os.replace(tmp, job_dir / "result.json")
+    publish(job_dir / "result.json", to_json(result))
     return classify_result(result.counters)
 
 
@@ -148,9 +128,7 @@ def _write_error(job_dir: Path, exc: BaseException, code: int) -> None:
         "exit_code": code,
     }
     try:
-        tmp = job_dir / "error.json.tmp"
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, job_dir / "error.json")
+        publish(job_dir / "error.json", json.dumps(payload, sort_keys=True))
     except OSError:  # pragma: no cover - best-effort error report
         pass
 

@@ -88,6 +88,7 @@ from repro.service.state import (
     ServiceState,
     write_json_crc,
 )
+from repro.util.atomic import publish
 from repro.util.units import parse_size
 
 #: Per-frame stall deadline for daemon-side reads: a frame that has
@@ -790,7 +791,7 @@ class JobService:
                 exit_code=1,
             ))
             return
-        (job_dir / "runner.pid").write_text(str(proc.pid))
+        publish(job_dir / "runner.pid", str(proc.pid))
         running = _RunningJob(record=record, proc=proc)
         self._running[job_id] = running
         self._set_state(record)

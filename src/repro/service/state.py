@@ -14,25 +14,26 @@ under its **state dir**:
         result.json            # one-shot-identical JSON report (done jobs)
         runner.log             # the runner subprocess's stdout+stderr
 
-Records use the same CRC-inside-JSON + write-to-temp + ``os.replace``
-envelope as the job journal, so a record is always either the old or the
-new consistent value.  On restart the daemon reloads every record and
+Records use the same CRC-inside-JSON envelope and atomic publish as the
+job journal (:mod:`repro.util.atomic`), so a record is always either the
+old or the new consistent value.  On restart the daemon reloads every record and
 re-queues jobs that were ``queued`` or ``running`` when it died — their
 checkpoints make the re-run resume instead of restart.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import os
 import shutil
-import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ServiceError
 from repro.service.jobspec import ServiceJobSpec
+from repro.util.atomic import publish, write_json_crc
+from repro.util.atomic import read_json_crc as read_envelope
 
 #: Job lifecycle states.
 STATE_QUEUED = "queued"
@@ -45,28 +46,9 @@ STATE_CANCELLED = "cancelled"
 TERMINAL_STATES = (STATE_DONE, STATE_FAILED, STATE_CANCELLED)
 
 
-def write_json_crc(path: Path, payload: dict[str, Any]) -> None:
-    """Atomically persist ``payload`` inside a CRC envelope."""
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    envelope = {"crc32": zlib.crc32(encoded.encode()), "payload": payload}
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(envelope, fh, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def read_json_crc(path: Path) -> dict[str, Any]:
     """Load a CRC-enveloped JSON file; :class:`ServiceError` on damage."""
-    try:
-        envelope = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ServiceError(f"{path}: unreadable state file: {exc}") from exc
-    payload = envelope.get("payload")
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if envelope.get("crc32") != zlib.crc32(encoded.encode()):
-        raise ServiceError(f"{path}: state file failed its CRC check")
+    payload = read_envelope(path, ServiceError, "state file")
     if not isinstance(payload, dict):
         raise ServiceError(f"{path}: state payload is not an object")
     return payload
@@ -96,23 +78,10 @@ class JobRecord:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe dictionary; :meth:`from_dict` inverts it."""
-        return {
-            "job_id": self.job_id,
-            "state": self.state,
-            "priority": self.priority,
-            "seq": self.seq,
-            "attempts": self.attempts,
-            "exit_code": self.exit_code,
-            "error": self.error,
-            "digest": self.digest,
-            "resumed": self.resumed,
-            "result_fetched": self.result_fetched,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "JobRecord":
-        import dataclasses
-
         names = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in names})
 
@@ -237,10 +206,7 @@ class ServiceState:
 
     def write_result(self, job_id: str, report_json: str) -> None:
         """Atomically store the one-shot-identical JSON report."""
-        path = self.result_path(job_id)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(report_json)
-        os.replace(tmp, path)
+        publish(self.result_path(job_id), report_json)
 
     def read_result(self, job_id: str) -> str:
         """The stored report; :class:`ServiceError` when absent."""

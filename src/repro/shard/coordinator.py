@@ -100,6 +100,7 @@ from repro.parallel.shard_worker import (
 )
 from repro.shard.exchange import collect_worker_events
 from repro.shard.plan import ShardPlan
+from repro.util.atomic import publish
 from repro.util.logging import get_logger
 
 logger = get_logger(__name__)
@@ -306,8 +307,9 @@ class _Coordinator:
         """
         if worker.handle.pid is None:
             return
-        pid_path = self.workdir / f"worker-{worker.sid}.pid"
-        pid_path.write_text(f"{worker.handle.pid}\n")
+        publish(
+            self.workdir / f"worker-{worker.sid}.pid", f"{worker.handle.pid}\n"
+        )
 
     def _kill(self, worker: _ShardWorker) -> None:
         """Forcibly end one worker and drop its command channel."""

@@ -1,10 +1,9 @@
-"""The bounded-backoff retry loop and scheduler task re-execution."""
+"""The bounded-backoff retry loop."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.scheduler import TaskScheduler
 from repro.errors import FaultInjected, RetryExhausted
 from repro.faults.log import ACTION_EXHAUSTED, ACTION_RECOVERED, ACTION_RETRIED
 from repro.faults.plan import FaultPlan
@@ -77,36 +76,3 @@ class TestRetryingLoop:
         assert delays[0] == pytest.approx(0.01)
         assert all(d <= 0.05 for d in delays)
 
-
-class TestSchedulerRetry:
-    def test_retryable_task_reruns_and_succeeds(self):
-        policy = RecoveryPolicy(max_retries=3, backoff_base_s=0.0)
-        failures = {"left": 2}
-
-        def task():
-            if failures["left"] > 0:
-                failures["left"] -= 1
-                raise FaultInjected("flaky task", site="map.task")
-
-        with TaskScheduler(2, retry_policy=policy) as sched:
-            sched.submit(task)
-            sched.drain()
-            assert sched.stats.retries == 2
-
-    def test_exhausted_task_surfaces_retry_exhausted(self):
-        policy = RecoveryPolicy(max_retries=1, backoff_base_s=0.0)
-
-        def task():
-            raise FaultInjected("always flaky", site="map.task")
-
-        with TaskScheduler(2, retry_policy=policy) as sched:
-            sched.submit(task)
-            with pytest.raises(RetryExhausted) as excinfo:
-                sched.drain()
-        assert isinstance(excinfo.value.__cause__, FaultInjected)
-
-    def test_without_policy_failures_propagate_unwrapped(self):
-        with TaskScheduler(2) as sched:
-            sched.submit(lambda: (_ for _ in ()).throw(OSError("disk gone")))
-            with pytest.raises(OSError, match="disk gone"):
-                sched.drain()

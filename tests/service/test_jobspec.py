@@ -4,9 +4,44 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import _options_from, build_parser
+from repro.cli import build_parser, main
+from repro.core.flags import RUNTIME_FLAGS, options_from_flags
 from repro.errors import ConfigError
+from repro.service.cli import spec_from_args
 from repro.service.jobspec import ServiceJobSpec
+
+#: One sample value per runtime flag, and the other flags it needs
+#: beside it to be valid (or to mean anything).
+FLAG_SAMPLES = {
+    "--files-per-chunk": (["2"], []),
+    "--top": (["3"], []),
+    "--mappers": (["2"], []),
+    "--reducers": (["3"], []),
+    "--backend": (["process"], []),
+    "--baseline": ([], ["--chunk-size", "32KB"]),
+    "--chunk-size": (["32KB"], []),
+    "--memory-budget": (["1MB"], []),
+    "--timeline": ([], []),
+    "--json": ([], []),
+    "--faults": (["ingest.read=once,map.task=0.5"], []),
+    "--fault-seed": (["7"], ["--faults", "map.task=0.5"]),
+    "--retry": (["2"], ["--faults", "map.task=0.5"]),
+    "--skip-budget": (["5"], ["--faults", "map.task=0.5"]),
+    "--checkpoint-dir": (["/tmp/ckpt"], []),
+    "--resume": ([], ["--checkpoint-dir", "/tmp/ckpt"]),
+    "--job-deadline": (["2.5"], []),
+    "--shards": (["2"], []),
+    "--shard-dir": (["/tmp/shards"], ["--shards", "2"]),
+    "--peers": (["127.0.0.1:9"], ["--shards", "2"]),
+    "--net-timeout": (["3.5"], []),
+    "--io-budget": (["4MB"], []),
+    "--io-burst": (["1MB"], ["--io-budget", "4MB"]),
+    "--tenant": (["acme"], []),
+    "--io-priority": (["2"], []),
+    "--transport": (["pipe"], []),
+    "--ingest-readers": (["2"], []),
+    "--ingest-depth": (["3"], []),
+}
 
 
 def _spec(**kw) -> ServiceJobSpec:
@@ -70,6 +105,11 @@ class TestJobId:
         assert _spec(tag="one").job_id() != _spec(tag="two").job_id()
         assert _spec(tag="one").job_id() != _spec().job_id()
 
+    def test_id_is_pinned_across_upgrades(self):
+        # a resubmission after an upgrade must reattach to the job dir
+        # the previous build created
+        assert _spec().job_id() == "e40a33c8325f"
+
     def test_id_survives_a_serialization_round_trip(self):
         spec = _spec(memory_budget="2MB", priority=1)
         assert ServiceJobSpec.from_dict(spec.to_dict()).job_id() \
@@ -82,7 +122,32 @@ class TestOptionParity:
     digests byte-identical."""
 
     def _cli_options(self, argv):
-        return _options_from(build_parser().parse_args(argv))
+        return options_from_flags(vars(build_parser().parse_args(argv)))
+
+    def test_every_flag_has_a_sample(self):
+        assert set(FLAG_SAMPLES) == {flag.name for flag in RUNTIME_FLAGS}
+
+    @pytest.mark.parametrize("flag", RUNTIME_FLAGS, ids=lambda f: f.name)
+    def test_flag_parity_or_refusal(self, flag, capsys):
+        """Each flag alone: honoured one-shot, and either lowered
+        identically from a submitted spec or refused by ``submit``."""
+        value, beside = FLAG_SAMPLES[flag.name]
+        app = flag.apps[0]
+        one_shot = self._cli_options([app, "in.dat", *beside, flag.name, *value])
+        if flag.lowers:
+            assert one_shot != self._cli_options([app, "in.dat", *beside])
+        submit = ["submit", "--state-dir", "D", app, "in.dat", *beside]
+        if not flag.in_spec:
+            with pytest.raises(SystemExit) as excinfo:
+                main([*submit, flag.name, *value])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            return
+        spec = spec_from_args(
+            build_parser().parse_args([*submit, flag.name, *value])
+        )
+        assert spec.to_options() == one_shot
+        assert ServiceJobSpec.from_dict(spec.to_dict()).to_options() == one_shot
 
     def test_chunked_wordcount_parity(self):
         cli = self._cli_options([

@@ -100,3 +100,7 @@ class TestRepoDocuments:
         assert current == gen.render(), (
             "docs/api.md is stale; run python tools/gen_api_docs.py"
         )
+        current = (REPO / "docs" / "options.md").read_text()
+        assert current == gen.render_options(), (
+            "docs/options.md is stale; run python tools/gen_api_docs.py"
+        )

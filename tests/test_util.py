@@ -112,3 +112,82 @@ class TestFormatting:
 
     def test_fmt_seconds_paper_style(self):
         assert fmt_seconds(471.751) == "471.75s"
+
+
+class TestPublish:
+    def test_reader_never_sees_an_empty_or_partial_file(self, tmp_path):
+        """A poller racing a re-publishing writer reads one whole
+        generation or another — never the gap between truncate and
+        write that a bare ``write_text`` leaves open."""
+        import threading
+
+        from repro.util.atomic import publish
+
+        path = tmp_path / "agent.addr"
+        generations = {f"127.0.0.1:{port}\n" * 200 for port in (4000, 5000)}
+        publish(path, min(generations))
+        stop = threading.Event()
+
+        def rewrite():
+            while not stop.is_set():
+                for text in generations:
+                    publish(path, text)
+
+        writer = threading.Thread(target=rewrite)
+        writer.start()
+        try:
+            seen = {path.read_text() for _ in range(3000)}
+        finally:
+            stop.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert seen <= generations
+        assert not (tmp_path / "agent.addr.tmp").exists()
+
+    def test_bytes_chunks_are_concatenated(self, tmp_path):
+        from repro.util.atomic import publish
+
+        publish(tmp_path / "blob", b"head", b"body", fsync=True)
+        assert (tmp_path / "blob").read_bytes() == b"headbody"
+
+    def test_envelope_raises_the_callers_error(self, tmp_path):
+        from repro.errors import CheckpointError
+        from repro.util.atomic import read_json_crc, write_json_crc
+
+        path = tmp_path / "journal.json"
+        write_json_crc(path, {"stage": "mapping"})
+        assert read_json_crc(path, CheckpointError, "journal") \
+            == {"stage": "mapping"}
+        path.write_text(path.read_text().replace("mapping", "mopping"))
+        with pytest.raises(CheckpointError, match="journal failed its CRC"):
+            read_json_crc(path, CheckpointError, "journal")
+        path.write_text("[1, 2]")
+        with pytest.raises(CheckpointError, match="CRC"):
+            read_json_crc(path, CheckpointError, "journal")
+
+    def test_agent_addr_file_goes_through_publish(self, tmp_path, monkeypatch):
+        from repro.cli import build_parser
+        from repro.net import agent
+
+        class FakeServer:
+            addr = "127.0.0.1:9"
+
+            def __init__(self, **kwargs):
+                pass
+
+            def serve_forever(self):
+                pass
+
+            def close(self):
+                pass
+
+        published = []
+        monkeypatch.setattr(agent, "AgentServer", FakeServer)
+        monkeypatch.setattr(agent.signal, "signal", lambda *args: None)
+        monkeypatch.setattr(
+            agent, "publish", lambda path, text: published.append((path, text))
+        )
+        addr_file = str(tmp_path / "a.addr")
+        args = build_parser().parse_args(["agent", "--addr-file", addr_file])
+        assert agent.cmd_agent(args) == 0
+        assert published == [(addr_file, "127.0.0.1:9\n")]
