@@ -3,8 +3,8 @@
 Phoenix's matrix_multiply hands each map task a block of A's rows to
 multiply against the (shared, in-memory) B.  Here A's rows arrive as
 input lines (``row_idx v0 v1 ...``), B is captured in the job closure,
-map emits ``(row_idx, row @ B)`` and reduce is the identity — the merge
-phase orders the product's rows.
+map emits ``(row_idx, row @ B)`` and reduce is the identity (the
+``JobSpec`` default) — the merge phase orders the product's rows.
 
 A compute-bound map phase with a tiny ingest makes this the far end of
 the Conclusion 1 spectrum: the chunk pipeline hides nearly *all* ingest
@@ -14,7 +14,7 @@ the Conclusion 1 spectrum: the chunk pipeline hides nearly *all* ingest
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,17 +70,10 @@ def make_matmul_job(
                 )
             ctx.emit(row_idx, tuple(float(x) for x in row @ b))
 
-    def reduce_fn(
-        key: Hashable, values: Sequence[tuple[float, ...]]
-    ) -> Iterable[tuple[Hashable, tuple[float, ...]]]:
-        for value in values:
-            yield (key, value)
-
     return JobSpec(
         name=name,
         inputs=tuple(Path(p) for p in inputs),
         map_fn=map_fn,
-        reduce_fn=reduce_fn,
         container_factory=ArrayContainer,
         codec=_CODEC,
     )

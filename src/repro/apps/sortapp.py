@@ -4,16 +4,16 @@ Map parses ``\r\n``-terminated records into (key, payload) pairs, a
 window at a time, and emits each batch into the **unlocked array
 container** — sort has unique keys, so a hash container would pay a
 pointless lookup per record (section V.B).
-Reduce is the identity; the merge phase does the actual ordering, which
-is why the merge algorithm choice (pairwise rounds vs p-way) dominates
-this job's time.
+Reduce is the identity (the ``JobSpec`` default); the merge phase does
+the actual ordering, which is why the merge algorithm choice (pairwise
+rounds vs p-way) dominates this job's time.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from pathlib import Path
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 from repro.containers import ArrayContainer
 from repro.core.job import JobSpec, MapContext
@@ -29,14 +29,6 @@ def sort_map(ctx: MapContext, codec: TeraRecordCodec = _CODEC) -> None:
         ctx.emit_many(codec.split_pairs(window))
 
 
-def sort_reduce(
-    key: Hashable, values: Sequence[bytes]
-) -> Iterable[tuple[Hashable, bytes]]:
-    """Identity: every record passes through."""
-    for value in values:
-        yield (key, value)
-
-
 def make_sort_job(
     inputs: Sequence[str | Path],
     name: str = "sort",
@@ -48,7 +40,6 @@ def make_sort_job(
         name=name,
         inputs=tuple(Path(p) for p in inputs),
         map_fn=partial(sort_map, codec=codec),
-        reduce_fn=sort_reduce,
         container_factory=ArrayContainer,
         codec=codec,
     )

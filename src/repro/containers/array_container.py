@@ -15,7 +15,9 @@ map rounds falls out naturally: segments accumulate per (round, task).
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable, Iterable, Mapping
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.containers.base import (
     Container,
@@ -24,6 +26,8 @@ from repro.containers.base import (
     Emitter,
 )
 from repro.errors import ContainerError
+
+_KEY, _VALUE = itemgetter(0), itemgetter(1)
 
 
 class _SegmentEmitter(Emitter):
@@ -67,22 +71,39 @@ class ArrayContainer(Container):
             self._segments.append(segment)
         return _SegmentEmitter(self, task_id, segment)
 
+    def _partition_segments(
+        self, n: int
+    ) -> list[list[list[tuple[Hashable, Any]]]]:
+        """Partition ``i`` of ``n`` holds segments ``i, i + n, i + 2n, …``."""
+        if n < 1:
+            raise ContainerError("need at least one reducer partition")
+        if not self.sealed:
+            raise ContainerError("partitions() before seal()")
+        return [self._segments[i::n] for i in range(n)]
+
     def partitions(self, n: int) -> list[list[tuple[Hashable, Any]]]:
         """Group segments into ``n`` reducer partitions.
 
         Values are wrapped in single-element lists to match the reduce
         signature (`reduce(key, values)`); keys are *not* assumed sorted.
         """
-        if n < 1:
-            raise ContainerError("need at least one reducer partition")
-        if not self.sealed:
-            raise ContainerError("partitions() before seal()")
-        parts: list[list[tuple[Hashable, Any]]] = [[] for _ in range(n)]
-        for idx, segment in enumerate(self._segments):
-            bucket = parts[idx % n]
-            for key, value in segment:
-                bucket.append((key, [value]))
-        return parts
+        return [
+            [(key, [value]) for segment in segments for key, value in segment]
+            for segments in self._partition_segments(n)
+        ]
+
+    def iter_partitions(
+        self, n: int
+    ) -> list[Iterator[tuple[Hashable, tuple[Any]]]]:
+        """``partitions(n)`` without the wrappers outliving their reduce
+        call: ``(key, (value,))`` zipped straight off the segments."""
+        return [
+            chain.from_iterable(
+                zip(map(_KEY, segment), zip(map(_VALUE, segment)))
+                for segment in segments
+            )
+            for segments in self._partition_segments(n)
+        ]
 
     def drain(self) -> ContainerDelta:
         """Pack this container's segments (non-empty only) for transport."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ContainerError
 
@@ -43,7 +43,8 @@ class Container(abc.ABC):
     Lifecycle: ``begin_round()`` before each mapper wave (SupMR calls it
     once per ingest chunk; the container must persist, not reset), then
     emits via task-bound :class:`Emitter` handles, then one
-    ``partitions(n)`` call to hand per-reducer work out.
+    ``partitions(n)`` (or ``iter_partitions(n)``) call to hand
+    per-reducer work out.
     """
 
     def __init__(self) -> None:
@@ -89,6 +90,19 @@ class Container(abc.ABC):
     @abc.abstractmethod
     def partitions(self, n: int) -> list[list[tuple[Hashable, Any]]]:
         """Split contents into ``n`` reducer partitions of (key, values)."""
+
+    def iter_partitions(
+        self, n: int
+    ) -> Sequence[Iterable[tuple[Hashable, Sequence[Any]]]]:
+        """``partitions(n)`` for a consumer that walks each partition once.
+
+        Same groups in the same order, but each partition may be a lazy
+        iterable and each ``values`` any sequence, so a container whose
+        groups are only wrappers (the array container's one value per
+        key) need not build ``n`` lists of them before the first reduce
+        call.  The default is the materialized form.
+        """
+        return self.partitions(n)
 
     @abc.abstractmethod
     def stats(self) -> ContainerStats:

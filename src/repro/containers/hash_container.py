@@ -15,6 +15,7 @@ implementation faithful and safe for alternative interpreters.)
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Any, Hashable, Mapping
 
 from repro.containers.base import (
@@ -25,7 +26,9 @@ from repro.containers.base import (
 )
 from repro.containers.combiners import Combiner, ListCombiner
 from repro.errors import ContainerError
-from repro.util.hashing import stable_hash
+from repro.util.hashing import stable_hash, stable_hash_many
+
+_KEY = itemgetter(0)
 
 
 class _HashEmitter(Emitter):
@@ -83,9 +86,10 @@ class HashContainer(Container):
         if not self.sealed:
             raise ContainerError("partitions() before seal()")
         parts: list[list[tuple[Hashable, Any]]] = [[] for _ in range(n)]
-        for shard in self._shards:
-            for key, state in shard.items():
-                parts[stable_hash(key) % n].append((key, self.combiner.finish(state)))
+        items = [item for shard in self._shards for item in shard.items()]
+        finish = self.combiner.finish
+        for (key, state), h in zip(items, stable_hash_many(map(_KEY, items))):
+            parts[h % n].append((key, finish(state)))
         return parts
 
     def drain(self) -> ContainerDelta:
@@ -109,15 +113,27 @@ class HashContainer(Container):
                 f"HashContainer cannot absorb a {delta.kind!r} delta"
             )
         self._check_open()
-        for key, state in delta.items:
-            idx = stable_hash(key) % len(self._shards)
-            shard = self._shards[idx]
-            with self._locks[idx]:
-                if key in shard:
-                    shard[key] = self.combiner.merge(shard[key], state)
-                else:
-                    shard[key] = state
+        # One hash over the key column, then each shard's share of the
+        # batch under one hold of its lock, in the delta's order.  The
+        # batch lock is held throughout (numpy drops the GIL while it
+        # hashes), so concurrent deltas land whole, in arrival order.
         with self._batch_lock:
+            items = list(delta.items)
+            batches: list[list[tuple[Hashable, Any]]] = [
+                [] for _ in self._shards
+            ]
+            for item, h in zip(items, stable_hash_many(map(_KEY, items))):
+                batches[h % len(batches)].append(item)
+            merge = self.combiner.merge
+            for shard, lock, batch in zip(self._shards, self._locks, batches):
+                if not batch:
+                    continue
+                with lock:
+                    for key, state in batch:
+                        if key in shard:
+                            shard[key] = merge(shard[key], state)
+                        else:
+                            shard[key] = state
             self._batch_emits += delta.emits
 
     def stats(self) -> ContainerStats:

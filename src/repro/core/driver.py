@@ -280,16 +280,11 @@ class JobRun:
                 if self.resume_at_reduced:
                     runs = journal.load_reduced()
                 else:
-                    runs = run_reducers(
-                        job, self.container, options, self.pool,
-                        wave_stats=self.wave_stats, xfer=self.xfer,
-                    )
+                    runs = run_reducers(job, self.container, options, self.pool)
                     if journal is not None:
                         journal.record_reduced(runs)
             with timer.phase("merge"):
-                output, merge_rounds = merge_outputs(
-                    runs, job, options, xfer=self.xfer
-                )
+                output, merge_rounds = merge_outputs(runs, job, options)
         self.commit()
         logger.info(
             "job %s finished on %s: total=%.3fs read+map=%.3fs chunks=%d",

@@ -5,17 +5,23 @@ happens relative to map waves and in which merge algorithm runs.  The
 ``run_mappers()``/``run_reducers()`` wrappers of the paper's Table I map
 onto :func:`run_mapper_wave` / :func:`run_reducers` here.
 
-Each phase honors ``options.executor_backend``: the ``serial`` and
-``thread`` backends drive the parent-side ``pool``, while ``process``
-runs supervised workers (:mod:`repro.resilience.supervisor`) — map tasks
-read their splits through ``mmap`` in the worker, combine locally, and
-ship back :class:`~repro.containers.base.ContainerDelta` objects the
-parent absorbs in task order.
+Work goes where the bytes are.  Map input is on disk and any process
+can ``mmap`` it, so the map phase honors ``options.executor_backend``:
+``serial`` and ``thread`` drive the parent-side ``pool``, while
+``process`` runs supervised workers (:mod:`repro.resilience.supervisor`)
+that read their splits through ``mmap``, combine locally, and ship back
+:class:`~repro.containers.base.ContainerDelta` objects the parent
+absorbs in task order.  That is the one time a record crosses the
+process boundary.  Reduce input is the parent's container and merge
+input is the reducers' runs, so on every backend both phases run in the
+parent: shipping a partition out and its run back costs two pickles per
+pair, more than any bundled reducer spends on it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Executor
+from functools import partial
 from typing import Any, Hashable, Sequence
 
 from repro.chunking.boundary import adjust_split_point
@@ -31,11 +37,11 @@ from repro.parallel.backends import ExecutorBackend
 from repro.parallel.splits import ChunkHandle, SplitRef, split_refs_for_chunk
 from repro.resilience.gates import gate_worker_sites, worker_sites_armed
 from repro.resilience.supervisor import (
-    SupervisedForkExecutor,
     SupervisionResult,
     WorkerPool,
     supervised_fork_map,
 )
+from repro.shard.exchange import reduce_partition
 from repro.sortlib.merge_sort import pairwise_merge_sort
 from repro.sortlib.pway import pway_merge
 from repro.spill.container import SpillableContainer
@@ -43,10 +49,6 @@ from repro.spill.manager import SpillManager
 from repro.xfer.transport import make_transport
 
 Pair = tuple[Hashable, Any]
-
-#: Below this many total pairs, forking merge workers costs more than the
-#: merge itself; the process backend merges inline instead.
-_FORK_MERGE_MIN_PAIRS = 20_000
 
 
 def run_map_task(
@@ -82,28 +84,20 @@ def run_map_task(
 
 
 def job_task_handler(job: JobSpec) -> "Any":
-    """The persistent pool's dispatch body: one closure for every phase.
+    """The persistent pool's dispatch body.
 
     A :class:`~repro.resilience.supervisor.WorkerPool` is forked once
-    per job around this handler — ``job`` (map/reduce functions, codec,
+    per job around this handler — ``job`` (map function, codec,
     container factory) rides into every worker copy-on-write — and each
-    wave then sends small ``("map", ...)`` / ``("reduce", ...)``
+    wave then sends small ``("map", task_id, chunk_index, split)``
     descriptors through the command channel instead of re-forking.
     """
 
     def handle(task: tuple) -> Any:
-        kind = task[0]
-        if kind == "map":
-            _kind, task_id, chunk_index, split = task
-            return run_map_task(job, split, task_id, chunk_index)
-        if kind == "reduce":
-            out: list[Pair] = []
-            for key, values in task[1]:
-                out.extend(job.reduce_fn(key, values))
-            if job.sorted_output:
-                out.sort(key=job.output_key)
-            return out
-        raise RuntimeStateError(f"unknown pool task kind {task[0]!r}")
+        kind, task_id, chunk_index, split = task
+        if kind != "map":
+            raise RuntimeStateError(f"unknown pool task kind {kind!r}")
+        return run_map_task(job, split, task_id, chunk_index)
 
     return handle
 
@@ -135,7 +129,7 @@ class ProcessPoolContext:
         if self._pool is None:
             self._pool = WorkerPool(
                 job_task_handler(self.job),
-                max(self.options.num_mappers, self.options.num_reducers),
+                self.options.num_mappers,
                 transport=self.transport,
                 worker_name="repro-job",
             )
@@ -487,63 +481,34 @@ def run_reducers(
     container: Container,
     options: RuntimeOptions,
     pool: Executor,
-    wave_stats: "dict[str, int] | None" = None,
-    xfer: "ProcessPoolContext | None" = None,
 ) -> list[list[Pair]]:
     """Seal the container and reduce each partition; returns one
     key-sorted output run per reducer (``run_reducers()`` of Table I).
 
-    Under the ``process`` backend the partitions are reduced in forked
-    workers — the partition lists ride into the fork copy-on-write (or,
-    with a persistent ``xfer`` pool, cross as shared-memory task frames)
-    and only the (typically smaller) reduced runs travel back.
+    The partitions are in this process on every backend (under
+    ``process`` the parent absorbed them), so they are reduced here, on
+    ``pool``; ``num_reducers`` is a partition count, not a process
+    count.  Reduce checks no fault site, so fault schedules are
+    backend-identical.
     """
     container.seal()
-    partitions = container.partitions(options.num_reducers)
-
-    def reduce_task(partition: list[tuple[Hashable, Sequence[Any]]]) -> list[Pair]:
-        out: list[Pair] = []
-        for key, values in partition:
-            out.extend(job.reduce_fn(key, values))
-        if job.sorted_output:
-            out.sort(key=job.output_key)
-        return out
-
-    if options.executor_backend is ExecutorBackend.PROCESS:
-        # Reduce tasks are pure (partition -> pairs), so genuine worker
-        # deaths are safely re-dispatched; no fault sites are checked
-        # here, keeping reduce schedules backend-identical.
-        if xfer is not None:
-            outcome = xfer.pool().run_wave(
-                [("reduce", partition) for partition in partitions],
-                workers=options.num_reducers,
-                policy=options.recovery,
-            )
-        else:
-            outcome = supervised_fork_map(
-                reduce_task, partitions, options.num_reducers,
-                policy=options.recovery,
-            )
-        accumulate_wave_stats(wave_stats, outcome)
-        return outcome.results
-    return list(pool.map(reduce_task, partitions))
+    return list(pool.map(
+        partial(reduce_partition, job),
+        container.iter_partitions(options.num_reducers),
+    ))
 
 
 def merge_outputs(
     runs: list[list[Pair]],
     job: JobSpec,
     options: RuntimeOptions,
-    xfer: "ProcessPoolContext | None" = None,
 ) -> tuple[list[Pair], int]:
     """Merge per-reducer sorted runs into the final output.
 
     Returns ``(output, rounds)`` — rounds is the number of pairwise merge
     rounds (0 for the single-pass p-way merge), feeding Conclusion 3's
-    "number of merge rounds avoided" accounting.
-
-    With the ``process`` backend and the p-way merge, output ranges are
-    merged by forked workers (each inherits the runs copy-on-write) once
-    the input is large enough to amortize the forks.
+    "number of merge rounds avoided" accounting.  The runs are already
+    in this process, so the merge runs here on every backend.
     """
     if not job.sorted_output:
         flat: list[Pair] = []
@@ -554,22 +519,8 @@ def merge_outputs(
         merged, rounds = pairwise_merge_sort(runs, key=job.output_key)
         return merged, rounds
     if options.merge_algorithm is MergeAlgorithm.PWAY:
-        executor = None
-        if (
-            options.executor_backend is ExecutorBackend.PROCESS
-            and sum(len(r) for r in runs) >= _FORK_MERGE_MIN_PAIRS
-        ):
-            # Merge workers close over the runs (COW), so they stay
-            # fork-per-wave; the merged ranges still ride back through
-            # the job transport.
-            executor = SupervisedForkExecutor(
-                options.effective_merge_parallelism,
-                policy=options.recovery,
-                transport=xfer.transport if xfer is not None else None,
-            )
         merged = pway_merge(
-            runs, options.effective_merge_parallelism,
-            key=job.output_key, executor=executor,
+            runs, options.effective_merge_parallelism, key=job.output_key
         )
         return merged, 1 if len([r for r in runs if r]) > 1 else 0
     raise RuntimeStateError(f"unknown merge algorithm {options.merge_algorithm!r}")

@@ -10,6 +10,7 @@ ingest chunk to hand back "the chunk length and ingest chunk pointer"
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -85,8 +86,8 @@ def identity_reduce(
         yield (key, value)
 
 
-def _default_output_key(pair: tuple[Hashable, Any]) -> Any:
-    return pair[0]
+#: The pair's key, read in C: the merge calls this once per pair.
+_default_output_key = itemgetter(0)
 
 
 @dataclass

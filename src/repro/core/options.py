@@ -89,7 +89,9 @@ class RuntimeOptions:
     merge_algorithm: MergeAlgorithm = _opt(
         MergeAlgorithm.PAIRWISE, wire=MergeAlgorithm, fingerprint=5
     )
-    merge_parallelism: int | None = _opt(None)  # default: num_reducers
+    #: Output ranges the p-way merge cuts (default: ``num_reducers``).
+    #: A partitioning knob: the ranges are merged in the parent.
+    merge_parallelism: int | None = _opt(None)
     pipelined_ingest: bool = _opt(True)
     #: Byte budget for the intermediate container ("64MB" accepted);
     #: None keeps the paper's everything-in-RAM behaviour.  When set,
@@ -110,11 +112,13 @@ class RuntimeOptions:
     recovery: RecoveryPolicy = _opt(
         RecoveryPolicy(), wire=lambda data: RecoveryPolicy(**data)
     )
-    #: How map/reduce/merge tasks execute (``"serial"`` | ``"thread"`` |
+    #: How map tasks execute (``"serial"`` | ``"thread"`` |
     #: ``"process"``; see :mod:`repro.parallel.backends`).  ``thread``
-    #: is the historical default; ``process`` runs supervised forked
+    #: is the historical default; ``process`` maps on supervised forked
     #: workers (lease tracking, respawn, poison-task quarantine) for
-    #: real multicore with zero-copy (mmap) split ingest.
+    #: real multicore with zero-copy (mmap) split ingest, then reduces
+    #: and merges in the parent, where the partitions already are —
+    #: ``num_reducers`` counts partitions there, not processes.
     executor_backend: ExecutorBackend | str = _opt(ExecutorBackend.THREAD)
     #: Directory for the crash-safe job journal (:mod:`repro.resilience`).
     #: When set, the runtime checkpoints each completed ingest round and

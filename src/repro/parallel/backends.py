@@ -15,10 +15,12 @@ names the three disciplines and builds their parent-side pools:
   through ``mmap`` in the worker (zero-copy ingest), combine in-worker,
   and return compact container deltas the parent absorbs.
 
-The parent-side pool built here is what the *thread-path* code uses; the
-process backend forks per phase instead (workers inherit the job and its
-closures by fork, so nothing needs to be picklable except results), so
-its ``make_pool`` entry is an inert :class:`SerialExecutor`.
+The parent-side pool built here runs every backend's reduce phase (the
+partitions are already in the parent) and the serial / thread map waves;
+the process backend's map waves go to forked workers instead (they
+inherit the job and its closures by fork, so nothing needs to be
+picklable except results), so its ``make_pool`` entry is an inert
+:class:`SerialExecutor`.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ def make_pool(
     """The parent-side pool for ``backend`` (use as a context manager).
 
     ``thread`` gets a real :class:`ThreadPoolExecutor`; ``serial`` and
-    ``process`` get a :class:`SerialExecutor` — the process backend runs
-    its parallel phases through per-phase forks, not a standing pool,
-    so anything still routed through the parent pool (e.g. the pipeline
-    bookkeeping) must not multiply threads under it.
+    ``process`` get a :class:`SerialExecutor` — the process backend's
+    parallelism is its forked map workers, so what runs on the parent
+    pool (reduce, the pipeline bookkeeping) must not multiply threads
+    under it.
     """
     backend = resolve_backend(backend)
     if backend is ExecutorBackend.THREAD:

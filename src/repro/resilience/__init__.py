@@ -29,7 +29,6 @@ from repro.resilience.degrade import (
 from repro.resilience.gates import gate_worker_sites, worker_sites_armed
 from repro.resilience.journal import JobJournal, job_fingerprint
 from repro.resilience.supervisor import (
-    SupervisedForkExecutor,
     SupervisionResult,
     Supervisor,
     supervised_fork_map,
@@ -38,7 +37,6 @@ from repro.resilience.supervisor import (
 __all__ = [
     "Deadline",
     "JobJournal",
-    "SupervisedForkExecutor",
     "SupervisionResult",
     "Supervisor",
     "gate_worker_sites",

@@ -21,7 +21,10 @@ then feeds them small picklable task descriptors over their inboxes —
 epoch-tagged so a lease-killed straggler's late frame can never bleed
 into the next wave.  Results travel through a :mod:`repro.xfer`
 transport, so under shared memory a multi-megabyte container delta
-crosses as a segment name instead of a pipe-borne pickle.
+crosses as a segment name instead of a pipe-borne pickle.  The runtime
+sends only map waves through here: a map task's input is a file range
+any process can ``mmap``, whereas reduce and merge input already sits in
+the parent, and shipping it out and back costs more than the work.
 
 The parent never polls: it blocks in ``multiprocessing.connection.wait``
 on the result pipe, every worker sentinel, and the earliest lease
@@ -732,37 +735,3 @@ def supervised_fork_map(
         pre_run=pre_run,
         transport=transport,
     ).run()
-
-
-class SupervisedForkExecutor:
-    """Executor facade over :func:`supervised_fork_map` for the sort library.
-
-    Merge workers inherit the sorted runs copy-on-write, send back only
-    their output range, and are supervised (respawn on death) without
-    any fault-site checking.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        policy: RecoveryPolicy | None = None,
-        transport: "PipeTransport | ShmTransport | None" = None,
-    ) -> None:
-        if workers < 1:
-            raise ParallelError("SupervisedForkExecutor needs at least one worker")
-        self.workers = workers
-        self.policy = policy or RecoveryPolicy()
-        self.transport = transport
-
-    def map(self, fn: Callable[..., R], *iterables: Iterable[Any]) -> list[R]:
-        """`Executor.map` semantics (results in order, eager)."""
-        if len(iterables) == 1:
-            items = list(iterables[0])
-        else:
-            items = list(zip(*iterables))
-            original_fn = fn
-            fn = lambda args: original_fn(*args)  # noqa: E731
-        return supervised_fork_map(
-            fn, items, self.workers, policy=self.policy,
-            transport=self.transport,
-        ).results

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro.containers.base import Container
-from repro.core.job import JobSpec
+from repro.core.job import JobSpec, identity_reduce
 from repro.errors import RetryExhausted, SpillError
 from repro.faults.log import ACTION_REFETCHED
 from repro.faults.plan import SITE_SHARD_EXCHANGE_CORRUPT
@@ -183,12 +183,22 @@ def merged_partition_groups(
 
 
 def reduce_partition(
-    job: JobSpec, groups: Iterable[Group]
+    job: JobSpec, groups: Iterable[tuple[Hashable, Sequence[Any]]]
 ) -> list[Pair]:
-    """Run the job's reducer over one partition's merged groups."""
-    out: list[Pair] = []
-    for key, values in groups:
-        out.extend(job.reduce_fn(key, values))
+    """The reducer-task body: the job's reducer over one partition's
+    ``(key, values)`` groups, sorted when the job's output is.
+
+    Every reduce in the repo runs this — the one-shot runtimes over a
+    container partition, a shard worker over its merged exchange runs.
+    The identity reducer is flattened in one comprehension rather than
+    one generator per key.
+    """
+    if job.reduce_fn is identity_reduce:
+        out = [(key, value) for key, values in groups for value in values]
+    else:
+        out = []
+        for key, values in groups:
+            out.extend(job.reduce_fn(key, values))
     if job.sorted_output:
         out.sort(key=job.output_key)
     return out

@@ -1,10 +1,10 @@
 """Heap-based k-way merge of sorted runs.
 
 One output pass over all input items with an O(log k) tournament per item.
-This is the sequential core that each p-way merge worker runs on its
-assigned output range, and — because it accepts **lazy iterators**, not
-just materialized lists — the streaming engine the out-of-core spill
-subsystem drives run files through without loading them fully.
+It accepts **lazy iterators**, not just materialized lists, so it can
+stream sources it never holds whole, and it is the reference the sort-
+based merges (:mod:`repro.sortlib.pway`'s range merge, the block merge
+of :mod:`repro.spill.external_merge`) are tested against item for item.
 """
 
 from __future__ import annotations

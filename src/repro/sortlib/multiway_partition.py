@@ -36,13 +36,24 @@ def multiway_select(
     ``total`` after everything.  Ties at the cut value go to the left part
     from lower-index runs first (k-way merge order).
     """
-    k = len(runs)
-    total = sum(len(r) for r in runs)
+    return _select(_key_columns(runs, key), rank)
+
+
+def _key_columns(
+    runs: Sequence[Sequence[Any]], key: KeyFn
+) -> list[Sequence[Any]]:
+    """Each run's sort keys — what the selection bisects on."""
+    return [list(map(key, run)) for run in runs]
+
+
+def _select(keys: Sequence[Sequence[Any]], rank: int) -> list[int]:
+    """:func:`multiway_select` over precomputed key columns."""
+    k = len(keys)
+    total = sum(len(kj) for kj in keys)
     if not 0 <= rank <= total:
         raise ValueError(f"rank {rank} out of range [0, {total}]")
-    keys: list[list[Any]] = [[key(x) for x in run] for run in runs]
     lo = [0] * k
-    hi = [len(r) for r in runs]
+    hi = [len(kj) for kj in keys]
 
     while True:
         if sum(lo) == rank:
@@ -88,13 +99,15 @@ def multiway_partition(
 
     Returns ``parts + 1`` cut vectors; range ``t`` of the output is the
     per-run slices ``runs[j][cuts[t][j]:cuts[t+1][j]]``.  Output ranges
-    differ in size by at most one element.
+    differ in size by at most one element.  The key column of each run
+    is computed once and shared by all ``parts - 1`` selections.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
     total = sum(len(r) for r in runs)
     boundaries: list[list[int]] = [[0] * len(runs)]
+    keys = _key_columns(runs, key) if parts > 1 else []
     for t in range(1, parts):
-        boundaries.append(multiway_select(runs, (t * total) // parts, key))
+        boundaries.append(_select(keys, (t * total) // parts))
     boundaries.append([len(r) for r in runs])
     return boundaries

@@ -50,9 +50,8 @@ def parallel_sort(
 
     Matches ``sorted(items, key=key)`` (stable) for any input;
     ``key=None`` sorts by natural order and takes the no-key merge fast
-    path.  An ``executor`` (thread pool or
-    :class:`~repro.resilience.supervisor.SupervisedForkExecutor`)
-    overlaps both the block sorts and the range merges.
+    path.  An ``executor`` (a thread pool) overlaps both the block sorts
+    and the range merges.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")

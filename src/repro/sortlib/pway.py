@@ -8,18 +8,25 @@ SupMR swaps in for the Phoenix++ merge phase.
 
 The ``parallelism`` argument controls partitioning (p output ranges).  An
 optional executor actually overlaps the range merges; under CPython's GIL
-that buys little for pure-Python comparisons, so by default ranges are
-merged sequentially — the algorithmic structure (and the simulated-time
-behaviour modelled in :mod:`repro.simrt`) is what the paper's result rests
-on, as documented in DESIGN.md.
+that buys little, so by default ranges are merged sequentially — the
+algorithmic structure (and the simulated-time behaviour modelled in
+:mod:`repro.simrt`) is what the paper's result rests on, as documented
+in DESIGN.md.
+
+Each range is merged by the block-merge kernel the spill and exchange
+merges use (:func:`repro.spill.external_merge.merge_sorted_blocks`):
+the range's slices are concatenated in run order and ``list.sort`` merges
+them — timsort finds the pre-sorted slices as runs and is stable, so
+ties stay in run order, exactly the heap merge's order without a Python
+step per item.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Executor
+from itertools import chain
 from typing import Any, Callable, Sequence
 
-from repro.sortlib.kway import kway_merge
 from repro.sortlib.multiway_partition import multiway_partition
 
 KeyFn = Callable[[Any], Any]
@@ -39,8 +46,7 @@ def pway_merge(
 
     Equivalent output to :func:`repro.sortlib.kway.kway_merge` (including
     tie order); raises ``ValueError`` for non-positive parallelism.
-    ``key=None`` means natural item order and lets each range merge take
-    the ``heapq.merge`` fast path.
+    ``key=None`` means natural item order.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -52,10 +58,11 @@ def pway_merge(
     bounds = multiway_partition(runs, parallelism, key or _identity)
 
     def merge_range(t: int) -> list[Any]:
-        slices = [
-            runs[j][bounds[t][j]: bounds[t + 1][j]] for j in range(len(runs))
-        ]
-        return kway_merge(slices, key)
+        piece = list(chain.from_iterable(
+            run[lo:hi] for run, lo, hi in zip(runs, bounds[t], bounds[t + 1])
+        ))
+        piece.sort(key=key)
+        return piece
 
     if executor is None:
         pieces = [merge_range(t) for t in range(parallelism)]

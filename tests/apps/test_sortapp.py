@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.apps.sortapp import make_sort_job, reference_sort, sort_reduce
+from repro.apps.sortapp import make_sort_job, reference_sort
+from repro.core.job import identity_reduce
 from repro.core.options import RuntimeOptions
 from repro.core.phoenix import PhoenixRuntime
 from repro.core.supmr import run_ingest_mr
@@ -10,8 +11,10 @@ from repro.io.records import TeraRecordCodec
 
 
 class TestSortApp:
-    def test_reduce_is_identity(self):
-        assert list(sort_reduce(b"k", [b"v1", b"v2"])) == [
+    def test_reduce_is_identity(self, terasort_file):
+        reduce_fn = make_sort_job([terasort_file]).reduce_fn
+        assert reduce_fn is identity_reduce
+        assert list(reduce_fn(b"k", [b"v1", b"v2"])) == [
             (b"k", b"v1"), (b"k", b"v2"),
         ]
 

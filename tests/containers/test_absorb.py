@@ -527,3 +527,45 @@ class TestHashEmitCounter:
         container.seal()
         assert sum(v for part in container.partitions(1) for _, [v] in part) \
             == expected
+
+
+class TestHashAbsorbOrder:
+    def test_concurrent_deltas_land_whole_in_one_order(self):
+        """Deltas absorbed from many threads at once are applied one
+        whole delta at a time: every key sees them in the same order
+        (numpy drops the GIL mid-hash, so without the batch lock two
+        deltas interleave shard by shard)."""
+        import sys
+        import threading
+
+        container = HashContainer(ListCombiner(), shards=8)
+        container.begin_round()
+        keys = [b"key-%d" % i for i in range(600)]
+
+        def work(task_id):
+            for r in range(20):
+                container.absorb(ContainerDelta(
+                    kind="hash", emits=len(keys),
+                    items=[(key, [(task_id, r)]) for key in keys],
+                ))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        container.seal()
+        orders = {
+            tuple(values) for part in container.partitions(1)
+            for _key, values in part
+        }
+        assert len(orders) == 1
+        assert len(orders.pop()) == 6 * 20

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.containers.base import ContainerDelta
 from repro.containers.combiners import ListCombiner, SumCombiner
 from repro.containers.hash_container import HashContainer
 from repro.errors import ContainerError
+from repro.util.hashing import stable_hash
 
 
 def fill(container, pairs, task_id=0):
@@ -128,3 +130,72 @@ class TestCombiningAndPartitions:
         for k, v in pairs:
             expected[k] = expected.get(k, 0) + v
         assert got == expected
+
+
+def _per_key_absorb(container, delta):
+    """``absorb`` as the per-key loop it replaced: one ``stable_hash``
+    and one hold of the shard lock per key."""
+    for key, state in delta.items:
+        idx = stable_hash(key) % len(container._shards)
+        shard = container._shards[idx]
+        with container._locks[idx]:
+            if key in shard:
+                shard[key] = container.combiner.merge(shard[key], state)
+            else:
+                shard[key] = state
+    container._batch_emits += delta.emits
+
+
+def _per_key_partitions(container, n):
+    parts = [[] for _ in range(n)]
+    for shard in container._shards:
+        for key, state in shard.items():
+            parts[stable_hash(key) % n].append(
+                (key, container.combiner.finish(state))
+            )
+    return parts
+
+
+_KEY_KINDS = {
+    "bytes": st.binary(max_size=12),
+    "str": st.text(max_size=8),
+    "mixed": st.one_of(st.binary(max_size=6), st.text(max_size=4)),
+    "non-string": st.one_of(
+        st.integers(-50, 50), st.booleans(), st.none(),
+        st.tuples(st.integers(0, 3), st.binary(max_size=2)),
+    ),
+}
+
+
+class TestColumnHashParity:
+    """``absorb`` / ``emit_combined`` / ``partitions`` hash a key column
+    (``stable_hash_many``) and take each shard lock once per batch; shard
+    membership, in-shard order, partition membership and ``stats()`` must
+    be what the per-key loop gives."""
+
+    @pytest.mark.parametrize("kind", sorted(_KEY_KINDS))
+    @given(data=st.data())
+    def test_matches_the_per_key_loop(self, kind, data):
+        pair = st.tuples(_KEY_KINDS[kind], st.integers(-9, 9))
+        deltas = data.draw(st.lists(st.lists(pair, max_size=40), max_size=4))
+        bulk = HashContainer(SumCombiner(), shards=5)
+        loop = HashContainer(SumCombiner(), shards=5)
+        for container in (bulk, loop):
+            container.begin_round()
+        for i, items in enumerate(deltas):
+            emits = len(items)
+            if i % 2:
+                # A folded window: unique keys, handed over as a view.
+                states = dict(items)
+                bulk.emitter(i).emit_combined(states, emits)
+                items = list(states.items())
+            else:
+                bulk.absorb(ContainerDelta("hash", emits, items))
+            _per_key_absorb(loop, ContainerDelta("hash", emits, items))
+        assert [list(s.items()) for s in bulk._shards] == [
+            list(s.items()) for s in loop._shards
+        ]
+        assert bulk.stats() == loop.stats()
+        bulk.seal()
+        for n in (1, 3, 7):
+            assert bulk.partitions(n) == _per_key_partitions(loop, n)

@@ -19,6 +19,7 @@ import pytest
 from repro.apps.histogram import make_histogram_job
 from repro.apps.sortapp import make_sort_job
 from repro.apps.wordcount import make_wordcount_job
+from repro.core.execution import ProcessPoolContext
 from repro.core.options import RuntimeOptions
 from repro.core.phoenix import PhoenixRuntime
 from repro.core.supmr import SupMRRuntime
@@ -44,9 +45,12 @@ def numbers_file(tmp_path_factory: pytest.TempPathFactory) -> Path:
     return path
 
 
-def _options(backend: str, *, budget: bool = False, faults: bool = False):
+def _options(
+    backend: str, *, budget: bool = False, faults: bool = False,
+    mappers: int = 4, reducers: int = 3,
+):
     opts = RuntimeOptions.supmr_interfile(
-        "16KB", num_mappers=4, num_reducers=3
+        "16KB", num_mappers=mappers, num_reducers=reducers
     ).with_(executor_backend=backend)
     if budget:
         opts = opts.with_(memory_budget="96KB")
@@ -97,6 +101,44 @@ class TestSupMRBackendEquivalence:
             assert results[backend].output == reference.output, (
                 f"{job_name}: {backend} output diverged from serial"
             )
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "mappers, reducers", [(2, 5), (4, 1)],
+    ids=["reducers>mappers", "one-reducer"],
+)
+@pytest.mark.parametrize("job_name", ["wordcount", "sort"])
+class TestReducerCountEquivalence:
+    """``num_reducers`` is a partition count on every backend: the
+    process backend reduces in the parent and forks ``num_mappers``
+    workers, however many partitions there are."""
+
+    def test_outputs_byte_identical(
+        self, job_name, mappers, reducers, text_file, terasort_file,
+        numbers_file,
+    ):
+        outputs = {
+            backend: SupMRRuntime(
+                _options(backend, mappers=mappers, reducers=reducers)
+            ).run(_job(job_name, text_file, terasort_file, numbers_file)).output
+            for backend in BACKENDS
+        }
+        assert outputs["serial"]
+        assert outputs["thread"] == outputs["serial"]
+        assert outputs["process"] == outputs["serial"]
+
+
+@needs_fork
+def test_pool_is_sized_by_mappers_alone(text_file):
+    xfer = ProcessPoolContext(
+        make_wordcount_job([text_file]),
+        _options("process", mappers=2, reducers=5),
+    )
+    try:
+        assert xfer.pool().requested == 2
+    finally:
+        xfer.close()
 
 
 @needs_fork

@@ -16,10 +16,7 @@ from repro.faults.log import (
 from repro.faults.plan import SITE_TASK_HANG, SITE_WORKER_CRASH
 from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import fork_available
-from repro.resilience.supervisor import (
-    SupervisedForkExecutor,
-    supervised_fork_map,
-)
+from repro.resilience.supervisor import supervised_fork_map
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
@@ -53,16 +50,6 @@ class TestHappyPath:
 
         with pytest.raises(ValueError, match="cursed"):
             supervised_fork_map(boom, range(6), workers=2)
-
-    def test_executor_facade_zips_iterables(self):
-        ex = SupervisedForkExecutor(workers=2)
-        assert ex.map(lambda a, b: a + b, [1, 2, 3], [10, 20, 30]) == [
-            11, 22, 33,
-        ]
-
-    def test_executor_rejects_zero_workers(self):
-        with pytest.raises(ParallelError):
-            SupervisedForkExecutor(workers=0)
 
 
 class TestInjectedCrashes:

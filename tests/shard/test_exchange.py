@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.sortapp import make_sort_job
 from repro.apps.wordcount import make_wordcount_job
 from repro.containers.hash_container import HashContainer
 from repro.containers.combiners import SumCombiner
@@ -144,3 +145,68 @@ class TestMergeAndReduce:
         )
         out = reduce_partition(job, merged_partition_groups([reader]))
         assert dict(out) == {b"a": 5, b"b": 2}
+
+
+def _per_key_loop(job, groups):
+    """The reducer-task body as it was before the bulk identity path."""
+    out = []
+    for key, values in groups:
+        out.extend(job.reduce_fn(key, values))
+    if job.sorted_output:
+        out.sort(key=job.output_key)
+    return out
+
+
+class TestIdentityReduce:
+    """``reduce_partition`` flattens the identity reducer in bulk; the
+    result must be what one ``identity_reduce`` generator per key gives."""
+
+    #: Unsorted keys, a repeated key, single- and multi-value groups in
+    #: tuple (merged spill/exchange blocks) and list (container) form.
+    GROUPS = [
+        (b"m", (b"1",)),
+        (b"c", [b"2", b"3", b"4"]),
+        (b"x", (b"5", b"6")),
+        (b"c", [b"7"]),
+        (b"a", ()),
+    ]
+
+    @pytest.mark.parametrize("sorted_output", [True, False])
+    def test_equals_the_per_key_generator_loop(
+        self, terasort_file, sorted_output
+    ):
+        job = make_sort_job([terasort_file])
+        job.sorted_output = sorted_output
+        out = reduce_partition(job, iter(self.GROUPS))
+        assert out == _per_key_loop(job, self.GROUPS)
+        assert len(out) == 7
+        if not sorted_output:
+            assert [value for _key, value in out] == [
+                b"1", b"2", b"3", b"4", b"5", b"6", b"7",
+            ]
+
+    def test_multi_value_groups_from_a_merged_partition(
+        self, tmp_path, terasort_file
+    ):
+        # Two shards emitted the same keys: the exchange merge hands the
+        # reducer multi-value groups, values in shard order.
+        job = make_sort_job([terasort_file])
+        readers = []
+        for shard, values in enumerate(((b"a0", b"b0"), (b"a1", b"b1"))):
+            container = job.container_factory()
+            container.begin_round()
+            container.emitter(0).emit_many(
+                [(b"dup", values[0]), (b"k%d" % shard, values[1])]
+            )
+            manifest = write_partition_runs(
+                container, 1, tmp_path / f"out{shard}"
+            )
+            readers.append(fetch_run(
+                tmp_path / f"out{shard}" / manifest[0].name,
+                tmp_path / f"in{shard}.spl",
+            )[0])
+        groups = list(merged_partition_groups(readers))
+        assert (b"dup", (b"a0", b"a1")) in groups
+        assert reduce_partition(job, groups) == _per_key_loop(job, groups) == [
+            (b"dup", b"a0"), (b"dup", b"a1"), (b"k0", b"b0"), (b"k1", b"b1"),
+        ]

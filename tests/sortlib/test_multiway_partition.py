@@ -81,6 +81,17 @@ class TestMultiwayPartition:
         ]
         assert sizes == [25, 25, 25, 25]
 
+    def test_key_column_is_computed_once_for_all_cuts(self):
+        runs = [list(range(0, 100, 2)), list(range(1, 100, 2))]
+        calls = []
+
+        def key(x):
+            calls.append(x)
+            return x
+
+        assert multiway_partition(runs, 8, key) == multiway_partition(runs, 8)
+        assert len(calls) == 100  # not 7 cuts x 100
+
     @given(sorted_runs, st.integers(min_value=1, max_value=8))
     def test_property_partition_reconstructs_merge(self, runs, parts):
         bounds = multiway_partition(runs, parts)

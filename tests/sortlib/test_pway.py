@@ -61,3 +61,22 @@ class TestPwayMerge:
     def test_property_parallelism_never_changes_output(self, k, p):
         runs = [sorted(range(i, 40, k)) for i in range(k)]
         assert pway_merge(runs, p) == pway_merge(runs, 1)
+
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=2), max_size=30)
+            .map(sorted),
+            max_size=8,
+        ),
+        st.sampled_from([1, 2, 3, 8]),
+    )
+    def test_property_heavy_ties_keep_kway_order(self, runs, p):
+        # Three distinct keys over up to 240 items: nearly every cut
+        # lands inside a tie group, and the sort-based range merge must
+        # still emit ties run by run, in run order.
+        tagged = [
+            [(x, idx, pos) for pos, x in enumerate(run)]
+            for idx, run in enumerate(runs)
+        ]
+        key = lambda t: t[0]  # noqa: E731
+        assert pway_merge(tagged, p, key) == kway_merge(tagged, key)

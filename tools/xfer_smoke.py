@@ -12,7 +12,11 @@ Drives the real CLI end to end across both result transports:
    more with prefetch readers) and require byte-identical digests;
 3. run the job sharded (``--shards 2``) with a seeded shard loss under
    both transports and require the same digest again;
-4. after every run, require that no ``rxf*`` shared-memory segment is
+4. run a terasort ``sort`` — array deltas, every record crossing the
+   process boundary, where word count's hash deltas carry a tenth of the
+   input — with the same seeded worker kills under both transports and
+   require one digest;
+5. after every run, require that no ``rxf*`` shared-memory segment is
    left behind in ``/dev/shm`` — the no-leak guarantee, including the
    crash paths the fault plan just exercised.
 
@@ -71,11 +75,19 @@ def main() -> int:
         if gen.returncode != 0:
             sys.exit(f"corpus generation failed:\n{gen.stdout}\n{gen.stderr}")
 
-        base = ("wordcount", str(corpus), "--chunk-size", "16KB",
-                "--backend", "process", "--mappers", "4", "--reducers", "3")
+        records = Path(tmp) / "records.dat"
+        gen = run_cli("gen", "terasort", str(records), "--records", "3000",
+                      "--seed", "5")
+        if gen.returncode != 0:
+            sys.exit(f"record generation failed:\n{gen.stdout}\n{gen.stderr}")
 
-        def faulted(label: str, *extra: str) -> str:
-            proc = run_cli(*base, "--faults", FAULTS, "--fault-seed", "7",
+        knobs = ("--chunk-size", "16KB", "--backend", "process",
+                 "--mappers", "4", "--reducers", "3")
+        base = ("wordcount", str(corpus), *knobs)
+
+        def faulted(label: str, *extra: str,
+                    job: tuple[str, ...] = base) -> str:
+            proc = run_cli(*job, "--faults", FAULTS, "--fault-seed", "7",
                            *extra)
             digest = digest_of(proc, label)
             leaked = shm_segments() - before
@@ -112,6 +124,14 @@ def main() -> int:
             failures.append(
                 "sharded job digest diverged from the unsharded reference"
             )
+
+        sort_job = ("sort", str(records), *knobs)
+        sort_pipe = faulted("faulted sort pipe", "--transport", "pipe",
+                            job=sort_job)
+        sort_shm = faulted("faulted sort shm", "--transport", "shm",
+                           job=sort_job)
+        if sort_pipe != sort_shm:
+            failures.append("sort job: shm digest diverged from pipe")
 
     if failures:
         print("\nXFER SMOKE FAILED:")
