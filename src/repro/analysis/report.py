@@ -9,11 +9,15 @@ the CLI's ``--json`` flag uses them.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.result import JobResult, PhaseTimings
 from repro.faults.log import FaultLog
-from repro.simrt.phases import SimJobResult
+
+if TYPE_CHECKING:
+    # annotation only: every runner and one-shot ``--json`` imports this
+    # module, and none of them needs the simulator loaded
+    from repro.simrt.phases import SimJobResult
 
 
 def _json_safe(value: Any) -> Any:

@@ -9,10 +9,13 @@ external plotting).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.simhw.monitor import UtilizationSample
-from repro.simrt.phases import PhaseSpan
+if TYPE_CHECKING:
+    # annotation only: ``repro.analysis`` re-exports this module, so a
+    # runtime import here would load the simulator into every runner
+    from repro.simhw.monitor import UtilizationSample
+    from repro.simrt.phases import PhaseSpan
 
 _SPARK_CHARS = " .:-=+*#%@"
 

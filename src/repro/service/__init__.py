@@ -12,7 +12,8 @@ CLI invocation at a time.  This package wraps the existing runtimes
 * :mod:`repro.service.server` — an ``asyncio`` daemon with a
   FIFO+priority job queue, admission control, per-job checkpoint dirs
   (every submitted job is crash-resumable), and graceful SIGTERM drain;
-* :mod:`repro.service.runner` — the per-job subprocess that actually
+* :mod:`repro.service.runner` — the pre-imported zygote the daemon
+  execs once, and the per-attempt runner forked from it that actually
   executes a job, crash-isolated from the daemon;
 * :mod:`repro.service.client` + :mod:`repro.service.jobspec` — a typed
   blocking client and a serializable job spec that round-trips every

@@ -8,7 +8,19 @@ concurrent clients over the framed protocol.  The moving parts:
   virtual clock advances per dispatch, within a tenant higher
   ``priority`` goes first (FIFO within a level) softened by priority
   aging so no class starves.  A scheduler fills up to
-  ``max_concurrent`` runner subprocesses from it.
+  ``max_concurrent`` runner slots from it.
+* **Runners** — the daemon runs no MapReduce work itself.  It execs one
+  **zygote** (:mod:`repro.service.runner`: a fresh interpreter that has
+  imported everything a job touches) and each attempt is a ``fork`` of
+  it, requested over a control socket (:class:`_Zygote`): an attempt
+  costs its job, not an interpreter start.  The zygote forks, sweeps
+  the ended runner's process group and reaps it, and reports pid, wait
+  status and rusage; the daemon classifies the exit code and signals
+  runners (cancel, timeout, drain) by the reported pid, which is also
+  the runner's process group.  Control-socket EOF is the liveness
+  signal both ways: a zygote that loses the daemon kills its runners
+  and exits; a daemon that loses the zygote kills the runners in
+  flight, requeues them as crashed attempts and starts another zygote.
 * **Admission control** — submissions are *rejected with a typed error*
   rather than queued unboundedly: ``queue-full`` past
   ``max_queue_depth``, ``budget-exceeded`` when the sum of admitted
@@ -31,7 +43,8 @@ concurrent clients over the framed protocol.  The moving parts:
   and their journals turn the re-run into a resume.
 * **Graceful drain** — SIGTERM stops the listener, terminates running
   runners (their journals hold the completed rounds), re-queues them
-  durably, and exits; a restarted daemon picks the queue back up.
+  durably, hangs up on the zygote and waits for it, and exits; a
+  restarted daemon picks the queue back up.
 * **Fault sites** — ``service.conn.drop`` severs accepted connections
   mid-exchange and ``service.job.crash`` SIGKILLs runners mid-job, so
   the seeded fault matrix covers the daemon the way it covers the
@@ -57,10 +70,12 @@ import contextlib
 import json
 import os
 import signal
+import socket
+import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.cluster.health import HealthPolicy
 from repro.cluster.registry import AgentRegistry
@@ -103,12 +118,16 @@ FRAME_STALL_S = 30.0
 #: looks like.
 STALE_AGENT_ADDR = "127.0.0.1:1"
 
+#: How long a drain waits for the zygote to exit on its own after the
+#: control socket closed, before killing it.
+ZYGOTE_EXIT_GRACE_S = 5.0
+
 
 def signal_runner_tree(pid: int, sig: int = signal.SIGKILL) -> None:
     """Deliver ``sig`` to a runner's whole process tree.
 
-    Runners are spawned as session leaders, so their process group holds
-    every shard worker they forked.  Killing only the runner pid leaves
+    Runners are session leaders, so their process group holds every
+    pool and shard worker they forked.  Killing only the runner pid leaves
     those workers alive as orphans that keep writing the attempt's
     checkpoint journal, spill runs, and exchange outboxes — and a
     relaunched attempt resuming from that journal then races a concurrent
@@ -132,7 +151,7 @@ class ServiceConfig:
     #: 0 asks the kernel for a free port; the bound port is advertised
     #: in ``state_dir/endpoint.json``.
     port: int = 0
-    #: Runner subprocesses allowed to execute at once.
+    #: Runners allowed to execute at once.
     max_concurrent: int = 2
     #: Queued (not yet running) jobs allowed before ``queue-full``.
     max_queue_depth: int = 16
@@ -235,10 +254,156 @@ class ServiceConfig:
             raise ConfigError("net_timeout_s must be positive")
 
 
+class _ZygoteLost(Exception):
+    """The zygote died (or hung up) with a fork request outstanding."""
+
+
+class _Runner:
+    """One forked runner as the daemon sees it: the awaitable stand-in
+    for ``asyncio.subprocess.Process`` that ``_run_job`` drives."""
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        #: ``os.waitstatus_to_exitcode`` of the wait status; None while live.
+        self.returncode: int | None = None
+        #: The attempt's rusage as the zygote's ``wait4`` reported it
+        #: (None when the zygote died before the runner did).
+        self.cpu_s: float | None = None
+        self.max_rss_mb: float | None = None
+        self._ended = asyncio.Event()
+
+    def _end(self, returncode: int) -> None:
+        self.returncode = returncode
+        self._ended.set()
+
+    async def wait(self) -> int:
+        """The exit code (negative signal number for a signal death)."""
+        await self._ended.wait()
+        return self.returncode
+
+
+class _Zygote:
+    """The daemon's end of one runner zygote (:mod:`repro.service.runner`).
+
+    Construction execs the zygote and returns at once; requests written
+    while it is still importing wait in the control socket.  The socket
+    is the liveness signal both ways: the zygote treats EOF as "the
+    daemon is gone" (kills its runners, exits), and ``_read_replies``
+    treats EOF as "the zygote is gone" — it SIGKILLs the groups of the
+    runners in flight, ends them as signal deaths so ``_run_job``
+    requeues them, and tells the service through ``on_lost``.
+    """
+
+    def __init__(
+        self, state_dir: Path, on_lost: "Callable[[_Zygote], None]"
+    ) -> None:
+        ours, theirs = socket.socketpair()
+        try:
+            # A fresh interpreter in its own session: nothing of the
+            # event loop is inherited, and a terminal's ^C reaches the
+            # daemon (which drains) but not the zygote.
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.service.runner", str(state_dir)],
+                stdin=theirs, start_new_session=True,
+            )
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        self._on_lost = on_lost
+        #: True once the zygote has answered anything, i.e. it booted.
+        self.served = False
+        self._forking: dict[str, asyncio.Future] = {}
+        self._live: dict[str, _Runner] = {}
+        self._closing = False
+        self._streams = asyncio.ensure_future(
+            asyncio.open_connection(sock=ours)
+        )
+        self._replies = asyncio.ensure_future(self._read_replies())
+
+    async def spawn(
+        self, job_id: str, crash_after_round: "int | None"
+    ) -> _Runner:
+        """Fork one runner over ``job_id``'s directory.
+
+        Raises ``OSError`` when the fork itself failed and
+        :class:`_ZygoteLost` when the zygote died before answering.
+        """
+        _, writer = await self._streams
+        if self._replies.done():
+            raise _ZygoteLost()
+        answer = asyncio.get_running_loop().create_future()
+        self._forking[job_id] = answer
+        try:
+            await protocol.write_frame(writer, {
+                "job_id": job_id, "crash_after_round": crash_after_round,
+            })
+        except ConnectionError:
+            pass  # the reply loop sees the same hang-up and fails ``answer``
+        return await answer
+
+    async def _read_replies(self) -> None:
+        reader, writer = await self._streams
+        try:
+            while True:
+                msg = await protocol.read_frame(reader)
+                self.served = True
+                job_id = msg["job_id"]
+                if "status" in msg:
+                    runner = self._live.pop(job_id)
+                    runner.cpu_s = msg["cpu_s"]
+                    runner.max_rss_mb = msg["max_rss_mb"]
+                    runner._end(os.waitstatus_to_exitcode(msg["status"]))
+                elif "pid" in msg:
+                    runner = self._live[job_id] = _Runner(msg["pid"])
+                    self._forking.pop(job_id).set_result(runner)
+                else:
+                    self._forking.pop(job_id).set_exception(
+                        OSError(msg["error"])
+                    )
+        except (EOFError, ProtocolError, OSError, KeyError):
+            pass  # hung up, or answered something we never asked
+        writer.close()
+        # The conversation is over (a cancellation does not get here: the
+        # loop is being torn down, and the socket closing with it tells
+        # the zygote).  This zygote reaps nothing more for us, so its
+        # runners die with it.
+        for answer in self._forking.values():
+            answer.set_exception(_ZygoteLost())
+        self._forking.clear()
+        for runner in self._live.values():
+            signal_runner_tree(runner.pid, signal.SIGKILL)
+            runner._end(-signal.SIGKILL)
+        self._live.clear()
+        if not self._closing:
+            self._on_lost(self)
+
+    async def close(self) -> None:
+        """Hang up — the zygote kills whatever it still has and exits —
+        and reap it, so it is gone before the daemon is."""
+        self._closing = True
+        _, writer = await self._streams
+        writer.close()
+        await asyncio.wait([self._replies])
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.reap, ZYGOTE_EXIT_GRACE_S
+        )
+
+    def reap(self, grace_s: float = 0.0) -> None:
+        """Wait for the zygote process (blocking), killing it if it is
+        still there after ``grace_s``."""
+        try:
+            self.proc.wait(grace_s)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
 @dataclass
 class _RunningJob:
     record: JobRecord
-    proc: "asyncio.subprocess.Process"
+    proc: _Runner
     cancelling: bool = False
 
 
@@ -261,6 +426,9 @@ class JobService:
         self._draining = False
         self._stop = asyncio.Event()
         self._server: asyncio.AbstractServer | None = None
+        #: The live runner zygote; None until the first need of one and
+        #: between losing one and starting the next.
+        self._zygote: _Zygote | None = None
         self._injector = (
             self.config.fault_plan.arm()
             if self.config.fault_plan is not None else None
@@ -302,6 +470,8 @@ class JobService:
     async def start(self) -> tuple[str, int]:
         """Bind, recover durable state, and start serving; returns the
         advertised (host, port)."""
+        # first, so that it imports while the daemon recovers and binds
+        self._ensure_zygote()
         self._recover()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host,
@@ -379,6 +549,9 @@ class JobService:
             signal_runner_tree(running.proc.pid, signal.SIGKILL)
             self._set_state(running.record.with_(state=STATE_QUEUED))
             del self._running[job_id]
+        if self._zygote is not None:
+            await self._zygote.close()
+            self._zygote = None
         self.state.clear_endpoint()
 
     def _recover(self) -> None:
@@ -765,63 +938,67 @@ class JobService:
                 "io_priority": getattr(spec, "io_priority", 0),
             })
             self._io_assigned[job_id] = assigned
-        argv = [sys.executable, "-m", "repro.service.runner", str(job_dir)]
+        crash_after_round = None
         if self._injector is not None:
             decision = self._injector.check(
                 SITE_SERVICE_JOB_CRASH, scope=job_id, attempt=attempt
             )
             if decision is not None:
-                argv += ["--crash-after-round", "1"]
-        log_fh = open(self.state.runner_log_path(job_id), "ab")
+                crash_after_round = 1
+        proc = None
         try:
-            # start_new_session makes the runner a session (and process
-            # group) leader: its forked shard workers share the group,
-            # so every kill site can reap the whole tree at once.
-            proc = await asyncio.create_subprocess_exec(
-                *argv, stdout=log_fh, stderr=log_fh,
-                start_new_session=True,
-            )
-        except OSError as exc:
-            log_fh.close()
-            self._io_assigned.pop(job_id, None)
-            self._placements.pop(job_id, None)
-            self._registry.release(job_id)
-            self._finish(record.with_(
-                state=STATE_FAILED, error=f"runner launch failed: {exc}",
-                exit_code=1,
-            ))
-            return
-        publish(job_dir / "runner.pid", str(proc.pid))
-        running = _RunningJob(record=record, proc=proc)
-        self._running[job_id] = running
-        self._set_state(record)
-        try:
+            try:
+                proc = await self._ensure_zygote().spawn(
+                    job_id, crash_after_round
+                )
+            except OSError as exc:
+                self._finish(record.with_(
+                    state=STATE_FAILED, exit_code=1,
+                    error=f"runner launch failed: {exc}",
+                ))
+                return
+            except _ZygoteLost:
+                self._runner_crashed(record, "the zygote died before the fork")
+                return
+            publish(job_dir / "runner.pid", str(proc.pid))
+            running = _RunningJob(record=record, proc=proc)
+            self._running[job_id] = running
+            self._set_state(record)
+            if self._draining:
+                # the drain's SIGTERM round went by while the zygote forked
+                signal_runner_tree(proc.pid, signal.SIGTERM)
+            timed_out = False
             try:
                 rc = await asyncio.wait_for(
                     proc.wait(), timeout=self.config.job_timeout_s
                 )
             except asyncio.TimeoutError:
+                timed_out = True
                 signal_runner_tree(proc.pid, signal.SIGKILL)
-                await proc.wait()
-                self._finish(running.record.with_(
-                    state=STATE_FAILED, exit_code=4,
-                    error=f"runner exceeded the service job timeout "
-                          f"({self.config.job_timeout_s}s)",
-                ))
-                return
+                rc = await proc.wait()
+            running.record = running.record.with_(
+                cpu_s=proc.cpu_s, max_rss_mb=proc.max_rss_mb,
+            )
         finally:
-            # However the runner died (clean exit, injected crash,
-            # timeout, cancel), no shard worker of this attempt may
-            # outlive it: a survivor would keep writing the checkpoint
-            # journal the requeued attempt is about to resume from.
-            with contextlib.suppress(OSError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            log_fh.close()
+            if proc is not None and proc.returncode is None:
+                # this task was cancelled under a live runner
+                signal_runner_tree(proc.pid, signal.SIGKILL)
+            # A runner that ended needs no sweep here: the zygote killed
+            # its process group before reaping it, so no shard worker of
+            # this attempt is left to keep writing the checkpoint journal
+            # the requeued attempt is about to resume from.
             self._running.pop(job_id, None)
             self._io_assigned.pop(job_id, None)
             self._placements.pop(job_id, None)
             self._registry.release(job_id)
             (job_dir / "runner.pid").unlink(missing_ok=True)
+        if timed_out:
+            self._finish(running.record.with_(
+                state=STATE_FAILED, exit_code=4,
+                error=f"runner exceeded the service job timeout "
+                      f"({self.config.job_timeout_s}s)",
+            ))
+            return
         if self._draining:
             # drain terminated the runner; put the job back for the
             # next daemon instance (the journal keeps its rounds)
@@ -854,36 +1031,60 @@ class JobService:
                         addr, "unreachable at dispatch"
                     )
                 if attempt < self.config.max_attempts:
-                    requeued = running.record.with_(state=STATE_QUEUED)
-                    self.state.save_record(requeued)
-                    self._push(requeued)
-                    self._broadcast(requeued)
+                    self._requeue(running.record)
                     return
                 error += f"; attempts exhausted ({attempt})"
             self._finish(running.record.with_(
                 state=STATE_FAILED, exit_code=rc, error=error,
             ))
         else:
-            # killed by a signal or an unclassified crash: relaunch and
-            # resume from the journal, bounded by max_attempts
-            self.counters["runner_crashes"] += 1
-            if self._injector is not None:
-                self._injector.log.record(
-                    SITE_SERVICE_JOB_CRASH, ACTION_RESPAWNED,
-                    f"runner for {job_id} exited {rc}; relaunching",
-                    scope=job_id, attempt=attempt,
-                )
-            if attempt >= self.config.max_attempts:
-                self._finish(running.record.with_(
-                    state=STATE_FAILED, exit_code=1,
-                    error=f"runner crashed (exit {rc}) "
-                          f"{attempt} time(s); attempts exhausted",
-                ))
-            else:
-                requeued = running.record.with_(state=STATE_QUEUED)
-                self.state.save_record(requeued)
-                self._push(requeued)
-                self._broadcast(requeued)
+            # killed by a signal or an unclassified crash
+            self._runner_crashed(running.record, f"exit {rc}")
+
+    def _requeue(self, record: JobRecord) -> None:
+        """Put a dispatched job back in line for another attempt."""
+        requeued = record.with_(state=STATE_QUEUED)
+        self.state.save_record(requeued)
+        self._push(requeued)
+        self._broadcast(requeued)
+
+    def _runner_crashed(self, record: JobRecord, how: str) -> None:
+        """An attempt died of something that is not the job's verdict:
+        relaunch and resume from the journal, bounded by max_attempts
+        (``record.attempts`` already counts the attempt that died)."""
+        self.counters["runner_crashes"] += 1
+        if self._injector is not None:
+            self._injector.log.record(
+                SITE_SERVICE_JOB_CRASH, ACTION_RESPAWNED,
+                f"runner for {record.job_id} crashed ({how}); relaunching",
+                scope=record.job_id, attempt=record.attempts,
+            )
+        if record.attempts >= self.config.max_attempts:
+            self._finish(record.with_(
+                state=STATE_FAILED, exit_code=1,
+                error=f"runner crashed ({how}) "
+                      f"{record.attempts} time(s); attempts exhausted",
+            ))
+        else:
+            self._requeue(record)
+
+    def _ensure_zygote(self) -> _Zygote:
+        """The live zygote, starting one when there is none."""
+        if self._zygote is None:
+            self._zygote = _Zygote(self.state.state_dir, self._zygote_lost)
+        return self._zygote
+
+    def _zygote_lost(self, zygote: _Zygote) -> None:
+        """The zygote hung up on us (its in-flight runners were killed
+        and are being requeued as crashes by their ``_run_job``s)."""
+        asyncio.get_running_loop().run_in_executor(None, zygote.reap)
+        if self._zygote is zygote:
+            self._zygote = None
+            # One that never got as far as answering is not replaced
+            # until a job needs it: a zygote that cannot boot must not
+            # be restarted in a loop.
+            if zygote.served and not self._draining:
+                self._ensure_zygote()
 
     def _record_success(self, record: JobRecord, rc: int) -> None:
         job_dir = self.state.job_dir(record.job_id)

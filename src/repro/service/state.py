@@ -12,7 +12,7 @@ under its **state dir**:
         spec.json              # the submitted ServiceJobSpec
         checkpoint/            # the job's JobJournal (crash resume)
         result.json            # one-shot-identical JSON report (done jobs)
-        runner.log             # the runner subprocess's stdout+stderr
+        runner.log             # the runners' stdout+stderr, all attempts
 
 Records use the same CRC-inside-JSON envelope and atomic publish as the
 job journal (:mod:`repro.util.atomic`), so a record is always either the
@@ -75,6 +75,11 @@ class JobRecord:
     resumed: bool = False
     #: Set after the result has been fetched at least once (GC hint).
     result_fetched: bool = False
+    #: User+system CPU seconds and peak resident set of the last attempt
+    #: that ended under the zygote — the runner with the workers it
+    #: reaped, from the zygote's ``wait4`` (None until one has).
+    cpu_s: float | None = None
+    max_rss_mb: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe dictionary; :meth:`from_dict` inverts it."""
@@ -136,7 +141,7 @@ class ServiceState:
         return self.job_dir(job_id) / "result.json"
 
     def runner_log_path(self, job_id: str) -> Path:
-        """The runner subprocess log (stdout+stderr, all attempts)."""
+        """The runners' log (stdout+stderr, all attempts)."""
         return self.job_dir(job_id) / "runner.log"
 
     # -- endpoint -----------------------------------------------------------

@@ -68,3 +68,29 @@ class TestCliJson:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["runtime"] == "supmr"
         assert parsed["n_output_pairs"] > 0
+
+
+class TestImportFootprint:
+    def test_report_does_not_load_the_simulator(self):
+        """Every service runner and every one-shot ``--json`` imports
+        ``repro.analysis.report``; none of them simulates anything."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        probe = (
+            "import sys, repro.analysis, repro.analysis.report\n"
+            "print([m for m in sys.modules\n"
+            "       if m.startswith(('repro.simhw', 'repro.simrt'))])\n"
+            "print([n for n in repro.analysis.__all__\n"
+            "       if not hasattr(repro.analysis, n)])\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.splitlines()
+        assert out == ["[]", "[]"]

@@ -21,7 +21,8 @@ def _daemon_env() -> dict[str, str]:
 
 
 def start_daemon(
-    state_dir: Path, *extra: str, timeout_s: float = 30.0
+    state_dir: Path, *extra: str, timeout_s: float = 30.0,
+    env: "dict[str, str] | None" = None,
 ) -> subprocess.Popen:
     """Launch ``repro serve`` and wait until it advertises its endpoint."""
     state_dir = Path(state_dir)
@@ -30,7 +31,7 @@ def start_daemon(
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--state-dir", str(state_dir), *extra],
-        env=_daemon_env(), stdout=log, stderr=subprocess.STDOUT,
+        env=env or _daemon_env(), stdout=log, stderr=subprocess.STDOUT,
     )
     log.close()
     endpoint = state_dir / "endpoint.json"
@@ -63,8 +64,8 @@ def daemon():
     """Factory launching daemons that are always torn down after the test."""
     procs: list[subprocess.Popen] = []
 
-    def launch(state_dir: Path, *extra: str) -> subprocess.Popen:
-        proc = start_daemon(state_dir, *extra)
+    def launch(state_dir: Path, *extra: str, **kw) -> subprocess.Popen:
+        proc = start_daemon(state_dir, *extra, **kw)
         procs.append(proc)
         return proc
 

@@ -61,6 +61,14 @@ class TestJobRecord:
         data["from_the_future"] = True
         assert JobRecord.from_dict(data).job_id == "a"
 
+    def test_records_older_than_the_rusage_fields_load(self):
+        data = JobRecord(job_id="a", state=STATE_DONE, attempts=1).to_dict()
+        del data["cpu_s"], data["max_rss_mb"]
+        record = JobRecord.from_dict(data)
+        assert record.cpu_s is None and record.max_rss_mb is None
+        measured = record.with_(cpu_s=0.05, max_rss_mb=37.2)
+        assert JobRecord.from_dict(measured.to_dict()) == measured
+
     def test_finished_property(self):
         assert JobRecord(job_id="a", state=STATE_DONE).finished
         assert not JobRecord(job_id="a", state=STATE_RUNNING).finished

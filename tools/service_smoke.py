@@ -11,7 +11,10 @@ real CLI and wire protocol:
 3. restart the daemon over the same state dir (recovery reaps the
    orphaned runner and re-queues interrupted jobs), wait for all three
    jobs, and require every digest to match its one-shot run — with the
-   interrupted job *resuming* from its journal rather than restarting.
+   interrupted job *resuming* from its journal rather than restarting;
+4. ``kill -9`` the daemon's runner zygote between two submissions: the
+   next job must run on a new zygote and match its one-shot digest, and
+   after ``shutdown`` no process naming the state dir may remain.
 
 Exits non-zero (failing the CI job) on any divergence.  If the big job
 finishes before the kill lands (fast runner), the input is doubled and
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -77,6 +81,56 @@ def start_daemon(state_dir: Path) -> subprocess.Popen:
         time.sleep(0.02)
     proc.kill()
     sys.exit("daemon did not come up within 30s")
+
+
+def processes_naming(state_dir: Path) -> dict[int, tuple[int, str]]:
+    """``pid -> (ppid, cmdline)`` of live processes naming ``state_dir``
+    (the daemon, its zygote, and every runner forked from it)."""
+    found = {}
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit() or int(entry.name) == os.getpid():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes().replace(
+                b"\0", b" ").decode(errors="replace")
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        fields = stat[stat.rindex(")") + 2:].split()
+        if str(state_dir) in cmdline and fields[0] != "Z":
+            found[int(entry.name)] = (int(fields[1]), cmdline.strip())
+    return found
+
+
+def zygote_of(daemon: subprocess.Popen, state_dir: Path) -> "int | None":
+    for pid, (ppid, cmdline) in processes_naming(state_dir).items():
+        if ppid == daemon.pid and "repro.service.runner" in cmdline:
+            return pid
+    return None
+
+
+def kill_zygote_then_submit(
+    daemon: subprocess.Popen, client: ServiceClient, state_dir: Path,
+    small: Path,
+) -> list[str]:
+    """Leg 4: a job submitted after the zygote died runs on a new one."""
+    want = one_shot_digest("wordcount", str(small), "--chunk-size", "32KB")
+    old = zygote_of(daemon, state_dir)
+    if old is None:
+        return ["the daemon has no zygote to kill"]
+    os.kill(old, signal.SIGKILL)
+    rec, _ = client.submit_and_wait(ServiceJobSpec(
+        app="wordcount", inputs=(str(small),), chunk_size="32KB",
+        tag="after-zygote-kill",
+    ), timeout_s=300)
+    if rec.state != STATE_DONE or rec.digest != want:
+        return [f"job after the zygote kill: {rec.state}, digest "
+                f"{rec.digest} != one-shot {want} ({rec.error})"]
+    new = zygote_of(daemon, state_dir)
+    if new is None or new == old:
+        return [f"no new zygote after the kill (old {old}, now {new})"]
+    print(f"  zygote {old} killed; job ran on zygote {new}: digest match")
+    return []
 
 
 def await_first_round(journal: Path, timeout_s: float) -> bool:
@@ -174,8 +228,11 @@ def one_round_trip(tmp: Path, attempt: int, big_size: str) -> "bool | None":
                 f"plain job {job_id} re-ran from scratch instead of "
                 "resuming its journal"
             )
+    failures += kill_zygote_then_submit(daemon, client, state_dir, small)
     client.shutdown()
     daemon.wait(timeout=30)
+    for pid, (_, cmdline) in processes_naming(state_dir).items():
+        failures.append(f"left behind after shutdown: pid {pid}: {cmdline}")
     if failures:
         sys.exit("service smoke FAILED:\n  " + "\n  ".join(failures))
     return True
@@ -188,7 +245,8 @@ def main() -> int:
         print(f"service smoke: attempt {attempt} (big input {size})")
         if one_round_trip(tmp, attempt, size):
             print("service smoke PASSED: daemon killed -9 mid-job; "
-                  "restart resumed from the journal; all digests match")
+                  "restart resumed from the journal; zygote killed -9 "
+                  "and replaced; all digests match")
             return 0
     sys.exit("service smoke inconclusive: the big job kept finishing "
              "before the kill landed")
