@@ -105,6 +105,12 @@ class ArrayContainer(Container):
             for segments in self._partition_segments(n)
         ]
 
+    def pairs(self) -> list[tuple[Hashable, Any]]:
+        """The emitted records themselves, segment after segment."""
+        if not self.sealed:
+            raise ContainerError("pairs() before seal()")
+        return list(chain.from_iterable(self._segments))
+
     def drain(self) -> ContainerDelta:
         """Pack this container's segments (non-empty only) for transport."""
         emits = sum(len(s) for s in self._segments)

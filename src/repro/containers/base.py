@@ -104,6 +104,19 @@ class Container(abc.ABC):
         """
         return self.partitions(n)
 
+    def pairs(self) -> list[tuple[Hashable, Any]]:
+        """The sealed container's contents as flat ``(key, value)``
+        records, in ``partitions(1)`` order — a new list the caller owns.
+
+        What leaves memory leaves it in this shape (a spill run, a
+        shard's exchange runs): one record per value, no per-key
+        wrapper.  The default flattens ``partitions(1)``; containers
+        that can hand their records over without building the groups
+        first override it.
+        """
+        (groups,) = self.partitions(1)
+        return [(key, value) for key, values in groups for value in values]
+
     @abc.abstractmethod
     def stats(self) -> ContainerStats:
         """Emit/key counters for reporting."""

@@ -85,12 +85,26 @@ class HashContainer(Container):
             raise ContainerError("need at least one reducer partition")
         if not self.sealed:
             raise ContainerError("partitions() before seal()")
-        parts: list[list[tuple[Hashable, Any]]] = [[] for _ in range(n)]
         items = [item for shard in self._shards for item in shard.items()]
         finish = self.combiner.finish
+        if n == 1:  # one partition takes every key: nothing to hash
+            return [[(key, finish(state)) for key, state in items]]
+        parts: list[list[tuple[Hashable, Any]]] = [[] for _ in range(n)]
         for (key, state), h in zip(items, stable_hash_many(map(_KEY, items))):
             parts[h % n].append((key, finish(state)))
         return parts
+
+    def pairs(self) -> list[tuple[Hashable, Any]]:
+        """Shard after shard, each key's finished values in order."""
+        if not self.sealed:
+            raise ContainerError("pairs() before seal()")
+        finish = self.combiner.finish
+        return [
+            (key, value)
+            for shard in self._shards
+            for key, state in shard.items()
+            for value in finish(state)
+        ]
 
     def drain(self) -> ContainerDelta:
         """Pack combined (key, state) pairs for the parent to absorb.

@@ -3,21 +3,23 @@
 The exchange unit is the existing checksummed spill-run file
 (:mod:`repro.spill.runfile`) — already a portable, self-validating
 on-disk format.  After its map phase every shard writes one run per
-reducer partition into its **outbox** (keys bucketed by the same
-process-stable hash on every shard, sorted and grouped within the run);
+reducer partition into its **outbox** (the container's flat
+``(key, value)`` records bucketed by the same process-stable key hash
+on every shard, sorted stably by key within the run);
 during the reduce phase the owning shard **fetches** each source run
 into its own inbox — a byte copy standing in for the network transfer —
 and CRC-verifies the copy before adoption.  A verification failure
 deletes the copy and refetches from the pristine outbox (bounded by the
 recovery policy's retry budget) rather than silently merging garbage.
 
-Reduction streams the fetched runs through the same block-wise grouping
+Reduction streams the fetched runs through the same block-wise record
 merge the spill subsystem uses
-(:func:`repro.spill.external_merge.merge_sorted_blocks`): equal keys
-across shards are folded into one ``reduce_fn`` call with
-their values concatenated in shard-id order, which — because shards map
-*contiguous* chunk blocks — is exactly the global chunk order an
-unsharded run would have produced.
+(:func:`repro.spill.external_merge.merge_sorted_blocks`) and groups the
+merged blocks once, as the reducer takes them
+(:func:`repro.spill.manager.group_sorted_block`): equal keys across
+shards are folded into one ``reduce_fn`` call with their values in
+shard-id order, which — because shards map *contiguous* chunk blocks —
+is exactly the global chunk order an unsharded run would have produced.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 import shutil
 import time
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -39,10 +39,10 @@ from repro.spill.external_merge import merge_sorted_blocks
 from repro.spill.manager import (
     _flip_byte,
     entry_sort_key,
-    group_sorted_block,
+    group_sorted_blocks,
+    hash_buckets,
 )
 from repro.spill.runfile import HEADER_BYTES, RunReader, RunWriter
-from repro.util.hashing import stable_hash_many
 
 Pair = tuple[Hashable, Any]
 Group = tuple[Hashable, tuple[Any, ...]]
@@ -58,6 +58,7 @@ class ExchangeRun:
 
     partition: int
     name: str
+    #: ``(key, value)`` records in the run — one per value.
     records: int
     payload_bytes: int
 
@@ -79,30 +80,24 @@ def write_partition_runs(
     by the container's own partitioning — so partition ``p`` holds the
     same key set on every shard regardless of container type (the array
     container buckets by segment index, which would scatter a key across
-    partitions differently per shard count).  Pairs are drawn from
-    ``partitions(1)`` so equal keys keep pure emit (segment) order —
-    round-robin segment interleaving would make the value order depend
-    on the shard-local segment count.  The bucket sort is stable, so
-    that order survives into the run; empty partitions still get a
-    (zero-record) run, keeping the fetch protocol uniform.
+    partitions differently per shard count).  Records are drawn from
+    ``pairs()`` — ``partitions(1)`` order — so equal keys keep pure emit
+    (segment) order; round-robin segment interleaving would make the
+    value order depend on the shard-local segment count.  The bucket
+    sort is stable, so that order survives into the run; empty
+    partitions still get a (zero-record) run, keeping the fetch protocol
+    uniform.
     """
     entry_key = entry_sort_key(sort_key)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     container.seal()
-    buckets: list[list[tuple[Hashable, Iterable[Any]]]] = [
-        [] for _ in range(num_partitions)
-    ]
-    (all_pairs,) = container.partitions(1)
-    hashes = stable_hash_many(map(itemgetter(0), all_pairs))
-    for pair, h in zip(all_pairs, hashes):
-        buckets[h % num_partitions].append(pair)
     manifest: list[ExchangeRun] = []
-    for p, pairs in enumerate(buckets):
-        pairs.sort(key=entry_key)
+    for p, bucket in enumerate(hash_buckets(container.pairs(), num_partitions)):
+        bucket.sort(key=entry_key)
         path = directory / run_name(p)
         with RunWriter(path) as writer:
-            writer.write_groups(group_sorted_block(pairs))
+            writer.write_records(bucket)
         manifest.append(ExchangeRun(
             partition=p, name=path.name, records=writer.records,
             payload_bytes=writer.payload_bytes,
@@ -171,13 +166,14 @@ def merged_partition_groups(
     readers: Sequence[RunReader],
     sort_key: SortKeyFn | None = None,
 ) -> Iterator[Group]:
-    """Merge the shards' runs for one partition block-wise, grouping keys.
+    """Merge the shards' runs for one partition block-wise, and group
+    the merged records as they are consumed.
 
     ``readers`` must be in shard-id order; the merge is stable, so equal
-    keys concatenate their value tuples in that order — the global
-    chunk order under contiguous block assignment.
+    keys gather their values in that order — the global chunk order
+    under contiguous block assignment.
     """
-    return chain.from_iterable(
+    return group_sorted_blocks(
         merge_sorted_blocks(readers, entry_sort_key(sort_key))
     )
 

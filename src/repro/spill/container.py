@@ -4,12 +4,14 @@
 and gives it out-of-core semantics: every emit is charged to the
 manager's :class:`~repro.spill.accountant.MemoryAccountant` *before* it
 lands, and when the next emit would cross the budget the live inner
-container is drained — sorted, grouped, optionally combined — into a
-run file and replaced by a fresh one.  A batch of emits is sized as a
-whole and cut by bisection at exactly those pairs, so the gate costs
-one charge and one inner call per run file, not per pair.
-``partitions(n)`` then streams all runs plus the resident container
-through the external p-way merge.
+container is drained — its flat ``(key, value)`` records sorted,
+optionally combined — into a run file and replaced by a fresh one.  A
+batch of emits is sized as a whole and cut by bisection at exactly
+those pairs, so the gate costs one charge and one inner call per run
+file, not per pair.  ``iter_partitions(n)`` then streams all runs plus
+the resident container through the external p-way merge, a block of
+records at a time, and groups them only as a reducer consumes its
+partition: a record is never wrapped between the gate and the reducer.
 
 Two properties the rest of the system relies on:
 
@@ -20,7 +22,7 @@ Two properties the rest of the system relies on:
 * **Spilled equivalence** — with spills, partitions are formed by key
   hash over the merged stream (the same
   :func:`~repro.util.hashing.stable_hash` discipline the hash container
-  uses), values of equal keys concatenated oldest-run-first.  Jobs with
+  uses), values of equal keys in oldest-run-first order.  Jobs with
   unique keys (sort) or per-key aggregation (word count) produce
   byte-identical final output either way; the tests pin this.
 """
@@ -29,8 +31,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, chain
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from repro.containers.base import (
@@ -42,9 +43,12 @@ from repro.containers.base import (
 from repro.errors import ContainerError, SpillError
 from repro.spill.accountant import estimate_pair_bytes, estimate_pairs_bytes
 from repro.spill.external_merge import ExternalPwayMerge
-from repro.spill.manager import SpillManager, group_sorted_block
-from repro.util.hashing import stable_hash_many
-
+from repro.spill.manager import (
+    Group,
+    SpillManager,
+    group_sorted_block,
+    hash_buckets,
+)
 
 class _SpillEmitter(Emitter):
     """Task-bound handle routing emits through the budget gate."""
@@ -179,8 +183,9 @@ class SpillableContainer(Container):
                 "raise RuntimeOptions.memory_budget"
             )
         self._inner.seal()
-        pairs = self._inner.partitions(1)[0]
-        self.manager.spill_pairs(pairs, raw=not self._inner_combines)
+        self.manager.spill_records(
+            self._inner.pairs(), raw=not self._inner_combines
+        )
         self.manager.accountant.release_all()
         self._inner = self._inner_factory()
         self._inner.begin_round()
@@ -253,8 +258,16 @@ class SpillableContainer(Container):
 
     # -- reduce-side -------------------------------------------------------
 
-    def partitions(self, n: int) -> list[list[tuple[Hashable, Any]]]:
-        """Reducer partitions, merged externally when spills happened."""
+    def iter_partitions(self, n: int) -> list[Iterable[Group]]:
+        """Reducer partitions, merged externally when spills happened.
+
+        The merge runs here, to the end; what is left lazy is the
+        grouping.  Each partition is a chain of the merged blocks' own
+        records — split by key hash when ``n > 1`` — turned into
+        ``(key, values)`` by
+        :func:`~repro.spill.manager.group_sorted_block` as the reducer
+        walks it, once.
+        """
         if n < 1:
             raise ContainerError("need at least one reducer partition")
         if not self.sealed:
@@ -263,25 +276,33 @@ class SpillableContainer(Container):
             # Never spilled: the inner container's own partitioning,
             # bit-identical to an unbudgeted run.
             self.manager.record_merge(0)
-            return self._inner.partitions(n)
-        resident = sorted(
-            self._inner.partitions(1)[0], key=self.manager.entry_key
-        )
-        merger = ExternalPwayMerge(self.manager)
+            return self._inner.iter_partitions(n)
+        resident = self._inner.pairs()
+        resident.sort(key=self.manager.entry_key)
         sources: list[Any] = [
             self.manager.open_run(info) for info in self.manager.runs
         ]
-        sources.append(group_sorted_block(resident))
-        parts: list[list[tuple[Hashable, Any]]] = [[] for _ in range(n)]
+        sources.append(resident)
+        parts: list[list[Iterable[Group]]] = [[] for _ in range(n)]
         distinct = 0
-        for block in merger.merge_blocks(sources):
-            distinct += len(block)
-            hashes = stable_hash_many(map(itemgetter(0), block))
-            for (key, values), h in zip(block, hashes):
-                parts[h % n].append((key, list(values)))
+        for block in ExternalPwayMerge(self.manager).merge_blocks(sources):
+            # Whole keys in, whole keys out: a key hashes to one bucket.
+            for part, bucket in zip(parts, hash_buckets(block, n)):
+                if bucket:
+                    groups, count = group_sorted_block(bucket)
+                    part.append(groups)
+                    distinct += count
         self._distinct_keys = distinct
         self.manager.accountant.release_all()
-        return parts
+        return [chain.from_iterable(part) for part in parts]
+
+    def partitions(self, n: int) -> list[list[tuple[Hashable, Any]]]:
+        """:meth:`iter_partitions`, materialized as lists of
+        ``(key, list_of_values)``."""
+        return [
+            [(key, list(values)) for key, values in part]
+            for part in self.iter_partitions(n)
+        ]
 
     # -- reporting ---------------------------------------------------------
 

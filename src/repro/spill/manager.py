@@ -9,12 +9,14 @@ combine on insert), the job's combiner — if any — folds each key's
 values before the run hits disk, so spilled bytes shrink by the same
 ratio in-memory combining would have bought.
 
-Pairs drained from a combining container (e.g. the hash container) are
+Records drained from a combining container (e.g. the hash container) are
 already per-key aggregates; re-folding those through an emit-level
 combiner would double-count (``CountCombiner`` is the obvious casualty),
-so the manager only applies the combiner when the drain is marked raw —
-grouping equal keys and concatenating their values is always safe and
-happens regardless.
+so the manager only applies the combiner when the drain is marked raw.
+Anything else is written as the flat, key-sorted ``(key, value)``
+records it is: a run never stores a group, and
+:func:`group_sorted_block` builds them once, where a reducer is about
+to be called.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from operator import eq, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator
@@ -33,8 +35,9 @@ from repro.errors import SpillError
 from repro.faults.log import ACTION_RESPILLED
 from repro.faults.plan import SITE_SPILL_CORRUPT
 from repro.spill.accountant import MemoryAccountant
-from repro.spill.runfile import HEADER_BYTES, RunReader, RunWriter
+from repro.spill.runfile import HEADER_BYTES, Pair, RunReader, RunWriter
 from repro.spill.stats import SpillStats
+from repro.util.hashing import stable_hash_many
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
@@ -43,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Streams merged per external-merge pass when the caller does not say.
 DEFAULT_MERGE_FAN_IN = 8
 
-Pair = tuple[Hashable, Any]
 Group = tuple[Hashable, tuple[Any, ...]]
 SortKeyFn = Callable[[Hashable], Any]
 
@@ -54,6 +56,7 @@ class RunInfo:
 
     index: int
     path: Path
+    #: ``(key, value)`` records in the run — one per value.
     records: int
     payload_bytes: int
 
@@ -72,10 +75,10 @@ _second = itemgetter(1)
 
 
 def entry_sort_key(sort_key: SortKeyFn | None) -> Callable[[tuple], Any]:
-    """``sort_key`` lifted from keys to ``(key, values)`` entries.
+    """``sort_key`` lifted from keys to ``(key, value)`` records.
 
     The identity ``sort_key`` (``None``) needs no Python wrapper: it is
-    C ``itemgetter(0)``, which is what sorts and bisections of entries
+    C ``itemgetter(0)``, which is what sorts and bisections of records
     then call per comparison.
     """
     if sort_key is None:
@@ -83,23 +86,42 @@ def entry_sort_key(sort_key: SortKeyFn | None) -> Callable[[tuple], Any]:
     return lambda entry: sort_key(entry[0])
 
 
-def group_sorted_block(
-    block: list[tuple[Hashable, Iterable[Any]]],
-) -> list[Group]:
-    """:func:`group_sorted_pairs` over one materialized, key-sorted block.
+def hash_buckets(records: list[Pair], n: int) -> list[list[Pair]]:
+    """``records`` split by ``stable_hash(key) % n``, order kept — the
+    partition a key belongs to once it has left its container, the same
+    on every shard and for every container type."""
+    if n == 1:
+        return [records]
+    buckets: list[list[Pair]] = [[] for _ in range(n)]
+    for record, h in zip(records, stable_hash_many(map(_first, records))):
+        buckets[h % n].append(record)
+    return buckets
 
-    The block fast path: when no two adjacent keys are equal — always,
-    for sort; for every block of already-grouped runs whose key ranges
-    do not overlap — there is nothing to collapse.  A block of finished
-    groups (tuple values) is then returned untouched, and one of
-    drained pairs only has its value lists frozen to tuples.
+
+def group_sorted_block(block: list[Pair]) -> tuple[Iterable[Group], int]:
+    """The reduce-edge grouping: one key-sorted block of whole keys as
+    ``(key, values)`` groups, and how many groups that is.
+
+    Every path that promises groups — the spillable container's
+    partitions, the shard exchange's merged partitions, ``merge_spilled``
+    — calls this on the flat blocks the merge hands it, and nothing
+    upstream groups.  When no two adjacent keys are equal (always, for
+    sort; one scan of the key column says so) the groups are
+    ``(key, (value,))`` zipped straight off the block as they are
+    consumed; otherwise :func:`group_sorted_pairs` collapses the ties.
     """
     keys = list(map(_first, block))
-    if any(map(eq, keys, islice(keys, 1, None))):
-        return list(group_sorted_pairs(block))
-    if set(map(type, map(_second, block))) == {tuple}:
-        return block  # type: ignore[return-value]
-    return [(key, tuple(values)) for key, values in block]
+    repeats = sum(map(eq, keys, islice(keys, 1, None)))
+    wrapped = zip(keys, zip(map(_second, block)))
+    if repeats:
+        return group_sorted_pairs(wrapped), len(keys) - repeats
+    return wrapped, len(keys)
+
+
+def group_sorted_blocks(blocks: Iterable[list[Pair]]) -> Iterator[Group]:
+    """:func:`group_sorted_block` over a stream of merged blocks."""
+    for block in blocks:
+        yield from group_sorted_block(block)[0]
 
 
 def group_sorted_pairs(
@@ -107,9 +129,11 @@ def group_sorted_pairs(
 ) -> Iterator[Group]:
     """Collapse adjacent equal-key entries of a key-sorted pair stream.
 
-    Input entries carry *iterables* of values (drained container
-    partitions already wrap values in lists); output groups concatenate
-    them in arrival order.
+    Input entries carry *iterables* of values (a record's value zipped
+    into a 1-tuple, or a ``partitions(1)`` entry's list); output groups
+    concatenate them in arrival order.  The one place a key's values
+    are gathered: :func:`group_sorted_block` calls it for a block in
+    which some key repeats, combine-on-spill for a raw drain.
     """
     current_key: Hashable = None
     current_values: list[Any] = []
@@ -159,8 +183,8 @@ class SpillManager:
         )
         self.spill_dir.mkdir(parents=True, exist_ok=True)
         self.combiner = combiner
-        #: ``sort_key`` as every sort and merge of this job's pairs and
-        #: groups applies it: to ``(key, values)`` entries.
+        #: ``sort_key`` as every sort and merge of this job's records
+        #: applies it: to ``(key, value)`` entries.
         self.entry_key = entry_sort_key(sort_key)
         self.merge_fan_in = merge_fan_in
         self.runs: list[RunInfo] = []
@@ -171,26 +195,26 @@ class SpillManager:
 
     # -- spilling ----------------------------------------------------------
 
-    def spill_pairs(
-        self, pairs: list[tuple[Hashable, Iterable[Any]]], raw: bool
-    ) -> RunInfo:
-        """Sort, group, optionally combine, and persist one run.
+    def spill_records(self, records: list[Pair], raw: bool) -> RunInfo:
+        """Sort, optionally combine, and persist one run.
 
-        ``pairs`` is a drained container partition — ``(key, values)``
-        entries in container order.  ``raw=True`` marks values as
-        original emits (array-style drain), enabling combine-on-spill.
+        ``records`` is a drained container — flat ``(key, value)``
+        records in container order (:meth:`Container.pairs`), sorted
+        here in place.  ``raw=True`` marks values as original emits
+        (array-style drain), enabling combine-on-spill.
         """
-        if not pairs:
+        if not records:
             raise SpillError("refusing to spill an empty container")
         started = time.perf_counter()
-        pairs.sort(key=self.entry_key)
-        n_in = sum(map(len, map(_second, pairs)))
-        groups = self._combined(group_sorted_block(pairs), raw)
+        n_in = len(records)
+        records.sort(key=self.entry_key)
+        if raw and self.combiner is not None:
+            records = self._combined(records)
         injector = self.injector
         if injector is not None and injector.armed(SITE_SPILL_CORRUPT):
-            info = self._write_run_verified(groups, injector)
+            info = self._write_run_verified(records, injector)
         else:
-            info = self._write_run(groups)
+            info = self._write_run(records)
         self._stats.runs += 1
         self._stats.spilled_bytes += info.payload_bytes
         self._stats.spilled_records += info.records
@@ -199,25 +223,35 @@ class SpillManager:
         self._stats.spill_write_s += time.perf_counter() - started
         return info
 
-    def _combined(self, groups: list[Group], raw: bool) -> list[Group]:
-        """Apply combine-on-spill to raw groups; pass aggregates through."""
+    def spill_pairs(
+        self, pairs: Iterable[tuple[Hashable, Iterable[Any]]], raw: bool
+    ) -> RunInfo:
+        """:meth:`spill_records` for ``partitions(1)``-shaped
+        ``(key, values)`` entries: one record per value."""
+        return self.spill_records(
+            [(key, value) for key, values in pairs for value in values], raw
+        )
+
+    def _combined(self, records: list[Pair]) -> list[Pair]:
+        """Combine-on-spill: fold each key's raw values through the
+        job's combiner; the records that come out carry its state."""
         combiner = self.combiner
-        if not raw or combiner is None:
-            return groups
-        out: list[Group] = []
-        for key, values in groups:
+        out: list[Pair] = []
+        for key, values in group_sorted_pairs(
+            zip(map(_first, records), zip(map(_second, records)))
+        ):
             state = combiner.initial(values[0])
             for value in values[1:]:
                 state = combiner.update(state, value)
-            out.append((key, tuple(combiner.finish(state))))
+            out.extend(zip(repeat(key), combiner.finish(state)))
         return out
 
-    def _write_run(self, groups: Iterable[Group]) -> RunInfo:
+    def _write_run(self, records: Iterable[Pair]) -> RunInfo:
         index = self._next_index
         self._next_index += 1
         path = self.spill_dir / f"run-{index:05d}.spl"
         with RunWriter(path, throttle=self.throttle) as writer:
-            writer.write_groups(groups)
+            writer.write_records(records)
         info = RunInfo(
             index=index, path=path, records=writer.records,
             payload_bytes=writer.payload_bytes,
@@ -226,7 +260,7 @@ class SpillManager:
         return info
 
     def _write_run_verified(
-        self, groups: list[Group], injector: "FaultInjector"
+        self, records: list[Pair], injector: "FaultInjector"
     ) -> RunInfo:
         """Write one run under the ``spill.corrupt`` site with recovery.
 
@@ -235,7 +269,7 @@ class SpillManager:
         flipped by the injector, and is then CRC-verified against its own
         header.  A verification failure raises
         :class:`~repro.errors.SpillError` into the bounded retry loop,
-        which re-spills the materialized groups — the
+        which re-spills the materialized records — the
         checksum-verify-then-re-spill answer.  With
         ``policy.verify_spills`` off, corruption sails through here and
         the merge-time streaming CRC check aborts the job instead.
@@ -246,8 +280,8 @@ class SpillManager:
 
         def attempt_fn(attempt: int) -> RunInfo:
             with RunWriter(path, throttle=self.throttle) as writer:
-                writer.write_groups(groups)
-            records, payload = writer.records, writer.payload_bytes
+                writer.write_records(records)
+            count, payload = writer.records, writer.payload_bytes
             decision = injector.check(
                 SITE_SPILL_CORRUPT, scope=(index,), attempt=attempt
             )
@@ -266,7 +300,7 @@ class SpillManager:
                         scope=f"run-{index}", attempt=attempt,
                     )
             return RunInfo(
-                index=index, path=path, records=records,
+                index=index, path=path, records=count,
                 payload_bytes=payload,
             )
 
@@ -277,9 +311,10 @@ class SpillManager:
         self.runs.append(info)
         return info
 
-    def write_merged(self, groups: Iterable[Group]) -> RunInfo:
-        """Persist an intermediate external-merge pass as a new run."""
-        info = self._write_run(groups)
+    def write_merged(self, records: Iterable[Pair]) -> RunInfo:
+        """Persist an intermediate external-merge pass — a key-sorted
+        stream of records — as a new run."""
+        info = self._write_run(records)
         self._stats.merge_rewritten_bytes += info.payload_bytes
         return info
 

@@ -1,31 +1,43 @@
-"""Spill run files: sorted on-disk runs of intermediate (key, values).
+"""Spill run files: sorted on-disk runs of intermediate (key, value) records.
 
 A run file is the unit the spill subsystem writes when the live
-container crosses its memory budget.  The format (version 2) is
+container crosses its memory budget.  The format (version 3) is
 deliberately dumb and verifiable:
 
 * a fixed-size **checksummed header** — magic, version, record count,
   payload length, CRC-32 of the payload section;
 * a payload of block frames (:class:`repro.io.writer.FramedRecordWriter`
-  framing: pickle length, group count, pickle), each frame the pickle
-  of a *list* of ``(key, values_tuple)`` groups, **sorted by key** and
-  with equal keys already grouped, within and across blocks.
+  framing: pickle length, record count, pickle), each frame the pickle
+  of a *list* of flat ``(key, value)`` records, **sorted stably by
+  key**, equal keys adjacent, within and across blocks.
 
-One pickle, one frame and two CRC calls per block — not per group — is
-what keeps the codec off the critical path: everything downstream (the
-external merge, the shard exchange) takes a block at a time too.  A
-block closes at :data:`BLOCK_GROUPS` groups, or sooner when the block
-before it came out larger than :data:`BLOCK_BYTES`, so one run of fat
-groups cannot blow a reader's one-block-per-source memory bound.
+A record is stored as it was emitted: nothing between the budget gate
+and the reducer wraps it in a group.  That all of a key's values still
+arrive together rests on one invariant the writer enforces and the
+reader checks: **a block never ends inside a key**.  With it, whoever
+holds one block per source holds every record of every key at or below
+the smallest last key, which is all the external merge and the shard
+exchange need to emit whole keys without ever grouping; grouping
+happens once, where a reducer is about to be called
+(:func:`repro.spill.manager.group_sorted_block`).
+
+One pickle, one frame and two CRC calls per block — not per record — is
+what keeps the codec off the critical path.  A block closes at the
+first key change at or after :data:`BLOCK_RECORDS` records, or sooner
+when the block before it came out larger than :data:`BLOCK_BYTES`, so a
+run of fat records cannot blow a reader's one-block-per-source memory
+bound (one key's values are atomic: a key with more of them than a
+block should hold still gets one block).
 
 The header is written last (the writer seeks back over a placeholder),
 so a crash mid-spill leaves a file that fails validation instead of a
 file that silently merges garbage.  :class:`RunReader` validates the
 header and the physical length eagerly on open — a truncated run is
 rejected before the merge starts — and folds the CRC while streaming,
-checking it (and that the blocks' group counts sum to the header's)
+checking it (and that the blocks' record counts sum to the header's)
 before the last block is handed out, so reading holds one block.
-Version 1 files (one frame per group) are refused with the same typed
+Version 1 (one frame per group) and version 2 (blocks of
+``(key, values_tuple)`` groups) files are refused with the same typed
 error as any other unsupported version.
 """
 
@@ -35,7 +47,7 @@ import mmap
 import pickle
 import struct
 import zlib
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Hashable, Iterable, Iterator
 
@@ -46,30 +58,50 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.qos.throttle import TokenBucket
 
 MAGIC = b"SPRN"
-VERSION = 2
+VERSION = 3
 
-#: Groups per block.  Large enough that per-block costs (one pickle
-#: call, one frame, one merge round) vanish per group, small enough
+#: Records per block.  Large enough that per-block costs (one pickle
+#: call, one frame, one merge round) vanish per record, small enough
 #: that ``fan_in`` loaded blocks stay a rounding error beside any
 #: budget worth configuring.
-BLOCK_GROUPS = 512
+BLOCK_RECORDS = 512
 #: Pickled size a block should stay under; a block that came out larger
-#: shrinks the group limit of the next one in proportion.
+#: shrinks the record limit of the next one in proportion.
 BLOCK_BYTES = 256 * 1024
 
 #: magic(4s) version(H) reserved(H) records(Q) payload_len(Q) crc32(I)
 _HEADER = struct.Struct(">4sHHQQI")
 HEADER_BYTES = _HEADER.size
 
-Group = tuple[Hashable, tuple[Any, ...]]
+Pair = tuple[Hashable, Any]
+#: "No block read yet" for the reader's no-split check (``None`` is a key).
+_NO_KEY = object()
+
+
+def finish_key(block: list[Pair], records: Iterator[Pair]) -> Pair | None:
+    """Move the records that continue ``block``'s last key from
+    ``records`` onto it; return the first record of the next key
+    (``None`` when ``records`` ran out first).
+
+    The one place the no-split invariant is established: the run writer
+    closes its blocks with it, and the external merge cuts its
+    in-memory sources with it.
+    """
+    last = block[-1][0]
+    for record in records:
+        if record[0] != last:
+            return record
+        block.append(record)
+    return None
 
 
 class RunWriter:
     """Writes one sorted run file; use as a context manager.
 
-    The caller streams already-sorted, already-grouped records through
-    :meth:`write_group` or :meth:`write_groups`; the writer gathers them
-    into blocks, frames and checksums each block and finalizes the
+    The caller streams records — already sorted by key, equal keys
+    adjacent — through :meth:`write_records` (or a key's values through
+    :meth:`write_group`); the writer gathers them into blocks that end
+    on a key change, frames and checksums each block and finalizes the
     header on close.  A ``throttle``
     (:class:`repro.qos.throttle.TokenBucket`) charges the payload bytes
     against the job's I/O budget when the run is sealed — the spill-write
@@ -84,34 +116,33 @@ class RunWriter:
         self._fh: BinaryIO | None = open(self.path, "wb")
         self._fh.write(b"\0" * HEADER_BYTES)  # placeholder header
         self._framer = FramedRecordWriter(self._fh)
-        self._block: list[Group] = []
-        self._limit = BLOCK_GROUPS
+        self._block: list[Pair] = []
+        self._limit = BLOCK_RECORDS
 
     def write_group(self, key: Hashable, values: Iterable[Any]) -> None:
-        """Append one (key, grouped values) record."""
-        if self._fh is None:
-            raise SpillError(f"write to closed run file {self.path}")
-        self._block.append((key, tuple(values)))
-        if len(self._block) >= self._limit:
-            self._seal_block()
+        """Append one key's values, one ``(key, value)`` record each."""
+        self.write_records(zip(repeat(key), values))
 
-    def write_groups(self, groups: Iterable[Group]) -> None:
-        """Append many ``(key, values_tuple)`` groups, a block at a time.
+    def write_records(self, records: Iterable[Pair]) -> None:
+        """Append ``(key, value)`` records, a block at a time.
 
-        The bulk twin of :meth:`write_group`: same file, without the
-        per-group call.  Values must already be tuples (what
-        :func:`~repro.spill.manager.group_sorted_pairs` and the readers
-        yield); they are stored as given.
+        A block that reaches its limit is held open until the first
+        record of another key arrives — in this call or a later one —
+        so no block ends inside a key.
         """
         if self._fh is None:
             raise SpillError(f"write to closed run file {self.path}")
-        it = iter(groups)
+        it = iter(records)
         block = self._block
         while True:
-            block += islice(it, self._limit - len(block))
+            block += islice(it, max(0, self._limit - len(block)))
             if len(block) < self._limit:
                 return
+            head = finish_key(block, it)
+            if head is None:
+                return
             self._seal_block()
+            block.append(head)
 
     def _seal_block(self) -> None:
         """Frame the pending block and size the next one from it."""
@@ -121,25 +152,33 @@ class RunWriter:
         payload = pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
         self._framer.write(payload, len(block))
         self._limit = max(
-            1, min(BLOCK_GROUPS, len(block) * BLOCK_BYTES // len(payload))
+            1, min(BLOCK_RECORDS, len(block) * BLOCK_BYTES // len(payload))
         )
         block.clear()
 
     @property
     def records(self) -> int:
-        """Groups written so far, the pending block's included."""
+        """Records written so far — one per value — the pending block's
+        included."""
         return self._framer.records + len(self._block)
 
     @property
     def payload_bytes(self) -> int:
-        """Payload-section bytes written so far (frames included).
+        """Payload-section bytes (frames included) the run holds if it
+        is closed now.
 
-        A pending block has no size until it is pickled, so reading this
-        mid-run seals it: the number is exact at any point, at the price
-        of a short block where it was read.
+        After :meth:`close` — where every reader in ``src/`` takes it —
+        this is a stored counter.  Mid-run the pending block has no size
+        until it is pickled, so it is pickled to be measured, and left
+        pending: a read never seals a block, which could end it inside
+        a key.
         """
-        self._seal_block()
-        return self._framer.payload_bytes
+        size = self._framer.payload_bytes
+        if self._block:
+            size += _FRAME_PREFIX.size + len(
+                pickle.dumps(self._block, protocol=pickle.HIGHEST_PROTOCOL)
+            )
+        return size
 
     def close(self) -> None:
         """Flush, write the real header, and close the file."""
@@ -172,11 +211,11 @@ class RunReader:
     Construction parses and checks the header (magic, version) and
     rejects files whose physical size disagrees with the recorded
     payload length — the truncation case.  Iteration yields the
-    ``(key, values_tuple)`` groups in on-disk (key-sorted) order;
+    ``(key, value)`` records in on-disk (key-sorted) order;
     :meth:`blocks` yields them a stored block at a time.  Either way the
     payload CRC and the block counts are checked before the last block
-    is handed out, raising :class:`~repro.errors.SpillError` on
-    mismatch.
+    is handed out, and a block that starts with the key the block before
+    it ended on is refused, raising :class:`~repro.errors.SpillError`.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -206,20 +245,23 @@ class RunReader:
         self.payload_bytes = payload_len
         self.crc32 = crc
 
-    def __iter__(self) -> Iterator[Group]:
-        """Stream the (key, values) groups, CRC-checking along the way."""
+    def __iter__(self) -> Iterator[Pair]:
+        """Stream the (key, value) records, CRC-checking along the way."""
         for block in self.blocks():
             yield from block
 
-    def blocks(self) -> Iterator[list[Group]]:
+    def blocks(self) -> Iterator[list[Pair]]:
         """Stream the run a stored block at a time — the merge's unit.
 
         Each block is one ``pickle.loads`` of a frame sliced out of an
-        ``mmap`` of the file, so no per-group call and no read-buffer
+        ``mmap`` of the file, so no per-record call and no read-buffer
         copy chain.  A block whose pickle does not decode to a list of
-        the promised length raises :class:`~repro.errors.SpillError`,
-        like every other kind of damage.
+        the promised length, or that continues the key the previous
+        block ended on (the writer never splits a key; the merge relies
+        on it), raises :class:`~repro.errors.SpillError`, like every
+        other kind of damage.
         """
+        ended_on: Any = _NO_KEY
         for count, frame in self._frames():
             try:
                 block = pickle.loads(frame)
@@ -232,12 +274,26 @@ class RunReader:
             if type(block) is not list or len(block) != count:
                 raise SpillError(
                     f"{self.path}: spill block does not hold the "
-                    f"{count} groups its frame promises"
+                    f"{count} records its frame promises"
                 )
+            if block:
+                try:
+                    starts_on, ends_on = block[0][0], block[-1][0]
+                except (TypeError, LookupError) as exc:
+                    raise SpillError(
+                        f"{self.path}: spill block does not hold "
+                        "(key, value) records"
+                    ) from exc
+                if ended_on is not _NO_KEY and starts_on == ended_on:
+                    raise SpillError(
+                        f"{self.path}: a block starts inside the key "
+                        "the block before it ended on"
+                    )
+                ended_on = ends_on
             yield block
 
     def _frames(self) -> Iterator[tuple[int, memoryview]]:
-        """Walk the payload's frames: ``(group count, pickle bytes)``.
+        """Walk the payload's frames: ``(record count, pickle bytes)``.
 
         The one decoder of the framing.  The payload is a ``memoryview``
         over an ``mmap`` of the file — over the file's bytes where it
@@ -294,14 +350,14 @@ class RunReader:
             )
         if records != self.records:
             raise SpillError(
-                f"{self.path}: blocks hold {records} groups, header "
+                f"{self.path}: blocks hold {records} records, header "
                 f"promises {self.records}"
             )
 
     def verify(self) -> bool:
         """Re-scan the payload against the header, decoding nothing.
 
-        Walks the frames — CRC, frame bounds, group counts against the
+        Walks the frames — CRC, frame bounds, record counts against the
         header — without unpickling a block: the verify-after-spill
         check the recovery policy runs before a run is allowed into the
         merge inventory, and the adoption gate

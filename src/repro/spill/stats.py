@@ -24,11 +24,11 @@ class SpillStats:
     runs: int = 0
     #: Payload bytes across all spill runs.
     spilled_bytes: int = 0
-    #: Grouped records across all spill runs.
+    #: ``(key, value)`` records across all spill runs — one per value.
     spilled_records: int = 0
-    #: Raw pairs drained into spills (before grouping/combining).
+    #: Records drained into spills (before combine-on-spill).
     combine_pairs_in: int = 0
-    #: Records written after combine-on-spill grouping.
+    #: Records written to the runs (after combine-on-spill).
     combine_pairs_out: int = 0
     #: Streams merged per external-merge pass.
     merge_fan_in: int = 0
@@ -41,7 +41,9 @@ class SpillStats:
 
     @property
     def combine_reduction(self) -> float:
-        """Pairs in per record out (>= 1.0 when combining helps)."""
+        """Records drained per record written: what combine-on-spill
+        folded away (1.0 when nothing was; a run stores a key's values
+        side by side, so grouping alone removes no record)."""
         if self.combine_pairs_out <= 0:
             return 1.0
         return self.combine_pairs_in / self.combine_pairs_out

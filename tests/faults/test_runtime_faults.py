@@ -39,9 +39,7 @@ class TestSpillCorruption:
         injector = plan.arm(_fast_policy())
         mgr, info = self._spill(tmp_path, injector)
         # the rewritten run reads back clean
-        assert list(mgr.open_run(info)) == [
-            (b"a", (1,)), (b"b", (2,)), (b"c", (3,)),
-        ]
+        assert list(mgr.open_run(info)) == [(b"a", 1), (b"b", 2), (b"c", 3)]
         assert mgr.open_run(info).verify()
         assert injector.log.count(ACTION_RESPILLED) == 1
         assert injector.log.count("retried", site=SITE_SPILL_CORRUPT) == 1

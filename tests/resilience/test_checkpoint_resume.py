@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from repro.core.phoenix import PhoenixRuntime
 from repro.core.supmr import SupMRRuntime
 from repro.errors import CheckpointError, SpillError
 from repro.exitcodes import EXIT_FAILURE, classify_exception
-from tests.spill.damage import rewrite_as_v1
+from tests.spill.damage import rewrite_as_v1, rewrite_as_v2
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -140,6 +141,55 @@ class TestResumeAfterInProcessFailure:
         with pytest.raises(SpillError, match="run format version 1") as exc:
             SupMRRuntime(opts(resume=True)).run(job)
         assert classify_exception(exc.value) == EXIT_FAILURE
+
+    def test_format_2_runs_are_not_resumable(
+        self, tmp_path, terasort_file, monkeypatch, capsys
+    ):
+        # A checkpoint whose sealed runs hold (key, values_tuple) groups:
+        # every checksum of such a file is true, so only the version
+        # stands between it and a merge that would take groups for
+        # records.  Through the CLI, as an operator would hit it.
+        from repro.cli import main
+
+        ckpt = tmp_path / "ckpt"
+        argv = [
+            "sort", str(terasort_file), "--chunk-size", "25KB",
+            "--backend", "serial", "--memory-budget", "96KB",
+            "--checkpoint-dir", str(ckpt),
+        ]
+
+        def exploding_reducers(*args, **kwargs):
+            raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(driver_mod, "run_reducers", exploding_reducers)
+        with pytest.raises(RuntimeError):
+            main(argv)
+        monkeypatch.undo()
+        sealed = sorted((ckpt / "spill").glob("run-*.spl"))
+        assert len(sealed) >= 3, "budget never spilled; vacuous"
+        for path in sealed:
+            rewrite_as_v2(path)
+        before = {p.name: p.read_bytes() for p in (ckpt / "spill").iterdir()}
+        tmp_before = set(Path(tempfile.gettempdir()).glob("repro-spill-*"))
+        capsys.readouterr()
+
+        merged = []
+        monkeypatch.setattr(
+            "repro.spill.external_merge.merge_sorted_blocks",
+            lambda *a, **k: merged.append(1) or iter(()),
+        )
+        code = main(argv + ["--resume"])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILURE
+        assert "unsupported run format version 2" in err
+        assert not merged, "a format-2 run reached the merge"
+        # Nothing merged, nothing written, nothing left behind: the
+        # checkpoint is as the crash left it and no temp dir appeared.
+        after = {p.name: p.read_bytes() for p in (ckpt / "spill").iterdir()}
+        assert after == before
+        assert set(
+            Path(tempfile.gettempdir()).glob("repro-spill-*")
+        ) == tmp_before
 
     def test_resume_with_changed_options_is_refused(
         self, tmp_path, text_file, monkeypatch

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps.sortapp import make_sort_job
 from repro.apps.wordcount import make_wordcount_job
+from repro.containers.array_container import ArrayContainer
 from repro.containers.hash_container import HashContainer
 from repro.containers.combiners import SumCombiner
 from repro.errors import RetryExhausted
@@ -56,6 +57,67 @@ class TestWritePartitionRuns:
     def test_run_names_are_canonical(self, tmp_path):
         manifest = write_partition_runs(_container([(b"a", 1)]), 2, tmp_path)
         assert [run.name for run in manifest] == [run_name(0), run_name(1)]
+
+
+class TestRunsOfRecords:
+    """An exchange run stores the container's records, not groups."""
+
+    def _array(self, segments):
+        container = ArrayContainer()
+        container.begin_round()
+        for task_id, pairs in enumerate(segments):
+            container.emitter(task_id).emit_many(pairs)
+        return container
+
+    def test_one_record_per_value_in_emit_order(self, tmp_path):
+        container = self._array([
+            [(b"k", b"first"), (b"a", b"x")],
+            [(b"k", b"second"), (b"k", b"third")],
+        ])
+        manifest = write_partition_runs(container, 1, tmp_path)
+        assert manifest[0].records == 4
+        reader, _ = fetch_run(tmp_path / manifest[0].name, tmp_path / "c.spl")
+        assert list(reader) == [
+            (b"a", b"x"), (b"k", b"first"), (b"k", b"second"),
+            (b"k", b"third"),
+        ]
+        assert list(merged_partition_groups([reader])) == [
+            (b"a", (b"x",)), (b"k", (b"first", b"second", b"third")),
+        ]
+
+    def test_unique_keys_never_reach_the_streaming_grouping(
+        self, tmp_path, monkeypatch
+    ):
+        def refuse(pairs):
+            raise AssertionError("a unique-key exchange built a group")
+
+        monkeypatch.setattr("repro.spill.manager.group_sorted_pairs", refuse)
+        readers = []
+        for shard in range(3):
+            container = self._array([
+                [(b"s%dk%03d" % (shard, i), b"v") for i in range(700)]
+            ])
+            manifest = write_partition_runs(
+                container, 1, tmp_path / f"out{shard}"
+            )
+            readers.append(fetch_run(
+                tmp_path / f"out{shard}" / manifest[0].name,
+                tmp_path / f"in{shard}.spl",
+            )[0])
+        groups = list(merged_partition_groups(readers))
+        assert len(groups) == 2100
+        assert groups[0] == (b"s0k000", (b"v",))
+
+    def test_hash_container_posting_lists_are_flattened(self, tmp_path):
+        from repro.containers.combiners import ListCombiner
+
+        container = HashContainer(ListCombiner())
+        container.begin_round()
+        for word, doc in [(b"w", b"d1"), (b"v", b"d1"), (b"w", b"d2")]:
+            container.emitter(0).emit(word, doc)
+        manifest = write_partition_runs(container, 1, tmp_path)
+        reader, _ = fetch_run(tmp_path / manifest[0].name, tmp_path / "c.spl")
+        assert list(reader) == [(b"v", b"d1"), (b"w", b"d1"), (b"w", b"d2")]
 
 
 class TestFetchRun:

@@ -12,7 +12,7 @@ from repro.spill.manager import (
     group_sorted_block,
     group_sorted_pairs,
 )
-from tests.spill.damage import DAMAGE, rewrite_as_v1
+from tests.spill.damage import DAMAGE, rewrite_as_v1, rewrite_as_v2
 
 
 class TestGroupSortedPairs:
@@ -30,37 +30,50 @@ class TestGroupSortedPairs:
         assert list(group_sorted_pairs(pairs)) == [(b"k", (3, 1, 2))]
 
 
+def wrapped(block):
+    """Flat records as the 1-value entries ``group_sorted_pairs`` takes."""
+    return [(key, (value,)) for key, value in block]
+
+
 class TestGroupSortedBlock:
     def test_equals_the_streaming_grouping(self):
-        block = [(b"a", [1]), (b"a", [2, 3]), (b"b", [4]), (b"c", (5,))]
-        assert group_sorted_block(block) == list(group_sorted_pairs(block))
+        block = [(b"a", 1), (b"a", 2), (b"a", 3), (b"b", 4), (b"c", 5)]
+        groups, count = group_sorted_block(block)
+        assert list(groups) == list(group_sorted_pairs(wrapped(block)))
+        assert count == 3
 
     def test_distinct_keys_only_freeze_the_values(self):
-        assert group_sorted_block([(b"a", [1]), (b"b", [2])]) == [
-            (b"a", (1,)), (b"b", (2,)),
-        ]
+        groups, count = group_sorted_block([(b"a", 1), (b"b", [2])])
+        assert list(groups) == [(b"a", (1,)), (b"b", ([2],))]
+        assert count == 2
 
-    def test_finished_groups_pass_through_untouched(self):
-        block = [(b"a", (1,)), (b"b", (2, 3))]
-        assert group_sorted_block(block) is block
+    def test_distinct_keys_never_reach_the_streaming_grouping(
+        self, monkeypatch
+    ):
+        def refuse(pairs):
+            raise AssertionError("group_sorted_pairs on a unique-key block")
+
+        monkeypatch.setattr("repro.spill.manager.group_sorted_pairs", refuse)
+        groups, _count = group_sorted_block([(b"a", 1), (b"b", 2)])
+        assert list(groups) == [(b"a", (1,)), (b"b", (2,))]
 
     def test_empty(self):
-        assert group_sorted_block([]) == []
+        groups, count = group_sorted_block([])
+        assert (list(groups), count) == ([], 0)
 
 
 class TestSpillPairs:
     def test_run_is_key_sorted(self, tmp_path):
         mgr = SpillManager(1024, spill_dir=tmp_path)
         info = mgr.spill_pairs([(b"c", [1]), (b"a", [1]), (b"b", [1])], raw=True)
-        keys = [k for k, _v in mgr.open_run(info)]
-        assert keys == [b"a", b"b", b"c"]
+        assert list(mgr.open_run(info)) == [(b"a", 1), (b"b", 1), (b"c", 1)]
 
     def test_combine_on_spill_folds_raw_drains(self, tmp_path):
         mgr = SpillManager(1024, spill_dir=tmp_path, combiner=SumCombiner())
         info = mgr.spill_pairs(
             [(b"a", [1]), (b"b", [1]), (b"a", [1]), (b"a", [1])], raw=True
         )
-        assert list(mgr.open_run(info)) == [(b"a", (3,)), (b"b", (1,))]
+        assert list(mgr.open_run(info)) == [(b"a", 3), (b"b", 1)]
         stats = mgr.stats()
         assert stats.combine_pairs_in == 4
         assert stats.combine_pairs_out == 2
@@ -69,15 +82,39 @@ class TestSpillPairs:
     def test_aggregate_drains_are_not_refolded(self, tmp_path):
         # Pairs drained from a combining container are per-key aggregates;
         # folding them again through SumCombiner would be fine for sums
-        # but wrong in general, so non-raw drains pass through grouped.
+        # but wrong in general, so non-raw drains pass through as they are.
         mgr = SpillManager(1024, spill_dir=tmp_path, combiner=SumCombiner())
-        info = mgr.spill_pairs([(b"a", [5]), (b"b", [2])], raw=False)
-        assert list(mgr.open_run(info)) == [(b"a", (5,)), (b"b", (2,))]
+        info = mgr.spill_pairs(
+            [(b"a", [5]), (b"b", [2]), (b"a", [4])], raw=False
+        )
+        assert list(mgr.open_run(info)) == [(b"a", 5), (b"a", 4), (b"b", 2)]
 
     def test_no_combiner_groups_only(self, tmp_path):
+        # Nothing is folded and nothing is wrapped: a key's values sit
+        # side by side, in arrival order, and count as records.
         mgr = SpillManager(1024, spill_dir=tmp_path)
-        info = mgr.spill_pairs([(b"a", [1]), (b"a", [2])], raw=True)
-        assert list(mgr.open_run(info)) == [(b"a", (1, 2))]
+        info = mgr.spill_pairs(
+            [(b"b", [0]), (b"a", [1]), (b"a", [2, 3])], raw=True
+        )
+        assert list(mgr.open_run(info)) == [
+            (b"a", 1), (b"a", 2), (b"a", 3), (b"b", 0),
+        ]
+        stats = mgr.stats()
+        assert info.records == stats.spilled_records == 4
+        assert (stats.combine_pairs_in, stats.combine_pairs_out) == (4, 4)
+        assert stats.combine_reduction == 1.0  # grouping is not a reduction
+
+    def test_spill_records_is_the_same_path(self, tmp_path):
+        # spill_pairs only flattens; the container's drain goes straight
+        # to spill_records and writes the same file.
+        entries = [(b"c", [1]), (b"a", [2, 3]), (b"c", [4])]
+        one = SpillManager(1024, spill_dir=tmp_path / "one").spill_pairs(
+            entries, raw=True
+        )
+        two = SpillManager(1024, spill_dir=tmp_path / "two").spill_records(
+            [(b"c", 1), (b"a", 2), (b"a", 3), (b"c", 4)], raw=True
+        )
+        assert one.path.read_bytes() == two.path.read_bytes()
 
     def test_empty_spill_rejected(self, tmp_path):
         mgr = SpillManager(1024, spill_dir=tmp_path)
@@ -126,7 +163,7 @@ class TestAdoptRuns:
         info = self._sealed_run(tmp_path)
         mgr = SpillManager(1024, spill_dir=tmp_path)
         mgr.adopt_runs([info])
-        assert list(mgr.open_run(mgr.runs[0])) == [(b"a", (1,)), (b"b", (2,))]
+        assert list(mgr.open_run(mgr.runs[0])) == [(b"a", 1), (b"b", 2)]
         assert mgr.stats().spilled_records == 2
 
     @pytest.mark.parametrize("kind", sorted(DAMAGE))
@@ -145,3 +182,14 @@ class TestAdoptRuns:
         with pytest.raises(SpillError, match="version 1") as exc:
             mgr.adopt_runs([info])
         assert classify_exception(exc.value) == EXIT_FAILURE
+
+    def test_format_2_run_from_an_older_checkpoint(self, tmp_path):
+        # A grouped-block run is intact by every checksum; adopting it
+        # would merge (key, values_tuple) groups as if they were records.
+        info = self._sealed_run(tmp_path)
+        rewrite_as_v2(info.path)
+        mgr = SpillManager(1024, spill_dir=tmp_path)
+        with pytest.raises(SpillError, match="version 2") as exc:
+            mgr.adopt_runs([info])
+        assert classify_exception(exc.value) == EXIT_FAILURE
+        assert not mgr.runs
