@@ -4,8 +4,9 @@ On one host the reduce phase *copies* each source run out of the owning
 shard's outbox and CRC-verifies the copy (:func:`repro.shard.exchange.
 fetch_run`).  Across hosts the copy becomes a transfer: the reducer
 opens a **fetch session** to the host holding the outbox and pulls the
-run down in bounded range requests.  The same integrity discipline
-applies end to end —
+run down in bounded range requests — :func:`fetch_run_remote` is that
+transfer, run by the same verify-then-refetch loop.  The same integrity
+discipline applies end to end —
 
 * every frame is CRC-framed by the transport, and the assembled file is
   re-verified against the run's own checksum before adoption (a copy
@@ -30,15 +31,13 @@ import time
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.errors import NetError, PeerUnreachable, ProtocolError, SpillError
-from repro.errors import RetryExhausted
-from repro.faults.log import ACTION_REFETCHED, ACTION_RETRIED
+from repro.errors import NetError, PeerUnreachable, ProtocolError
+from repro.faults.log import ACTION_RETRIED
 from repro.faults.plan import SITE_NET_CONN_DROP, SITE_NET_FRAME_CORRUPT
 from repro.net import wire
 from repro.service.protocol import recv_frame, send_frame
-from repro.shard.exchange import EventRow
-from repro.spill.manager import _flip_byte
-from repro.spill.runfile import HEADER_BYTES, RunReader
+from repro.shard.exchange import EventRow, fetch_run
+from repro.spill.runfile import RunReader
 
 #: Range-request size.  One run travels as ``ceil(size / CHUNK_BYTES)``
 #: data frames; small enough to keep resume granularity useful, large
@@ -157,16 +156,17 @@ def fetch_run_remote(
 ) -> tuple[RunReader, int]:
     """Fetch one exchange run from ``addr`` and verify it before adoption.
 
-    The remote twin of :func:`repro.shard.exchange.fetch_run`: same
-    verify-then-refetch loop, same retry bound, same return shape —
-    but the bytes arrive over the framed transport, severed connections
-    resume from the received offset, and the whole call is bounded by
-    ``deadline_s`` (exceeding it raises
+    :func:`repro.shard.exchange.fetch_run` with the copy swapped for a
+    wire transfer: same verify-then-refetch loop, same retry bound, same
+    return shape — but the bytes arrive over the framed transport,
+    severed connections resume from the received offset, a transfer
+    that fails outright costs one attempt (``net.conn.drop``), and the
+    whole call is bounded by ``deadline_s`` (exceeding it raises
     :class:`~repro.errors.PeerUnreachable`, never a hang).
     """
     deadline = time.monotonic() + deadline_s
-    last: Exception | None = None
-    for attempt in range(max_retries + 1):
+
+    def transfer(attempt: int) -> "Exception | None":
         try:
             _download(
                 addr, str(src), dst,
@@ -177,49 +177,19 @@ def fetch_run_remote(
         except PeerUnreachable:
             raise
         except (OSError, EOFError, ProtocolError, NetError) as exc:
-            last = exc
-            dst.unlink(missing_ok=True)
             if events is not None and attempt < max_retries:
                 events.append((
                     SITE_NET_CONN_DROP, ACTION_RETRIED,
                     f"transfer attempt {attempt + 1} from {addr} failed "
                     f"({exc}); refetching", scope, attempt,
                 ))
-            continue
-        if attempt in corrupt_attempts:
-            # The seeded net.frame.corrupt site: damage the *received*
-            # bytes (the remote original stays pristine), so the
-            # verify-then-refetch path must catch and repair it.
-            size = dst.stat().st_size
-            offset = (
-                HEADER_BYTES + (size - HEADER_BYTES) // 2
-                if size > HEADER_BYTES else max(0, size - 1)
-            )
-            _flip_byte(dst, offset)
-        try:
-            reader = RunReader(dst)
-            if not reader.verify():
-                raise SpillError(
-                    f"{dst}: remotely fetched run failed its checksum"
-                )
-        except SpillError as exc:
-            last = exc
-            dst.unlink(missing_ok=True)
-            if events is not None and attempt < max_retries:
-                events.append((
-                    SITE_NET_FRAME_CORRUPT, ACTION_REFETCHED,
-                    f"attempt {attempt + 1} rejected ({exc}); "
-                    f"refetching from {addr}", scope, attempt,
-                ))
-            continue
-        return reader, attempt
-    raise RetryExhausted(
-        f"{SITE_NET_FRAME_CORRUPT}: {max_retries + 1} remote fetch "
-        f"attempt(s) of {Path(src).name} from {addr} failed; "
-        f"last error: {last}",
-        site=SITE_NET_FRAME_CORRUPT,
-        attempts=max_retries + 1,
-    ) from last
+            return exc
+        return None
+
+    return fetch_run(
+        src, dst, corrupt_attempts, max_retries, events, scope,
+        transfer=transfer, site=SITE_NET_FRAME_CORRUPT,
+    )
 
 
 def _download(

@@ -16,9 +16,13 @@ single-threaded whenever it forks (numpy's BLAS pool, the one thread
 the imports start, parks itself in its own ``atfork`` handler).
 
 **The zygote** serves a control socket (handed over as its stdin;
-frames of :mod:`repro.service.protocol`).  Per request ``{job_id,
-crash_after_round}`` it forks a child and answers ``{job_id, pid}`` at
-once (``{job_id, error}`` when the fork failed).  When a child ends it
+frames of :mod:`repro.service.protocol`).  Per spawn request it forks a
+child and answers ``{job_id, pid}`` at once (``{job_id, error}`` when
+the fork failed).  The request names the job and carries what the
+daemon decided for this attempt alone — ``{job_id[, peers,
+net_timeout][, io_budget][, crash_after_round]}`` — and the child reads
+it straight out of the fork: nothing per-attempt is written to the job
+dir, so nothing of one attempt can reach the next.  When a child ends it
 sweeps the child's process group *while the leader is still an unreaped
 zombie* (``waitid(WNOWAIT)`` → ``killpg`` → ``wait4``: the pgid cannot
 have been recycled, and no pool or shard worker of the attempt outlives
@@ -41,7 +45,11 @@ would.  :func:`run_job_dir`:
    job's own ``checkpoint/`` dir and ``resume=True``, so *every*
    submitted job is automatically crash-resumable via the
    :class:`~repro.resilience.journal.JobJournal` — a relaunched runner
-   picks up where the dead one's journal left off;
+   picks up where the dead one's journal left off — and with the
+   request's ``peers`` (the agents this dispatch fans out onto, drawn
+   from the live healthy pool each attempt; none means a local run) and
+   ``io_budget`` (the allocator's share of the node bandwidth, which
+   replaces the spec's raw ask);
 3. runs the job on the same runtime dispatch the one-shot CLI uses
    (plain, Phoenix, or sharded) — digests are byte-identical;
 4. writes ``result.json`` (the one-shot ``--json`` report) on success or
@@ -102,8 +110,10 @@ def _arm_crash_watchdog(checkpoint_dir: Path, after_rounds: int) -> None:
     threading.Thread(target=watch, name="crash-watchdog", daemon=True).start()
 
 
-def run_job_dir(job_dir: Path, crash_after_round: int | None = None) -> int:
-    """Execute the job described by ``job_dir``; returns the exit code."""
+def run_job_dir(job_dir: Path, request: "dict[str, Any] | None" = None) -> int:
+    """Execute the job described by ``job_dir`` under the daemon's spawn
+    ``request`` (the attempt's parameters); returns the exit code."""
+    request = request or {}
     spec = ServiceJobSpec.from_dict(read_json_crc(job_dir / "spec.json"))
     checkpoint = job_dir / "checkpoint"
     checkpoint.mkdir(parents=True, exist_ok=True)
@@ -115,34 +125,17 @@ def run_job_dir(job_dir: Path, crash_after_round: int | None = None) -> int:
         # option lowering and job construction are classified too: a spec
         # carrying a bad knob (e.g. an unparsable --chunk-size) must exit
         # with the usage code and an error.json, not a bare traceback.
-        # The daemon's placement (placement.json) names the agents this
-        # dispatch should fan out onto.  It is re-written every attempt
-        # from the live healthy pool, so a requeued job lands on the
-        # survivors; its absence means a local run.
-        placement_path = job_dir / "placement.json"
-        placement = (
-            read_json_crc(placement_path) if placement_path.exists() else {}
-        )
         options = spec.to_options(
             checkpoint_dir=str(checkpoint),
             resume=True,
             shard_dir=str(shard_dir) if shard_dir else None,
-            peers=tuple(placement.get("peers", ())) or None,
-            net_timeout=placement.get("net_timeout"),
+            peers=tuple(request.get("peers") or ()) or None,
+            net_timeout=request.get("net_timeout"),
         )
-        # The daemon's dispatch-time bandwidth assignment (qos.json)
-        # overrides the spec's raw io_budget ask: under contention the
-        # allocator hands this job its *share* of the node bandwidth.
-        qos_path = job_dir / "qos.json"
-        if qos_path.exists():
-            qos = read_json_crc(qos_path)
-            options = options.with_(
-                io_budget=int(qos["io_budget"]),
-                tenant=str(qos.get("tenant", spec.tenant)),
-                io_priority=int(qos.get("io_priority", spec.io_priority)),
-            )
-        if crash_after_round is not None:
-            _arm_crash_watchdog(checkpoint, crash_after_round)
+        if "io_budget" in request:
+            options = options.with_(io_budget=int(request["io_budget"]))
+        if "crash_after_round" in request:
+            _arm_crash_watchdog(checkpoint, request["crash_after_round"])
 
         result = run_job(spec.build_job(), options)
     except Exception as exc:  # noqa: BLE001 - classified and reported below
@@ -301,9 +294,7 @@ def main(argv: "list[str] | None" = None) -> int:
         ctl.close()  # the zygote's copy; a runner closed its own already
     if request is None:
         return 0
-    return run_job_dir(
-        state.job_dir(str(request["job_id"])), request.get("crash_after_round")
-    )
+    return run_job_dir(state.job_dir(str(request["job_id"])), request)
 
 
 if __name__ == "__main__":  # pragma: no cover

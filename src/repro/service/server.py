@@ -23,20 +23,28 @@ concurrent clients over the framed protocol.  The moving parts:
   flight, requeues them as crashed attempts and starts another zygote.
 * **Admission control** — submissions are *rejected with a typed error*
   rather than queued unboundedly: ``queue-full`` past
-  ``max_queue_depth``, ``budget-exceeded`` when the sum of admitted
+  ``max_queue_depth``, ``budget-exceeded`` when the sum of active
   jobs' charged memory budgets would pass the service budget (jobs
   without one are charged ``default_job_budget`` when configured),
   ``tenant-budget-exceeded`` past a tenant's concurrency or memory
   caps, ``overloaded`` when aggregate declared I/O demand would swamp
-  the configured node bandwidth, ``draining`` during shutdown.
+  the configured node bandwidth, ``draining`` during shutdown.  A job
+  is *active* from admission until its record is terminal — queued,
+  being dispatched (its runner forking) or running.
   Submitting a spec identical to a live or finished job
   reattaches/returns it (idempotent resubmission — the behaviour
   that makes "resubmit after a daemon restart" resume from the journal).
 * **Bandwidth QoS** — with ``node_bandwidth`` configured, each
   dispatched job that declared an ``io_budget`` is assigned an
   allocator share (:mod:`repro.qos.allocator`) of the node bandwidth,
-  written to its job dir as ``qos.json``; the runner enforces it with a
-  token bucket on the real I/O edges.
+  handed to that attempt's runner in its spawn request; the runner
+  enforces it with a token bucket on the real I/O edges.
+* **One job table** — the daemon is the only writer of ``record.json``
+  and ``spec.json``, so it reads them once, in ``_recover``, into
+  :attr:`ServiceState.jobs <repro.service.state.ServiceState.jobs>`;
+  from then on every decision (lookup, dedup, admission totals,
+  dispatch, placement, shares, reaping) reads the table and every
+  transition is written through it.
 * **Crash safety** — every record mutation is durable before it is
   acknowledged; on startup, jobs found ``queued``/``running`` are
   re-queued (orphaned runners from a killed daemon are reaped first),
@@ -54,7 +62,7 @@ concurrent clients over the framed protocol.  The moving parts:
   :class:`~repro.cluster.registry.AgentRegistry`: a health loop
   actively pings every agent between jobs, sharded jobs are dispatched
   with service-assigned ``--peers`` drawn from the healthy set
-  (written per-dispatch to ``placement.json``, never part of the spec
+  (carried by that attempt's spawn request, never part of the spec
   hash), concurrent jobs spread across hosts, and the bandwidth
   allocator prices co-placed jobs against their *host's* capacity.
   ``cluster.agent.flap`` fails seeded probes; ``cluster.dispatch.stale``
@@ -79,7 +87,7 @@ from typing import Any, Callable
 
 from repro.cluster.health import HealthPolicy
 from repro.cluster.registry import AgentRegistry
-from repro.errors import AdmissionError, ConfigError, ProtocolError
+from repro.errors import AdmissionError, ConfigError, JobNotFound, ProtocolError
 from repro.faults.log import ACTION_RESPAWNED
 from repro.faults.plan import (
     SITE_CLUSTER_DISPATCH_STALE,
@@ -101,7 +109,6 @@ from repro.service.state import (
     STATE_RUNNING,
     JobRecord,
     ServiceState,
-    write_json_crc,
 )
 from repro.util.atomic import publish
 from repro.util.units import parse_size
@@ -322,10 +329,10 @@ class _Zygote:
         )
         self._replies = asyncio.ensure_future(self._read_replies())
 
-    async def spawn(
-        self, job_id: str, crash_after_round: "int | None"
-    ) -> _Runner:
-        """Fork one runner over ``job_id``'s directory.
+    async def spawn(self, request: dict[str, Any]) -> _Runner:
+        """Fork one runner over ``request["job_id"]``'s directory; the
+        rest of ``request`` is the attempt's parameters, which the
+        forked runner reads (:func:`repro.service.runner.run_job_dir`).
 
         Raises ``OSError`` when the fork itself failed and
         :class:`_ZygoteLost` when the zygote died before answering.
@@ -334,11 +341,9 @@ class _Zygote:
         if self._replies.done():
             raise _ZygoteLost()
         answer = asyncio.get_running_loop().create_future()
-        self._forking[job_id] = answer
+        self._forking[request["job_id"]] = answer
         try:
-            await protocol.write_frame(writer, {
-                "job_id": job_id, "crash_after_round": crash_after_round,
-            })
+            await protocol.write_frame(writer, request)
         except ConnectionError:
             pass  # the reply loop sees the same hang-up and fails ``answer``
         return await answer
@@ -417,7 +422,6 @@ class JobService:
     def __post_init__(self) -> None:
         self.state = ServiceState(Path(self.config.state_dir))
         self._queue = WeightedFairQueue(aging_every=self.config.aging_every)
-        self._queued_ids: set[str] = set()
         self._running: dict[str, _RunningJob] = {}
         self._job_tasks: set[asyncio.Task] = set()
         self._watchers: dict[str, list[asyncio.Queue]] = {}
@@ -555,8 +559,11 @@ class JobService:
         self.state.clear_endpoint()
 
     def _recover(self) -> None:
-        """Reload records; re-queue interrupted jobs; reap orphan runners."""
-        for record in self.state.load_all_records():
+        """Load the job table — the daemon's one read of its records and
+        specs; re-queue interrupted jobs; reap orphan runners."""
+        self.state.load_jobs()
+        for entry in self.state.jobs.values():
+            record = entry.record
             self._seq = max(self._seq, record.seq + 1)
             if record.state == STATE_RUNNING:
                 self._kill_orphan_runner(record.job_id)
@@ -580,21 +587,13 @@ class JobService:
 
     # -- queue + scheduler ---------------------------------------------------
 
-    def _tenant_of(self, job_id: str) -> str:
-        try:
-            spec = self.state.load_spec(job_id)
-        except Exception:
-            return "default"
-        return getattr(spec, "tenant", "default") or "default"
-
     def _push(self, record: JobRecord) -> None:
         self._queue.push(QueueEntry(
             job_id=record.job_id,
-            tenant=self._tenant_of(record.job_id),
+            tenant=self.state.jobs[record.job_id].spec.tenant,
             priority=record.priority,
             seq=record.seq,
         ))
-        self._queued_ids.add(record.job_id)
 
     def _needs_placement(self, job_id: str) -> bool:
         """Does this job want service-assigned peers at dispatch?
@@ -603,15 +602,8 @@ class JobService:
         registry whenever the pool is non-empty; everything else runs
         locally exactly as before.
         """
-        if not len(self._registry):
-            return False
-        try:
-            spec = self.state.load_spec(job_id)
-        except Exception:  # noqa: BLE001 - unreadable spec: run local
-            return False
-        return bool(getattr(spec, "shards", None)) and not bool(
-            getattr(spec, "peers", None)
-        )
+        spec = self.state.jobs[job_id].spec
+        return bool(len(self._registry) and spec.shards and not spec.peers)
 
     def _pop_next(self) -> JobRecord | None:
         eligible = None
@@ -622,21 +614,16 @@ class JobService:
             # never wanted placement flow through unimpeded.
             def eligible(entry: QueueEntry) -> bool:
                 return not self._needs_placement(entry.job_id)
-        while len(self._queue):
-            entry = self._queue.pop(eligible)
-            if entry is None:
-                return None  # nothing eligible right now
-            if entry.job_id not in self._queued_ids:
-                continue  # cancelled while queued
-            self._queued_ids.discard(entry.job_id)
-            record = self.state.load_record(entry.job_id)
-            if record is not None and record.state == STATE_QUEUED:
+        # None from the queue: empty, or nothing eligible right now
+        while (entry := self._queue.pop(eligible)) is not None:
+            record = self.state.jobs[entry.job_id].record
+            if record.state == STATE_QUEUED:  # else cancelled while queued
                 return record
         return None
 
     def queue_depth(self) -> int:
-        """Jobs admitted but not yet running."""
-        return len(self._queued_ids)
+        """Jobs admitted but not yet dispatched."""
+        return len(self._queue)
 
     def _schedule(self) -> None:
         """Fill free runner slots from the queue (never blocks).
@@ -677,36 +664,15 @@ class JobService:
             return self.config.default_job_budget
         return 0
 
-    def _admitted_budget_bytes(self, tenant: "str | None" = None) -> int:
-        """Charged memory bytes across queued + running jobs.
-
-        With ``tenant`` the sum covers that tenant's jobs only (the
-        per-tenant budget check); without it, every admitted job.
-        """
-        total = 0
-        for job_id in (*self._queued_ids, *self._running):
-            spec = self.state.load_spec(job_id)
-            if tenant is not None and getattr(spec, "tenant", "default") != tenant:
-                continue
-            total += self._charged_budget(spec)
-        return total
-
-    def _tenant_active_jobs(self, tenant: str) -> int:
-        """Queued + running jobs currently accounted to one tenant."""
-        return sum(
-            1 for job_id in (*self._queued_ids, *self._running)
-            if getattr(self.state.load_spec(job_id), "tenant", "default")
-            == tenant
-        )
-
-    def _declared_io_demand(self) -> int:
-        """Sum of declared ``io_budget`` across queued + running jobs."""
-        total = 0
-        for job_id in (*self._queued_ids, *self._running):
-            spec = self.state.load_spec(job_id)
-            if getattr(spec, "io_budget", None) is not None:
-                total += parse_size(spec.io_budget)
-        return total
+    def _active_specs(self) -> list[ServiceJobSpec]:
+        """Specs of the jobs admission limits count: admitted and not
+        finished.  A job is active from ``create_job`` until its record
+        is terminal, so one whose runner is still forking — in neither
+        the queue nor ``_running`` — is counted like any other."""
+        return [
+            entry.spec for entry in self.state.jobs.values()
+            if not entry.record.finished
+        ]
 
     def admit(
         self, spec: ServiceJobSpec, rerun: bool = False
@@ -726,20 +692,18 @@ class JobService:
                 code=protocol.ERR_DRAINING,
             )
         job_id = spec.job_id()
-        existing = self.state.load_record(job_id)
+        existing = self.state.jobs.get(job_id)
         if existing is not None and not rerun:
             # live → reattach; finished → idempotent result handle
             self.counters["reattached"] += 1
-            return existing, True
-        if existing is not None and rerun:
-            if job_id in self._running or job_id in self._queued_ids:
+            return existing.record, True
+        if existing is not None:
+            if not existing.record.finished:
                 raise AdmissionError(
-                    f"job {job_id} is {existing.state}; cancel it before "
-                    "rerunning", code=protocol.ERR_BAD_REQUEST,
+                    f"job {job_id} is {existing.record.state}; cancel it "
+                    "before rerunning", code=protocol.ERR_BAD_REQUEST,
                 )
-            import shutil
-
-            shutil.rmtree(self.state.job_dir(job_id), ignore_errors=True)
+            self.state.remove_job(job_id)
         if self._injector is not None:
             # The chaos half of overload protection: an injected tenant
             # surge sheds this admission exactly as a real overload
@@ -763,19 +727,30 @@ class JobService:
                 f"({self.config.max_queue_depth}); retry later",
                 code=protocol.ERR_QUEUE_FULL,
             )
+        limits = (
+            self.config.tenant_max_concurrent, self.config.tenant_budget,
+            self.config.service_budget, self.config.node_bandwidth,
+        )
+        # one pass over the table, and none on a daemon without limits
+        active = self._active_specs() if any(
+            limit is not None for limit in limits
+        ) else []
         if self.config.tenant_max_concurrent is not None:
-            active = self._tenant_active_jobs(spec.tenant)
-            if active >= self.config.tenant_max_concurrent:
+            tenant_jobs = sum(s.tenant == spec.tenant for s in active)
+            if tenant_jobs >= self.config.tenant_max_concurrent:
                 self.counters["tenant_rejected"] += 1
                 self.counters["rejected"] += 1
                 raise AdmissionError(
-                    f"tenant {spec.tenant!r} already has {active} admitted "
+                    f"tenant {spec.tenant!r} already has {tenant_jobs} admitted "
                     f"job(s); the per-tenant limit is "
                     f"{self.config.tenant_max_concurrent}",
                     code=protocol.ERR_TENANT_BUDGET,
                 )
         if self.config.tenant_budget is not None:
-            tenant_admitted = self._admitted_budget_bytes(spec.tenant)
+            tenant_admitted = sum(
+                self._charged_budget(s) for s in active
+                if s.tenant == spec.tenant
+            )
             asked = self._charged_budget(spec)
             if tenant_admitted + asked > self.config.tenant_budget:
                 self.counters["tenant_rejected"] += 1
@@ -797,7 +772,7 @@ class JobService:
                     "a per-job memory_budget",
                     code=protocol.ERR_BUDGET_EXCEEDED,
                 )
-            admitted = self._admitted_budget_bytes()
+            admitted = sum(self._charged_budget(s) for s in active)
             asked = self._charged_budget(spec)
             if admitted + asked > self.config.service_budget:
                 self.counters["rejected"] += 1
@@ -809,9 +784,12 @@ class JobService:
                 )
         if (
             self.config.node_bandwidth is not None
-            and getattr(spec, "io_budget", None) is not None
+            and spec.io_budget is not None
         ):
-            demand = self._declared_io_demand() + parse_size(spec.io_budget)
+            demand = parse_size(spec.io_budget) + sum(
+                parse_size(s.io_budget) for s in active
+                if s.io_budget is not None
+            )
             limit = self.config.node_bandwidth * self.config.shed_factor
             if demand > limit:
                 self.counters["shed"] += 1
@@ -861,47 +839,37 @@ class JobService:
         """
         if self.config.node_bandwidth is None:
             return None
-        spec = self.state.load_spec(job_id)
-        if getattr(spec, "io_budget", None) is None:
+        if self.state.jobs[job_id].spec.io_budget is None:
             return None
         allocator = HostCapacityAllocator(
             self.config.node_bandwidth, inner_policy=self.config.qos_policy
         )
-        allocator.register(
-            job_id, parse_size(spec.io_budget),
-            priority=getattr(spec, "io_priority", 0),
-            host=self._primary_host(job_id),
-        )
-        for other_id in self._running:
-            other = self.state.load_spec(other_id)
-            if getattr(other, "io_budget", None) is None:
-                continue
-            allocator.register(
-                other_id, parse_size(other.io_budget),
-                priority=getattr(other, "io_priority", 0),
-                host=self._primary_host(other_id),
-            )
+        for contender in (job_id, *self._running):
+            spec = self.state.jobs[contender].spec
+            if spec.io_budget is not None:
+                allocator.register(
+                    contender, parse_size(spec.io_budget),
+                    priority=spec.io_priority,
+                    host=self._primary_host(contender),
+                )
         shares = allocator.allocate()
         return max(1, int(shares[job_id]))
 
     def _place_job(self, job_id: str, attempt: int) -> tuple[str, ...]:
         """Service-assigned peers for one dispatch.
 
-        Placement is *per attempt* and travels beside the spec as
-        ``placement.json`` (CRC-enveloped), never inside it — the job
-        id must not change because the pool did — so a requeued job is
-        automatically re-placed onto whoever survives.  An empty
-        placement (no healthy agent) falls back to a local run: the
-        job still finishes with the same digest, just without the
-        fan-out.
+        Placement is *per attempt* and travels in the attempt's spawn
+        request, never inside the spec — the job id must not change
+        because the pool did — so a requeued job is automatically
+        re-placed onto whoever survives.  An empty placement (no
+        healthy agent) falls back to a local run: the job still
+        finishes with the same digest, just without the fan-out.
         """
-        job_dir = self.state.job_dir(job_id)
-        placement_path = job_dir / "placement.json"
         if not self._needs_placement(job_id):
-            placement_path.unlink(missing_ok=True)
             return ()
-        spec = self.state.load_spec(job_id)
-        placement = self._registry.place(job_id, int(spec.shards))
+        placement = self._registry.place(
+            job_id, int(self.state.jobs[job_id].spec.shards)
+        )
         if placement and self._injector is not None:
             # The stale-dispatch window: the agent passed its health
             # check but died before the runner dialed it.  Substituting
@@ -912,15 +880,9 @@ class JobService:
             )
             if decision is not None:
                 placement = (STALE_AGENT_ADDR,) + placement[1:]
-        if not placement:
-            placement_path.unlink(missing_ok=True)
-            return ()
-        payload: dict[str, Any] = {"peers": list(placement)}
-        if self.config.net_timeout_s is not None:
-            payload["net_timeout"] = self.config.net_timeout_s
-        write_json_crc(placement_path, payload)
-        self._placements[job_id] = placement
-        self.counters["placed"] += 1
+        if placement:
+            self._placements[job_id] = placement
+            self.counters["placed"] += 1
         return placement
 
     async def _run_job(self, record: JobRecord) -> None:
@@ -928,29 +890,26 @@ class JobService:
         attempt = record.attempts + 1
         record = record.with_(state=STATE_RUNNING, attempts=attempt)
         job_dir = self.state.job_dir(job_id)
+        # What this attempt — and no later one — runs with rides the
+        # spawn request: it dies with the runner it was handed to.
+        request: dict[str, Any] = {"job_id": job_id}
         placement = self._place_job(job_id, attempt)
+        if placement:
+            request["peers"] = list(placement)
+            request["net_timeout"] = self.config.net_timeout_s
         assigned = self._assign_io_share(job_id)
         if assigned is not None:
-            spec = self.state.load_spec(job_id)
-            write_json_crc(job_dir / "qos.json", {
-                "io_budget": assigned,
-                "tenant": getattr(spec, "tenant", "default"),
-                "io_priority": getattr(spec, "io_priority", 0),
-            })
-            self._io_assigned[job_id] = assigned
-        crash_after_round = None
+            request["io_budget"] = self._io_assigned[job_id] = assigned
         if self._injector is not None:
             decision = self._injector.check(
                 SITE_SERVICE_JOB_CRASH, scope=job_id, attempt=attempt
             )
             if decision is not None:
-                crash_after_round = 1
+                request["crash_after_round"] = 1
         proc = None
         try:
             try:
-                proc = await self._ensure_zygote().spawn(
-                    job_id, crash_after_round
-                )
+                proc = await self._ensure_zygote().spawn(request)
             except OSError as exc:
                 self._finish(record.with_(
                     state=STATE_FAILED, exit_code=1,
@@ -1044,9 +1003,8 @@ class JobService:
     def _requeue(self, record: JobRecord) -> None:
         """Put a dispatched job back in line for another attempt."""
         requeued = record.with_(state=STATE_QUEUED)
-        self.state.save_record(requeued)
+        self._set_state(requeued)
         self._push(requeued)
-        self._broadcast(requeued)
 
     def _runner_crashed(self, record: JobRecord, how: str) -> None:
         """An attempt died of something that is not the job's verdict:
@@ -1107,7 +1065,9 @@ class JobService:
             # placement does not hand the dead host out again.
             self._registry.mark_lost(str(addr), "lost mid-job")
             self.counters["hosts_lost"] += 1
-        tenant = counters.get("tenant") or self._tenant_of(record.job_id)
+        tenant = (
+            counters.get("tenant") or self.state.jobs[record.job_id].spec.tenant
+        )
         stats = self.tenant_stats.setdefault(tenant, {
             "jobs": 0, "throttle_bytes": 0, "throttle_wait_s": 0.0,
         })
@@ -1275,6 +1235,10 @@ class JobService:
             await protocol.write_frame(
                 writer, protocol.error_reply(exc.code, str(exc))
             )
+        except JobNotFound as exc:
+            await protocol.write_frame(
+                writer, protocol.error_reply(protocol.ERR_NOT_FOUND, str(exc))
+            )
         except ConfigError as exc:
             await protocol.write_frame(
                 writer, protocol.error_reply(protocol.ERR_BAD_REQUEST, str(exc))
@@ -1291,118 +1255,93 @@ class JobService:
             reattached=reattached, position=self.queue_depth(),
         ))
 
-    def _record_reply(self, record: JobRecord) -> dict[str, Any]:
-        return record.to_dict()
+    def _record(self, msg: dict[str, Any]) -> JobRecord:
+        """The record of the job a request names (``_dispatch`` answers
+        :class:`~repro.errors.JobNotFound` with ``not-found``)."""
+        entry = self.state.jobs.get(str(msg.get("job_id")))
+        if entry is None:
+            raise JobNotFound(f"no such job: {msg.get('job_id')}")
+        return entry.record
 
     async def _handle_status(
         self, msg: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
-        job_id = msg.get("job_id")
-        if job_id is None:
-            records = [self._record_reply(r)
-                       for r in self.state.load_all_records()]
+        if msg.get("job_id") is None:
             await protocol.write_frame(writer, protocol.ok_reply(
-                jobs=records, running=len(self._running),
+                jobs=[e.record.to_dict() for e in self.state.jobs.values()],
+                running=len(self._running),
                 queued=self.queue_depth(), counters=self._qos_counters(),
                 io_assigned_bps=sum(self._io_assigned.values()),
                 tenants=self._tenant_overview(),
             ))
             return
-        record = self.state.load_record(str(job_id))
-        if record is None:
-            await protocol.write_frame(writer, protocol.error_reply(
-                protocol.ERR_NOT_FOUND, f"no such job: {job_id}",
-            ))
-            return
         await protocol.write_frame(
-            writer, protocol.ok_reply(job=self._record_reply(record))
+            writer, protocol.ok_reply(job=self._record(msg).to_dict())
         )
 
     async def _handle_result(
         self, msg: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
-        job_id = str(msg.get("job_id"))
-        record = self.state.load_record(job_id)
-        if record is None:
-            await protocol.write_frame(writer, protocol.error_reply(
-                protocol.ERR_NOT_FOUND, f"no such job: {job_id}",
-            ))
-            return
+        record = self._record(msg)
         if not record.finished:
             await protocol.write_frame(writer, protocol.error_reply(
                 protocol.ERR_NOT_FINISHED,
-                f"job {job_id} is {record.state}; no result yet",
+                f"job {record.job_id} is {record.state}; no result yet",
             ))
             return
         report = None
         if record.state == STATE_DONE:
-            report = json.loads(self.state.read_result(job_id))
+            report = json.loads(self.state.read_result(record.job_id))
         if not record.result_fetched:
             record = record.with_(result_fetched=True)
             self.state.save_record(record)
         reaped = self.state.reap_checkpoints(self.config.retention)
         self.counters["reaped"] += len(reaped)
         await protocol.write_frame(writer, protocol.ok_reply(
-            job=self._record_reply(record), report=report,
+            job=record.to_dict(), report=report,
         ))
 
     async def _handle_cancel(
         self, msg: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
-        job_id = str(msg.get("job_id"))
-        record = self.state.load_record(job_id)
-        if record is None:
-            await protocol.write_frame(writer, protocol.error_reply(
-                protocol.ERR_NOT_FOUND, f"no such job: {job_id}",
-            ))
-            return
-        if record.finished:
-            await protocol.write_frame(
-                writer, protocol.ok_reply(job=self._record_reply(record))
+        record = self._record(msg)
+        if not record.finished:
+            running = self._running.get(record.job_id)
+            if running is not None:
+                running.cancelling = True
+                signal_runner_tree(running.proc.pid, signal.SIGTERM)
+                await protocol.write_frame(writer, protocol.ok_reply(
+                    job=running.record.to_dict(), cancelling=True,
+                ))
+                return
+            # queued: drop it from the fair queue
+            self._queue.remove(record.job_id)
+            record = record.with_(
+                state=STATE_CANCELLED, error="cancelled while queued"
             )
-            return
-        running = self._running.get(job_id)
-        if running is not None:
-            running.cancelling = True
-            signal_runner_tree(running.proc.pid, signal.SIGTERM)
-            await protocol.write_frame(writer, protocol.ok_reply(
-                job=self._record_reply(running.record), cancelling=True,
-            ))
-            return
-        # queued: drop it from the fair queue
-        self._queue.remove(job_id)
-        self._queued_ids.discard(job_id)
-        record = record.with_(
-            state=STATE_CANCELLED, error="cancelled while queued"
-        )
-        self.counters["cancelled"] += 1
-        self._set_state(record)
+            self.counters["cancelled"] += 1
+            self._set_state(record)
         await protocol.write_frame(
-            writer, protocol.ok_reply(job=self._record_reply(record))
+            writer, protocol.ok_reply(job=record.to_dict())
         )
 
     async def _handle_watch(
         self, msg: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         """Stream state transitions for one job until it finishes."""
-        job_id = str(msg.get("job_id"))
-        record = self.state.load_record(job_id)
-        if record is None:
-            await protocol.write_frame(writer, protocol.error_reply(
-                protocol.ERR_NOT_FOUND, f"no such job: {job_id}",
-            ))
-            return
+        record = self._record(msg)
+        job_id = record.job_id
         queue: asyncio.Queue = asyncio.Queue()
         if not record.finished:
             self._watchers.setdefault(job_id, []).append(queue)
         await protocol.write_frame(writer, protocol.ok_reply(
-            event="state", job=self._record_reply(record),
+            event="state", job=record.to_dict(),
         ))
         try:
             while not record.finished:
                 record = await queue.get()
                 await protocol.write_frame(writer, protocol.ok_reply(
-                    event="state", job=self._record_reply(record),
+                    event="state", job=record.to_dict(),
                 ))
         finally:
             watchers = self._watchers.get(job_id)

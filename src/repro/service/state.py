@@ -16,16 +16,29 @@ under its **state dir**:
 
 Records use the same CRC-inside-JSON envelope and atomic publish as the
 job journal (:mod:`repro.util.atomic`), so a record is always either the
-old or the new consistent value.  On restart the daemon reloads every record and
-re-queues jobs that were ``queued`` or ``running`` when it died — their
-checkpoints make the re-run resume instead of restart.
+old or the new consistent value.
+
+The daemon is the only writer of ``record.json`` / ``spec.json``, so it
+never reads them back: a :class:`ServiceState` keeps a **job table**
+(``jobs``: ``job_id -> JobEntry(spec, record)``) that
+:meth:`~ServiceState.create_job` / :meth:`~ServiceState.save_record`
+write *through* — the file first, then the entry, so the table never
+holds a transition the disk does not.  :meth:`~ServiceState.load_jobs`
+fills it from the directory once, at daemon start; the restarted daemon
+re-queues jobs that were ``queued`` or ``running`` when the last one
+died, and their checkpoints make the re-run resume instead of restart.
+The ``load_*`` readers never consult the table: a fresh
+``ServiceState(dir)`` in another process (a test, a tool) always sees
+what is on disk.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import shutil
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -100,11 +113,25 @@ class JobRecord:
 
 
 @dataclass
+class JobEntry:
+    """One row of the job table: what was submitted and where it stands."""
+
+    spec: ServiceJobSpec
+    record: JobRecord
+
+
+@dataclass
 class ServiceState:
-    """Filesystem view of one daemon's durable state."""
+    """One daemon's durable state: the directory and the table over it."""
 
     state_dir: Path
-    _specs: dict[str, ServiceJobSpec] = field(default_factory=dict)
+    #: Every job this object created or recovered, in admission
+    #: (``seq``) order, written through by :meth:`create_job` /
+    #: :meth:`save_record`.
+    jobs: dict[str, JobEntry] = field(default_factory=dict)
+    #: ``(seq, job_id)`` of the finished, fetched jobs that still have a
+    #: checkpoint dir, ascending: what :meth:`reap_checkpoints` pops.
+    _fetched: list[tuple[int, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.state_dir = Path(self.state_dir)
@@ -175,27 +202,52 @@ class ServiceState:
         job_dir.mkdir(parents=True, exist_ok=True)
         self.checkpoint_dir(record.job_id).mkdir(parents=True, exist_ok=True)
         write_json_crc(self.spec_path(record.job_id), spec.to_dict())
-        self._specs[record.job_id] = spec
-        self.save_record(record)
+        write_json_crc(self.record_path(record.job_id), record.to_dict())
+        self.jobs[record.job_id] = JobEntry(spec, record)
+        self._note_fetched(record)
 
     def save_record(self, record: JobRecord) -> None:
-        """Durably persist one state-machine transition."""
+        """Durably persist one state-machine transition of a job in the
+        table — the file first, so the table never runs ahead of it."""
+        entry = self.jobs[record.job_id]
         write_json_crc(self.record_path(record.job_id), record.to_dict())
+        was, entry.record = entry.record, record
+        if not (was.finished and was.result_fetched):
+            self._note_fetched(record)
+
+    def remove_job(self, job_id: str) -> None:
+        """Wipe a job: its directory and its table row (a rerun)."""
+        shutil.rmtree(self.job_dir(job_id), ignore_errors=True)
+        record = self.jobs.pop(job_id).record
+        with contextlib.suppress(ValueError):
+            self._fetched.remove((record.seq, job_id))
+
+    def _note_fetched(self, record: JobRecord) -> None:
+        if record.finished and record.result_fetched:
+            insort(self._fetched, (record.seq, record.job_id))
+
+    def load_jobs(self) -> None:
+        """Fill the table from the directory, in admission order — the
+        one time the daemon reads its own records and specs."""
+        self.jobs.clear()
+        self._fetched.clear()
+        for record in self.load_all_records():
+            self.jobs[record.job_id] = JobEntry(
+                self.load_spec(record.job_id), record
+            )
+            if self.checkpoint_dir(record.job_id).exists():
+                self._note_fetched(record)
 
     def load_record(self, job_id: str) -> JobRecord | None:
-        """The job's record, or None when the job is unknown."""
+        """The job's record as it is on disk, or None when there is none."""
         path = self.record_path(job_id)
         if not path.exists():
             return None
         return JobRecord.from_dict(read_json_crc(path))
 
     def load_spec(self, job_id: str) -> ServiceJobSpec:
-        """The job's submitted spec (cached after first read)."""
-        if job_id in self._specs:
-            return self._specs[job_id]
-        spec = ServiceJobSpec.from_dict(read_json_crc(self.spec_path(job_id)))
-        self._specs[job_id] = spec
-        return spec
+        """The job's submitted spec as it is on disk."""
+        return ServiceJobSpec.from_dict(read_json_crc(self.spec_path(job_id)))
 
     def load_all_records(self) -> list[JobRecord]:
         """Every job record on disk, in admission (``seq``) order."""
@@ -223,23 +275,18 @@ class ServiceState:
     # -- garbage collection -------------------------------------------------
 
     def reap_checkpoints(self, retention: int) -> list[str]:
-        """Drop checkpoint dirs of finished, fetched jobs beyond the
-        ``retention`` most recently admitted; returns reaped job ids."""
+        """Drop checkpoint dirs of the table's finished, fetched jobs
+        beyond the ``retention`` most recently admitted; returns reaped
+        job ids, oldest first.  Costs what it reaps, not what there is."""
         from repro.resilience.journal import JobJournal
 
-        finished = [
-            r for r in self.load_all_records()
-            if r.finished and r.result_fetched
-            and self.checkpoint_dir(r.job_id).exists()
-        ]
-        finished.sort(key=lambda r: r.seq)
         reaped: list[str] = []
-        excess = len(finished) - max(0, retention)
-        for record in finished[:max(0, excess)]:
-            if JobJournal.purge_dir(self.checkpoint_dir(record.job_id)):
+        while len(self._fetched) > max(0, retention):
+            _, job_id = self._fetched.pop(0)
+            if JobJournal.purge_dir(self.checkpoint_dir(job_id)):
                 # the job's shard exchange dir rides along with the
                 # checkpoint: both only matter to a resumable job
-                shutil.rmtree(self.job_dir(record.job_id) / "shards",
+                shutil.rmtree(self.job_dir(job_id) / "shards",
                               ignore_errors=True)
-                reaped.append(record.job_id)
+                reaped.append(job_id)
         return reaped

@@ -62,6 +62,7 @@ import statistics
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -623,28 +624,31 @@ class _Coordinator:
 
     # -- reduce phase -------------------------------------------------------
 
+    def _fired_attempts(self, site: str, scope: tuple) -> list[int]:
+        """The attempts of one fetch that ``site`` damages.
+
+        Rolled lazily — attempt ``k+1`` is only consulted when attempt
+        ``k`` fired — exactly mirroring the worker's verify-then-refetch
+        loop, so injected counts match fetch counts.
+        """
+        return list(takewhile(
+            lambda a: self.injector.check(site, scope=scope, attempt=a)
+            is not None,
+            range(self.policy.max_retries + 1),
+        ))
+
     def _corrupt_plan(
         self, partitions: "list[int]"
     ) -> dict[tuple[int, int], list[int]]:
-        """Pre-roll the exchange-corruption schedule for one dispatch.
-
-        Attempts are rolled lazily — attempt ``k+1`` is only consulted
-        when attempt ``k`` fired — exactly mirroring the worker's
-        verify-then-refetch loop, so injected counts match fetch counts.
-        """
+        """Pre-roll the exchange-corruption schedule for one dispatch."""
         table: dict[tuple[int, int], list[int]] = {}
-        injector = self.injector
-        if injector is None:
+        if self.injector is None:
             return table
         for p in partitions:
             for src in sorted(self.outboxes):
-                attempts = []
-                for a in range(self.policy.max_retries + 1):
-                    if injector.check(
-                        SITE_SHARD_EXCHANGE_CORRUPT, scope=(p, src), attempt=a
-                    ) is None:
-                        break
-                    attempts.append(a)
+                attempts = self._fired_attempts(
+                    SITE_SHARD_EXCHANGE_CORRUPT, (p, src)
+                )
                 if attempts:
                     table[(p, src)] = attempts
         return table
@@ -657,13 +661,11 @@ class _Coordinator:
         Only ``(partition, source)`` pairs that will actually cross the
         network are rolled: ``net.frame.corrupt`` damages the received
         copy (verify-then-refetch must repair it), ``net.conn.drop``
-        severs the transfer (resume-from-offset must finish it).  Same
-        lazy attempt pattern as the local corruption schedule.
+        severs the transfer (resume-from-offset must finish it).
         """
         corrupt: dict[tuple[int, int], list[int]] = {}
         drop: dict[tuple[int, int], list[int]] = {}
-        injector = self.injector
-        if injector is None:
+        if self.injector is None:
             return corrupt, drop
         for p in partitions:
             for src in sorted(self.outboxes):
@@ -673,13 +675,7 @@ class _Coordinator:
                     (SITE_NET_FRAME_CORRUPT, corrupt),
                     (SITE_NET_CONN_DROP, drop),
                 ):
-                    attempts = []
-                    for a in range(self.policy.max_retries + 1):
-                        if injector.check(
-                            site, scope=("fetch", p, src), attempt=a
-                        ) is None:
-                            break
-                        attempts.append(a)
+                    attempts = self._fired_attempts(site, ("fetch", p, src))
                     if attempts:
                         table[(p, src)] = attempts
         return corrupt, drop

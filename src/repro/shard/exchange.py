@@ -11,6 +11,9 @@ into its own inbox — a byte copy standing in for the network transfer —
 and CRC-verifies the copy before adoption.  A verification failure
 deletes the copy and refetches from the pristine outbox (bounded by the
 recovery policy's retry budget) rather than silently merging garbage.
+:func:`fetch_run` is the one verify-then-refetch loop: the cross-host
+exchange (:func:`repro.net.exchange.fetch_run_remote`) runs it with a
+wire transfer in place of the copy.
 
 Reduction streams the fetched runs through the same block-wise record
 merge the spill subsystem uses
@@ -106,59 +109,69 @@ def write_partition_runs(
 
 
 def fetch_run(
-    src: Path,
+    src: "str | Path",
     dst: Path,
     corrupt_attempts: Sequence[int] = (),
     max_retries: int = 3,
     events: "list[EventRow] | None" = None,
     scope: str = "",
+    transfer: "Callable[[int], Exception | None] | None" = None,
+    site: str = SITE_SHARD_EXCHANGE_CORRUPT,
 ) -> tuple[RunReader, int]:
     """Copy one exchange run and CRC-verify the copy before adoption.
 
     ``corrupt_attempts`` are the fetch attempts the coordinator decided
-    the ``shard.exchange_corrupt`` site damages in transit (a byte of
-    the *copy* is flipped; the outbox original stays pristine, which is
-    why a refetch can succeed).  A copy that fails validation or the CRC
-    re-scan is deleted and refetched, bounded by ``max_retries``;
-    exhaustion raises :class:`~repro.errors.RetryExhausted`.
+    the corruption ``site`` damages in transit (a byte of the *copy* is
+    flipped; the outbox original stays pristine, which is why a refetch
+    can succeed).  A copy that fails validation or the CRC re-scan is
+    deleted and refetched, bounded by ``max_retries``; exhaustion raises
+    :class:`~repro.errors.RetryExhausted`.
+
+    ``transfer(attempt)`` is what puts the bytes at ``dst`` — a file
+    copy unless the caller brings its own.  It returns None, or the
+    error that cost the attempt (having logged it itself); anything it
+    raises ends the fetch.
 
     Returns the validated reader over the adopted copy and how many
     refetches it took.
     """
+    if transfer is None:
+        def transfer(attempt: int) -> None:
+            shutil.copyfile(src, dst)
+
     last: Exception | None = None
     for attempt in range(max_retries + 1):
-        shutil.copyfile(src, dst)
-        if attempt in corrupt_attempts:
-            size = dst.stat().st_size
-            # Flip a payload byte when there is payload, else a header
-            # byte — either way validation must catch it.
-            offset = (
-                HEADER_BYTES + (size - HEADER_BYTES) // 2
-                if size > HEADER_BYTES else max(0, size - 1)
-            )
-            _flip_byte(dst, offset)
-        try:
-            reader = RunReader(dst)
-            if not reader.verify():
-                raise SpillError(
-                    f"{dst}: exchanged run failed its checksum"
+        last = transfer(attempt)
+        if last is None:
+            if attempt in corrupt_attempts:
+                size = dst.stat().st_size
+                # Flip a payload byte when there is payload, else a
+                # header byte — either way validation must catch it.
+                offset = (
+                    HEADER_BYTES + (size - HEADER_BYTES) // 2
+                    if size > HEADER_BYTES else max(0, size - 1)
                 )
-        except SpillError as exc:
-            last = exc
-            dst.unlink(missing_ok=True)
-            if events is not None and attempt < max_retries:
-                events.append((
-                    SITE_SHARD_EXCHANGE_CORRUPT, ACTION_REFETCHED,
-                    f"attempt {attempt + 1} rejected ({exc}); refetching",
-                    scope, attempt,
-                ))
-            continue
-        return reader, attempt
+                _flip_byte(dst, offset)
+            try:
+                reader = RunReader(dst)
+                if not reader.verify():
+                    raise SpillError(
+                        f"{dst}: exchanged run failed its checksum"
+                    )
+                return reader, attempt
+            except SpillError as exc:
+                last = exc
+                if events is not None and attempt < max_retries:
+                    events.append((
+                        site, ACTION_REFETCHED,
+                        f"attempt {attempt + 1} rejected ({exc}); refetching",
+                        scope, attempt,
+                    ))
+        dst.unlink(missing_ok=True)
     raise RetryExhausted(
-        f"{SITE_SHARD_EXCHANGE_CORRUPT}: {max_retries + 1} fetch attempt(s) "
-        f"of {src.name} failed; last error: {last}",
-        site=SITE_SHARD_EXCHANGE_CORRUPT,
-        attempts=max_retries + 1,
+        f"{site}: {max_retries + 1} fetch attempt(s) of {Path(src).name} "
+        f"failed; last error: {last}",
+        site=site, attempts=max_retries + 1,
     ) from last
 
 

@@ -180,6 +180,11 @@ class TestPlacedDispatch:
         assert record.digest == expected
         counters = client.ping()["counters"]
         assert counters["placed"] >= 1
+        # the placement reached the runner in its spawn request: both
+        # agents were dialed and no side file was left beside the spec
+        report = client.result(job_id)["report"]
+        assert report["counters"]["net_peers"] == 2
+        assert not (state_dir / "jobs" / job_id / "placement.json").exists()
         # the job's in-flight charges were released at completion
         assert all(
             row["inflight"] == 0 for row in client.agents()["agents"]

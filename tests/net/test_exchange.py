@@ -126,7 +126,7 @@ class TestFetchRunRemote:
         # The injected corruption site damages the received copy; swap
         # its byte flip for each kind of format-2 damage in turn.
         monkeypatch.setattr(
-            "repro.net.exchange._flip_byte",
+            "repro.shard.exchange._flip_byte",
             lambda path, _offset: DAMAGE[kind](path),
         )
         events = []

@@ -7,9 +7,11 @@ subprocesses), mirroring ``tests/service/test_admission.py``.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import AdmissionError
 from repro.faults import parse_faults
 from repro.service.jobspec import ServiceJobSpec
@@ -18,8 +20,8 @@ from repro.service.protocol import (
     ERR_OVERLOADED,
     ERR_TENANT_BUDGET,
 )
-from repro.service.server import JobService, ServiceConfig
-from repro.service.state import STATE_DONE, read_json_crc
+from repro.service.server import JobService, ServiceConfig, _Zygote
+from repro.service.state import STATE_DONE
 
 
 def make_service(tmp_path, **kw) -> JobService:
@@ -61,6 +63,19 @@ class HeldRunners:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def spy_on_spawn(monkeypatch) -> list[dict]:
+    """Record every spawn request a daemon hands its zygote."""
+    requests: list[dict] = []
+    real_spawn = _Zygote.spawn
+
+    async def spawn(self, request):
+        requests.append(dict(request))
+        return await real_spawn(self, request)
+
+    monkeypatch.setattr(_Zygote, "spawn", spawn)
+    return requests
 
 
 class TestTenantBudgets:
@@ -202,7 +217,7 @@ class TestWeightedFairDispatch:
             # dispatch behind, not behind heavy's whole backlog
             first, second = svc._pop_next(), svc._pop_next()
             tenants = {
-                svc._tenant_of(r.job_id) for r in (first, second)
+                svc.state.jobs[r.job_id].spec.tenant for r in (first, second)
             }
             assert "interactive" in tenants
             assert held.started  # the first admit actually dispatched
@@ -211,7 +226,9 @@ class TestWeightedFairDispatch:
 
 
 class TestDispatchShares:
-    def test_share_written_and_drained(self, tmp_path):
+    def test_share_written_and_drained(self, tmp_path, monkeypatch, capsys):
+        requests = spy_on_spawn(monkeypatch)
+
         async def scenario():
             svc = make_service(
                 tmp_path, max_concurrent=2, node_bandwidth=1000,
@@ -219,19 +236,27 @@ class TestDispatchShares:
             spec = make_spec(tmp_path, 0, io_budget="1KB")
             record, _ = svc.admit(spec)
             # admit() schedules the real _run_job; give it one tick to
-            # write qos.json and launch (the runner itself is real but
+            # assign the share and launch (the runner itself is real but
             # tiny: a three-word wordcount)
             for _ in range(400):
                 await asyncio.sleep(0.05)
                 fresh = svc.state.load_record(record.job_id)
                 if fresh is not None and fresh.finished:
                     break
-            qos = read_json_crc(
-                svc.state.job_dir(record.job_id) / "qos.json"
-            )
-            # solo job: its share is min(demand, node bandwidth)
-            assert qos["io_budget"] == 1000
-            assert qos["tenant"] == "default"
+            # solo job: its share is min(demand, node bandwidth), and it
+            # reached the runner in the spawn request, not through a file
+            (request,) = requests
+            assert request["io_budget"] == 1000
+            job_dir = svc.state.job_dir(record.job_id)
+            assert not (job_dir / "qos.json").exists()
+            # the runner throttled at the share, accounted the job to
+            # the spec's tenant, and produced the one-shot digest
+            report = json.loads((job_dir / "result.json").read_text())
+            assert report["counters"]["io_budget_bps"] == 1000
+            assert svc.tenant_stats["default"]["jobs"] == 1
+            assert main(["wordcount", *spec.inputs, "--json"]) == 0
+            one_shot = json.loads(capsys.readouterr().out)
+            assert fresh.digest == report["digest"] == one_shot["digest"]
             # zero tokens leaked once the job finished
             assert svc._io_assigned == {}
 

@@ -25,7 +25,12 @@ from repro.service.protocol import (
     ERR_QUEUE_FULL,
 )
 from repro.service.server import JobService, ServiceConfig
-from repro.service.state import STATE_DONE, STATE_QUEUED, STATE_RUNNING
+from repro.service.state import (
+    STATE_CANCELLED,
+    STATE_DONE,
+    STATE_QUEUED,
+    STATE_RUNNING,
+)
 
 
 def make_service(tmp_path, **kw) -> JobService:
@@ -194,7 +199,7 @@ class TestDedupAndRerun:
         svc._schedule = lambda: None
         spec = make_spec(tmp_path)
         record, _ = svc.admit(spec)
-        svc._queued_ids.discard(record.job_id)
+        assert svc._pop_next() == record  # dispatched, so out of the queue
         svc.state.save_record(
             record.with_(state=STATE_DONE, exit_code=0, digest="abc")
         )
@@ -221,7 +226,8 @@ class TestQueueOrdering:
         svc._schedule = lambda: None
         first, _ = svc.admit(make_spec(tmp_path, 0))
         second, _ = svc.admit(make_spec(tmp_path, 1))
-        svc._queued_ids.discard(first.job_id)  # lazy cancellation
+        # lazy cancellation: the record left QUEUED, the queue entry stays
+        svc.state.save_record(first.with_(state=STATE_CANCELLED))
         assert svc._pop_next().job_id == second.job_id
         assert svc._pop_next() is None
 
