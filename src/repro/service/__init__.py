@@ -11,7 +11,13 @@ CLI invocation at a time.  This package wraps the existing runtimes
   binary messages over TCP, versioned;
 * :mod:`repro.service.server` — an ``asyncio`` daemon with a
   FIFO+priority job queue, admission control, per-job checkpoint dirs
-  (every submitted job is crash-resumable), and graceful SIGTERM drain;
+  (every submitted job is crash-resumable), and graceful SIGTERM drain:
+  the shell around the next two;
+* :mod:`repro.service.core` — the daemon's decisions (admission, the
+  dispatch-time bandwidth share, what becomes of a job whose attempt
+  ended) as pure functions, testable without a daemon;
+* :mod:`repro.service.zygote` — the daemon's end of the runner zygote:
+  spawn requests out; pids, wait statuses and rusage back; signals;
 * :mod:`repro.service.runner` — the pre-imported zygote the daemon
   execs once, and the per-attempt runner forked from it that actually
   executes a job, crash-isolated from the daemon;

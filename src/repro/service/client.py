@@ -103,27 +103,32 @@ class ServiceClient:
         (bad CRC, bad magic, version skew) is not retried: garbage from
         a live peer will be garbage again.
         """
-        last: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(self._backoff(attempt - 1))
+        drops = 0
+        while True:
             try:
                 with self._connect() as sock:
                     protocol.send_frame(sock, msg)
                     reply = protocol.recv_frame(sock)
-            except (EOFError, OSError) as exc:
-                last = exc
-                continue
-            except ProtocolError as exc:
-                if exc.reason in ("truncated", "stalled"):
-                    last = exc  # severed/stalled mid-frame: retryable
-                    continue
-                raise
-            return self._check_reply(reply)
-        raise ServiceError(
-            f"service at {self.host}:{self.port} was unreachable or "
-            f"dropped the connection {self.max_retries + 1} time(s): {last}"
-        ) from last
+            except (EOFError, OSError, ProtocolError) as exc:
+                drops += 1
+                self._dropped(
+                    exc, drops, f"service at {self.host}:{self.port} was "
+                    "unreachable or dropped the connection",
+                )
+            else:
+                return self._check_reply(reply)
+
+    def _dropped(self, exc: Exception, drops: int, what: str) -> None:
+        """An exchange failed, the ``drops``-th time in a row: re-raise
+        what a fresh socket cannot cure, give up past ``max_retries``,
+        else back off and let the caller go again."""
+        if isinstance(exc, ProtocolError) and exc.reason not in (
+            "truncated", "stalled"
+        ):
+            raise exc
+        if drops > self.max_retries:
+            raise ServiceError(f"{what} {drops} time(s): {exc}") from exc
+        time.sleep(self._backoff(drops - 1))
 
     @staticmethod
     def _check_reply(reply: "dict[str, Any] | bytes") -> dict[str, Any]:
@@ -227,24 +232,9 @@ class ServiceClient:
                                 on_transition(record)
                         if record.finished:
                             return record
-            except (EOFError, OSError) as exc:
+            except (EOFError, OSError, ProtocolError) as exc:
                 drops += 1
-                if drops > self.max_retries:
-                    raise ServiceError(
-                        f"watch stream for {job_id} dropped "
-                        f"{drops} time(s): {exc}"
-                    ) from exc
-                time.sleep(self._backoff(drops - 1))
-            except ProtocolError as exc:
-                if exc.reason not in ("truncated", "stalled"):
-                    raise
-                drops += 1
-                if drops > self.max_retries:
-                    raise ServiceError(
-                        f"watch stream for {job_id} dropped "
-                        f"{drops} time(s): {exc}"
-                    ) from exc
-                time.sleep(self._backoff(drops - 1))
+                self._dropped(exc, drops, f"watch stream for {job_id} dropped")
 
     def submit_and_wait(
         self,

@@ -16,8 +16,11 @@ invocation cannot drift apart (their output digests are byte-identical).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,6 +31,32 @@ from repro.errors import ConfigError
 
 #: Applications a spec may name, mapped to their job factories.
 KNOWN_APPS = ("wordcount", "sort")
+
+
+#: Field name -> declared type; resolving the annotations costs more
+#: than the rest of ``from_dict`` together, so once per class.
+_declared_types = functools.cache(typing.get_type_hints)
+
+
+def _fits(value: Any, declared: Any) -> bool:
+    """Is a JSON ``value`` of a spec field's ``declared`` type?
+
+    Nothing is coerced (the job id hashes the value as submitted): a
+    ``bool`` is not an ``int``, an ``int`` is a ``float``, and a JSON
+    array stands for a tuple.
+    """
+    origin = typing.get_origin(declared)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arm) for arm in typing.get_args(declared))
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _fits(item, typing.get_args(declared)[0]) for item in value
+        )
+    if isinstance(value, bool):
+        return declared is bool
+    if declared is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, declared)
 
 
 @dataclass(frozen=True)
@@ -107,11 +136,12 @@ class ServiceJobSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServiceJobSpec":
-        """Parse a submitted spec; unknown keys are a typed error."""
+        """Parse a submitted spec; unknown keys and values that are not
+        of their field's declared type are a typed error."""
         if not isinstance(data, dict):
             raise ConfigError(f"job spec must be an object, got {type(data)}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        known = _declared_types(cls)
+        unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(
                 f"unknown job spec field(s): {', '.join(sorted(unknown))}"
@@ -121,10 +151,13 @@ class ServiceJobSpec:
             raise ConfigError(
                 f"job spec missing field(s): {', '.join(sorted(missing))}"
             )
-        try:
-            return cls(**{k: v for k, v in data.items()})
-        except TypeError as exc:
-            raise ConfigError(f"malformed job spec: {exc}") from exc
+        for name, value in data.items():
+            if not _fits(value, known[name]):
+                raise ConfigError(
+                    f"job spec field {name!r} must be "
+                    f"{cls.__dataclass_fields__[name].type}, got {value!r}"
+                )
+        return cls(**data)
 
     def canonical_json(self) -> str:
         """The byte-stable encoding :meth:`job_id` hashes."""

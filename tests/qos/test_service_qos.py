@@ -20,7 +20,8 @@ from repro.service.protocol import (
     ERR_OVERLOADED,
     ERR_TENANT_BUDGET,
 )
-from repro.service.server import JobService, ServiceConfig, _Zygote
+from repro.service.server import JobService, ServiceConfig
+from repro.service.zygote import Zygote
 from repro.service.state import STATE_DONE
 
 
@@ -36,7 +37,7 @@ def make_spec(tmp_path, n=0, **kw) -> ServiceJobSpec:
 
 
 class HeldRunners:
-    """Stub runner pool: jobs park in ``_running`` until released."""
+    """Stub runner pool: dispatched attempts park until released."""
 
     def __init__(self, service: JobService) -> None:
         self.service = service
@@ -44,21 +45,15 @@ class HeldRunners:
         self.release = asyncio.Event()
         service._run_job = self._fake_run
 
-    async def _fake_run(self, record):
+    async def _fake_run(self, attempt, request):
         svc = self.service
-
-        class _Held:
-            pass
-
-        held = _Held()
-        held.record = record
-        held.proc = None
-        held.cancelling = False
-        svc._running[record.job_id] = held
-        self.started.append(record.job_id)
+        job_id = attempt.record.job_id
+        self.started.append(job_id)
         await self.release.wait()
-        svc._running.pop(record.job_id, None)
-        svc.state.save_record(record.with_(state=STATE_DONE, exit_code=0))
+        del svc._attempts[job_id]
+        svc.state.save_record(
+            attempt.record.with_(state=STATE_DONE, exit_code=0)
+        )
 
 
 def run(coro):
@@ -68,13 +63,13 @@ def run(coro):
 def spy_on_spawn(monkeypatch) -> list[dict]:
     """Record every spawn request a daemon hands its zygote."""
     requests: list[dict] = []
-    real_spawn = _Zygote.spawn
+    real_spawn = Zygote.spawn
 
     async def spawn(self, request):
         requests.append(dict(request))
         return await real_spawn(self, request)
 
-    monkeypatch.setattr(_Zygote, "spawn", spawn)
+    monkeypatch.setattr(Zygote, "spawn", spawn)
     return requests
 
 
@@ -258,7 +253,7 @@ class TestDispatchShares:
             one_shot = json.loads(capsys.readouterr().out)
             assert fresh.digest == report["digest"] == one_shot["digest"]
             # zero tokens leaked once the job finished
-            assert svc._io_assigned == {}
+            assert svc._attempts == {}
 
         run(scenario())
 
@@ -271,11 +266,10 @@ class TestDispatchShares:
             HeldRunners(svc)
             a, _ = svc.admit(make_spec(tmp_path, 0, io_budget="1KB"))
             await asyncio.sleep(0)
-            share = svc._assign_io_share(
-                svc.admit(make_spec(tmp_path, 1, io_budget="1KB"))[0].job_id
-            )
+            b, _ = svc.admit(make_spec(tmp_path, 1, io_budget="1KB"))
             # with one identical job already running, max-min halves it
-            assert share == 500
+            assert svc._attempts[a.job_id].io_share == 1000
+            assert svc._attempts[b.job_id].io_share == 500
 
         run(scenario())
 

@@ -2,7 +2,7 @@
 
 These tests drive :class:`JobService` in-process: ``_run_job`` is
 replaced with a stub that parks until released (so runner slots fill
-without spawning subprocesses), or ``_schedule`` is disabled entirely
+without forking runners), or ``_schedule`` is disabled entirely
 when only the queue/admission bookkeeping is under test.
 """
 
@@ -23,6 +23,7 @@ from repro.service.protocol import (
     ERR_BUDGET_EXCEEDED,
     ERR_DRAINING,
     ERR_QUEUE_FULL,
+    decode_frame,
 )
 from repro.service.server import JobService, ServiceConfig
 from repro.service.state import (
@@ -46,7 +47,7 @@ def make_spec(tmp_path, n=0, **kw) -> ServiceJobSpec:
 
 @dataclass
 class _HeldRunners:
-    """Stub runner pool: jobs park in ``_running`` until released."""
+    """Stub runner pool: dispatched attempts park until released."""
 
     service: JobService
     started: list = None
@@ -57,22 +58,16 @@ class _HeldRunners:
         self.release = asyncio.Event()
         self.service._run_job = self._fake_run
 
-    async def _fake_run(self, record):
+    async def _fake_run(self, attempt, request):
         svc = self.service
-
-        class _Held:
-            pass
-
-        held = _Held()
-        held.record = record
-        held.proc = None
-        held.cancelling = False
-        svc._running[record.job_id] = held
-        self.started.append(record.job_id)
-        self.high_water = max(self.high_water, len(svc._running))
+        job_id = attempt.record.job_id
+        self.started.append(job_id)
+        self.high_water = max(self.high_water, len(svc._attempts))
         await self.release.wait()
-        svc._running.pop(record.job_id, None)
-        svc.state.save_record(record.with_(state=STATE_DONE, exit_code=0))
+        del svc._attempts[job_id]
+        svc.state.save_record(
+            attempt.record.with_(state=STATE_DONE, exit_code=0)
+        )
 
 
 class TestQueueAdmission:
@@ -108,7 +103,7 @@ class TestQueueAdmission:
             held.release.set()
             for _ in range(200):
                 await asyncio.sleep(0.005)
-                if len(held.started) == 5 and not svc._job_tasks:
+                if len(held.started) == 5 and not svc._attempts:
                     break
             assert len(held.started) == 5
             assert held.high_water <= 2
@@ -121,6 +116,49 @@ class TestQueueAdmission:
         with pytest.raises(AdmissionError) as exc:
             svc.admit(make_spec(tmp_path))
         assert exc.value.code == ERR_DRAINING
+
+
+class _Replies:
+    """A ``StreamWriter`` stand-in that decodes what ``_dispatch`` wrote."""
+
+    def __init__(self) -> None:
+        self.replies: list[dict] = []
+
+    def write(self, data: bytes) -> None:
+        self.replies.append(decode_frame(data))
+
+    async def drain(self) -> None:
+        pass
+
+
+class TestMalformedSpec:
+    """A spec whose field is of the wrong type used to be admitted and
+    made durable, and then broke every later scheduling pass."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("priority", "hi"),       # TypeError in WeightedFairQueue.pop
+        ("tenant", {"a": 1}),     # unhashable, after create_job
+    ])
+    def test_mistyped_field_is_refused_at_the_door(self, tmp_path, field, value):
+        async def scenario():
+            svc = make_service(tmp_path, max_concurrent=1)
+            held = _HeldRunners(svc)
+            bad = {**make_spec(tmp_path, 0).to_dict(), field: value}
+            writer = _Replies()
+            await svc._dispatch({"type": "submit", "spec": bad}, writer)
+            (reply,) = writer.replies
+            assert reply["error"]["code"] == ERR_BAD_REQUEST
+            assert field in reply["error"]["message"]
+            # nothing durable, nothing queued, nothing counted
+            assert list(svc.state.jobs_dir.iterdir()) == []
+            assert svc.queue_depth() == 0 and not svc.state.jobs
+            assert svc.counters["admitted"] == 0
+            # and dispatch goes on for everyone else
+            other, _ = svc.admit(make_spec(tmp_path, 1, tenant="other"))
+            await asyncio.sleep(0)
+            assert held.started == [other.job_id]
+
+        asyncio.run(scenario())
 
 
 class TestBudgetAdmission:
@@ -155,7 +193,7 @@ class TestBudgetAdmission:
             held.release.set()
             for _ in range(200):
                 await asyncio.sleep(0.005)
-                if not svc._running and not svc._job_tasks:
+                if not svc._attempts:
                     break
             record, reattached = svc.admit(second)
             assert not reattached

@@ -12,27 +12,40 @@ everything that needs a runner parked or ended on cue.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import random
 import shutil
+import signal
+import tempfile
 import threading
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 import repro.service.runner as runner_mod
 import repro.service.server as server_mod
 import repro.service.state as state_mod
 from repro.errors import AdmissionError
 from repro.resilience.journal import JobJournal
-from repro.service import protocol
 from repro.service.client import ServiceClient
+from repro.service.core import io_share
 from repro.service.jobspec import ServiceJobSpec
 from repro.service.protocol import (
     ERR_BUDGET_EXCEEDED,
     ERR_OVERLOADED,
     ERR_TENANT_BUDGET,
 )
-from repro.service.server import JobService, ServiceConfig, _Runner
+from repro.service.server import JobService, ServiceConfig
 from repro.service.state import (
     STATE_CANCELLED,
     STATE_DONE,
@@ -42,6 +55,7 @@ from repro.service.state import (
     JobRecord,
     ServiceState,
 )
+from repro.service.zygote import Runner
 from repro.util.units import parse_size
 
 
@@ -59,26 +73,38 @@ def make_spec(tmp_path, n=0, **kw) -> ServiceJobSpec:
 
 
 class ScriptedZygote:
-    """Stands in for ``_Zygote``: a spawn parks until the test lets it
-    through, and the runner it returns ends when the test says so."""
+    """Stands in for ``Zygote``: a spawn parks until the test lets it
+    through, and the runner it returns ends when the test says so — or
+    when the daemon signals it (see :func:`scripted_signals`)."""
+
+    #: made-up pids no process has, unique across zygotes
+    pids = itertools.count(10**7)
+    #: the zygotes a signal may be meant for (one test's worth)
+    instances: "list[ScriptedZygote]" = []
 
     def __init__(self, service: JobService, parked: bool = False) -> None:
         self.requests: list[dict] = []
-        self.live: dict[str, _Runner] = {}
+        self.live: dict[str, Runner] = {}
         self.gate = asyncio.Event()
         if not parked:
             self.gate.set()
         service._ensure_zygote = lambda: self
+        self.instances.append(self)
 
-    async def spawn(self, request: dict) -> _Runner:
+    async def spawn(self, request: dict) -> Runner:
         self.requests.append(dict(request))
         await self.gate.wait()
-        # never signalled: the tests patch signal_runner_tree
-        runner = self.live[request["job_id"]] = _Runner(10**7 + len(self.requests))
+        runner = self.live[request["job_id"]] = Runner(next(self.pids))
         return runner
 
     def end(self, job_id: str, returncode: int) -> None:
         self.live.pop(job_id)._end(returncode)
+
+    def signalled(self, pid: int, sig: int) -> None:
+        """The scripted runner obeys: it dies of the signal."""
+        for job_id, runner in list(self.live.items()):
+            if runner.pid == pid:
+                self.end(job_id, -sig)
 
 
 async def settle() -> None:
@@ -87,33 +113,24 @@ async def settle() -> None:
         await asyncio.sleep(0)
 
 
-class ReplyCollector:
-    """A ``StreamWriter`` stand-in that decodes what a handler wrote."""
+def scripted_signals(sent: list):
+    """A ``signal_runner_tree`` for made-up pids: records the kill in
+    ``sent`` and ends the scripted runner it names, delivering nothing."""
 
-    def __init__(self) -> None:
-        self.replies: list[dict] = []
+    def signal_runner_tree(pid: int, sig: int = signal.SIGKILL) -> None:
+        sent.append((pid, sig))
+        for zygote in ScriptedZygote.instances:
+            zygote.signalled(pid, sig)
 
-    def write(self, data: bytes) -> None:
-        self.replies.append(protocol.decode_frame(data))
-
-    async def drain(self) -> None:
-        pass
-
-
-async def rpc(handler, **msg) -> dict:
-    writer = ReplyCollector()
-    await handler(msg, writer)
-    return writer.replies[-1]
+    return signal_runner_tree
 
 
 @pytest.fixture
 def no_signals(monkeypatch):
-    """Scripted runners have made-up pids; record kills, deliver none."""
+    """The kills the daemon sent its (scripted) runners, in order."""
     sent: list[tuple[int, int]] = []
-    monkeypatch.setattr(
-        server_mod, "signal_runner_tree",
-        lambda pid, sig=9: sent.append((pid, sig)),
-    )
+    monkeypatch.setattr(ScriptedZygote, "instances", [])
+    monkeypatch.setattr(server_mod, "signal_runner_tree", scripted_signals(sent))
     return sent
 
 
@@ -162,12 +179,24 @@ def test_no_record_or_spec_is_read_back_after_recovery(tmp_path, monkeypatch):
         return real_read(path)
 
     monkeypatch.setattr(state_mod, "read_json_crc", counting_read)
+    writes: list[tuple] = []
+    real_write = state_mod.write_json_crc
+
+    def counting_write(path, payload):
+        writes.append(
+            (path.name, payload.get("state"), payload.get("result_fetched"))
+        )
+        real_write(path, payload)
+
+    monkeypatch.setattr(state_mod, "write_json_crc", counting_write)
     with LiveDaemon(state_dir, max_concurrent=2, max_queue_depth=64) as daemon:
         assert sorted(reads) == ["record.json", "spec.json"]  # _recover()
         client = ServiceClient.from_state_dir(state_dir)
         reads.clear()  # the client read endpoint.json
         per_fetch: list[int] = []
+        per_trip: list[list[tuple]] = []
         for n in range(30):
+            writes.clear()
             job_id = client.submit(make_spec(tmp_path, n))["job_id"]
             assert client.status(job_id)["job"]["job_id"] == job_id
             assert client.wait(job_id, timeout_s=120).state == STATE_DONE
@@ -176,11 +205,20 @@ def test_no_record_or_spec_is_read_back_after_recovery(tmp_path, monkeypatch):
             per_fetch.append(len(reads) - before)
             assert client.cancel(job_id)["job"]["state"] == STATE_DONE
             assert client.submit(make_spec(tmp_path, n))["reattached"]
+            per_trip.append(list(writes))
         listed = client.status()["jobs"]
         assert [job["seq"] for job in listed] == sorted(j["seq"] for j in listed)
         assert len(listed) == 31 == len(daemon.service.state.jobs)
     # a result fetch costs the same — nothing — at 1 job and at 30
     assert per_fetch == [0] * 30
+    # and a trip's durable writes are these, in this order
+    assert per_trip == [[
+        ("spec.json", None, None),
+        ("record.json", STATE_QUEUED, False),
+        ("record.json", STATE_RUNNING, False),
+        ("record.json", STATE_DONE, False),
+        ("record.json", STATE_DONE, True),
+    ]] * 30
     assert [name for name in reads if name in ("record.json", "spec.json")] == []
 
 
@@ -188,8 +226,8 @@ def test_no_record_or_spec_is_read_back_after_recovery(tmp_path, monkeypatch):
 
 
 class TestDispatchingJobCountsAgainstLimits:
-    """Between ``_pop_next`` and the runner's fork a job is in neither
-    the queue nor ``_running``; admission must still count it."""
+    """Between ``_pop_next`` and the runner's fork a job is out of the
+    queue and has no runner; admission must still count it."""
 
     def _park_first(self, tmp_path, first_kw, **config):
         svc = make_service(tmp_path, **config)
@@ -200,7 +238,8 @@ class TestDispatchingJobCountsAgainstLimits:
     async def _assert_rejected(self, svc, zygote, first, spec, code):
         await settle()
         assert zygote.requests and not zygote.live  # parked in spawn
-        assert svc.queue_depth() == 0 and not svc._running
+        assert svc.queue_depth() == 0
+        assert svc._attempts[first.job_id].runner is None
         with pytest.raises(AdmissionError) as rejected:
             svc.admit(spec)
         assert rejected.value.code == code
@@ -303,8 +342,8 @@ def test_share_of_an_earlier_daemon_never_reaches_a_later_runner(
         await settle()
         assert svc.state.jobs[spec.job_id()].record.state == STATE_RUNNING
         (request,) = zygote.requests
-        for task in list(svc._job_tasks):
-            task.cancel()
+        for attempt in list(svc._attempts.values()):
+            attempt.task.cancel()
         await settle()
         return request
 
@@ -320,6 +359,87 @@ def test_share_of_an_earlier_daemon_never_reaches_a_later_runner(
     assert (code, options.io_budget) == (0, parse_size("4KB"))
     assert options.tenant == spec.tenant
     assert not (job_dir / "qos.json").exists()
+
+
+# -- the dispatch window: popped, its runner still forking --------------------
+
+
+def forbid_leaving_a_terminal_state(svc: JobService) -> dict[str, list[str]]:
+    """Fail the transition that follows a terminal one; returns the
+    states each job was saved in, in order."""
+    history: dict[str, list[str]] = {}
+    real_save = svc.state.save_record
+
+    def save_record(record: JobRecord) -> None:
+        was = svc.state.jobs[record.job_id].record
+        assert not was.finished or record.state == was.state, (was, record)
+        history.setdefault(record.job_id, []).append(record.state)
+        real_save(record)
+
+    svc.state.save_record = save_record
+    return history
+
+
+class TestDispatchWindow:
+    def test_cancel_while_the_runner_is_forking(self, tmp_path, no_signals):
+        async def scenario():
+            svc = make_service(tmp_path)
+            zygote = ScriptedZygote(svc, parked=True)
+            history = forbid_leaving_a_terminal_state(svc)
+            record, _ = svc.admit(make_spec(tmp_path, 0))
+            await settle()
+            assert zygote.requests and not zygote.live  # parked in spawn
+            reply = svc._handle_cancel({"job_id": record.job_id})
+            assert reply["cancelling"]
+            assert reply["job"]["state"] == STATE_QUEUED  # what the disk says
+            assert no_signals == []  # nothing to signal yet
+            zygote.gate.set()
+            await settle()
+            # the runner was told as soon as it existed, and obeyed
+            assert [sig for _, sig in no_signals] == [signal.SIGTERM]
+            final = svc.state.jobs[record.job_id].record
+            assert (final.state, final.exit_code) == (STATE_CANCELLED, -15)
+            assert final.attempts == 1
+            assert history[record.job_id] == [STATE_RUNNING, STATE_CANCELLED]
+            assert svc.counters["cancelled"] == 1 and svc._attempts == {}
+            assert not (svc.state.job_dir(record.job_id) / "runner.pid").exists()
+
+        asyncio.run(scenario())
+
+    def test_jobs_popped_in_one_pass_share_as_if_dispatched_in_turn(
+        self, tmp_path, no_signals
+    ):
+        async def scenario():
+            svc = make_service(
+                tmp_path, max_concurrent=2, node_bandwidth=1000, max_attempts=1,
+            )
+            zygote = ScriptedZygote(svc, parked=True)
+            svc._schedule = lambda: None
+            first, _ = svc.admit(make_spec(tmp_path, 0, io_budget="1000"))
+            second, _ = svc.admit(make_spec(tmp_path, 1, io_budget="1000"))
+            del svc._schedule
+            svc._schedule()  # one pass pops both
+            await settle()
+            assert not zygote.live  # both still forking
+            assert [r.get("io_budget") for r in zygote.requests] == [1000, 500]
+            # the later one got what the allocator gives it among everyone
+            assert svc._attempts[second.job_id].io_share == io_share(
+                second.job_id,
+                {
+                    job_id: (svc.state.jobs[job_id].spec, ())
+                    for job_id in (first.job_id, second.job_id)
+                },
+                svc.config,
+            )
+            assert svc._handle_ping({})["io_assigned_bps"] == 1500
+            zygote.gate.set()
+            await settle()
+            for job_id in (first.job_id, second.job_id):
+                zygote.end(job_id, -9)
+            await settle()
+            assert svc._handle_ping({})["io_assigned_bps"] == 0
+
+        asyncio.run(scenario())
 
 
 # -- (b) table == disk, at every quiescent point ------------------------------
@@ -372,6 +492,8 @@ def test_table_equals_disk_over_a_seeded_history(tmp_path, no_signals, seed):
         )
         zygote = ScriptedZygote(svc)
         specs: dict[str, ServiceJobSpec] = {}
+        forbid_leaving_a_terminal_state(svc)
+        window_cancels = 0
 
         def jobs_in(*states):
             return sorted(
@@ -388,13 +510,21 @@ def test_table_equals_disk_over_a_seeded_history(tmp_path, no_signals, seed):
         for step in range(80):
             op = rng.choice([
                 "admit", "admit", "finish", "finish", "fail", "crash",
-                "cancel-queued", "cancel-running", "rerun", "fetch",
+                "cancel", "cancel", "rerun", "fetch", "park", "unpark",
             ])
             running = sorted(zygote.live)
             finished = jobs_in(STATE_DONE, STATE_FAILED, STATE_CANCELLED)
-            queued = [j for j in jobs_in(STATE_QUEUED) if j not in zygote.live]
-            if op == "admit":
-                spec = make_spec(tmp_path, len(specs))
+            if op == "park":
+                zygote.gate.clear()  # spawns from here on sit in the window
+            elif op == "unpark":
+                zygote.gate.set()
+            elif op == "admit":
+                # never run, so a made-up input: the job ids, and with
+                # them every choice below, depend on the seed alone
+                spec = ServiceJobSpec(
+                    app="wordcount", inputs=("input.txt",),
+                    tag=f"job-{len(specs)}",
+                )
                 specs[spec.job_id()] = spec
                 svc.admit(spec)
             elif op == "finish" and running:
@@ -405,20 +535,23 @@ def test_table_equals_disk_over_a_seeded_history(tmp_path, no_signals, seed):
                     error={"type": "JobError", "message": "scripted"})
             elif op == "crash" and running:
                 end(rng.choice(running), -9)
-            elif op == "cancel-queued" and queued:
-                reply = await rpc(svc._handle_cancel, job_id=rng.choice(queued))
-                assert reply["job"]["state"] == STATE_CANCELLED
-            elif op == "cancel-running" and running:
-                job_id = rng.choice(running)
-                reply = await rpc(svc._handle_cancel, job_id=job_id)
-                assert reply["cancelling"]
-                zygote.end(job_id, -15)
+            elif op == "cancel" and (live := jobs_in(STATE_QUEUED, STATE_RUNNING)):
+                # at a random point of a job's life: queued, forking
+                # (the dispatch window) or running
+                job_id = rng.choice(live)
+                attempt = svc._attempts.get(job_id)
+                reply = svc._handle_cancel({"job_id": job_id})
+                if attempt is None:
+                    assert reply["job"]["state"] == STATE_CANCELLED
+                else:
+                    assert reply["cancelling"] and attempt.cancelling
+                    window_cancels += attempt.runner is None
             elif op == "rerun" and finished:
                 job_id = rng.choice(finished)
                 record, reattached = svc.admit(specs[job_id], rerun=True)
                 assert not reattached and record.attempts == 0
             elif op == "fetch" and finished:
-                reply = await rpc(svc._handle_result, job_id=rng.choice(finished))
+                reply = svc._handle_result({"job_id": rng.choice(finished)})
                 assert reply["job"]["result_fetched"]
             await settle()
             assert_table_is_the_disk(svc)
@@ -426,11 +559,145 @@ def test_table_equals_disk_over_a_seeded_history(tmp_path, no_signals, seed):
                 assert_recovers_to_the_same_table(svc, tmp_path, step)
         # the history exercised what it set out to
         assert svc.counters["completed"] and svc.counters["runner_crashes"]
+        assert window_cancels
         assert_recovers_to_the_same_table(svc, tmp_path, 80)
+        zygote.gate.set()
+        svc.request_stop()
         await svc._drain()
         assert_table_is_the_disk(svc)
+        assert svc._attempts == {} and not jobs_in(STATE_RUNNING)
 
     asyncio.run(scenario())
+
+
+# -- every attempt settles, whatever the interleaving --------------------------
+
+
+class AttemptLifecycle(RuleBasedStateMachine):
+    """Admissions, fork answers, runner exits, cancels and a drain in any
+    order: the slots are never over-filled, and once everything has been
+    let through nothing is left dispatched."""
+
+    MAX_CONCURRENT = 2
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tmp = Path(tempfile.mkdtemp(prefix="attempt-lifecycle-"))
+        self.loop = asyncio.new_event_loop()
+        self.patches = [
+            mock.patch.object(ScriptedZygote, "instances", []),
+            mock.patch.object(
+                server_mod, "signal_runner_tree", scripted_signals([])
+            ),
+        ]
+        for patch in self.patches:
+            patch.start()
+        self.svc = make_service(
+            self.tmp, max_concurrent=self.MAX_CONCURRENT, max_queue_depth=64,
+            node_bandwidth=1000, shed_factor=100.0,
+        )
+        self.zygote = ScriptedZygote(self.svc, parked=True)
+        forbid_leaving_a_terminal_state(self.svc)
+        self.admitted = 0
+
+    def run(self, step=None) -> None:
+        """Run ``step`` on the daemon's loop, then let everything ready run."""
+
+        async def stepped():
+            if step is not None:
+                step()
+            await settle()
+
+        self.loop.run_until_complete(stepped())
+
+    def teardown(self) -> None:
+        # let every parked fork through and every runner end: then a
+        # drain finds the daemon as quiet as a finished one
+        self.zygote.gate.set()
+        self.run()
+        while self.zygote.live:
+            self.run(lambda: self.zygote.end(next(iter(self.zygote.live)), -9))
+        self.svc.request_stop()
+        self.loop.run_until_complete(self.svc._drain())
+        assert self.svc._attempts == {}
+        assert self.svc._handle_ping({})["io_assigned_bps"] == 0
+        assert all(
+            entry.record.state != STATE_RUNNING
+            for entry in self.svc.state.jobs.values()
+        )
+        assert_table_is_the_disk(self.svc)
+        for patch in self.patches:
+            patch.stop()
+        self.loop.close()
+        shutil.rmtree(self.tmp)
+
+    @precondition(lambda self: not self.svc._draining)
+    @rule(thirsty=st.booleans())
+    def admit(self, thirsty):
+        # never run, so a made-up input: job ids (and the order they sort
+        # in) must not vary with the temp dir from one replay to the next
+        spec = ServiceJobSpec(
+            app="wordcount", inputs=("input.txt",),
+            tag=f"job-{self.admitted}", io_budget="1000" if thirsty else None,
+        )
+        self.admitted += 1
+        self.run(lambda: self.svc.admit(spec))
+
+    @rule()
+    def fork_answers(self):
+        """The zygote answers every spawn it was sent so far."""
+        self.zygote.gate.set()
+        self.run()
+        self.zygote.gate.clear()
+
+    @precondition(lambda self: self.zygote.live)
+    @rule(data=st.data(), rc=st.sampled_from([0, 1, 2, -9, 70]))
+    def runner_exits(self, data, rc):
+        job_id = data.draw(st.sampled_from(sorted(self.zygote.live)))
+        job_dir = self.svc.state.job_dir(job_id)
+        (job_dir / "result.json").write_text('{"digest": "d", "counters": {}}')
+        (job_dir / "error.json").write_text('{"type": "E", "message": "m"}')
+        self.run(lambda: self.zygote.end(job_id, rc))
+
+    @precondition(lambda self: self.svc.state.jobs)
+    @rule(data=st.data())
+    def cancel(self, data):
+        job_id = data.draw(st.sampled_from(sorted(self.svc.state.jobs)))
+        self.run(lambda: self.svc._handle_cancel({"job_id": job_id}))
+
+    @precondition(lambda self: not self.svc._draining and self.admitted >= 3)
+    @rule()
+    def drain_begins(self):
+        """SIGTERM / ``shutdown``: running runners are told at once,
+        forking ones when their fork answers."""
+        self.run(self.svc.request_stop)
+        for attempt in self.svc._attempts.values():
+            if attempt.runner is not None:
+                server_mod.signal_runner_tree(attempt.runner.pid, signal.SIGTERM)
+        self.run()
+
+    @invariant()
+    def slots_are_never_overfilled(self):
+        assert len(self.svc._attempts) <= self.MAX_CONCURRENT
+        # a dispatched job is out of the queue, and never finished
+        for job_id in self.svc._attempts:
+            assert not self.svc.state.jobs[job_id].record.finished
+        # whoever has a runner is exactly who the zygote has live
+        assert {
+            job_id for job_id, attempt in self.svc._attempts.items()
+            if attempt.runner is not None
+        } == set(self.zygote.live)
+        # a runner that was to be told (cancel, drain) has been, whether
+        # it existed at the time or was still forking — and it obeyed
+        for attempt in self.svc._attempts.values():
+            if attempt.cancelling or self.svc._draining:
+                assert attempt.runner is None
+
+
+AttemptLifecycle.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None,
+)
+TestAttemptLifecycle = AttemptLifecycle.TestCase
 
 
 # -- (c) reaping: what the parent's scan reaped, in its order ------------------

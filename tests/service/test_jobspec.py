@@ -77,6 +77,33 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             ServiceJobSpec.from_dict(["not", "a", "dict"])
 
+    @pytest.mark.parametrize("field, value", [
+        ("app", 3),                      # str
+        ("tenant", {"a": 1}),            # str (unhashable: broke the queue)
+        ("priority", "hi"),              # int (broke WeightedFairQueue.pop)
+        ("mappers", True),               # int: a bool is not one
+        ("mappers", 2.0),                # int: a float is not one
+        ("baseline", 1),                 # bool: an int is not one
+        ("retry", "2"),                  # int | None
+        ("job_deadline", "2.5"),         # float | None
+        ("chunk_size", 32768),           # str | None
+        ("inputs", "a.txt"),             # tuple[str, ...]: not a string
+        ("inputs", ["a.txt", 7]),        # tuple[str, ...]: of strings
+    ])
+    def test_mistyped_field_is_typed_error(self, field, value):
+        data = {**_spec().to_dict(), field: value}
+        with pytest.raises(ConfigError, match=f"field '{field}' must be"):
+            ServiceJobSpec.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("job_deadline", 3),             # an int is a float
+        ("chunk_size", None),            # None where the field allows it
+        ("inputs", ("a.txt",)),          # a tuple as well as a JSON array
+    ])
+    def test_well_typed_field_is_not_coerced(self, field, value):
+        spec = ServiceJobSpec.from_dict({**_spec().to_dict(), field: value})
+        assert spec.job_id() == _spec(**{field: value}).job_id()
+
     def test_unknown_app_rejected(self):
         with pytest.raises(ConfigError, match="unknown app"):
             _spec(app="raytracer")

@@ -14,7 +14,12 @@ real CLI and wire protocol:
    interrupted job *resuming* from its journal rather than restarting;
 4. ``kill -9`` the daemon's runner zygote between two submissions: the
    next job must run on a new zygote and match its one-shot digest, and
-   after ``shutdown`` no process naming the state dir may remain.
+   after ``shutdown`` no process naming the state dir may remain;
+5. on a fresh daemon, ``submit`` and at once ``cancel``: the zygote is
+   still importing, the spawn request waits in its control socket, so
+   the cancel finds the job dispatched with its runner not yet forked —
+   the job must end ``cancelled`` with no result, no runner, nothing
+   left behind.
 
 Exits non-zero (failing the CI job) on any divergence.  If the big job
 finishes before the kill lands (fast runner), the input is doubled and
@@ -42,7 +47,12 @@ sys.path.insert(0, SRC)
 
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.jobspec import ServiceJobSpec  # noqa: E402
-from repro.service.state import STATE_DONE, ServiceState  # noqa: E402
+from repro.service.state import (  # noqa: E402
+    STATE_CANCELLED,
+    STATE_DONE,
+    STATE_QUEUED,
+    ServiceState,
+)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -131,6 +141,47 @@ def kill_zygote_then_submit(
         return [f"no new zygote after the kill (old {old}, now {new})"]
     print(f"  zygote {old} killed; job ran on zygote {new}: digest match")
     return []
+
+
+def cancel_while_the_runner_forks(tmp: Path) -> list[str]:
+    """Leg 5: a cancel that lands between dispatch and the fork."""
+    small = tmp / "small.txt"
+    run_cli("gen", "text", str(small), "--size", "256KB")
+    state_dir = tmp / "svc-cancel"
+    daemon = start_daemon(state_dir)  # its zygote has only begun importing
+    client = ServiceClient.from_state_dir(state_dir)
+    job_id = client.submit(ServiceJobSpec(
+        app="wordcount", inputs=(str(small),), chunk_size="32KB",
+        tag="cancel-in-window",
+    ))["job_id"]
+    reply = client.cancel(job_id)
+    failures = []
+    if not reply.get("cancelling") or reply["job"]["state"] != STATE_QUEUED:
+        failures.append(
+            "the cancel missed the dispatch window (answered "
+            f"cancelling={reply.get('cancelling')}, job "
+            f"{reply['job']['state']})"
+        )
+    rec = client.wait(job_id, timeout_s=60)
+    if rec.state != STATE_CANCELLED:
+        failures.append(
+            f"job cancelled while its runner forked ended {rec.state} "
+            f"(attempts {rec.attempts}, digest {rec.digest})"
+        )
+    job_dir = ServiceState(state_dir).job_dir(job_id)
+    for name in ("result.json", "runner.pid"):
+        if (job_dir / name).exists():
+            failures.append(f"cancelled job left a {name}")
+    for pid, (ppid, cmdline) in processes_naming(state_dir).items():
+        if "repro.service.runner" in cmdline and ppid != daemon.pid:
+            failures.append(f"runner {pid} outlived its cancelled job")
+    client.shutdown()
+    daemon.wait(timeout=30)
+    for pid, (_, cmdline) in processes_naming(state_dir).items():
+        failures.append(f"left behind after shutdown: pid {pid}: {cmdline}")
+    if not failures:
+        print("  cancel in the dispatch window: cancelled, nothing ran on")
+    return failures
 
 
 def await_first_round(journal: Path, timeout_s: float) -> bool:
@@ -240,13 +291,17 @@ def one_round_trip(tmp: Path, attempt: int, big_size: str) -> "bool | None":
 
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="service-smoke-"))
+    failures = cancel_while_the_runner_forks(tmp)
+    if failures:
+        sys.exit("service smoke FAILED:\n  " + "\n  ".join(failures))
     sizes = ("3MB", "6MB", "12MB")
     for attempt, size in enumerate(sizes):
         print(f"service smoke: attempt {attempt} (big input {size})")
         if one_round_trip(tmp, attempt, size):
             print("service smoke PASSED: daemon killed -9 mid-job; "
                   "restart resumed from the journal; zygote killed -9 "
-                  "and replaced; all digests match")
+                  "and replaced; all digests match; a cancel in the "
+                  "dispatch window held")
             return 0
     sys.exit("service smoke inconclusive: the big job kept finishing "
              "before the kill landed")
