@@ -18,7 +18,12 @@ only torn down after the reducers run.
 """
 
 from repro.containers.array_container import ArrayContainer
-from repro.containers.base import Container, ContainerStats, Emitter
+from repro.containers.base import (
+    Container,
+    ContainerStats,
+    Emitter,
+    RecordPartition,
+)
 from repro.containers.fixed_array import FixedArrayContainer
 from repro.containers.combiners import (
     CountCombiner,
@@ -34,6 +39,7 @@ __all__ = [
     "Container",
     "ContainerStats",
     "Emitter",
+    "RecordPartition",
     "HashContainer",
     "ArrayContainer",
     "FixedArrayContainer",

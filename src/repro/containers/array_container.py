@@ -24,10 +24,19 @@ from repro.containers.base import (
     ContainerDelta,
     ContainerStats,
     Emitter,
+    RecordPartition,
 )
 from repro.errors import ContainerError
 
 _KEY, _VALUE = itemgetter(0), itemgetter(1)
+
+
+def _cells_as_groups(
+    segment: list[tuple[Hashable, Any]],
+) -> Iterator[tuple[Hashable, tuple[Any]]]:
+    """Every cell its own group, ``(key, (value,))``, zipped straight
+    off the segment as a reducer consumes it."""
+    return zip(map(_KEY, segment), zip(map(_VALUE, segment)))
 
 
 class _SegmentEmitter(Emitter):
@@ -92,16 +101,12 @@ class ArrayContainer(Container):
             for segments in self._partition_segments(n)
         ]
 
-    def iter_partitions(
-        self, n: int
-    ) -> list[Iterator[tuple[Hashable, tuple[Any]]]]:
-        """``partitions(n)`` without the wrappers outliving their reduce
-        call: ``(key, (value,))`` zipped straight off the segments."""
+    def iter_partitions(self, n: int) -> list[RecordPartition]:
+        """``partitions(n)`` as the segments themselves: a wrapper is
+        built only for a reducer that asks for groups, and does not
+        outlive its reduce call."""
         return [
-            chain.from_iterable(
-                zip(map(_KEY, segment), zip(map(_VALUE, segment)))
-                for segment in segments
-            )
+            RecordPartition(segments, _cells_as_groups)
             for segments in self._partition_segments(n)
         ]
 

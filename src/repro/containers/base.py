@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ContainerError
 
@@ -35,6 +36,43 @@ class ContainerDelta:
     kind: str
     emits: int
     items: Any
+
+
+class RecordPartition:
+    """One reducer partition held as flat ``(key, value)`` records.
+
+    A partition that is *stored* as records — the array container's
+    segments, a spilled job's merged hash buckets, the shard exchange's
+    merged blocks — is handed to the reducer task in this shape.
+    Iterating it yields the ``(key, values)`` groups every reducer is
+    promised, built block by block by ``group`` as they are consumed;
+    :meth:`records` is the same partition with no group built at all,
+    for the reducer that would only take the groups apart again
+    (:func:`repro.shard.exchange.reduce_partition` is the one caller
+    that makes that choice).  ``blocks`` may be a one-shot iterable: a
+    partition is walked once, one way or the other.
+    """
+
+    __slots__ = ("blocks", "group")
+
+    def __init__(
+        self,
+        blocks: Iterable[list[tuple[Hashable, Any]]],
+        group: Callable[
+            [list[tuple[Hashable, Any]]],
+            Iterable[tuple[Hashable, Sequence[Any]]],
+        ],
+    ) -> None:
+        self.blocks = blocks
+        self.group = group
+
+    def __iter__(self) -> Iterator[tuple[Hashable, Sequence[Any]]]:
+        return chain.from_iterable(map(self.group, self.blocks))
+
+    def records(self) -> list[tuple[Hashable, Any]]:
+        """The blocks' records, concatenated in order — the flattening
+        of the groups — as a new list the caller owns."""
+        return list(chain.from_iterable(self.blocks))
 
 
 class Container(abc.ABC):
@@ -100,7 +138,9 @@ class Container(abc.ABC):
         iterable and each ``values`` any sequence, so a container whose
         groups are only wrappers (the array container's one value per
         key) need not build ``n`` lists of them before the first reduce
-        call.  The default is the materialized form.
+        call.  A container that stores a partition as records hands it
+        out as a :class:`RecordPartition`.  The default is the
+        materialized form.
         """
         return self.partitions(n)
 

@@ -3,8 +3,10 @@
 Scales one SupMR job *out* across supervised worker process groups
 while keeping the paper's scale-up execution model inside each shard:
 
-* :class:`ShardMap` — a consistent-hash ring assigning every reducer
-  partition an owning shard, minimally disturbed by shard loss;
+* :class:`ShardMap` — every reducer partition's owning shard: its
+  home shard, dealt round-robin (balanced by construction), and a
+  consistent-hash ring among the survivors once the home has died —
+  minimally disturbed by shard loss;
 * :class:`ShardPlan` / :class:`ShardSpec` / :func:`chunk_blocks` —
   contiguous chunk-block planning that keeps the merged output
   byte-identical across shard counts;

@@ -18,11 +18,12 @@ wire transfer in place of the copy.
 Reduction streams the fetched runs through the same block-wise record
 merge the spill subsystem uses
 (:func:`repro.spill.external_merge.merge_sorted_blocks`) and groups the
-merged blocks once, as the reducer takes them
-(:func:`repro.spill.manager.group_sorted_block`): equal keys across
-shards are folded into one ``reduce_fn`` call with their values in
-shard-id order, which — because shards map *contiguous* chunk blocks —
-is exactly the global chunk order an unsharded run would have produced.
+merged blocks once, as a reducer that wants groups takes them
+(:func:`repro.spill.manager.group_sorted_block`; the identity reducer
+takes the records): equal keys across shards are folded into one
+``reduce_fn`` call with their values in shard-id order, which — because
+shards map *contiguous* chunk blocks — is exactly the global chunk order
+an unsharded run would have produced.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from repro.containers.base import Container
+from repro.containers.base import Container, RecordPartition
 from repro.core.job import JobSpec, identity_reduce
 from repro.errors import RetryExhausted, SpillError
 from repro.faults.log import ACTION_REFETCHED
@@ -42,13 +43,12 @@ from repro.spill.external_merge import merge_sorted_blocks
 from repro.spill.manager import (
     _flip_byte,
     entry_sort_key,
-    group_sorted_blocks,
     hash_buckets,
+    sorted_record_partition,
 )
 from repro.spill.runfile import HEADER_BYTES, RunReader, RunWriter
 
 Pair = tuple[Hashable, Any]
-Group = tuple[Hashable, tuple[Any, ...]]
 SortKeyFn = Callable[[Hashable], Any]
 #: ``(site, action, detail, scope, attempt)`` rows a worker ships back
 #: to the coordinator for replay into the job's fault log.
@@ -178,15 +178,15 @@ def fetch_run(
 def merged_partition_groups(
     readers: Sequence[RunReader],
     sort_key: SortKeyFn | None = None,
-) -> Iterator[Group]:
-    """Merge the shards' runs for one partition block-wise, and group
-    the merged records as they are consumed.
+) -> RecordPartition:
+    """Merge the shards' runs for one partition block-wise: the merged
+    records, grouped as they are consumed by whoever iterates them.
 
     ``readers`` must be in shard-id order; the merge is stable, so equal
     keys gather their values in that order — the global chunk order
     under contiguous block assignment.
     """
-    return group_sorted_blocks(
+    return sorted_record_partition(
         merge_sorted_blocks(readers, entry_sort_key(sort_key))
     )
 
@@ -199,11 +199,17 @@ def reduce_partition(
 
     Every reduce in the repo runs this — the one-shot runtimes over a
     container partition, a shard worker over its merged exchange runs.
-    The identity reducer is flattened in one comprehension rather than
-    one generator per key.
+    The identity reducer's output is its input's records: a partition
+    that is held as records
+    (:class:`~repro.containers.base.RecordPartition`) hands them over
+    with no group built, any other is flattened in one comprehension
+    rather than one generator per key.
     """
     if job.reduce_fn is identity_reduce:
-        out = [(key, value) for key, values in groups for value in values]
+        if isinstance(groups, RecordPartition):
+            out = groups.records()
+        else:
+            out = [(key, value) for key, values in groups for value in values]
     else:
         out = []
         for key, values in groups:

@@ -58,14 +58,25 @@ def estimate_pair_bytes(key: Any, value: Any) -> int:
     )
 
 
+#: ``sys.getsizeof`` of a ``bytes`` object beyond its payload.
+_BYTES_HEADER = sys.getsizeof(b"")
+
+
 def _column_bytes(column: list[Any]) -> list[int]:
     """``estimate_value_bytes`` of every object in one column of a batch.
 
-    A column with no list or tuple in it — the bytes/str/int keys and
-    values of every bundled app — is sized by one C-level
-    ``map(sys.getsizeof, …)``; anything else goes object by object.
+    A column of exactly ``bytes`` — sort's keys and values — is sized
+    from ``len``: header plus payload is what ``sys.getsizeof`` answers
+    for that type (a subclass may answer otherwise, so it is not taken
+    here), at a quarter of the cost per object.  Any other column with
+    no list or tuple in it — the str/int keys and values of the other
+    bundled apps — is sized by one C-level ``map(sys.getsizeof, …)``;
+    anything else goes object by object.
     """
-    if not any(issubclass(kind, (list, tuple)) for kind in set(map(type, column))):
+    kinds = set(map(type, column))
+    if kinds == {bytes}:
+        return [_BYTES_HEADER + len(value) for value in column]
+    if not any(issubclass(kind, (list, tuple)) for kind in kinds):
         try:
             return list(map(sys.getsizeof, column))
         except TypeError:  # pragma: no cover - objects without a C size

@@ -10,8 +10,9 @@ batch of emits is sized as a whole and cut by bisection at exactly
 those pairs, so the gate costs one charge and one inner call per run
 file, not per pair.  ``iter_partitions(n)`` then streams all runs plus
 the resident container through the external p-way merge, a block of
-records at a time, and groups them only as a reducer consumes its
-partition: a record is never wrapped between the gate and the reducer.
+records at a time, and hands each partition over as those records: a
+reducer that wants groups gets them built as it walks its partition, the
+identity reducer takes the records, and nothing is wrapped in between.
 
 Two properties the rest of the system relies on:
 
@@ -31,8 +32,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from itertools import accumulate, chain
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from itertools import accumulate
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.containers.base import (
     Container,
@@ -46,9 +47,11 @@ from repro.spill.external_merge import ExternalPwayMerge
 from repro.spill.manager import (
     Group,
     SpillManager,
-    group_sorted_block,
+    distinct_sorted_keys,
     hash_buckets,
+    sorted_record_partition,
 )
+from repro.spill.runfile import Pair
 
 class _SpillEmitter(Emitter):
     """Task-bound handle routing emits through the budget gate."""
@@ -258,15 +261,15 @@ class SpillableContainer(Container):
 
     # -- reduce-side -------------------------------------------------------
 
-    def iter_partitions(self, n: int) -> list[Iterable[Group]]:
+    def iter_partitions(self, n: int) -> Sequence[Iterable[Group]]:
         """Reducer partitions, merged externally when spills happened.
 
-        The merge runs here, to the end; what is left lazy is the
-        grouping.  Each partition is a chain of the merged blocks' own
-        records — split by key hash when ``n > 1`` — turned into
-        ``(key, values)`` by
-        :func:`~repro.spill.manager.group_sorted_block` as the reducer
-        walks it, once.
+        The merge runs here, to the end.  Each partition is the merged
+        blocks' own records — split by key hash when ``n > 1`` — as a
+        :class:`~repro.containers.base.RecordPartition`: a reducer that
+        walks it gets ``(key, values)`` from
+        :func:`~repro.spill.manager.group_sorted_block`, built as it
+        goes, once; one that takes the records builds nothing.
         """
         if n < 1:
             raise ContainerError("need at least one reducer partition")
@@ -283,18 +286,17 @@ class SpillableContainer(Container):
             self.manager.open_run(info) for info in self.manager.runs
         ]
         sources.append(resident)
-        parts: list[list[Iterable[Group]]] = [[] for _ in range(n)]
+        parts: list[list[list[Pair]]] = [[] for _ in range(n)]
         distinct = 0
         for block in ExternalPwayMerge(self.manager).merge_blocks(sources):
+            distinct += distinct_sorted_keys(block)
             # Whole keys in, whole keys out: a key hashes to one bucket.
             for part, bucket in zip(parts, hash_buckets(block, n)):
                 if bucket:
-                    groups, count = group_sorted_block(bucket)
-                    part.append(groups)
-                    distinct += count
+                    part.append(bucket)
         self._distinct_keys = distinct
         self.manager.accountant.release_all()
-        return [chain.from_iterable(part) for part in parts]
+        return [sorted_record_partition(part) for part in parts]
 
     def partitions(self, n: int) -> list[list[tuple[Hashable, Any]]]:
         """:meth:`iter_partitions`, materialized as lists of

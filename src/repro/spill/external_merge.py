@@ -34,7 +34,7 @@ from bisect import bisect_right
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.spill.manager import Group, SpillManager, group_sorted_blocks
+from repro.spill.manager import Group, SpillManager, sorted_record_partition
 from repro.spill.runfile import BLOCK_RECORDS, Pair, finish_key
 
 
@@ -153,7 +153,7 @@ class ExternalPwayMerge:
     def merge(self, sources: list[Iterable[Pair]]) -> Iterator[Group]:
         """:meth:`merge_blocks`, grouped: one ``(key, values_tuple)`` at
         a time."""
-        return group_sorted_blocks(self.merge_blocks(sources))
+        return iter(sorted_record_partition(self.merge_blocks(sources)))
 
 
 def merge_spilled(

@@ -30,6 +30,7 @@ from operator import eq, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator
 
+from repro.containers.base import RecordPartition
 from repro.containers.combiners import Combiner
 from repro.errors import SpillError
 from repro.faults.log import ACTION_RESPILLED
@@ -98,30 +99,48 @@ def hash_buckets(records: list[Pair], n: int) -> list[list[Pair]]:
     return buckets
 
 
+def _key_column(block: list[Pair]) -> tuple[list[Hashable], int]:
+    """A key-sorted block's keys, and how many equal their predecessor."""
+    keys = list(map(_first, block))
+    return keys, sum(map(eq, keys, islice(keys, 1, None)))
+
+
+def distinct_sorted_keys(block: list[Pair]) -> int:
+    """Distinct keys in one key-sorted block: one scan of the key
+    column, no group built."""
+    keys, repeats = _key_column(block)
+    return len(keys) - repeats
+
+
 def group_sorted_block(block: list[Pair]) -> tuple[Iterable[Group], int]:
     """The reduce-edge grouping: one key-sorted block of whole keys as
     ``(key, values)`` groups, and how many groups that is.
 
     Every path that promises groups — the spillable container's
     partitions, the shard exchange's merged partitions, ``merge_spilled``
-    — calls this on the flat blocks the merge hands it, and nothing
-    upstream groups.  When no two adjacent keys are equal (always, for
-    sort; one scan of the key column says so) the groups are
-    ``(key, (value,))`` zipped straight off the block as they are
-    consumed; otherwise :func:`group_sorted_pairs` collapses the ties.
+    — reaches this through :func:`sorted_record_partition`, for a
+    reducer that iterates its partition, and nothing upstream groups.
+    When no two adjacent keys are equal (always, for sort; one scan of
+    the key column says so) the groups are ``(key, (value,))`` zipped
+    straight off the block as they are consumed; otherwise
+    :func:`group_sorted_pairs` collapses the ties.
     """
-    keys = list(map(_first, block))
-    repeats = sum(map(eq, keys, islice(keys, 1, None)))
+    keys, repeats = _key_column(block)
     wrapped = zip(keys, zip(map(_second, block)))
     if repeats:
         return group_sorted_pairs(wrapped), len(keys) - repeats
     return wrapped, len(keys)
 
 
-def group_sorted_blocks(blocks: Iterable[list[Pair]]) -> Iterator[Group]:
-    """:func:`group_sorted_block` over a stream of merged blocks."""
-    for block in blocks:
-        yield from group_sorted_block(block)[0]
+def _block_groups(block: list[Pair]) -> Iterable[Group]:
+    return group_sorted_block(block)[0]
+
+
+def sorted_record_partition(blocks: Iterable[list[Pair]]) -> RecordPartition:
+    """Key-sorted blocks of whole keys — what the record merge yields —
+    as one reducer partition: its records as they are, or
+    :func:`group_sorted_block`'s groups when iterated."""
+    return RecordPartition(blocks, _block_groups)
 
 
 def group_sorted_pairs(

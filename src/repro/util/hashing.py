@@ -63,21 +63,30 @@ _MIN_COLUMN = 16
 def _fnv1a_many(prefix: bytes, datas: list[bytes]) -> list[int]:
     """``[_fnv1a(prefix + d) for d in datas]``, column-wise.
 
-    With the keys ordered longest first, those still running at byte
-    position ``j`` are the first ``live`` of that order: one gather, one
-    xor and one wrapping ``uint64`` multiply per position cover them
-    all.  Once fewer than :data:`_MIN_COLUMN` are left (a small batch,
-    or a few long stragglers) the scalar loop finishes each from the
-    state it has reached.
+    Keys all of one width (sort's ten-byte keys; the lengths array says
+    so) are a matrix: one xor and one wrapping ``uint64`` multiply per
+    byte position, straight down its columns.  Otherwise, with the keys
+    ordered longest first, those still running at byte position ``j``
+    are the first ``live`` of that order: one gather, one xor and one
+    multiply per position cover them all.  Once fewer than
+    :data:`_MIN_COLUMN` are left (a small batch, or a few long
+    stragglers) the scalar loop finishes each from the state it has
+    reached.
     """
     n = len(datas)
     lengths = np.fromiter(map(len, datas), dtype=np.int64, count=n)
+    flat = np.frombuffer(b"".join(datas), dtype=np.uint8)
+    prime = np.uint64(_FNV_PRIME)
+    h = np.full(n, _fnv1a(prefix), dtype=np.uint64)
+    if n >= _MIN_COLUMN and lengths.min() == lengths.max():
+        for column in flat.reshape(n, int(lengths[0])).T:
+            h ^= column
+            h *= prime
+        return h.tolist()
+    # From here ``h`` is in ``order``.
     order = np.argsort(-lengths, kind="stable")
     falling = -lengths[order]
     starts = (np.cumsum(lengths) - lengths)[order]
-    flat = np.frombuffer(b"".join(datas), dtype=np.uint8)
-    prime = np.uint64(_FNV_PRIME)
-    h = np.full(n, _fnv1a(prefix), dtype=np.uint64)  # in ``order``
     j = 0
     while True:
         live = int(np.searchsorted(falling, -j))  # keys longer than j

@@ -5,7 +5,9 @@ contract (picklable lists of ``(key, values)``) for the spill path, the
 shard exchange and the benchmark's replay.  Whatever a container does
 to avoid building the wrappers, a reducer must see the same groups in
 the same order — compared here with each ``values`` as a list, because
-the lazy form may hand out any sequence.
+the lazy form may hand out any sequence.  A partition stored as records
+is a ``RecordPartition``; the records it gives the identity reducer
+must be those same groups, flattened.
 """
 
 from __future__ import annotations
@@ -15,23 +17,26 @@ import pickle
 import pytest
 
 from repro.containers.array_container import ArrayContainer
-from repro.containers.combiners import SumCombiner
+from repro.containers.combiners import ListCombiner, SumCombiner
 from repro.containers.fixed_array import FixedArrayContainer
 from repro.containers.hash_container import HashContainer
+from repro.core.job import JobSpec, identity_reduce
 from repro.errors import ContainerError
+from repro.shard.exchange import reduce_partition
 from repro.spill.container import SpillableContainer
 from repro.spill.manager import SpillManager
 
 KEYS = [f"k{i % 23:02d}".encode() for i in range(200)]
+UNIQUE_KEYS = [f"u{(i * 37) % 200:03d}".encode() for i in range(200)]
 
 
-def _filled(container, keyed=True):
+def _filled(container, keyed=True, keys=KEYS):
     """Seven tasks over two rounds, so segments outnumber partitions."""
     for round_tasks in (range(4), range(4, 7)):
         container.begin_round()
         for task_id in round_tasks:
             emitter = container.emitter(task_id)
-            for i, key in enumerate(KEYS[task_id::7]):
+            for i, key in enumerate(keys[task_id::7]):
                 emitter.emit(key if keyed else (task_id + i) % 16, i + 1)
     container.seal()
     return container
@@ -73,12 +78,92 @@ class TestLazyEqualsMaterialized:
             eager_mgr.cleanup()
 
 
+def _identity_records(partition):
+    """What the identity reducer's task makes of one partition, before
+    any sort: the records it was handed."""
+    job = JobSpec(
+        name="identity", inputs=(__file__,), map_fn=None,
+        container_factory=ArrayContainer, sorted_output=False,
+    )
+    assert job.reduce_fn is identity_reduce
+    return reduce_partition(job, partition)
+
+
+def _flattened(partition):
+    return [(key, value) for key, values in partition for value in values]
+
+
+#: A pair of ``KEYS``/``UNIQUE_KEYS`` costs 128 B at the gate, 200 of
+#: them 25 600 B: never, once (125 pairs, then 75 resident) and a dozen
+#: times over.
+_BUDGETS = {"no spill": 1 << 20, "one spill": 16_000, "many spills": 2048}
+_SPILLS = {"no spill": (0, 0), "one spill": (1, 1), "many spills": (9, 99)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("keys", [KEYS, UNIQUE_KEYS], ids=["repeated", "unique"])
+class TestRecordsEqualFlattenedGroups:
+    """The identity reducer is handed a partition's records, every
+    other reducer its groups: the first must be the flattening of the
+    second, in order, whatever the container keeps underneath."""
+
+    @pytest.mark.parametrize("family", ["array", "hash-list", "hash-sum"])
+    def test_in_memory_containers(self, family, keys, n):
+        def build():
+            return _filled({
+                "array": ArrayContainer,
+                "hash-list": lambda: HashContainer(ListCombiner()),
+                "hash-sum": lambda: HashContainer(SumCombiner()),
+            }[family](), keys=keys)
+
+        records = [_identity_records(p) for p in build().iter_partitions(n)]
+        assert records == [_flattened(p) for p in build().iter_partitions(n)]
+        expected = 200 if family != "hash-sum" else len(set(keys))
+        assert sum(map(len, records)) == expected
+
+    def test_fixed_array(self, keys, n):
+        def build():
+            return _filled(FixedArrayContainer(16), keyed=False)
+
+        assert [_identity_records(p) for p in build().iter_partitions(n)] == [
+            _flattened(p) for p in build().iter_partitions(n)
+        ]
+
+    @pytest.mark.parametrize("spills", sorted(_BUDGETS))
+    @pytest.mark.parametrize("inner", ["array", "hash-list"])
+    def test_spillable_container(self, inner, spills, keys, n):
+        factory = {
+            "array": ArrayContainer,
+            "hash-list": lambda: HashContainer(ListCombiner()),
+        }[inner]
+        managers = [SpillManager(_BUDGETS[spills]) for _ in range(2)]
+        try:
+            one, two = (
+                _filled(SpillableContainer(factory, manager), keys=keys)
+                for manager in managers
+            )
+            records = [_identity_records(p) for p in one.iter_partitions(n)]
+            low, high = _SPILLS[spills]
+            assert low <= managers[0].stats().runs <= high
+            assert records == [_flattened(p) for p in two.iter_partitions(n)]
+            assert sum(map(len, records)) == 200
+            if low:
+                # Taking the records skipped the grouping, not the count
+                # (unspilled, the inner container reports its own: the
+                # array container counts cells).
+                assert one.stats().distinct_keys == len(set(keys))
+                assert two.stats().distinct_keys == len(set(keys))
+        finally:
+            for manager in managers:
+                manager.cleanup()
+
+
 class TestArrayLazyForm:
     def test_no_group_is_built_before_it_is_asked_for(self):
         container = _filled(ArrayContainer())
         parts = container.iter_partitions(2)
         assert not any(isinstance(part, list) for part in parts)
-        assert next(parts[0]) == (KEYS[0], (1,))
+        assert next(iter(parts[0])) == (KEYS[0], (1,))
 
     def test_same_preconditions_as_partitions(self):
         container = ArrayContainer()

@@ -19,6 +19,7 @@ from repro.apps.sortapp import make_sort_job
 from repro.apps.wordcount import make_wordcount_job
 from repro.chunking.planner import plan_whole_input
 from repro.core.options import RuntimeOptions
+from repro.core.supmr import SupMRRuntime
 from repro.errors import ConfigError
 from repro.faults import parse_faults
 from repro.faults.log import (
@@ -79,6 +80,53 @@ class TestDeterminism:
             for shards in (1, 2, 4)
         }
         assert len(digests) == 1
+
+
+@needs_fork
+class TestEveryShardReduces:
+    """Partitions have a home shard each, dealt round-robin: with at
+    least as many partitions as shards nobody sits the reduce phase out
+    (the bare ring gave shard 0 every partition of a 2-4 shard job)."""
+
+    @pytest.mark.parametrize("shards, reducers", [(2, 2), (3, 4), (4, 4)])
+    def test_reduce_done_from_each_shard_carries_a_partition(
+        self, terasort_file, monkeypatch, shards, reducers
+    ):
+        reduced: dict[int, list[int]] = {}
+        collect = _Coordinator._collect
+
+        def spying(self):
+            msg = collect(self)
+            if msg is not None and msg[0] == "reduce_done":
+                reduced.setdefault(msg[1], []).extend(msg[2]["parts"])
+            return msg
+
+        monkeypatch.setattr(_Coordinator, "_collect", spying)
+        options = RuntimeOptions.supmr_interfile("32KB", 2, reducers).with_(
+            num_shards=shards
+        )
+        run_sharded(make_sort_job([terasort_file]), options)
+        assert sorted(reduced) == list(range(shards))
+        assert all(reduced.values())
+        assert sorted(p for ps in reduced.values() for p in ps) == list(
+            range(reducers)
+        )
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_one_shot_digest_for_every_reducer_count(
+        self, terasort_file, shards
+    ):
+        job = make_sort_job([terasort_file])
+        one_shot = SupMRRuntime(
+            RuntimeOptions.supmr_interfile("32KB", 2, 4)
+        ).run(job).output_digest()
+        for reducers in range(1, 9):
+            options = RuntimeOptions.supmr_interfile(
+                "32KB", 2, reducers
+            ).with_(num_shards=shards)
+            assert run_sharded(job, options).output_digest() == one_shot, (
+                shards, reducers
+            )
 
 
 @needs_fork

@@ -108,6 +108,40 @@ class TestRunsOfRecords:
         assert len(groups) == 2100
         assert groups[0] == (b"s0k000", (b"v",))
 
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_merged_partition_records_are_its_groups_flattened(
+        self, tmp_path, terasort_file, repeated
+    ):
+        # Three shards, two partitions; with ``repeated`` every shard
+        # emits the same keys, so a group gathers values across shards.
+        def merged(p, tag):
+            readers = []
+            for shard in range(3):
+                prefix = b"k" if repeated else b"s%d" % shard
+                container = self._array([[
+                    (prefix + b"%03d" % (i % 300), b"v%d.%d" % (shard, i))
+                    for i in range(700)
+                ]])
+                outbox = tmp_path / f"{tag}-out{shard}"
+                write_partition_runs(container, 2, outbox)
+                readers.append(fetch_run(
+                    outbox / run_name(p), tmp_path / f"{tag}-in{shard}.{p}.spl"
+                )[0])
+            return merged_partition_groups(readers)
+
+        job = make_sort_job([terasort_file])
+        job.sorted_output = False
+        total = 0
+        for p in range(2):
+            records = reduce_partition(job, merged(p, "records"))
+            assert records == [
+                (key, value)
+                for key, values in merged(p, "groups") for value in values
+            ]
+            assert all(stable_hash(key) % 2 == p for key, _value in records)
+            total += len(records)
+        assert total == 2100
+
     def test_hash_container_posting_lists_are_flattened(self, tmp_path):
         from repro.containers.combiners import ListCombiner
 

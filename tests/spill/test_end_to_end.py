@@ -9,6 +9,10 @@ result and the JSON report.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import groupby
+from operator import itemgetter
+
 import pytest
 
 from repro.analysis.report import job_result_dict
@@ -163,24 +167,56 @@ class TestRecordsNotGroups:
         assert stats.spilled_records == stats.combine_pairs_in <= 3000
         assert stats.combine_reduction == 1.0
 
+    DUP_OPTIONS = RuntimeOptions.supmr_interfile("25KB", num_reducers=2).with_(
+        # Serial: under the thread backend "emit order" into a budgeted
+        # container is whatever order the mapper threads ran in.
+        memory_budget="40KB", executor_backend="serial"
+    )
+
     def test_duplicated_keys_come_out_in_emit_order(
         self, terasort_file, tmp_path, grouping_calls
     ):
         from repro.apps.sortapp import reference_sort
 
         dup = duplicate_keys(terasort_file, tmp_path / "dup.dat")
-        # Serial: under the thread backend "emit order" into a budgeted
-        # container is whatever order the mapper threads ran in.
-        result = SupMRRuntime(
-            RuntimeOptions.supmr_interfile("25KB", num_reducers=2).with_(
-                memory_budget="40KB", executor_backend="serial"
-            )
-        ).run(make_sort_job([dup]))
+        result = SupMRRuntime(self.DUP_OPTIONS).run(make_sort_job([dup]))
         stats = result.spill_stats
         assert stats.runs >= 9 and stats.merge_passes > 1
         # Equal keys come out in emit order: the stable sort of the input.
         assert result.output == reference_sort([dup])
-        # One record per value reached the disk, and the counter the
-        # unique-key test reads as zero does see a repeated key.
         assert stats.spilled_records == stats.combine_pairs_in
+        # The identity reducer took the merged records as they were:
+        # repeated keys or not, nobody gathered a key's values for it.
+        assert grouping_calls == []
+        distinct = len({key for key, _value in result.output})
+        assert result.container_stats.distinct_keys == distinct < len(
+            result.output
+        )
+
+    def test_duplicated_keys_are_grouped_for_a_reducer_that_wants_groups(
+        self, terasort_file, tmp_path, grouping_calls
+    ):
+        from repro.apps.sortapp import reference_sort
+
+        dup = duplicate_keys(terasort_file, tmp_path / "dup.dat")
+        reduced = []
+
+        def count_values(key, values):
+            reduced.append((key, list(values)))
+            return [(key, len(values))]
+
+        job = replace(make_sort_job([dup]), reduce_fn=count_values)
+        result = SupMRRuntime(self.DUP_OPTIONS).run(job)
+        assert result.spill_stats.runs >= 9
+        # Grouping still happens, at the reduce edge: each key reached
+        # the reducer once, with all its values in emit order.
         assert grouping_calls
+        expected = [
+            (key, [value for _key, value in records])
+            for key, records in groupby(reference_sort([dup]), itemgetter(0))
+        ]
+        assert sorted(reduced) == expected
+        assert len(reduced) == len({key for key, _values in reduced})
+        assert result.output == [
+            (key, len(values)) for key, values in expected
+        ]

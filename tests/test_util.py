@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.util.hashing import stable_hash, stable_hash_many
+from repro.util.hashing import _MIN_COLUMN, stable_hash, stable_hash_many
 from repro.util.units import GB, KB, MB, fmt_bytes, fmt_seconds, parse_size
 
 
@@ -75,6 +75,40 @@ class TestStableHashMany:
         keys[7:7] = [b"", b"z" * 1000, b"y" * 999]
         assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
         assert stable_hash_many(iter(keys[:40])) == stable_hash_many(keys)[:40]
+
+    @given(st.integers(0, 40), st.integers(0, 80), st.data())
+    def test_one_width_batch_equals_one_at_a_time(self, width, n, data):
+        # Keys all of one width are hashed down the columns of a matrix;
+        # the width (zero included) and the batch size are free.
+        keys = data.draw(st.lists(
+            st.binary(min_size=width, max_size=width), min_size=n, max_size=n,
+        ))
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+
+    @pytest.mark.parametrize("n", [_MIN_COLUMN - 1, _MIN_COLUMN, _MIN_COLUMN + 1])
+    def test_batches_around_the_column_threshold(self, n):
+        keys = [b"%010d" % (i * 7919) for i in range(n)]
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+        words = ["w%09d" % i for i in range(n)]
+        assert stable_hash_many(words) == [stable_hash(w) for w in words]
+
+    @given(st.integers(0, 99), st.binary(max_size=30))
+    def test_one_ragged_key_among_uniform_ones(self, where, odd):
+        keys = [b"%010d" % i for i in range(100)]
+        keys[where] = odd
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+
+    def test_str_keys_one_width_in_characters_not_in_utf8(self):
+        # Equal ``len`` as str, unequal once encoded: the width that
+        # counts is the encoded one, so this batch is ragged...
+        keys = ["naïve", "naive", "na\u20acve", "na\U0001f600ve"] * 8
+        assert len(set(map(len, keys))) == 1
+        assert len({len(k.encode()) for k in keys}) == 4
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
+        # ...and this one uniform, though its character counts differ.
+        keys = ["\u20ac", "abc", "\u00e9x"] * 8
+        assert {len(k.encode()) for k in keys} == {3}
+        assert stable_hash_many(keys) == [stable_hash(k) for k in keys]
 
     def test_subclasses_take_the_per_key_path(self):
         class Tagged(bytes):
