@@ -236,9 +236,7 @@ class RuntimeOptions:
             if budget < 1:
                 raise ConfigError("memory_budget must be >= 1 byte")
             object.__setattr__(self, "memory_budget", budget)
-            largest_chunk = self.chunk_bytes or 0
-            if self.chunk_schedule:
-                largest_chunk = max(largest_chunk, *self.chunk_schedule)
+            largest_chunk = self.largest_chunk
             if largest_chunk and budget <= largest_chunk:
                 raise ConfigError(
                     f"memory_budget ({budget} B) must exceed one ingest "
@@ -279,6 +277,12 @@ class RuntimeOptions:
             raise ConfigError("ingest_readers must be >= 1")
         if self.ingest_depth is not None and self.ingest_depth < 1:
             raise ConfigError("ingest_depth must be >= 1")
+
+    @property
+    def largest_chunk(self) -> int:
+        """Bytes of the largest ingest chunk these options plan (0 when
+        the strategy names no size) — what a memory budget must exceed."""
+        return max([self.chunk_bytes or 0, *(self.chunk_schedule or ())])
 
     @property
     def effective_merge_parallelism(self) -> int:

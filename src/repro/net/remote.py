@@ -292,11 +292,6 @@ class RemoteHandle:
         self.wid = wid
         self.name = f"repro-shard-{sid}.{wid}@{link.addr}"
 
-    @property
-    def fetch_addr(self) -> str:
-        """Where this worker's published runs can be fetched from."""
-        return self.link.addr
-
     def send(self, msg: Any) -> None:
         """Relay one command dict to the worker's inbox on its host."""
         self.link.send({

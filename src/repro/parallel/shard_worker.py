@@ -150,6 +150,7 @@ def _serve_map(
         )
         run.commit()
     stats = run.container.stats()
+    spill = run.spill_mgr.stats() if run.spill_mgr is not None else None
     _post(results, (
         "map_done", shard_id, attempt,
         {
@@ -164,6 +165,9 @@ def _serve_map(
             "throttle": (
                 run.throttle.counters() if run.throttle is not None else None
             ),
+            "spill": None if spill is None else {
+                "spill_runs": spill.runs, "spilled_bytes": spill.spilled_bytes,
+            },
         },
     ))
 

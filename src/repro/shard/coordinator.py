@@ -14,42 +14,19 @@ With ``options.peers`` set, shard worker groups are placed round-robin
 on remote ``supmr agent`` daemons over the CRC-framed transport
 (:mod:`repro.net`): commands and result blobs cross the wire instead of
 process queues, and reduce-phase run fetches go through resumable,
-verify-then-refetch range requests.  The recovery machinery below is
+verify-then-refetch range requests.  The recovery machinery is
 **placement-blind** — every worker hides behind one handle interface
 (``send``/``alive``/``kill``), so leases, respawns, speculation, and
 reassignment work identically for a forked child and a worker two hosts
 away.
 
-Robustness protocol:
-
-* **leases** — every dispatched shard holds a lease renewed by each
-  heartbeat on the result channel; a silent shard past
-  ``policy.lease_timeout_s`` is killed and treated as dead.
-* **map-phase deaths** — the dead shard's worker is respawned (bounded
-  by ``policy.worker_respawn_budget``) and re-runs its block, resuming
-  from its own per-shard journal when checkpointing is on.
-* **host loss / partition** — a worker whose agent link died (or went
-  silent past ``options.net_timeout_s``) is respawned **locally**
-  without charging the respawn budget: losing a host is the network's
-  fault, not the worker's.  Total peer loss therefore degrades to
-  single-host execution — and because every respawn re-runs identical
-  deterministic work, the digest is byte-identical to a local run.
-* **stragglers** — once half the shards finished, a shard running past
-  ``policy.straggler_threshold`` × the median finish time gets a
-  speculative twin; the first ``map_done`` wins and the loser is killed.
-  Both twins compute the identical deterministic block, so the adopted
-  outbox is byte-identical either way (the tie-break is "first result
-  message wins").
-* **reduce-phase deaths** — the dead shard's partitions are *reassigned*
-  to their ring successors among the survivors (only those partitions
-  move), exercising the consistent-hash failover path.
-* **exchange integrity** — every fetched run (local copy or remote
-  transfer) is CRC-verified before adoption; corruption is refetched,
-  never silently merged.
-
-The ``shard.*`` and ``net.*`` fault sites are decided here, in the
-coordinator, so a seeded plan replays the same failure schedule on
-every run.
+This module is the **shell**: processes, the results queue, the fault
+injector and log, and one receive-and-sweep loop both phases run
+through.  Every decision — leases, respawns, host loss, stragglers,
+reassignment — and the one table of per-shard rows it is taken over
+live in :mod:`repro.shard.core`; docs/sharding.md "Failure protocol"
+has the table.  The ``shard.*`` and ``net.*`` fault sites are rolled
+here, so a seeded plan replays the same failure schedule on every run.
 """
 
 from __future__ import annotations
@@ -58,29 +35,20 @@ import multiprocessing
 import pickle
 import queue as queue_mod
 import shutil
-import statistics
 import tempfile
 import time
-from dataclasses import dataclass, field
-from itertools import takewhile
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
-from repro.chunking.planner import plan_chunks, plan_whole_input
+from repro.chunking.planner import plan_chunks
 from repro.containers.base import ContainerStats
 from repro.core.execution import merge_outputs
 from repro.core.job import JobSpec
-from repro.core.options import ChunkStrategy, RuntimeOptions
+from repro.core.options import RuntimeOptions
 from repro.core.result import JobResult, PhaseTimings
 from repro.core.timers import PhaseTimer
 from repro.errors import ConfigError, NetError, ParallelError, RetryExhausted
 from repro.faults.injector import FaultInjector
-from repro.faults.log import (
-    ACTION_REASSIGNED,
-    ACTION_RESPAWNED,
-    ACTION_RETRIED,
-    ACTION_SPECULATIVE,
-)
 from repro.faults.plan import (
     SITE_NET_CONN_DROP,
     SITE_NET_FRAME_CORRUPT,
@@ -99,6 +67,8 @@ from repro.parallel.shard_worker import (
     MSG_REDUCE,
     shard_worker_main,
 )
+from repro.shard import core
+from repro.shard.core import Shard, Worker
 from repro.shard.exchange import collect_worker_events
 from repro.shard.plan import ShardPlan
 from repro.util.atomic import publish
@@ -117,26 +87,14 @@ class _LocalHandle:
     """One forked shard worker behind the placement-blind interface."""
 
     is_remote = False
-    #: Where this worker's published runs can be fetched from: empty in
-    #: a single-host run (plain file copies), the coordinator's own
-    #: fetch exporter in a ``--peers`` run (remote reducers pull from
-    #: it over the wire).
-    fetch_addr = ""
 
     def __init__(
-        self,
-        proc: multiprocessing.process.BaseProcess,
-        inbox: Any,
-        fetch_addr: str = "",
+        self, proc: multiprocessing.process.BaseProcess, inbox: Any
     ) -> None:
         self.proc = proc
         self.inbox = inbox
-        self.fetch_addr = fetch_addr
         self.name = proc.name
-
-    @property
-    def pid(self) -> "int | None":
-        return self.proc.pid
+        self.pid = proc.pid
 
     def send(self, msg: Any) -> None:
         self.inbox.put(msg)
@@ -165,36 +123,6 @@ class _LocalHandle:
         return f"exited with code {self.proc.exitcode}"
 
 
-@dataclass
-class _ShardWorker:
-    """One shard worker (local fork or remote) and its lease state."""
-
-    sid: int
-    wid: int
-    handle: Any
-    attempt: int = 0
-    speculative: bool = False
-    busy: bool = False
-    started: float = 0.0
-    last_heard: float = 0.0
-    outbox: str = ""
-
-
-@dataclass
-class _Tally:
-    """Coordinator-side survival counters surfaced on the job result."""
-
-    respawns: int = 0
-    crashes: int = 0
-    lease_expiries: int = 0
-    refetches: int = 0
-    reassigned_partitions: int = 0
-    host_losses: int = 0
-    speculated: set = field(default_factory=set)
-    shards_lost: set = field(default_factory=set)
-    hosts_lost: set = field(default_factory=set)
-
-
 class _Coordinator:
     """Drives one sharded job: spawn, lease, recover, collect."""
 
@@ -207,6 +135,7 @@ class _Coordinator:
         injector: FaultInjector | None,
         links: Sequence[Any] = (),
         self_addr: str = "",
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.job = job
         self.options = options
@@ -216,32 +145,35 @@ class _Coordinator:
         self.injector = injector
         self.links = list(links)
         self.self_addr = self_addr
+        #: Every ``now`` the core is handed (a test seam, not an option).
+        self.clock = clock
         self.ctx = multiprocessing.get_context("fork")
         self.results_q = self.ctx.Queue()
-        #: Active worker per shard id (the one reduce work goes to).
-        self.workers: dict[int, _ShardWorker] = {}
-        #: Speculative twins, keyed by shard id.
-        self.backups: dict[int, _ShardWorker] = {}
-        self.map_done: dict[int, dict] = {}
-        self.outboxes: dict[int, str] = {}
-        #: Fetch address per adopted outbox ("" = this host's files).
-        self.via: dict[int, str] = {}
-        self.tally = _Tally()
+        #: One row per shard id: everything known about that shard.
+        self.shards: dict[int, Shard] = {
+            spec.shard_id: Shard(spec.shard_id) for spec in plan.shards
+        }
+        self.tally = core.Tally()
+        #: Reduced partitions collected so far (reduce phase).
+        self.parts: dict[int, list] = {}
         self._wid = 0
-        self._attempts: dict[int, int] = {}
+        self._map_started = 0.0
         #: What every shard worker runs under: the job's options with an
-        #: even share of the I/O budget, so the job as a whole stays
-        #: inside it however many shards meter their own reads and spills.
-        self.worker_options = options
+        #: even share of the I/O and memory budgets, so the job as a
+        #: whole stays inside both however many shards meter their own
+        #: reads and spills.  A share never drops under one ingest chunk
+        #: (what a budget is validated against).
+        n = plan.num_shards
+        shares: dict[str, int] = {}
         if options.io_budget is not None:
-            n = plan.num_shards
-            self.worker_options = options.with_(
-                io_budget=max(1, options.io_budget // n),
-                io_burst=(
-                    max(1, options.io_burst // n)
-                    if options.io_burst is not None else None
-                ),
+            shares["io_budget"] = max(1, options.io_budget // n)
+            if options.io_burst is not None:
+                shares["io_burst"] = max(1, options.io_burst // n)
+        if options.memory_budget is not None:
+            shares["memory_budget"] = max(
+                options.memory_budget // n, options.largest_chunk + 1
             )
+        self.worker_options = options.with_(**shares) if shares else options
         if self.links:
             from repro.net.jobs import job_to_wire, options_to_wire
 
@@ -254,9 +186,7 @@ class _Coordinator:
 
     # -- worker lifecycle ---------------------------------------------------
 
-    def _spawn(
-        self, sid: int, speculative: bool = False, force_local: bool = False
-    ) -> _ShardWorker:
+    def _spawn(self, sid: int, speculative: bool, force_local: bool) -> Worker:
         wid = self._wid
         self._wid += 1
         link = None
@@ -277,6 +207,7 @@ class _Coordinator:
                 self.plan.num_partitions,
             )
             handle: Any = RemoteHandle(link, sid, wid)
+            fetch_addr = link.addr
         else:
             inbox = self.ctx.Queue()
             proc = self.ctx.Process(
@@ -290,17 +221,13 @@ class _Coordinator:
                 name=f"repro-shard-{sid}.{wid}",
             )
             proc.start()
-            handle = _LocalHandle(proc, inbox, fetch_addr=self.self_addr)
-        worker = _ShardWorker(sid=sid, wid=wid, handle=handle,
-                              speculative=speculative)
-        if speculative:
-            self.backups[sid] = worker
-        else:
-            self.workers[sid] = worker
-            self._write_pid(worker)
-        return worker
+            handle = _LocalHandle(proc, inbox)
+            # In a ``--peers`` run remote reducers pull this host's
+            # runs from the coordinator's own fetch exporter.
+            fetch_addr = self.self_addr
+        return Worker(sid, wid, handle, fetch_addr)
 
-    def _write_pid(self, worker: _ShardWorker) -> None:
+    def _write_pid(self, worker: Worker) -> None:
         """Publish the shard's current worker pid (for kill-based tests).
 
         Remote workers are other hosts' processes; their pids mean
@@ -312,32 +239,29 @@ class _Coordinator:
             self.workdir / f"worker-{worker.sid}.pid", f"{worker.handle.pid}\n"
         )
 
-    def _kill(self, worker: _ShardWorker) -> None:
-        """Forcibly end one worker and drop its command channel."""
-        worker.handle.kill()
-        worker.handle.discard()
-
-    def _discard(self, worker: _ShardWorker) -> None:
-        """Drop a dead worker's channel without blocking on its feeder."""
-        worker.handle.discard()
-
     def shutdown(self) -> None:
-        """Supervisor-style teardown: sentinel, join, kill stragglers."""
-        everyone = list(self.workers.values()) + list(self.backups.values())
-        for worker in everyone:
-            worker.handle.stop()
-        for worker in everyone:
-            if not worker.handle.is_remote:
-                worker.handle.join(timeout=5.0)
-        for worker in everyone:
-            if not worker.handle.is_remote and worker.handle.alive():
-                worker.handle.kill()  # pragma: no cover - defensive
-        for worker in everyone:
-            worker.handle.discard()
+        """Supervisor-style teardown: sentinel, join, kill stragglers.
+
+        The results queue closes last, after every link's reader thread
+        is gone — a late agent frame must not find a closed queue.
+        """
+        handles = [
+            w.handle for row in self.shards.values() for w in row.workers()
+        ]
+        for handle in handles:
+            handle.stop()
+        for handle in handles:
+            if not handle.is_remote:
+                handle.join(timeout=5.0)
+                if handle.alive():
+                    handle.kill()  # pragma: no cover - defensive
+            handle.discard()
+        for link in self.links:
+            link.close()
         self.results_q.cancel_join_thread()
         self.results_q.close()
 
-    # -- transport ----------------------------------------------------------
+    # -- transport, faults, log ---------------------------------------------
 
     def _collect(self) -> "tuple | None":
         try:
@@ -351,61 +275,99 @@ class _Coordinator:
                 f"could not decode a shard worker result: {exc!r}"
             ) from exc
 
-    def _record(self, site: str, action: str, detail: str,
-                scope: str = "", attempt: int = 0) -> None:
-        if self.injector is not None:
+    def _fired(self, site: str, scope: Hashable, attempt: int = 0) -> bool:
+        """Roll one seeded fault site (never fires without a plan)."""
+        return self.injector is not None and self.injector.check(
+            site, scope=scope, attempt=attempt
+        ) is not None
+
+    def _log(self, entry: "core.Entry | None") -> None:
+        if self.injector is not None and entry is not None:
             self.injector.log.record(
-                site, action, detail, scope=scope, attempt=attempt
+                entry.site, entry.action, entry.detail,
+                scope=repr((entry.sid,)),
             )
 
-    def _touch(self, sid: int, attempt: int) -> None:
-        """Renew the lease of whichever worker of ``sid`` spoke."""
-        now = time.monotonic()
-        for worker in (self.workers.get(sid), self.backups.get(sid)):
-            if worker is not None and worker.attempt == attempt:
-                worker.last_heard = now
-                return
-        # Attempt no longer registered (already settled): renew the
-        # shard's active worker so a late heartbeat never kills it.
-        worker = self.workers.get(sid)
-        if worker is not None:
-            worker.last_heard = now
+    # -- the one loop -------------------------------------------------------
+
+    def _run_phase(
+        self,
+        phase: str,
+        finished: Callable[[], bool],
+        on_done: Callable[..., None],
+        on_death: Callable[[Worker, str], None],
+        tick: "Callable[[], None] | None" = None,
+    ) -> None:
+        """Receive and sweep until the ``phase`` ("map" / "reduce") is over.
+
+        Each turn: collect one message — a heartbeat renews a lease, a
+        ``<phase>_done`` goes to the phase, an ``error`` aborts the job
+        — then sweep once over the workers the phase still waits on (in
+        the map phase a finished shard's are not) and let ``on_death``
+        recover each casualty, then ``tick``.
+        """
+        while not finished():
+            msg = self._collect()
+            if msg is not None:
+                kind, sid = msg[0], msg[1]
+                if kind == "hb":
+                    core.renew(self.shards[sid], msg[2], self.clock())
+                elif kind == f"{phase}_done":
+                    on_done(*msg[1:])
+                elif kind == "error":
+                    raise ParallelError(
+                        f"shard {sid} failed during its {phase} phase: "
+                        f"{msg[2]}"
+                    )
+            watched = [
+                row for row in self.shards.values()
+                if phase == "reduce" or row.done is None
+            ]
+            for worker, expired in core.casualties(
+                self.clock(), watched, lambda w: w.handle.alive(),
+                self.policy, self.tally,
+            ):
+                if expired:
+                    worker.handle.kill()
+                why = expired or worker.handle.describe_exit()
+                on_death(worker, f"{worker.handle.name} {why}")
+            if tick is not None:
+                tick()
 
     # -- map phase ----------------------------------------------------------
 
-    def _dispatch_map(self, worker: _ShardWorker, resume: bool) -> None:
-        sid = worker.sid
-        worker.attempt = self._attempts.get(sid, 0)
-        self._attempts[sid] = worker.attempt + 1
+    def _start_map(
+        self,
+        sid: int,
+        resume: bool,
+        speculative: bool = False,
+        force_local: bool = False,
+    ) -> None:
+        """Spawn a worker for ``sid`` and send it the shard's map block."""
+        worker = self._spawn(sid, speculative, force_local)
+        core.seat(self.shards[sid], worker, self.clock(), twin=speculative)
         mode, straggle_s = MODE_RUN, 0.0
-        if self.injector is not None and not worker.speculative:
-            if self.injector.check(
-                SITE_SHARD_WORKER_LOSS, scope=(sid,), attempt=worker.attempt
-            ) is not None:
+        ckpt = None
+        if not speculative:
+            self._write_pid(worker)
+            if self._fired(SITE_SHARD_WORKER_LOSS, (sid,), worker.attempt):
                 mode = MODE_LOSS
-            elif self.injector.check(
-                SITE_SHARD_STRAGGLER, scope=(sid,), attempt=worker.attempt
-            ) is not None:
+            elif self._fired(SITE_SHARD_STRAGGLER, (sid,), worker.attempt):
                 mode = MODE_STRAGGLE
                 spec = self.injector.plan.spec_for(SITE_SHARD_STRAGGLER)
                 straggle_s = (
                     spec.duration_s if spec.duration_s is not None else 1.0
                 )
-        outbox = self.workdir / f"out-{sid}.{worker.wid}"
-        ckpt = None
-        if self.options.checkpoint_dir is not None and not worker.speculative:
-            # Twins must not share a journal directory with the primary
-            # (concurrent writers), so only primaries checkpoint.  An
-            # agent nulls this out for its own workers — the journal
-            # dir is a coordinator-host path.
-            ckpt = str(Path(self.options.checkpoint_dir) / f"shard-{sid}")
-        worker.outbox = str(outbox)
-        worker.busy = True
-        worker.started = worker.last_heard = time.monotonic()
+            if self.options.checkpoint_dir is not None:
+                # Twins must not share a journal directory with the
+                # primary (concurrent writers), so only primaries
+                # checkpoint.  An agent nulls this out for its own
+                # workers — the journal dir is a coordinator-host path.
+                ckpt = str(Path(self.options.checkpoint_dir) / f"shard-{sid}")
         worker.handle.send({
             "kind": MSG_MAP,
             "attempt": worker.attempt,
-            "outbox": str(outbox),
+            "outbox": str(self.workdir / f"out-{sid}.{worker.wid}"),
             "mode": mode,
             "straggle_s": straggle_s,
             "ckpt": ckpt,
@@ -421,413 +383,167 @@ class _Coordinator:
         Either way the pinger declares the link unreachable and the
         recovery ladder moves the shards home.
         """
-        if self.injector is None:
-            return
         for i, link in enumerate(self.links):
             if not link.usable:
                 continue
-            if self.injector.check(SITE_NET_HOST_LOSS, scope=(i,)) is not None:
+            if self._fired(SITE_NET_HOST_LOSS, (i,)):
                 link.inject_death(after_relays=1)
-            elif self.injector.check(
-                SITE_NET_PARTITION, scope=(i,)
-            ) is not None:
+            elif self._fired(SITE_NET_PARTITION, (i,)):
                 spec = self.injector.plan.spec_for(SITE_NET_PARTITION)
-                duration = (
-                    spec.duration_s
-                    if spec is not None and spec.duration_s is not None
-                    else 5.0
+                link.inject_partition(
+                    spec.duration_s if spec.duration_s is not None else 5.0
                 )
-                link.inject_partition(duration)
 
-    def _settle_twins(self, sid: int, winner_attempt: int) -> None:
-        """First ``map_done`` wins; the losing twin is killed.
-
-        Both twins computed the same deterministic block, so either
-        outbox is byte-identical — the tie-break only picks a process.
-        """
-        primary = self.workers.get(sid)
-        backup = self.backups.pop(sid, None)
-        if primary is not None and primary.attempt == winner_attempt:
-            primary.busy = False
-            if backup is not None:
-                self._kill(backup)
-            return
-        if backup is not None and backup.attempt == winner_attempt:
-            if primary is not None:
-                self._kill(primary)
-            backup.speculative = False
-            backup.busy = False
-            self.workers[sid] = backup
-            self._write_pid(backup)
-
-    def _recover_map_death(self, worker: _ShardWorker, detail: str) -> None:
-        """Respawn (or promote the twin of) a shard that died mid-map."""
-        sid = worker.sid
-        if worker.speculative:
-            # A dead backup costs nothing: the primary is still running.
-            del self.backups[sid]
-            self._discard(worker)
-            return
-        del self.workers[sid]
-        self._discard(worker)
-        backup = self.backups.pop(sid, None)
-        if backup is not None:
-            # The twin is already computing the same block — promote it
-            # instead of spending a respawn.
-            backup.speculative = False
-            self.workers[sid] = backup
-            self._write_pid(backup)
-            self._record(
-                SITE_SHARD_WORKER_LOSS, ACTION_RETRIED,
-                f"shard {sid} primary died ({detail}); "
-                "its speculative twin carries on",
-                scope=repr((sid,)),
-            )
-            return
-        if worker.handle.is_remote and not worker.handle.link.usable:
-            # The degradation ladder's host rung: the worker is gone
-            # because its *host* is gone (died or partitioned).  Bring
-            # the shard home without charging the respawn budget — the
-            # budget bounds worker pathology, not network weather — and
-            # the identical deterministic block keeps the digest intact.
-            self.tally.host_losses += 1
-            self.tally.hosts_lost.add(worker.handle.link.addr)
-            self._record(
-                SITE_NET_HOST_LOSS, ACTION_RESPAWNED,
-                f"shard {sid} was on unreachable host "
-                f"{worker.handle.link.addr} ({detail}); respawned locally",
-                scope=repr((sid,)),
-            )
-            replacement = self._spawn(sid, force_local=True)
-            self._dispatch_map(
-                replacement, resume=self.options.checkpoint_dir is not None
-            )
-            return
-        self.tally.respawns += 1
-        self._record(
-            SITE_SHARD_WORKER_LOSS, ACTION_RESPAWNED,
-            f"shard {sid} worker replaced: {detail}",
-            scope=repr((sid,)),
+    def _on_map_done(self, sid: int, attempt: int, payload: dict) -> None:
+        row, now = self.shards[sid], self.clock()
+        loser, promoted = core.mapped(
+            row, attempt, payload, now, now - self._map_started
         )
-        if self.tally.respawns > self.policy.worker_respawn_budget:
+        if loser is not None:
+            loser.handle.kill()
+            loser.handle.discard()
+        if promoted:
+            self._write_pid(row.primary)
+
+    def _on_map_death(self, worker: Worker, detail: str) -> None:
+        """Respawn (or promote the twin of) a shard that died mid-map."""
+        row, handle = self.shards[worker.sid], worker.handle
+        # The degradation ladder's host rung: the worker is gone because
+        # its *host* is gone (died or partitioned).
+        lost_host = (
+            handle.link.addr
+            if handle.is_remote and not handle.link.usable else ""
+        )
+        arm, entry = core.map_death(
+            row, worker, detail, lost_host, self.policy, self.tally
+        )
+        handle.discard()
+        self._log(entry)
+        if arm == core.TWIN_PROMOTED:
+            self._write_pid(row.primary)
+        elif arm == core.OVER_BUDGET:
             raise ParallelError(
                 f"sharded coordinator exceeded its respawn budget "
                 f"({self.policy.worker_respawn_budget}): {detail}"
             )
-        replacement = self._spawn(sid)
-        self._dispatch_map(
-            replacement, resume=self.options.checkpoint_dir is not None
-        )
-
-    def _sweep_map(self) -> None:
-        now = time.monotonic()
-        for worker in (
-            list(self.workers.values()) + list(self.backups.values())
-        ):
-            if worker.sid in self.map_done:
-                continue
-            if worker.handle.alive():
-                if (
-                    worker.busy
-                    and now - worker.last_heard > self.policy.lease_timeout_s
-                ):
-                    self.tally.lease_expiries += 1
-                    worker.handle.kill()
-                    self._recover_map_death(
-                        worker,
-                        f"{worker.handle.name} exceeded its "
-                        f"{self.policy.lease_timeout_s:.3g}s lease",
-                    )
-                continue
-            self.tally.crashes += 1
-            self._recover_map_death(
-                worker,
-                f"{worker.handle.name} {worker.handle.describe_exit()}",
+        elif arm != core.TWIN_DROPPED:
+            self._start_map(
+                row.sid, resume=self.options.checkpoint_dir is not None,
+                force_local=arm == core.BROUGHT_HOME,
             )
 
-    def _maybe_speculate(self) -> None:
-        if not self.policy.speculative or self.plan.num_shards < 2:
-            return
-        done = [p["duration"] for p in self.map_done.values()]
-        if len(done) < max(1, self.plan.num_shards // 2):
-            return
-        threshold = max(
+    def _speculate(self) -> None:
+        for entry in core.stragglers(
+            self.clock(), list(self.shards.values()), self.policy,
             _SPECULATE_FLOOR_S,
-            self.policy.straggler_threshold * statistics.median(done),
-        )
-        now = time.monotonic()
-        for sid, worker in list(self.workers.items()):
-            if (
-                sid in self.map_done
-                or sid in self.backups
-                or sid in self.tally.speculated
-                or now - worker.started <= threshold
-            ):
-                continue
-            self.tally.speculated.add(sid)
-            self._record(
-                SITE_SHARD_STRAGGLER, ACTION_SPECULATIVE,
-                f"shard {sid} running {now - worker.started:.2f}s "
-                f"(> {threshold:.2f}s); launching a speculative twin",
-                scope=repr((sid,)),
-            )
-            twin = self._spawn(sid, speculative=True)
-            self._dispatch_map(twin, resume=False)
+        ):
+            self._log(entry)
+            self._start_map(entry.sid, resume=False, speculative=True)
 
     def run_map_phase(self) -> None:
         """Map every shard's block; survives deaths, hangs, stragglers."""
         require_process_backend()
-        started = time.monotonic()
-        for spec in self.plan.shards:
-            worker = self._spawn(spec.shard_id)
-            self._dispatch_map(worker, resume=self.options.resume)
+        self._map_started = self.clock()
+        for sid in self.shards:
+            self._start_map(sid, resume=self.options.resume)
         if self.links:
             self._inject_host_faults()
-        while len(self.map_done) < self.plan.num_shards:
-            msg = self._collect()
-            if msg is not None:
-                kind = msg[0]
-                if kind == "hb":
-                    _, sid, attempt, _round = msg
-                    self._touch(sid, attempt)
-                elif kind == "map_done":
-                    _, sid, attempt, payload = msg
-                    self._touch(sid, attempt)
-                    if sid not in self.map_done:
-                        payload["duration"] = time.monotonic() - started
-                        self.map_done[sid] = payload
-                        # The winner's host is where its outbox lives —
-                        # reducers fetch through that address (or copy
-                        # files when it is this host's).
-                        self.outboxes[sid] = payload["outbox"]
-                        self.via[sid] = ""
-                        for w in (self.workers.get(sid),
-                                  self.backups.get(sid)):
-                            if w is not None and w.attempt == attempt:
-                                self.via[sid] = w.handle.fetch_addr
-                                break
-                        self._settle_twins(sid, attempt)
-                elif kind == "error":
-                    _, sid, detail = msg
-                    raise ParallelError(
-                        f"shard {sid} failed during its map phase: {detail}"
-                    )
-            self._sweep_map()
-            self._maybe_speculate()
+        self._run_phase(
+            "map",
+            lambda: all(row.done is not None for row in self.shards.values()),
+            self._on_map_done, self._on_map_death, self._speculate,
+        )
         # Worker-side fault events replay in shard-id order so the log
         # sequence is deterministic regardless of completion order.
         if self.injector is not None:
-            for sid in sorted(self.map_done):
-                collect_worker_events(
-                    self.injector.log, self.map_done[sid]["events"]
-                )
+            for row in self.shards.values():
+                collect_worker_events(self.injector.log, row.done["events"])
 
     # -- reduce phase -------------------------------------------------------
 
-    def _fired_attempts(self, site: str, scope: tuple) -> list[int]:
-        """The attempts of one fetch that ``site`` damages.
-
-        Rolled lazily — attempt ``k+1`` is only consulted when attempt
-        ``k`` fired — exactly mirroring the worker's verify-then-refetch
-        loop, so injected counts match fetch counts.
-        """
-        return list(takewhile(
-            lambda a: self.injector.check(site, scope=scope, attempt=a)
-            is not None,
-            range(self.policy.max_retries + 1),
-        ))
-
-    def _corrupt_plan(
-        self, partitions: "list[int]"
-    ) -> dict[tuple[int, int], list[int]]:
-        """Pre-roll the exchange-corruption schedule for one dispatch."""
-        table: dict[tuple[int, int], list[int]] = {}
-        if self.injector is None:
-            return table
-        for p in partitions:
-            for src in sorted(self.outboxes):
-                attempts = self._fired_attempts(
-                    SITE_SHARD_EXCHANGE_CORRUPT, (p, src)
-                )
-                if attempts:
-                    table[(p, src)] = attempts
-        return table
-
-    def _net_plan(
-        self, partitions: "list[int]", self_addr: str
-    ) -> tuple[dict, dict]:
-        """Pre-roll the wire-fault schedule for one reduce dispatch.
-
-        Only ``(partition, source)`` pairs that will actually cross the
-        network are rolled: ``net.frame.corrupt`` damages the received
-        copy (verify-then-refetch must repair it), ``net.conn.drop``
-        severs the transfer (resume-from-offset must finish it).
-        """
-        corrupt: dict[tuple[int, int], list[int]] = {}
-        drop: dict[tuple[int, int], list[int]] = {}
-        if self.injector is None:
-            return corrupt, drop
-        for p in partitions:
-            for src in sorted(self.outboxes):
-                if self.via.get(src, "") in ("", self_addr):
-                    continue
-                for site, table in (
-                    (SITE_NET_FRAME_CORRUPT, corrupt),
-                    (SITE_NET_CONN_DROP, drop),
-                ):
-                    attempts = self._fired_attempts(site, ("fetch", p, src))
-                    if attempts:
-                        table[(p, src)] = attempts
-        return corrupt, drop
-
-    def _dispatch_reduce(
-        self, worker: _ShardWorker, partitions: "list[int]", mode: str
+    def _send_reduce(
+        self, worker: Worker, partitions: "list[int]", mode: str = MODE_RUN
     ) -> None:
-        worker.busy = True
-        worker.started = worker.last_heard = time.monotonic()
+        """Command one (already engaged) worker to reduce ``partitions``,
+        with the seeded fetch faults of this dispatch pre-rolled."""
+        sources = sorted(self.shards)
+        retries = self.policy.max_retries
         msg: dict[str, Any] = {
             "kind": MSG_REDUCE,
             "mode": mode,
-            "partitions": list(partitions),
-            "sources": dict(self.outboxes),
-            "corrupt": self._corrupt_plan(partitions),
+            "partitions": partitions,
+            "sources": {s: self.shards[s].done["outbox"] for s in sources},
+            "corrupt": core.fetch_faults(
+                self._fired, (SITE_SHARD_EXCHANGE_CORRUPT,), (),
+                partitions, sources, retries,
+            )[SITE_SHARD_EXCHANGE_CORRUPT],
             "workdir": str(self.workdir / f"in-{worker.sid}.{worker.wid}"),
         }
         if self.links:
-            self_addr = worker.handle.fetch_addr or self.self_addr
-            net_corrupt, net_drop = self._net_plan(partitions, self_addr)
+            # Only pairs that will actually cross the network are
+            # rolled: ``net.frame.corrupt`` damages the received copy
+            # (verify-then-refetch must repair it), ``net.conn.drop``
+            # severs the transfer (resume-from-offset must finish it).
+            via = {s: self.shards[s].via for s in sources}
+            wire = core.fetch_faults(
+                self._fired, (SITE_NET_FRAME_CORRUPT, SITE_NET_CONN_DROP),
+                ("fetch",), partitions,
+                [s for s in sources if via[s] not in ("", worker.fetch_addr)],
+                retries,
+            )
             msg.update({
-                "via": dict(self.via),
-                "self_addr": self_addr,
+                "via": via,
+                "self_addr": worker.fetch_addr,
                 "net_timeout_s": self.options.net_timeout_s,
-                "net_corrupt": net_corrupt,
-                "net_drop": net_drop,
+                "net_corrupt": wire[SITE_NET_FRAME_CORRUPT],
+                "net_drop": wire[SITE_NET_CONN_DROP],
             })
         worker.handle.send(msg)
 
-    def _reassign(
-        self,
-        worker: _ShardWorker,
-        outstanding: dict[int, list[int]],
-        pending: dict[int, list[int]],
-        detail: str,
-    ) -> None:
+    def _on_reduce_done(self, sid: int, payload: dict) -> None:
+        self.parts.update(payload["parts"])
+        self.tally.refetches += payload["refetches"]
+        if self.injector is not None:
+            collect_worker_events(self.injector.log, payload["events"])
+        row = self.shards[sid]
+        batch = core.reduced(row, payload["parts"], self.clock())
+        if batch:
+            self._send_reduce(row.primary, batch)
+
+    def _on_reduce_death(self, worker: Worker, detail: str) -> None:
         """Move a dead reducer's partitions to their ring successors."""
-        sid = worker.sid
-        self.tally.shards_lost.add(sid)
-        del self.workers[sid]
-        self._discard(worker)
-        # Both the in-flight partitions AND any queued behind the dead
-        # worker are orphaned — dropping the queue would hang the phase.
-        orphans = outstanding.pop(sid, []) + pending.pop(sid, [])
-        if not self.workers:
-            raise ParallelError(
-                f"every shard worker died during the reduce phase "
-                f"(last: {detail})"
-            )
-        if not orphans:
-            return
-        ring = self.plan.ring.without(sorted(self.tally.shards_lost))
-        moved: dict[int, list[int]] = {}
-        for p in orphans:
-            moved.setdefault(ring.owner(p), []).append(p)
-        self.tally.reassigned_partitions += len(orphans)
-        for new_owner, ps in sorted(moved.items()):
-            self._record(
-                SITE_SHARD_WORKER_LOSS, ACTION_REASSIGNED,
-                f"shard {sid} lost ({detail}); partition(s) "
-                f"{','.join(map(str, ps))} reassigned to shard {new_owner}",
-                scope=repr((sid,)),
-            )
-            target = self.workers[new_owner]
-            if target.busy:
-                pending.setdefault(new_owner, []).extend(ps)
-            else:
-                outstanding.setdefault(new_owner, []).extend(ps)
-                self._dispatch_reduce(target, ps, MODE_RUN)
+        worker.handle.discard()
+        for owner, partitions, dispatch, entry in core.reassign(
+            self.clock(), self.shards, self.plan.ring, worker.sid, detail,
+            self.tally,
+        ):
+            self._log(entry)
+            if dispatch:
+                self._send_reduce(self.shards[owner].primary, partitions)
 
     def run_reduce_phase(self) -> dict[int, list]:
         """Reduce every partition; shard loss reassigns, never aborts."""
-        parts: dict[int, list] = {}
-        outstanding: dict[int, list[int]] = {}
-        pending: dict[int, list[int]] = {}
         planned_losses = 0
         for spec in self.plan.shards:
-            worker = self.workers[spec.shard_id]
+            row = self.shards[spec.shard_id]
             mode = MODE_RUN
             if (
-                self.injector is not None
                 # Never lose the last survivor: there would be nobody
                 # left to reassign the partitions to.
-                and planned_losses < self.plan.num_shards - 1
-                and self.injector.check(
-                    SITE_SHARD_WORKER_LOSS, scope=(spec.shard_id, "reduce")
-                ) is not None
+                planned_losses < self.plan.num_shards - 1
+                and self._fired(
+                    SITE_SHARD_WORKER_LOSS, (spec.shard_id, "reduce")
+                )
             ):
                 mode = MODE_LOSS
                 planned_losses += 1
-            outstanding[spec.shard_id] = list(spec.partitions)
-            self._dispatch_reduce(worker, list(spec.partitions), mode)
-        while len(parts) < self.plan.num_partitions:
-            msg = self._collect()
-            if msg is not None:
-                kind = msg[0]
-                if kind == "hb":
-                    _, sid, attempt, _p = msg
-                    self._touch(sid, attempt)
-                elif kind == "reduce_done":
-                    _, sid, payload = msg
-                    worker = self.workers.get(sid)
-                    if worker is not None:
-                        worker.busy = False
-                        worker.last_heard = time.monotonic()
-                    parts.update(payload["parts"])
-                    self.tally.refetches += payload["refetches"]
-                    if self.injector is not None:
-                        collect_worker_events(
-                            self.injector.log, payload["events"]
-                        )
-                    got = set(payload["parts"])
-                    if sid in outstanding:
-                        outstanding[sid] = [
-                            p for p in outstanding[sid] if p not in got
-                        ]
-                    if worker is not None:
-                        # Only drain the queue while the worker is still
-                        # registered; if it was already removed (a done
-                        # racing its own lease-expiry kill), _reassign
-                        # has re-routed pending[sid] to a survivor.
-                        queued = pending.pop(sid, None)
-                        if queued:
-                            outstanding.setdefault(sid, []).extend(queued)
-                            self._dispatch_reduce(worker, queued, MODE_RUN)
-                elif kind == "error":
-                    _, sid, detail = msg
-                    raise ParallelError(
-                        f"shard {sid} failed during its reduce phase: "
-                        f"{detail}"
-                    )
-            now = time.monotonic()
-            for worker in list(self.workers.values()):
-                if not worker.handle.alive():
-                    self.tally.crashes += 1
-                    self._reassign(
-                        worker, outstanding, pending,
-                        f"{worker.handle.name} "
-                        f"{worker.handle.describe_exit()}",
-                    )
-                elif (
-                    worker.busy
-                    and now - worker.last_heard > self.policy.lease_timeout_s
-                ):
-                    self.tally.lease_expiries += 1
-                    worker.handle.kill()
-                    self._reassign(
-                        worker, outstanding, pending,
-                        f"{worker.handle.name} exceeded its "
-                        f"{self.policy.lease_timeout_s:.3g}s lease",
-                    )
-        return parts
+            core.assign(row, spec.partitions, self.clock())
+            self._send_reduce(row.primary, list(spec.partitions), mode)
+        self._run_phase(
+            "reduce", lambda: len(self.parts) >= self.plan.num_partitions,
+            self._on_reduce_done, self._on_reduce_death,
+        )
+        return self.parts
 
 
 class ShardedRuntime:
@@ -867,19 +583,14 @@ class ShardedRuntime:
                     net_timeout_s=options.net_timeout_s,
                     retries=options.recovery.max_retries,
                 ))
-        except Exception:
-            for link in links:
-                link.close()
-            raise
-        fallback_reason = ""
-        try:
-            return self._run_once(job, options, links)
-        except (ParallelError, NetError, RetryExhausted) as exc:
-            fallback_reason = f"{type(exc).__name__}: {exc}"
-            logger.warning(
-                "multi-host run failed (%s); re-running on this host only",
-                exc,
-            )
+            try:
+                return self._run_once(job, options, links)
+            except (ParallelError, NetError, RetryExhausted) as exc:
+                fallback_reason = f"{type(exc).__name__}: {exc}"
+                logger.warning(
+                    "multi-host run failed (%s); re-running on this host only",
+                    exc,
+                )
         finally:
             for link in links:
                 link.close()
@@ -897,10 +608,7 @@ class ShardedRuntime:
             injector = options.fault_plan.arm(
                 options.recovery, clock=time.perf_counter
             )
-        if options.chunk_strategy is ChunkStrategy.NONE:
-            chunk_plan = plan_whole_input(job.inputs)
-        else:
-            chunk_plan = plan_chunks(job.inputs, job.codec, options)
+        chunk_plan = plan_chunks(job.inputs, job.codec, options)
         plan = ShardPlan(
             chunk_plan, options.num_shards, options.num_reducers
         )
@@ -948,17 +656,17 @@ class ShardedRuntime:
                 fetch_srv.close()
             if owned:
                 shutil.rmtree(workdir, ignore_errors=True)
-        done = coordinator.map_done
+        rows = list(coordinator.shards.values())
+        done = [row.done for row in rows]
         container_stats = ContainerStats(
-            emits=sum(p["emits"] for p in done.values()),
-            distinct_keys=sum(p["distinct_keys"] for p in done.values()),
+            emits=sum(p["emits"] for p in done),
+            distinct_keys=sum(p["distinct_keys"] for p in done),
             rounds=max(
-                (p["rounds"] + p["restored_rounds"] for p in done.values()),
-                default=0,
+                (p["rounds"] + p["restored_rounds"] for p in done), default=0
             ),
         )
         tally = coordinator.tally
-        resumed_rounds = sum(p["restored_rounds"] for p in done.values())
+        resumed_rounds = sum(p["restored_rounds"] for p in done)
         counters: dict[str, Any] = {
             "shards": plan.num_shards,
             "merge_rounds": merge_rounds,
@@ -966,13 +674,13 @@ class ShardedRuntime:
             "executor_backend": options.executor_backend.value,
             "chunk_strategy": chunk_plan.strategy,
             "pipeline_rounds": chunk_plan.n_chunks,
-            "map_tasks": sum(p["map_tasks"] for p in done.values()),
+            "map_tasks": sum(p["map_tasks"] for p in done),
             "shard_respawns": tally.respawns,
             "shard_crashes": tally.crashes,
             "shard_lease_expiries": tally.lease_expiries,
-            "shards_lost": len(tally.shards_lost),
+            "shards_lost": sum(row.lost for row in rows),
             "partitions_reassigned": tally.reassigned_partitions,
-            "speculative_shards": len(tally.speculated),
+            "speculative_shards": sum(row.speculated for row in rows),
             "exchange_refetches": tally.refetches,
             # Sharded results travel as checksummed exchange-run files;
             # with peers the reduce-phase fetches cross the framed TCP
@@ -990,12 +698,17 @@ class ShardedRuntime:
             counters["resumed"] = True
             counters["resumed_rounds"] = resumed_rounds
         if options.io_budget is not None:
-            # Each shard metered its own block at its share of the
-            # budget; the job's figures are the sums.
             counters["tenant"] = options.tenant
-            for p in done.values():
-                for key, value in (p["throttle"] or {}).items():
-                    counters[key] = round(counters.get(key, 0) + value, 6)
+        # Each shard metered its own block at its share of a budget; the
+        # job's figures are the sums.  (An agent of an older build sends
+        # no "spill" figures.)
+        for budget, figures in (
+            (options.io_budget, "throttle"), (options.memory_budget, "spill"),
+        ):
+            if budget is not None:
+                for p in done:
+                    for key, value in (p.get(figures) or {}).items():
+                        counters[key] = round(counters.get(key, 0) + value, 6)
         fault_log = injector.log if injector is not None else None
         if fault_log is not None:
             counters["faults_injected"] = fault_log.injected

@@ -89,21 +89,3 @@ class ShardPlan:
         """The shard's contiguous chunk block, in global chunk order."""
         spec = self.shards[shard_id]
         return list(self.chunk_plan.chunks[spec.chunk_start:spec.chunk_end])
-
-    def reassign(
-        self, dead: "set[int] | frozenset[int]"
-    ) -> dict[int, list[int]]:
-        """Ownership table with ``dead`` shards' partitions moved.
-
-        Surviving shards keep exactly the partitions they already owned;
-        only the dead shards' partitions move, each to its ring
-        successor among the survivors.
-        """
-        survivors = self.ring.without(sorted(dead))
-        return {
-            sid: [
-                p for p in range(self.num_partitions)
-                if survivors.owner(p) == sid
-            ]
-            for sid in survivors.shard_ids
-        }

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro.simhw.events import Simulator
 from repro.workloads import (
@@ -14,6 +15,27 @@ from repro.workloads import (
     generate_terasort_file,
     generate_text_file,
 )
+
+
+# ``--hypothesis-profile soak``: thousands of seeded schedules per state
+# machine, the same ones every run (CI's shard-smoke job); tier-1 keeps
+# the default profile.
+settings.register_profile(
+    "soak", max_examples=2000, derandomize=True, deadline=None
+)
+
+#: Suites whose threads (link readers, pingers, queue feeders) must not
+#: die with a traceback: there it is a teardown-order bug, not noise.
+_THREAD_STRICT = ("tests/net/", "tests/shard/")
+
+
+def pytest_collection_modifyitems(items):
+    strict = pytest.mark.filterwarnings(
+        "error::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    for item in items:
+        if any(part in item.path.as_posix() for part in _THREAD_STRICT):
+            item.add_marker(strict)
 
 
 _WORKER_PREFIXES = (

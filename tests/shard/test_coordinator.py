@@ -11,16 +11,15 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import queue as queue_mod
-from types import SimpleNamespace
 
 import pytest
 
 from repro.apps.sortapp import make_sort_job
 from repro.apps.wordcount import make_wordcount_job
-from repro.chunking.planner import plan_whole_input
+from repro.chunking.planner import plan_chunks, plan_whole_input
 from repro.core.options import RuntimeOptions
 from repro.core.supmr import SupMRRuntime
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ParallelError
 from repro.faults import parse_faults
 from repro.faults.log import (
     ACTION_REASSIGNED,
@@ -36,11 +35,13 @@ from repro.parallel.shard_worker import (
     MODE_RUN,
     MSG_MAP,
     SHARD_CRASH_EXIT,
+    shard_fingerprint,
     shard_worker_main,
 )
+from repro.resilience.journal import JobJournal
 from repro.shard import ShardedRuntime, run_sharded
-from repro.shard.coordinator import _Coordinator, _ShardWorker, _Tally
-from repro.shard.hashring import ShardMap
+from repro.shard.coordinator import _Coordinator
+from repro.shard.plan import ShardPlan
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
@@ -82,6 +83,21 @@ class TestDeterminism:
         assert len(digests) == 1
 
 
+def _spy_on(monkeypatch, kind: str) -> "dict[int, list[tuple]]":
+    """Every ``kind`` message the coordinator collects, by shard id."""
+    seen: dict[int, list[tuple]] = {}
+    collect = _Coordinator._collect
+
+    def spying(self):
+        msg = collect(self)
+        if msg is not None and msg[0] == kind:
+            seen.setdefault(msg[1], []).append(msg)
+        return msg
+
+    monkeypatch.setattr(_Coordinator, "_collect", spying)
+    return seen
+
+
 @needs_fork
 class TestEveryShardReduces:
     """Partitions have a home shard each, dealt round-robin: with at
@@ -92,20 +108,15 @@ class TestEveryShardReduces:
     def test_reduce_done_from_each_shard_carries_a_partition(
         self, terasort_file, monkeypatch, shards, reducers
     ):
-        reduced: dict[int, list[int]] = {}
-        collect = _Coordinator._collect
-
-        def spying(self):
-            msg = collect(self)
-            if msg is not None and msg[0] == "reduce_done":
-                reduced.setdefault(msg[1], []).extend(msg[2]["parts"])
-            return msg
-
-        monkeypatch.setattr(_Coordinator, "_collect", spying)
+        done = _spy_on(monkeypatch, "reduce_done")
         options = RuntimeOptions.supmr_interfile("32KB", 2, reducers).with_(
             num_shards=shards
         )
         run_sharded(make_sort_job([terasort_file]), options)
+        reduced = {
+            sid: [p for msg in msgs for p in msg[2]["parts"]]
+            for sid, msgs in done.items()
+        }
         assert sorted(reduced) == list(range(shards))
         assert all(reduced.values())
         assert sorted(p for ps in reduced.values() for p in ps) == list(
@@ -197,81 +208,88 @@ class TestRecovery:
         )
 
 
-class _FakeHandle:
-    """List-backed handle so `_dispatch_reduce` works without a process."""
+class TestBudgetShares:
+    """A shard runs under its even share of the job's memory budget (as
+    it does of the I/O budget), never under one ingest chunk: N shards
+    together hold what admission charged the job, not N times it."""
 
-    is_remote = False
-    fetch_addr = ""
+    CHUNK = 32 * 1024
 
-    def __init__(self) -> None:
-        self.msgs: list = []
-        self.name = "fake"
-
-    def send(self, msg) -> None:
-        self.msgs.append(msg)
-
-    def discard(self) -> None:
-        pass
-
-
-def _bare_coordinator(num_shards: int, tmp_path) -> _Coordinator:
-    """A `_Coordinator` with fake in-memory workers, no processes."""
-    coord = object.__new__(_Coordinator)
-    coord.injector = None
-    coord.policy = RecoveryPolicy()
-    coord.tally = _Tally()
-    coord.outboxes = {}
-    coord.links = []
-    coord.via = {}
-    coord.workdir = tmp_path
-    coord.plan = SimpleNamespace(ring=ShardMap(range(num_shards)))
-    coord.workers = {
-        sid: _ShardWorker(sid=sid, wid=sid, handle=_FakeHandle())
-        for sid in range(num_shards)
-    }
-    return coord
-
-
-class TestReassignDrainsPending:
-    """Regression: a dead reducer's *queued* partitions must be
-    re-routed too, or `run_reduce_phase` waits on them forever."""
-
-    def test_second_death_rescues_partitions_queued_behind_it(
-        self, tmp_path
+    @pytest.mark.parametrize("shards, budget, share", [
+        (1, 400_000, 400_000),
+        (2, 400_000, 200_000),
+        (4, 400_000, 100_000),
+        (2, CHUNK + 1, CHUNK + 1),  # the smallest valid budget stays valid
+        (4, 100_000, CHUNK + 1),  # 25 000 B would not hold one chunk
+        (4, None, None),
+    ])
+    def test_each_shard_takes_its_share(
+        self, text_file, tmp_path, shards, budget, share
     ):
-        coord = _bare_coordinator(3, tmp_path)
-        for worker in coord.workers.values():
-            worker.busy = True
-        # Find a survivor ("mid") that shard 0's death routes work to;
-        # the ring can skew a small partition set entirely one way.
-        ring1 = ShardMap(range(3)).without([0])
-        routed: dict[int, list[int]] = {}
-        for p in range(64):
-            routed.setdefault(ring1.owner(p), []).append(p)
-        mid = 1 if routed.get(1) else 2
-        last = 2 if mid == 1 else 1
-        to_mid = routed[mid][:4]
-        outstanding = {0: list(to_mid), mid: [100], last: [200]}
-        pending: dict[int, list[int]] = {}
-        coord._reassign(coord.workers[0], outstanding, pending, "test kill")
-        # `mid` was busy, so shard 0's orphans are queued behind it.
-        assert sorted(pending.get(mid, [])) == sorted(to_mid)
-        coord._reassign(
-            coord.workers[mid], outstanding, pending, "test kill"
+        job = _wordcount(text_file)
+        options = _options(shards, memory_budget=budget, io_budget=1000)
+        plan = ShardPlan(
+            plan_chunks(job.inputs, job.codec, options), shards, 4
         )
-        # Both `mid`'s in-flight partition and the queue behind it must
-        # land with the survivor — nothing may be dropped.
-        survivor_work = (
-            outstanding.get(last, []) + pending.get(last, [])
-            + [
-                p
-                for msg in coord.workers[last].handle.msgs
-                for p in msg["partitions"]
-            ]
-        )
-        assert sorted(survivor_work) == sorted(to_mid + [100, 200])
-        assert 0 not in pending and mid not in pending
-        assert 0 not in outstanding and mid not in outstanding
+        coord = _Coordinator(job, options, plan, tmp_path, None)
+        try:
+            assert coord.worker_options.memory_budget == share
+            assert coord.worker_options.io_budget == 1000 // shards
+        finally:
+            coord.shutdown()
+
+    @needs_fork
+    def test_a_parent_build_budgeted_checkpoint_is_refused_on_resume(
+        self, text_file, tmp_path
+    ):
+        """The shard fingerprint is taken over the worker's options, the
+        budget share included: a journal written under the whole budget
+        (what every build before the share did) is another option set."""
+        job = _wordcount(text_file)
+        for budget, refused in ((None, False), (400_000, True)):
+            ckpt = tmp_path / f"ckpt-{budget}"
+            options = _options(
+                2, memory_budget=budget, checkpoint_dir=str(ckpt)
+            )
+            for sid in range(2):
+                JobJournal(
+                    ckpt / f"shard-{sid}", shard_fingerprint(job, options, sid)
+                )
+            if refused:
+                with pytest.raises(
+                    ParallelError,
+                    match="CheckpointError: checkpoint fingerprint mismatch",
+                ):
+                    run_sharded(job, options.with_(resume=True))
+            else:
+                run_sharded(job, options.with_(resume=True))
+
+
+@needs_fork
+class TestShardedSpillFigures:
+    """A sharded result reports what its shards spilled."""
+
+    def test_both_shards_spill_and_the_result_carries_the_sums(
+        self, terasort_file, monkeypatch
+    ):
+        done = _spy_on(monkeypatch, "map_done")
+        job = make_sort_job([terasort_file])
+        one_shot = SupMRRuntime(
+            RuntimeOptions.supmr_interfile("32KB", 2, 4)
+        ).run(job).output_digest()
+        result = run_sharded(job, _options(2, memory_budget=100_000))
+        assert result.output_digest() == one_shot
+        figures = [done[sid][0][3]["spill"] for sid in (0, 1)]
+        assert all(f["spill_runs"] > 0 for f in figures)
+        for key in ("spill_runs", "spilled_bytes"):
+            assert result.counters[key] == sum(f[key] for f in figures) > 0
+
+    def test_no_budget_no_figures(self, terasort_file, monkeypatch):
+        done = _spy_on(monkeypatch, "map_done")
+        result = run_sharded(make_sort_job([terasort_file]), _options(2))
+        assert done[0][0][3]["spill"] is None
+        assert "spill_runs" not in result.counters
+        assert "spilled_bytes" not in result.counters
 
 
 @needs_fork

@@ -56,17 +56,6 @@ class TestShardPlan:
         )
         assert owned == list(range(8))
 
-    def test_reassign_preserves_survivor_ownership(self, chunk_plan):
-        plan = ShardPlan(chunk_plan, num_shards=4, num_partitions=32)
-        before = {
-            spec.shard_id: set(spec.partitions) for spec in plan.shards
-        }
-        after = plan.reassign({1})
-        assert 1 not in after
-        for sid, ps in after.items():
-            assert before[sid] <= set(ps)
-        assert sorted(p for ps in after.values() for p in ps) == list(range(32))
-
     def test_validation(self, chunk_plan):
         with pytest.raises(ConfigError):
             ShardPlan(chunk_plan, num_shards=0, num_partitions=4)
