@@ -28,7 +28,7 @@ import os
 import pickle
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NoReturn, Sequence
 
 from repro.chunking.chunk import Chunk
 from repro.core.driver import JobRun
@@ -80,6 +80,20 @@ def _post(results: Any, payload: tuple) -> None:
     results.put(blob)
 
 
+def _die(results: Any) -> NoReturn:
+    """A commanded death: flush this worker's frames, then exit.
+
+    The results queue is shared by every worker of the job, and its
+    feeder thread holds the queue's write lock while a frame is in the
+    pipe.  An ``os._exit`` that lands mid-write would keep that lock
+    forever and leave every other worker blocked in ``put``; closing and
+    joining the feeder first lets the frame finish and the lock go.
+    """
+    results.close()
+    results.join_thread()
+    os._exit(SHARD_CRASH_EXIT)
+
+
 def _log_rows(injector: Any) -> list[EventRow]:
     """The worker injector's fault events as transportable rows."""
     if injector is None:
@@ -103,7 +117,7 @@ def _serve_map(
     mode = msg.get("mode", MODE_RUN)
     if mode == MODE_LOSS and not chunks:
         # Nothing to checkpoint first: die straight away.
-        os._exit(SHARD_CRASH_EXIT)
+        _die(results)
     straggle_s = float(msg.get("straggle_s") or 0.0)
     attempt = msg.get("attempt", 0)
 
@@ -114,7 +128,7 @@ def _serve_map(
         if mode == MODE_LOSS:
             # Die *after* the first journaled round, exactly the window
             # the checkpoint/resume path has to cover.
-            os._exit(SHARD_CRASH_EXIT)
+            _die(results)
 
     # The shard's block runs the one-shot runtimes' round loop, serially
     # and without read-ahead (its fault events ship back in program
@@ -144,7 +158,7 @@ def _serve_map(
             # has already consumed the shard.worker_loss injection, so
             # honor it anyway to keep the seeded schedule and fault log
             # in step.
-            os._exit(SHARD_CRASH_EXIT)
+            _die(results)
         manifest = write_partition_runs(
             run.container, num_partitions, msg["outbox"]
         )
@@ -181,7 +195,7 @@ def _serve_reduce(
 ) -> None:
     """Fetch, verify, merge, and reduce the commanded partitions."""
     if msg.get("mode", MODE_RUN) == MODE_LOSS:
-        os._exit(SHARD_CRASH_EXIT)
+        _die(results)
     sources: dict[int, str] = msg["sources"]
     corrupt: dict[tuple[int, int], list[int]] = msg.get("corrupt", {})
     # Multi-host extras: where each source outbox actually lives.  A

@@ -176,7 +176,7 @@ def slow_spec(corpus: Path, **kw) -> ServiceJobSpec:
 
 class TestRunnerDeath:
     @pytest.mark.parametrize(
-        "sig", [signal.SIGSEGV, signal.SIGKILL, signal.SIGTERM],
+        "sig", [signal.SIGSEGV, signal.SIGKILL, signal.SIGTERM, signal.SIGINT],
         ids=lambda s: s.name,
     )
     def test_signal_death_relaunches_and_resumes(self, sig, corpus, expected,
@@ -225,6 +225,62 @@ class TestRunnerDeath:
         assert record.resumed
         assert proc.poll() is None
         assert _zygote_pid(state_dir, proc.pid) == zygote
+        _shut_down_clean(client, proc, state_dir)
+
+
+# -- a runner leaves ----------------------------------------------------------
+
+
+class TestWayOut:
+    """A forked runner settles what the interpreter's exit would have —
+    threads, ``atexit`` hooks, stdio — and then ``os._exit``s instead of
+    tearing down the heap it shares with the zygote."""
+
+    def test_a_runner_settles_its_exit_and_skips_teardown(
+            self, corpus, expected, tmp_path, daemon):
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        env = _daemon_env()
+        env["PYTHONPATH"] = _HOOK_DIR + os.pathsep + env["PYTHONPATH"]
+        env["ZYGOTE_TEST_HOOK"] = f"exit-contract:{markers}"
+        state_dir = tmp_path / "svc"
+        proc = daemon(state_dir, env=env)
+        client = ServiceClient.from_state_dir(state_dir)
+        job_id = client.submit(slow_spec(corpus, io_budget=None))["job_id"]
+
+        record = client.wait(job_id, timeout_s=120)
+        assert record.state == STATE_DONE
+        assert record.digest == expected
+        assert record.attempts == 1
+        # the atexit hook ran, the thread had finished before the zygote
+        # saw the runner end, and no module global was torn down
+        assert sorted(p.name for p in markers.iterdir()) == ["atexit", "thread"]
+        log = ServiceState(state_dir).runner_log_path(job_id).read_text()
+        assert "exit-contract: a line with no newline" in log
+        assert "exit-contract: a record only logging.shutdown flushes" in log
+        _shut_down_clean(client, proc, state_dir)
+
+    def test_an_unclassified_failure_is_reported_and_fails_the_job(
+            self, corpus, tmp_path, daemon):
+        env = _daemon_env()
+        env["PYTHONPATH"] = _HOOK_DIR + os.pathsep + env["PYTHONPATH"]
+        env["ZYGOTE_TEST_HOOK"] = "raise"
+        state_dir = tmp_path / "svc"
+        proc = daemon(state_dir, env=env)
+        client = ServiceClient.from_state_dir(state_dir)
+        job_id = client.submit(slow_spec(corpus, io_budget=None))["job_id"]
+
+        record = client.wait(job_id, timeout_s=120)
+        assert record.state == STATE_FAILED
+        assert record.exit_code == 1
+        assert record.attempts == 1
+        assert record.error.startswith("RuntimeError: ")
+        state = ServiceState(state_dir)
+        error = json.loads((state.job_dir(job_id) / "error.json").read_text())
+        assert (error["type"], error["exit_code"]) == ("RuntimeError", 1)
+        log = state.runner_log_path(job_id).read_text()
+        assert "Traceback (most recent call last):" in log
+        assert "RuntimeError: zygote test hook: no exit code classifies this" in log
         _shut_down_clean(client, proc, state_dir)
 
 
