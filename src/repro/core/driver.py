@@ -241,11 +241,7 @@ class JobRun:
                 after(chunk)
 
         pipeline = PrefetchPipeline(
-            load or self.load,
-            work,
-            readers=options.ingest_readers,
-            depth=options.ingest_depth,
-            pipelined=options.pipelined_ingest,
+            load or self.load, work, pipelined=options.pipelined_ingest
         )
         try:
             return pipeline.run(todo)
@@ -317,9 +313,6 @@ class JobRun:
         }
         if self.xfer is not None:
             counters["transport"] = self.xfer.transport_kind
-            counters["persistent_pool"] = True
-        if options.ingest_readers > 1:
-            counters["ingest_readers"] = options.ingest_readers
         counters.update((k, v) for k, v in self.wave_stats.items() if v)
         if journal is not None:
             counters["checkpointed"] = True

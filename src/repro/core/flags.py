@@ -188,12 +188,6 @@ RUNTIME_FLAGS: tuple[Flag, ...] = (
     _flag("--transport", "transport", choices=("auto", "shm", "pipe"), default=None,
           help="process-backend result transport: shared-memory segments (shm), queue "
                "pipes (pipe), or auto (shm when /dev/shm works; the default)"),
-    _flag("--ingest-readers", "ingest_readers", type=int, default=None, metavar="N",
-          help="concurrent ingest prefetch readers (N>1 enables the multi-queue async "
-               "ingest pipeline)"),
-    _flag("--ingest-depth", "ingest_depth", type=int, default=None, metavar="N",
-          help="buffered-chunk window for the prefetch pipeline (default: 1 for one "
-               "reader, else readers+1)"),
 )
 
 

@@ -179,16 +179,6 @@ class RuntimeOptions:
     #: transport: an agent silent past this is treated as lost, and a
     #: run-file transfer may not exceed it end to end.
     net_timeout_s: float = _opt(10.0)
-    #: Prefetch reader threads for pipelined ingest.  ``1`` keeps the
-    #: single look-ahead-one background thread; ``N > 1`` runs N
-    #: ``readinto``-based readers over a bounded in-flight window so
-    #: ingest keeps up with more than two concurrent mapper waves.
-    ingest_readers: int = _opt(1)
-    #: Bound on chunks buffered ahead of the mapper (the prefetch
-    #: window; one more is being mapped).  None defaults to the paper's
-    #: double buffer (``1``) for one reader, ``ingest_readers + 1`` for
-    #: more.
-    ingest_depth: int | None = _opt(None)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -273,10 +263,6 @@ class RuntimeOptions:
                 )
         if self.net_timeout_s <= 0:
             raise ConfigError("net_timeout_s must be positive")
-        if self.ingest_readers < 1:
-            raise ConfigError("ingest_readers must be >= 1")
-        if self.ingest_depth is not None and self.ingest_depth < 1:
-            raise ConfigError("ingest_depth must be >= 1")
 
     @property
     def largest_chunk(self) -> int:

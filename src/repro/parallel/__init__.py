@@ -4,8 +4,9 @@ The package splits into three small layers:
 
 * :mod:`repro.parallel.backends` — the backend vocabulary
   (``serial`` / ``thread`` / ``process``) and parent-side pool factory.
-* :mod:`repro.parallel.fork_pool` — fork-at-call-time task fan-out that
-  inherits jobs and buffers copy-on-write instead of pickling them.
+* :mod:`repro.parallel.fork_pool` — fork-at-call-time task fan-out (one
+  supervised wave) that inherits jobs and buffers copy-on-write instead
+  of pickling them.
 * :mod:`repro.parallel.splits` — ``(path, offset, length)`` split
   descriptors so workers mmap their own input (zero-copy ingest).
 """

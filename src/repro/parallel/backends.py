@@ -11,7 +11,7 @@ names the three disciplines and builds their parent-side pools:
   overlap for I/O (file reads release the GIL), fake overlap for
   CPU-bound map/merge work.
 * ``process`` — genuine multicore via forked workers
-  (:mod:`repro.parallel.fork_pool`): map tasks read their input splits
+  (:mod:`repro.resilience.supervisor`): map tasks read their input splits
   through ``mmap`` in the worker (zero-copy ingest), combine in-worker,
   and return compact container deltas the parent absorbs.
 

@@ -15,31 +15,27 @@ giving ``n + 1`` rounds for ``n`` chunks: a serial first ingest, ``n-1``
 overlapped rounds, and a final unoverlapped map.  File reads release the
 GIL, so the overlap is genuine even under CPython.
 
-:class:`PrefetchPipeline` is the one implementation.  ``readers``
-threads pull chunk indices from a shared cursor and load concurrently
-into a bounded window of ``depth`` chunks — a permit is taken before a
-load starts and returned when the mapper takes the chunk, so at most
-``depth + 1`` chunk buffers are live (``depth`` loading or loaded, one
-being mapped).  One reader with ``depth=1`` is the paper's double
-buffer: one chunk being mapped, one in flight.  More readers help once
-mapper waves get short (persistent pool, shm transport) and a single
-reader stops keeping up.  ``pipelined=False`` runs the same rounds with
-no reader thread at all (identical results; the overlap ablation).
+:class:`PrefetchPipeline` is the one implementation: one reader thread
+for the whole run, asked for chunk ``i+1`` only once the mapper has
+taken chunk ``i`` — the paper's double buffer, so at most two chunk
+buffers are live (one being mapped, one in flight).
+``pipelined=False`` runs the same rounds with no reader thread at all
+(identical results; the overlap ablation).
 
-The *consumption* order never changes — chunk ``i`` is always mapped
-before chunk ``i+1`` — so container absorption order and output digests
-are byte-identical in every mode, and the QoS token bucket is charged
-inside each ``load`` exactly once per chunk (readers contend on the
-bucket's lock, never double-charge).
+Chunk ``i`` is always mapped before chunk ``i+1``, so container
+absorption order and output digests are byte-identical in both modes,
+and the QoS token bucket is charged inside each ``load`` exactly once
+per chunk.
 
 A load error (or an injector giving up) is re-raised at the round that
 *consumes* the failed chunk; any error — including a mid-wave
-``DeadlineExceeded`` — stops and joins every reader before propagating,
+``DeadlineExceeded`` — stops and joins the reader before propagating,
 so no thread or open file handle outlives the run.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -76,24 +72,11 @@ class RoundTiming:
 
 
 class PrefetchPipeline:
-    """Drives chunks through load/work with bounded reader lookahead."""
+    """Drives chunks through load/work with one chunk of look-ahead."""
 
-    def __init__(
-        self,
-        load: LoadFn,
-        work: WorkFn,
-        readers: int = 1,
-        depth: "int | None" = None,
-        pipelined: bool = True,
-    ) -> None:
-        if readers < 1:
-            raise RuntimeStateError("prefetch pipeline needs >= 1 reader")
+    def __init__(self, load: LoadFn, work: WorkFn, pipelined: bool = True) -> None:
         self._load = load
         self._work = work
-        self.readers = readers
-        if depth is None:
-            depth = 1 if readers == 1 else readers + 1
-        self.depth = max(depth, 1)
         self.pipelined = pipelined
 
     def run(self, chunks: Sequence[Chunk]) -> list[RoundTiming]:
@@ -101,63 +84,42 @@ class PrefetchPipeline:
         if not chunks:
             raise RuntimeStateError("pipeline needs at least one chunk")
         n = len(chunks)
-        #: index -> ("ok", data, elapsed) | ("error", exc, elapsed)
-        results: dict[int, tuple] = {}
-        ready = threading.Condition()
-        cursor = [0]
-        window = threading.Semaphore(self.depth)
-        stop = threading.Event()
 
         def timed_load(i: int) -> tuple:
+            """("ok", data, elapsed) or ("error", exc, elapsed)."""
             t0 = time.perf_counter()
             try:
                 return ("ok", self._load(chunks[i]), time.perf_counter() - t0)
             except BaseException as exc:  # noqa: BLE001 - re-raised by owner
                 return ("error", exc, time.perf_counter() - t0)
 
-        def reader() -> None:
-            while True:
-                window.acquire()
-                if stop.is_set():
-                    return
-                with ready:
-                    i = cursor[0]
-                    if i >= n:
-                        return
-                    cursor[0] = i + 1
-                entry = timed_load(i)
-                with ready:
-                    results[i] = entry
-                    ready.notify_all()
+        requests: queue.SimpleQueue = queue.SimpleQueue()
+        loaded: queue.SimpleQueue = queue.SimpleQueue()
+
+        def serve() -> None:
+            for i in iter(requests.get, None):
+                loaded.put(timed_load(i))
 
         # A lone chunk has nothing to overlap, so no reader starts.
-        n_readers = min(self.readers, n) if self.pipelined and n > 1 else 0
-        threads = [
-            threading.Thread(target=reader, daemon=True, name=f"prefetch-{r}")
-            for r in range(n_readers)
-        ]
+        reader = None
+        if self.pipelined and n > 1:
+            reader = threading.Thread(target=serve, daemon=True, name="prefetch-reader")
+            reader.start()
+            requests.put(0)
 
         def take(i: int) -> tuple[Any, float]:
-            """Chunk ``i``'s data and load time; frees its window slot."""
-            if not threads:
-                kind, value, elapsed = timed_load(i)
-            else:
-                with ready:
-                    while i not in results:
-                        ready.wait()
-                    kind, value, elapsed = results.pop(i)
-                window.release()
+            """Chunk ``i``'s data and load time; the reader moves on to
+            chunk ``i+1`` only now, while the mapper works on ``i``."""
+            kind, value, elapsed = loaded.get() if reader else timed_load(i)
             if kind == "error":
                 raise value
+            if reader and i + 1 < n:
+                requests.put(i + 1)
             return value, elapsed
 
         records: list[RoundTiming] = []
         try:
-            for thread in threads:
-                thread.start()
-
-            # Round 0: nothing to overlap the first chunk with (though
-            # the readers are already loading chunks 1.. behind it).
+            # Round 0: nothing to overlap the first chunk with.
             current, ingest_s = take(0)
             records.append(RoundTiming(0, ingest_s, 0.0, chunks[0].length))
 
@@ -181,10 +143,8 @@ class PrefetchPipeline:
             return records
         finally:
             # Reached on success and on any error (including a mid-wave
-            # DeadlineExceeded): wake every reader — whether blocked on
-            # the window or mid-load — and join them all.
-            stop.set()
-            for _ in threads:
-                window.release()
-            for thread in threads:
-                thread.join()
+            # DeadlineExceeded): the reader finishes the load it is in,
+            # if any, and exits.
+            if reader is not None:
+                requests.put(None)
+                reader.join()

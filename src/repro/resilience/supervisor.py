@@ -1,30 +1,27 @@
 """Supervised fork pool: leases, respawn, and poison-task quarantine.
 
-:func:`fork_map` (PR 3) aborts the whole wave the moment one worker
-dies; this module is the Hadoop-style answer for a shared-memory
-runtime.  :func:`supervised_fork_map` runs the same fork-at-call-time
-contract — ``fn``, ``items`` and their closures are inherited
-copy-on-write, only packed results cross a pipe — but the parent keeps
-a **lease** per dispatched task (deadline + the result queue as the
-heartbeat), detects dead or hung workers, respawns them with fresh
+The one engine that forks map workers.  :class:`WorkerPool` forks its
+workers **once**, around a handler closure that COW-inherits whatever
+it captures (the job, the loaded input, the container factory); each
+wave then feeds them small picklable task descriptors over their
+inboxes.  :class:`Supervisor` drives one wave over one pool: the parent
+keeps a **lease** per dispatched task (deadline + the result queue as
+the heartbeat), detects dead or hung workers, respawns them with fresh
 inboxes, and re-dispatches orphaned tasks with a bounded attempt count.
+Results are epoch-tagged, so a lease-killed straggler's late frame can
+never bleed into the next wave.  A task that repeatedly kills its
+worker is *poison*: once the retry budget is spent it goes through the
+injector's skip-budget quarantine (when the wave allows skips) instead
+of failing the job.  :func:`supervised_fork_map` (and
+:func:`~repro.parallel.fork_pool.fork_map`, its results) is one wave of
+a pool forked around ``fn(items[i])``: only indices cross the inboxes.
 
-A task that repeatedly kills its worker is *poison*: after the retry
-budget is spent it is routed through the injector's skip-budget
-quarantine (when the wave allows skips) instead of failing the job.
-
-:class:`WorkerPool` is the persistent form of the same machinery: the
-workers are forked **once per job** around a job-level handler closure
-(COW-inheriting the job exactly as a per-wave fork would) and each wave
-then feeds them small picklable task descriptors over their inboxes —
-``Supervisor`` drives any number of waves over one pool, with results
-epoch-tagged so a lease-killed straggler's late frame can never bleed
-into the next wave.  Results travel through a :mod:`repro.xfer`
-transport, so under shared memory a multi-megabyte container delta
-crosses as a segment name instead of a pipe-borne pickle.  The runtime
-sends only map waves through here: a map task's input is a file range
-any process can ``mmap``, whereas reduce and merge input already sits in
-the parent, and shipping it out and back costs more than the work.
+Results travel through a :mod:`repro.xfer` transport, so under shared
+memory a multi-megabyte container delta crosses as a segment name
+instead of a pipe-borne pickle.  The runtime sends only map waves
+through here: a map task's input is a file range any process can
+``mmap``, whereas reduce and merge input already sits in the parent,
+and shipping it out and back costs more than the work.
 
 The parent never polls: it blocks in ``multiprocessing.connection.wait``
 on the result pipe, every worker sentinel, and the earliest lease
@@ -281,13 +278,12 @@ class WorkerPool:
     ) -> SupervisionResult:
         """Run one supervised wave of ``handler(task)`` over this pool."""
         return Supervisor(
-            None, list(tasks), workers or self.requested,
+            self, list(tasks), workers or self.requested,
             policy=policy or RecoveryPolicy(),
             injector=injector,
             scope_of=scope_of,
             allow_skip=allow_skip,
             pre_run=pre_run,
-            pool=self,
         ).run()
 
     def close(self) -> None:
@@ -314,16 +310,12 @@ class WorkerPool:
 
 
 class Supervisor:
-    """Drives one wave of items through leased, respawnable fork workers.
-
-    Use through :func:`supervised_fork_map` (ephemeral, fork-per-wave)
-    or :meth:`WorkerPool.run_wave` (persistent pool); the class exists
-    so tests can poke at the dispatch protocol directly.
-    """
+    """Drives one wave of task descriptors through one pool's leased,
+    respawnable workers; use it through :meth:`WorkerPool.run_wave`."""
 
     def __init__(
         self,
-        fn: "Callable[[Any], Any] | None",
+        pool: WorkerPool,
         items: Sequence[Any],
         workers: int,
         policy: RecoveryPolicy,
@@ -331,26 +323,17 @@ class Supervisor:
         scope_of: Callable[[int], Hashable] | None = None,
         allow_skip: bool = False,
         pre_run: Callable[[int], None] | None = None,
-        worker_name: str = "repro-sup",
-        pool: "WorkerPool | None" = None,
-        transport: "PipeTransport | ShmTransport | None" = None,
     ) -> None:
-        self._fn = fn
+        self._pool = pool
+        self._transport = pool.transport
         self._items = list(items)
         self._policy = policy
         self._injector = injector
         self._allow_skip = allow_skip
         self._pre_run = pre_run
-        self._worker_name = worker_name
         self._n_workers = max(
             1, min(workers, len(self._items) or 1, (os.cpu_count() or 1) * 4)
         )
-        self._pool = pool
-        self._owns_pool = pool is None
-        if pool is not None:
-            self._transport = pool.transport
-        else:
-            self._transport = transport or PipeTransport()
         scope = scope_of or (lambda i: (i,))
         self._states = [
             _TaskState(index=i, scope=scope(i))
@@ -496,15 +479,6 @@ class Supervisor:
 
     # -- dispatch / wait / sweep -------------------------------------------
 
-    def _task_payload(self, index: int) -> Any:
-        """What crosses the inbox: the descriptor (pool) or index (owned).
-
-        In owned mode the worker's handler closes over ``items`` via
-        fork, so the index alone suffices; a pool's workers predate the
-        wave, so the item itself must travel.
-        """
-        return self._items[index] if not self._owns_pool else index
-
     def _dispatch_ready(self) -> None:
         """Hand pending tasks to idle workers, resolving fault modes."""
         for worker in self._pool.workers:
@@ -528,7 +502,7 @@ class Supervisor:
                         # Packed once; re-dispatches reuse the same
                         # frame (and, under shm, the same segment).
                         state.frame = self._transport.pack(
-                            self._task_payload(index), keep=True
+                            self._items[index], keep=True
                         )
                 state.mode = mode
                 worker.busy = state
@@ -655,18 +629,9 @@ class Supervisor:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SupervisionResult:
-        """Drive the wave to completion; the supervised ``fork_map``."""
+        """Drive the wave to completion."""
         if not self._items:
             return SupervisionResult(results=[])
-        require_process_backend()
-        if self._owns_pool:
-            fn, items = self._fn, self._items
-            self._pool = WorkerPool(
-                lambda index: fn(items[index]),
-                self._n_workers,
-                transport=self._transport,
-                worker_name=self._worker_name,
-            )
         self._epoch = self._pool.begin_wave()
         try:
             self._pool.ensure_started(self._n_workers)
@@ -682,9 +647,6 @@ class Supervisor:
                 if state.frame is not None:
                     self._transport.release(state.frame)
                     state.frame = None
-            if self._owns_pool:
-                self._pool.close()
-                self._pool = None
         if self._failures:
             raise self._failures[min(self._failures)]
         return SupervisionResult(
@@ -709,11 +671,14 @@ def supervised_fork_map(
     pre_run: Callable[[int], None] | None = None,
     transport: "PipeTransport | ShmTransport | None" = None,
 ) -> SupervisionResult:
-    """:func:`~repro.parallel.fork_pool.fork_map` under supervision.
+    """Run ``fn`` over ``items`` as one supervised wave of a fresh pool.
 
-    Same zero-pickle input contract, but worker death no longer aborts
-    the wave: orphaned tasks are re-dispatched (bounded by
-    ``policy.max_retries``), dead workers are respawned (bounded by
+    The pool is forked around ``fn(items[i])``, so ``fn``, ``items`` and
+    their closures are inherited copy-on-write and only indices cross
+    the inboxes; it is closed when the wave ends, however it ends.
+    Worker death does not abort the wave: orphaned tasks are
+    re-dispatched (bounded by ``policy.max_retries``), dead workers are
+    respawned (bounded by
     ``policy.worker_respawn_budget``), and a hung task is killed when
     its ``policy.lease_timeout_s`` lease expires.  With an armed
     ``injector``, the ``worker.crash`` / ``task.hang`` sites are decided
@@ -726,12 +691,21 @@ def supervised_fork_map(
     dispatch (the hook point for the ``map.task`` gate, preserving the
     serial backend's site ordering).
     """
-    return Supervisor(
-        fn, list(items), workers,
-        policy=policy or RecoveryPolicy(),
-        injector=injector,
-        scope_of=scope_of,
-        allow_skip=allow_skip,
-        pre_run=pre_run,
-        transport=transport,
-    ).run()
+    items = list(items)
+    if not items:
+        return SupervisionResult(results=[])
+    pool = WorkerPool(
+        lambda index: fn(items[index]), workers,
+        transport=transport, worker_name="repro-sup",
+    )
+    try:
+        return pool.run_wave(
+            range(len(items)),
+            policy=policy,
+            injector=injector,
+            scope_of=scope_of,
+            allow_skip=allow_skip,
+            pre_run=pre_run,
+        )
+    finally:
+        pool.close()

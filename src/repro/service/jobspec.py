@@ -32,6 +32,11 @@ from repro.errors import ConfigError
 #: Applications a spec may name, mapped to their job factories.
 KNOWN_APPS = ("wordcount", "sort")
 
+#: Fields of options that no longer exist.  An older build wrote them
+#: into every ``spec.json``; :meth:`ServiceJobSpec.from_dict` drops them
+#: whatever their value, so its state dirs still load.
+RETIRED_FIELDS = ("ingest_readers", "ingest_depth")
+
 
 #: Field name -> declared type; resolving the annotations costs more
 #: than the rest of ``from_dict`` together, so once per class.
@@ -105,12 +110,6 @@ class ServiceJobSpec:
     #: Result transport for the process backend: ``auto`` (shared memory
     #: when ``/dev/shm`` works, else pipes), ``shm``, or ``pipe``.
     transport: str | None = None
-    #: Concurrent ingest prefetch readers (>1 enables the multi-queue
-    #: async ingest pipeline).
-    ingest_readers: int | None = None
-    #: Buffered-chunk window for the prefetch pipeline (defaults to 1
-    #: for one reader, ``ingest_readers + 1`` for more).
-    ingest_depth: int | None = None
 
     def __post_init__(self) -> None:
         if self.app not in KNOWN_APPS:
@@ -137,9 +136,11 @@ class ServiceJobSpec:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ServiceJobSpec":
         """Parse a submitted spec; unknown keys and values that are not
-        of their field's declared type are a typed error."""
+        of their field's declared type are a typed error, and
+        :data:`RETIRED_FIELDS` are dropped."""
         if not isinstance(data, dict):
             raise ConfigError(f"job spec must be an object, got {type(data)}")
+        data = {k: v for k, v in data.items() if k not in RETIRED_FIELDS}
         known = _declared_types(cls)
         unknown = set(data) - set(known)
         if unknown:

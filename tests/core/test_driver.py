@@ -1,6 +1,6 @@
 """One round driver: every caller of ``JobRun`` computes the same job.
 
-Phoenix, SupMR (synchronous / one reader / three readers), the sharded
+Phoenix, SupMR (synchronous / prefetching), the sharded
 coordinator's workers and the iterative session all map chunks through
 :class:`repro.core.driver.JobRun`; whichever shape runs the job, the
 output digest — and, for a seeded fault plan, the injected fault
@@ -20,11 +20,10 @@ from repro.faults import parse_faults
 from repro.parallel.backends import fork_available
 from repro.shard import ShardedRuntime
 
-#: The SupMR shape's three pipeline modes.
+#: The SupMR shape's two pipeline modes.
 PIPELINE_MODES = {
     "synchronous": {"pipelined_ingest": False},
     "one reader": {},
-    "three readers": {"ingest_readers": 3},
 }
 
 TASK_SITES = ("ingest.read", "map.task")

@@ -62,8 +62,6 @@ CHANGED = {
     "transport": "pipe",
     "peers": ("h:1",),
     "net_timeout_s": 3.0,
-    "ingest_readers": 2,
-    "ingest_depth": 3,
 }
 FIELDS = dataclasses.fields(RuntimeOptions)
 
@@ -83,11 +81,11 @@ class TestCompleteness:
                 != getattr(BASE, name), name
 
     def test_no_knob_added(self):
-        assert len(FIELDS) == 29
-        assert len(dataclasses.fields(ServiceJobSpec)) == 25
-        # the 26 shared flags plus wordcount's --files-per-chunk / --top
-        assert len(RUNTIME_FLAGS) == 28
-        assert len({flag.name for flag in RUNTIME_FLAGS}) == 28
+        assert len(FIELDS) == 27
+        assert len(dataclasses.fields(ServiceJobSpec)) == 23
+        # the 24 shared flags plus wordcount's --files-per-chunk / --top
+        assert len(RUNTIME_FLAGS) == 26
+        assert len({flag.name for flag in RUNTIME_FLAGS}) == 26
 
     def test_every_flag_lowers_to_real_fields(self):
         names = {f.name for f in FIELDS}

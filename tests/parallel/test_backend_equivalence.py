@@ -241,7 +241,6 @@ class TestTransportEquivalence:
                 f"{job_name}: transport={transport} diverged from serial"
             )
             assert result.counters["transport"] == transport
-            assert result.counters["persistent_pool"] is True
 
     def test_fault_sequences_identical_across_transports(
         self, job_name, text_file, terasort_file, numbers_file
@@ -283,32 +282,25 @@ class TestTransportEquivalence:
 
 @needs_fork
 class TestPrefetchIngestEquivalence:
-    """Multi-reader ingest keeps output and QoS accounting identical."""
-
-    def test_outputs_identical_with_prefetch_readers(self, text_file):
-        reference = SupMRRuntime(_options("serial")).run(
-            make_wordcount_job([text_file])
-        )
-        opts = _options("process").with_(ingest_readers=3)
-        result = SupMRRuntime(opts).run(make_wordcount_job([text_file]))
-        assert result.output == reference.output
-        assert result.counters["ingest_readers"] == 3
+    """The prefetch reader keeps output and QoS accounting identical."""
 
     def test_prefetch_charges_qos_bucket_exactly_once(self, text_file):
-        # The multi-queue ingest must not double-charge the token bucket:
-        # throttled bytes == input bytes, once, same as the single-reader
+        # The reader thread must not double-charge the token bucket:
+        # throttled bytes == input bytes, once, same as the synchronous
         # pipeline.
-        def run(readers):
+        def run(pipelined):
             opts = _options("process").with_(
-                ingest_readers=readers, io_budget="64MB", tenant="t-xfer"
+                pipelined_ingest=pipelined, io_budget="64MB", tenant="t-xfer"
             )
             return SupMRRuntime(opts).run(make_wordcount_job([text_file]))
 
-        single, multi = run(1), run(3)
-        assert multi.output == single.output
+        prefetched, synchronous = run(True), run(False)
+        assert prefetched.n_chunks > 1, "one chunk starts no reader"
+        assert prefetched.output == synchronous.output
         assert (
-            multi.counters["throttle_bytes"]
-            == single.counters["throttle_bytes"]
+            prefetched.counters["throttle_bytes"]
+            == synchronous.counters["throttle_bytes"]
+            == text_file.stat().st_size
         )
 
 

@@ -71,7 +71,7 @@ class TestForkMap:
                 os._exit(13)
             return x
 
-        with pytest.raises(ParallelError, match="worker process died"):
+        with pytest.raises(ParallelError, match="killed its worker"):
             fork_map(task, range(3), 2)
 
     def test_dead_worker_error_names_the_worker_and_exit_code(self):
@@ -80,5 +80,5 @@ class TestForkMap:
                 os._exit(13)
             return x
 
-        with pytest.raises(ParallelError, match=r"repro-fork-\d+=13"):
+        with pytest.raises(ParallelError, match=r"repro-sup-\d+ exited with code 13"):
             fork_map(task, range(3), 2)

@@ -1,15 +1,21 @@
-"""Multi-reader prefetch pipeline: same answers, bounded lookahead."""
+"""Prefetch pipeline: one reader, one chunk ahead, same answers.
+
+Every cross-thread step is an ``Event`` handshake, so no test sleeps
+and none depends on how fast the box is.
+"""
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 from repro.chunking.chunk import Chunk, ChunkSource
 from repro.errors import DeadlineExceeded, RuntimeStateError
 from repro.pipeline.prefetch import PrefetchPipeline
+
+#: Bound on one handshake; a test that waits this long has failed.
+WAIT_S = 10.0
 
 
 def make_chunks(tmp_path, contents):
@@ -30,16 +36,14 @@ def no_prefetch_threads():
 class TestSchedule:
     def test_rounds_are_n_plus_one(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"a", b"b", b"c"])
-        pipeline = PrefetchPipeline(
-            load=lambda c: c.load(), work=lambda c, d: None, readers=2
-        )
-        records = pipeline.run(chunks)
-        assert len(records) == 4  # n + 1 for n = 3
+        records = PrefetchPipeline(
+            load=lambda c: c.load(), work=lambda c, d: None
+        ).run(chunks)
+        assert [r.index for r in records] == [0, 1, 2, 3]  # n + 1, in order
 
     def test_round_structure_matches_double_buffer(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"a", b"b"])
-        pipeline = PrefetchPipeline(lambda c: c.load(), lambda c, d: None,
-                                    readers=2)
+        pipeline = PrefetchPipeline(lambda c: c.load(), lambda c, d: None)
         r0, r1, r2 = pipeline.run(chunks)
         assert (r0.index, r0.map_s, r0.chunk_bytes) == (0, 0.0, 1)
         assert (r1.index, r1.chunk_bytes) == (1, 1)
@@ -49,126 +53,104 @@ class TestSchedule:
         chunks = make_chunks(tmp_path, [b"aaa", b"bb", b"c", b"dd", b"eee"])
         seen = []
         PrefetchPipeline(
-            lambda c: c.load(), lambda c, d: seen.append((c.index, bytes(d))),
-            readers=4,
+            lambda c: c.load(), lambda c, d: seen.append((c.index, bytes(d)))
         ).run(chunks)
         assert seen == [
             (0, b"aaa"), (1, b"bb"), (2, b"c"), (3, b"dd"), (4, b"eee")
         ]
 
-    def test_order_survives_adversarial_load_latencies(self, tmp_path):
-        # Early chunks load slowest: completion order inverts index order,
-        # but consumption order must not.
-        chunks = make_chunks(tmp_path, [b"a", b"b", b"c", b"d"])
-        delays = {0: 0.08, 1: 0.04, 2: 0.02, 3: 0.0}
-        seen = []
-
-        def load(chunk):
-            time.sleep(delays[chunk.index])
-            return chunk.load()
-
-        PrefetchPipeline(
-            load, lambda c, d: seen.append(c.index), readers=4
-        ).run(chunks)
-        assert seen == [0, 1, 2, 3]
-
     def test_single_chunk_degenerates(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"only"])
-        seen = []
+        seen, loaders = [], []
+
+        def load(chunk):
+            loaders.append(threading.current_thread())
+            return chunk.load()
+
         records = PrefetchPipeline(
-            lambda c: c.load(), lambda c, d: seen.append(bytes(d)), readers=3
+            load, lambda c, d: seen.append(bytes(d))
         ).run(chunks)
         assert seen == [b"only"]
         assert len(records) == 2
+        assert loaders == [threading.current_thread()]  # no reader started
 
     def test_empty_chunk_list_raises(self):
         pipeline = PrefetchPipeline(lambda c: b"", lambda c, d: None)
         with pytest.raises(RuntimeStateError):
             pipeline.run([])
 
-    def test_zero_readers_rejected(self):
-        with pytest.raises(RuntimeStateError):
-            PrefetchPipeline(lambda c: b"", lambda c, d: None, readers=0)
-
 
 class TestWindow:
     def test_lookahead_bounded_by_depth(self, tmp_path):
-        # With work blocked, readers may hold at most `depth` chunks
-        # (loaded or loading) — the memory cap of the prefetch window.
-        chunks = make_chunks(tmp_path, [b"x"] * 8)
-        depth = 2
-        started = []
+        # The window is one chunk: chunk k starts loading only once the
+        # mapper has taken chunk k-1, i.e. once chunk k-2 is mapped.
+        # Each map waits for the next chunk's load to start, so the
+        # reader provably runs ahead — by one chunk and no more.
+        chunks = make_chunks(tmp_path, [b"x"] * 6)
         lock = threading.Lock()
-        release = threading.Event()
+        mapped, too_early = [], []
+        started = [threading.Event() for _ in chunks]
 
         def load(chunk):
             with lock:
-                started.append(chunk.index)
+                if chunk.index > len(mapped) + 1:
+                    too_early.append((chunk.index, list(mapped)))
+            started[chunk.index].set()
             return chunk.load()
 
         def work(chunk, data):
-            if chunk.index == 0:
-                release.wait(5.0)
+            if chunk.index + 1 < len(chunks):
+                assert started[chunk.index + 1].wait(WAIT_S), (
+                    f"chunk {chunk.index + 1} did not load during the map "
+                    f"of chunk {chunk.index}"
+                )
+            with lock:
+                mapped.append(chunk.index)
 
-        done = []
-
-        def run():
-            PrefetchPipeline(load, work, readers=4, depth=depth).run(chunks)
-            done.append(True)
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        time.sleep(0.3)  # readers race ahead as far as the window allows
-        with lock:
-            ahead = len(started)
-        release.set()
-        thread.join(10.0)
-        assert done, "pipeline did not finish"
-        # Chunk 0 was consumed (its permit returned) before work blocked,
-        # so the readers can hold depth + 1 claims at that instant.
-        assert ahead <= depth + 1, (
-            f"readers loaded {ahead} chunks ahead with depth={depth}"
-        )
+        PrefetchPipeline(load, work).run(chunks)
+        assert mapped == list(range(len(chunks)))
+        assert too_early == []
 
     @pytest.mark.parametrize("kw, bound", [
         ({"pipelined": False}, 2),
         ({}, 2),  # the default: the paper's double buffer
-        ({"readers": 1, "depth": 2}, 3),
-        ({"readers": 3}, 5),
-        ({"readers": 4, "depth": 1}, 2),
     ])
     def test_live_chunk_buffers_bounded_by_depth_plus_one(
         self, tmp_path, kw, bound
     ):
         # A chunk's buffer is live from the moment its load starts until
-        # its map wave returns: depth of them loading or loaded, plus the
-        # one being mapped.  This bound is the job's ingest memory.
+        # its map wave returns: the one-chunk window loading or loaded,
+        # plus the one being mapped.  This bound is the job's ingest
+        # memory.
         chunks = make_chunks(tmp_path, [b"x"] * 10)
+        pipelined = kw.get("pipelined", True)
         lock = threading.Lock()
         live, peak = set(), [0]
+        started = [threading.Event() for _ in chunks]
 
         def load(chunk):
             with lock:
                 live.add(chunk.index)
                 peak[0] = max(peak[0], len(live))
-            time.sleep(0.001)
+            started[chunk.index].set()
             return chunk.load()
 
         def work(chunk, data):
-            time.sleep(0.004)  # slower than load: the readers run ahead
+            if pipelined and chunk.index + 1 < len(chunks):
+                # hold the map until the reader has run ahead
+                assert started[chunk.index + 1].wait(WAIT_S)
             with lock:
                 live.discard(chunk.index)
 
         PrefetchPipeline(load, work, **kw).run(chunks)
         assert not live
         assert peak[0] <= bound
-        if kw.get("pipelined", True):
+        if pipelined:
             assert peak[0] == bound, "the window never filled; vacuous"
 
     def test_no_threads_leak_after_success(self, tmp_path):
         chunks = make_chunks(tmp_path, [b"a", b"b", b"c"])
-        PrefetchPipeline(lambda c: c.load(), lambda c, d: None,
-                         readers=3).run(chunks)
+        PrefetchPipeline(lambda c: c.load(), lambda c, d: None).run(chunks)
         assert no_prefetch_threads()
 
 
@@ -183,7 +165,7 @@ class TestErrors:
             return chunk.load()
 
         pipeline = PrefetchPipeline(
-            load, lambda c, d: consumed.append(c.index), readers=4
+            load, lambda c, d: consumed.append(c.index)
         )
         with pytest.raises(OSError, match="disk on fire"):
             pipeline.run(chunks)
@@ -192,13 +174,29 @@ class TestErrors:
         assert no_prefetch_threads()
 
     def test_work_error_stops_and_joins_readers(self, tmp_path):
+        # The deadline expires in the map of chunk 1 while the reader is
+        # inside the load of chunk 2: the run joins the reader, which
+        # finishes that load and starts no other — a reader running more
+        # than one chunk ahead would have been asked for chunk 3 by now.
         chunks = make_chunks(tmp_path, [b"a"] * 6)
+        loads = []
+        loading, release = threading.Event(), threading.Event()
+
+        def load(chunk):
+            loads.append(chunk.index)
+            if chunk.index == 2:
+                loading.set()
+                release.wait(WAIT_S)
+            return chunk.load()
 
         def work(chunk, data):
             if chunk.index == 1:
+                assert loading.wait(WAIT_S)
+                release.set()
                 raise DeadlineExceeded("budget spent")
 
-        pipeline = PrefetchPipeline(lambda c: c.load(), work, readers=3)
+        pipeline = PrefetchPipeline(load, work)
         with pytest.raises(DeadlineExceeded):
             pipeline.run(chunks)
+        assert loads == [0, 1, 2]
         assert no_prefetch_threads()

@@ -39,8 +39,6 @@ FLAG_SAMPLES = {
     "--tenant": (["acme"], []),
     "--io-priority": (["2"], []),
     "--transport": (["pipe"], []),
-    "--ingest-readers": (["2"], []),
-    "--ingest-depth": (["3"], []),
 }
 
 
@@ -62,6 +60,10 @@ class TestSerialization:
     def test_defaults_round_trip(self):
         spec = _spec()
         assert ServiceJobSpec.from_dict(spec.to_dict()) == spec
+
+    def test_retired_fields_are_dropped_whatever_their_value(self):
+        data = {**_spec().to_dict(), "ingest_readers": 2, "ingest_depth": None}
+        assert ServiceJobSpec.from_dict(data) == _spec()
 
     def test_unknown_field_is_typed_error(self):
         data = _spec().to_dict()
@@ -134,8 +136,11 @@ class TestJobId:
 
     def test_id_is_pinned_across_upgrades(self):
         # a resubmission after an upgrade must reattach to the job dir
-        # the previous build created
-        assert _spec().job_id() == "e40a33c8325f"
+        # the previous build created.  Changed once on purpose, from
+        # e40a33c8325f, when the spec lost ingest_readers / ingest_depth:
+        # the id hashes every field, defaults included.  Jobs already in
+        # a state dir keep the id their record holds.
+        assert _spec().job_id() == "eb962a584f65"
 
     def test_id_survives_a_serialization_round_trip(self):
         spec = _spec(memory_budget="2MB", priority=1)

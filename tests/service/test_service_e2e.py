@@ -9,6 +9,7 @@ rejection, and ``submit --wait`` speaks the shared exit-code contract.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import signal
 import subprocess
@@ -23,7 +24,13 @@ from repro.errors import AdmissionError, JobNotFound, ServiceError
 from repro.exitcodes import EXIT_DEADLINE
 from repro.service.client import ServiceClient
 from repro.service.jobspec import ServiceJobSpec
-from repro.service.state import STATE_DONE, STATE_QUEUED, ServiceState
+from repro.service.state import (
+    STATE_DONE,
+    STATE_QUEUED,
+    JobRecord,
+    ServiceState,
+    write_json_crc,
+)
 from repro.workloads import generate_text_file
 
 from tests.service.conftest import _daemon_env, start_daemon, stop_daemon
@@ -150,6 +157,37 @@ class TestSigtermResume:
         assert record.resumed, (
             "the relaunched attempt should adopt the journaled rounds"
         )
+
+
+class TestOldStateDir:
+    def test_a_spec_with_retired_fields_recovers_and_finishes(
+        self, text_file, tmp_path, daemon, capsys
+    ):
+        # A queued job as an older build left it: its spec.json carries
+        # ingest_readers / ingest_depth, and its id hashes them.
+        expected = one_shot_digest(
+            capsys, ["wordcount", str(text_file), "--chunk-size", "32KB"]
+        )
+        old = {**wc_spec(text_file).to_dict(),
+               "ingest_readers": 2, "ingest_depth": None}
+        old_id = hashlib.sha256(json.dumps(
+            old, sort_keys=True, separators=(",", ":")
+        ).encode()).hexdigest()[:12]
+        assert old_id != wc_spec(text_file).job_id()
+        state_dir = tmp_path / "svc"
+        state = ServiceState(state_dir)
+        state.create_job(
+            wc_spec(text_file), JobRecord(job_id=old_id, state=STATE_QUEUED)
+        )
+        write_json_crc(state.spec_path(old_id), old)
+
+        daemon(state_dir)
+        record = ServiceClient.from_state_dir(state_dir).wait(
+            old_id, timeout_s=120
+        )
+        assert record.state == STATE_DONE
+        assert record.job_id == old_id  # a recovered job keeps its id
+        assert record.digest == expected
 
 
 class TestAdmissionOverTheWire:

@@ -8,8 +8,8 @@ Drives the real CLI end to end across both result transports:
    the test suite: the CLI's 30s default lease would dominate a smoke)
    under the pipe transport — the reference — recording its output
    digest;
-2. rerun the identical job under the shared-memory transport (and once
-   more with prefetch readers) and require byte-identical digests;
+2. rerun the identical job under the shared-memory transport and
+   require a byte-identical digest;
 3. run the job sharded (``--shards 2``) with a seeded shard loss under
    both transports and require the same digest again;
 4. run a terasort ``sort`` — array deltas, every record crossing the
@@ -97,13 +97,8 @@ def main() -> int:
             return digest
 
         reference = faulted("faulted pipe", "--transport", "pipe")
-        for label, extra in (
-            ("faulted shm", ("--transport", "shm")),
-            ("faulted shm/prefetch",
-             ("--transport", "shm", "--ingest-readers", "2")),
-        ):
-            if faulted(label, *extra) != reference:
-                failures.append(f"{label}: digest diverged from pipe baseline")
+        if faulted("faulted shm", "--transport", "shm") != reference:
+            failures.append("faulted shm: digest diverged from pipe baseline")
 
         def sharded(label: str, transport: str) -> str:
             proc = run_cli(*base, "--shards", "2",
