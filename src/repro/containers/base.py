@@ -229,11 +229,3 @@ class Emitter:
 
     def __call__(self, key: Hashable, value: Any) -> None:
         self.emit(key, value)
-
-
-def iter_partition_keys(
-    partition: list[tuple[Hashable, Any]],
-) -> Iterator[Hashable]:
-    """Keys of one reducer partition, in partition order."""
-    for key, _values in partition:
-        yield key

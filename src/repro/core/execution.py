@@ -35,7 +35,7 @@ from repro.io.records import corrupt_record
 from repro.io.span import ByteSpan, as_span
 from repro.parallel.backends import ExecutorBackend
 from repro.parallel.splits import ChunkHandle, SplitRef, split_refs_for_chunk
-from repro.resilience.gates import gate_worker_sites, worker_sites_armed
+from repro.resilience.gates import gate_worker_sites
 from repro.resilience.supervisor import (
     SupervisionResult,
     WorkerPool,
@@ -83,20 +83,44 @@ def run_map_task(
     return container.drain()
 
 
+def gate_map_task(
+    injector: FaultInjector, chunk_index: int, task_id: int
+) -> None:
+    """The ``map.task`` site of one task, resolved before its body runs.
+
+    The site fires and retries against a no-op body, so a retried task
+    never double-emits, and the gate runs in the parent on every
+    backend: before the serial / thread body, and as the process wave's
+    ``pre_run`` (injector state cannot live in a forked worker).
+    """
+    scope = (chunk_index, task_id)
+
+    def attempt_fn(attempt: int) -> None:
+        decision = injector.check(SITE_MAP_TASK, scope=scope, attempt=attempt)
+        if decision is not None:
+            raise FaultInjected(
+                f"injected map-task failure "
+                f"(chunk {chunk_index}, task {task_id})",
+                site=SITE_MAP_TASK,
+            )
+
+    injector.retrying(
+        SITE_MAP_TASK, attempt_fn, scope=scope, retryable=(FaultInjected,)
+    )
+
+
 def job_task_handler(job: JobSpec) -> "Any":
     """The persistent pool's dispatch body.
 
     A :class:`~repro.resilience.supervisor.WorkerPool` is forked once
     per job around this handler — ``job`` (map function, codec,
     container factory) rides into every worker copy-on-write — and each
-    wave then sends small ``("map", task_id, chunk_index, split)``
+    wave then sends small ``(task_id, chunk_index, split)`` map-task
     descriptors through the command channel instead of re-forking.
     """
 
     def handle(task: tuple) -> Any:
-        kind, task_id, chunk_index, split = task
-        if kind != "map":
-            raise RuntimeStateError(f"unknown pool task kind {kind!r}")
+        task_id, chunk_index, split = task
         return run_map_task(job, split, task_id, chunk_index)
 
     return handle
@@ -315,50 +339,32 @@ def run_mapper_wave(
     if not splits:
         return 0
 
-    def map_task(task_id: int, split: ByteSpan) -> None:
+    def map_task(task_id: int, split: ByteSpan) -> bool:
         # Resolve the worker-fault sites first (crash, then hang) — the
-        # same protocol the process supervisor runs at dispatch time —
-        # so the fault schedule is backend-independent.  A poison task
-        # is quarantined here and never runs.
-        if injector is not None and worker_sites_armed(injector):
+        # schedule the process supervisor runs at dispatch time — then
+        # the map.task site, so the fault schedule is backend-independent.
+        # A poison task is quarantined here and never runs.
+        if injector is not None:
             scope = (chunk_index, task_id)
-            should_run = gate_worker_sites(
+            if not gate_worker_sites(
                 injector, scope, allow_skip=True,
                 task_repr=f"map task {scope}".encode(),
-            )
-            if not should_run:
-                return
-
-        def attempt_fn(attempt: int) -> None:
-            if injector is not None:
-                decision = injector.check(
-                    SITE_MAP_TASK, scope=(chunk_index, task_id), attempt=attempt
-                )
-                if decision is not None:
-                    raise FaultInjected(
-                        f"injected map-task failure "
-                        f"(chunk {chunk_index}, task {task_id})",
-                        site=SITE_MAP_TASK,
-                    )
-            run_map_task(job, split, task_id, chunk_index, container)
-
-        if injector is None:
-            attempt_fn(0)
-        else:
-            # Only injected faults are retried here: a genuine exception
-            # from the user's map function already emitted pairs, so a
-            # blind re-run would double-count them.
-            injector.retrying(
-                SITE_MAP_TASK, attempt_fn,
-                scope=(chunk_index, task_id), retryable=(FaultInjected,),
-            )
+            ):
+                return False
+            gate_map_task(injector, chunk_index, task_id)
+        run_map_task(job, split, task_id, chunk_index, container)
+        return True
 
     futures = [
         pool.submit(map_task, task_id_base + i, split)
         for i, split in enumerate(splits)
     ]
-    for future in futures:
-        future.result()  # propagate the first map failure
+    # Propagates the first map failure; counted once every task is in.
+    ran = [future.result() for future in futures]
+    accumulate_wave_stats(wave_stats, SupervisionResult(
+        results=ran,
+        skipped=tuple(i for i, ok in enumerate(ran) if not ok),
+    ))
     return len(splits)
 
 
@@ -407,27 +413,6 @@ def _run_mapper_wave_process(
     if not splits:
         return 0
 
-    def map_task_gate(task_id: int) -> None:
-        """The parent-side ``map.task`` gate (injector state cannot live
-        in a forked worker): the site fires and retries against a no-op
-        body, preserving the per-(chunk, task) fault schedule exactly."""
-
-        def gate(attempt: int) -> None:
-            decision = injector.check(
-                SITE_MAP_TASK, scope=(chunk_index, task_id), attempt=attempt
-            )
-            if decision is not None:
-                raise FaultInjected(
-                    f"injected map-task failure "
-                    f"(chunk {chunk_index}, task {task_id})",
-                    site=SITE_MAP_TASK,
-                )
-
-        injector.retrying(
-            SITE_MAP_TASK, gate,
-            scope=(chunk_index, task_id), retryable=(FaultInjected,),
-        )
-
     def map_task(item: "tuple[int, SplitRef | ByteSpan]") -> Any:
         i, split = item
         return run_map_task(job, split, task_id_base + i, chunk_index)
@@ -438,8 +423,8 @@ def _run_mapper_wave_process(
     # the map.task gate runs as the pre-dispatch hook so per-task site
     # ordering matches serial.
     pre_run = (
-        (lambda i: map_task_gate(task_id_base + i))
-        if injector is not None and injector.armed(SITE_MAP_TASK) else None
+        (lambda i: gate_map_task(injector, chunk_index, task_id_base + i))
+        if injector is not None else None
     )
     if xfer is not None and ref_splits:
         # Descriptor dispatch: the pool's workers were forked once at
@@ -447,7 +432,7 @@ def _run_mapper_wave_process(
         # worker mmaps its own byte range.
         outcome = xfer.pool().run_wave(
             [
-                ("map", task_id_base + i, chunk_index, split)
+                (task_id_base + i, chunk_index, split)
                 for i, split in enumerate(splits)
             ],
             workers=options.num_mappers,

@@ -6,11 +6,13 @@ per-site fire counts, which scopes already fired (for once-per-scope
 specs), and the quarantine tally, all under one lock so mapper threads
 and the ingest thread can check sites concurrently.
 
-The retry loop (:meth:`FaultInjector.retrying`) is the shared recovery
-primitive: chunk ingest, map tasks, and spill verification all run
-through it, so backoff, logging, and
-:class:`~repro.errors.RetryExhausted` semantics are identical at every
-site.
+The retry protocol (:class:`Attempts`, one site's attempt count in one
+scope) is the shared recovery primitive, stepped in two ways: the
+blocking loop :meth:`FaultInjector.retrying` (chunk ingest, map tasks,
+spill verification, the serial/thread worker-site gate) and the process
+supervisor, which takes one step per observed worker death.  Backoff,
+logging, and :class:`~repro.errors.RetryExhausted` semantics are
+therefore identical at every site and on every backend.
 """
 
 from __future__ import annotations
@@ -136,7 +138,16 @@ class FaultInjector:
             scope=_scope_str(scope),
         )
 
-    # -- retry loop --------------------------------------------------------
+    # -- retry protocol ----------------------------------------------------
+
+    def attempts(self, site: str, scope: Hashable = ()) -> "Attempts":
+        """A fresh retry budget for one ``site`` in one ``scope``."""
+        return Attempts(self, site, scope)
+
+    def sleep(self, seconds: float) -> None:
+        """Back off for ``seconds`` through the injector's ``sleep``."""
+        if seconds > 0:
+            self._sleep(seconds)
 
     def retrying(
         self,
@@ -156,45 +167,78 @@ class FaultInjector:
         immediately.
         """
         kinds = retryable if retryable is not None else DEFAULT_RETRYABLE
-        attempt = 0
+        attempts = self.attempts(site, scope)
         while True:
             try:
-                result = fn(attempt)
+                result = fn(attempts.attempt)
             except kinds as exc:
-                if attempt >= self.policy.max_retries:
-                    self.log.record(
-                        site, ACTION_EXHAUSTED,
-                        f"giving up after {attempt + 1} attempt(s): {exc}",
-                        scope=_scope_str(scope), attempt=attempt,
-                    )
-                    raise RetryExhausted(
-                        f"{site}: {attempt + 1} attempt(s) failed "
-                        f"(retry budget {self.policy.max_retries}); "
-                        f"last error: {exc}",
-                        site=site,
-                        attempts=attempt + 1,
-                    ) from exc
-                delay = exponential_jitter(
-                    attempt,
-                    base=self.policy.backoff_base_s,
-                    cap=self.policy.backoff_max_s,
-                    seed=self.plan.seed,
-                    factor=self.policy.backoff_factor,
-                )
-                self.log.record(
-                    site, ACTION_RETRIED,
-                    f"attempt {attempt + 1} failed ({exc}); "
-                    f"backing off {delay:.3g}s",
-                    scope=_scope_str(scope), attempt=attempt,
-                )
-                if delay > 0:
-                    self._sleep(delay)
-                attempt += 1
+                self.sleep(attempts.failed(exc))
                 continue
-            if attempt > 0:
-                self.log.record(
-                    site, ACTION_RECOVERED,
-                    f"succeeded on attempt {attempt + 1}",
-                    scope=_scope_str(scope), attempt=attempt,
-                )
+            attempts.succeeded()
             return result
+
+
+class Attempts:
+    """One site's attempt count in one scope: the retry protocol.
+
+    Every ``retried`` / ``exhausted`` / ``recovered`` row the fault log
+    holds for an injector site is written here.
+    :meth:`FaultInjector.retrying` drives it in a blocking loop; the
+    process supervisor drives it one observed worker death or lease
+    expiry at a time.
+    """
+
+    def __init__(
+        self, injector: FaultInjector, site: str, scope: Hashable
+    ) -> None:
+        self._injector = injector
+        self.site = site
+        self.scope = scope
+        #: The 0-based number of the attempt now in progress.
+        self.attempt = 0
+
+    def failed(self, exc: BaseException) -> float:
+        """The current attempt failed with ``exc``: the delay before the next.
+
+        Logs ``retried`` and moves on to the next attempt while the
+        budget lasts; past it, logs ``exhausted`` and raises
+        :class:`~repro.errors.RetryExhausted` chained ``from`` ``exc``.
+        """
+        injector, site, attempt = self._injector, self.site, self.attempt
+        policy = injector.policy
+        scope = _scope_str(self.scope)
+        if attempt >= policy.max_retries:
+            injector.log.record(
+                site, ACTION_EXHAUSTED,
+                f"giving up after {attempt + 1} attempt(s): {exc}",
+                scope=scope, attempt=attempt,
+            )
+            raise RetryExhausted(
+                f"{site}: {attempt + 1} attempt(s) failed "
+                f"(retry budget {policy.max_retries}); last error: {exc}",
+                site=site,
+                attempts=attempt + 1,
+            ) from exc
+        delay = exponential_jitter(
+            attempt,
+            base=policy.backoff_base_s,
+            cap=policy.backoff_max_s,
+            seed=injector.plan.seed,
+            factor=policy.backoff_factor,
+        )
+        injector.log.record(
+            site, ACTION_RETRIED,
+            f"attempt {attempt + 1} failed ({exc}); backing off {delay:.3g}s",
+            scope=scope, attempt=attempt,
+        )
+        self.attempt += 1
+        return delay
+
+    def succeeded(self) -> None:
+        """The current attempt succeeded; logs ``recovered`` after a retry."""
+        if self.attempt > 0:
+            self._injector.log.record(
+                self.site, ACTION_RECOVERED,
+                f"succeeded on attempt {self.attempt + 1}",
+                scope=_scope_str(self.scope), attempt=self.attempt,
+            )

@@ -35,9 +35,10 @@ class RecoveryPolicy:
     #: Retries after the first failure (0 = fail fast: the first
     #: transient fault raises :class:`~repro.errors.RetryExhausted`).
     max_retries: int = 3
-    #: First backoff delay; attempt ``k`` waits ``base * factor**k``
-    #: seconds, capped at ``backoff_max_s``.  The default is tiny so
-    #: deterministic tests stay fast; production callers raise it.
+    #: First backoff delay: attempt ``k`` waits an equal-jitter draw in
+    #: ``[raw/2, raw)`` with ``raw = min(base * factor**k, backoff_max_s)``
+    #: (:func:`repro.util.backoff.exponential_jitter`).  The default is
+    #: tiny so deterministic tests stay fast; production callers raise it.
     backoff_base_s: float = 0.001
     backoff_factor: float = 2.0
     backoff_max_s: float = 0.25
@@ -76,10 +77,3 @@ class RecoveryPolicy:
             raise ConfigError("lease_timeout_s must be positive")
         if self.worker_respawn_budget < 0:
             raise ConfigError("worker_respawn_budget must be >= 0")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (0-based), exponential + capped."""
-        return min(
-            self.backoff_base_s * (self.backoff_factor ** attempt),
-            self.backoff_max_s,
-        )

@@ -26,7 +26,7 @@ from typing import Any, Callable, TypeVar
 from repro.errors import PeerUnreachable, ProtocolError
 from repro.faults.plan import SITE_NET_CONN_DROP, SITE_NET_PARTIAL_WRITE
 from repro.net.peers import split_addr
-from repro.service.protocol import encode_frame, recv_frame
+from repro.service.protocol import encode_frame
 from repro.util.backoff import exponential_jitter
 
 T = TypeVar("T")
@@ -98,18 +98,6 @@ def _sever(sock: socket.socket) -> None:
         sock.close()
     except OSError:  # pragma: no cover - already dead
         pass
-
-
-def recv_frame_idle(
-    sock: socket.socket, stall_timeout_s: "float | None" = None
-) -> "dict[str, Any] | bytes":
-    """Receive one frame from a long-lived connection.
-
-    Idle between frames is legitimate (control connections sit quiet
-    while workers compute), so only a *started* frame is held to the
-    stall deadline — the same discipline the service daemon applies.
-    """
-    return recv_frame(sock, timeout_s=stall_timeout_s, idle_ok=True)
 
 
 def with_retries(

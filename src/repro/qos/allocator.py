@@ -149,11 +149,6 @@ class BandwidthAllocator(ABC):
         return self._allocations.get(flow, 0.0)
 
     @property
-    def total_demand(self) -> float:
-        """Sum of registered demands (may be ``inf``)."""
-        return sum(r.demand for r in self._regs)
-
-    @property
     def total_allocated(self) -> float:
         """Sum of the last computed allocations."""
         return sum(self._allocations.values())

@@ -16,9 +16,10 @@ survive the failures those two create room for:
 * :mod:`~repro.resilience.degrade` — the graceful-degradation ladder
   (process → thread → serial on unrecoverable pool failure) and the
   whole-job :class:`~repro.resilience.degrade.Deadline`;
-* :mod:`~repro.resilience.gates` — the serial/thread-side fault gates
-  that keep the ``worker.crash`` / ``task.hang`` schedule identical
-  across backends.
+* :mod:`~repro.resilience.gates` — the per-task ``worker.crash`` /
+  ``task.hang`` schedule, stepped in place by the serial/thread gate
+  and per observed death by the supervisor, so it is identical across
+  backends.
 """
 
 from repro.resilience.degrade import (

@@ -30,11 +30,14 @@ happen.
 
 Determinism contract: the ``worker.crash`` / ``task.hang`` fault sites
 are decided **in the parent at dispatch time** — the worker is merely
-told to die (``os._exit``) or stall (sleep past its lease) — and the
+told to die (``os._exit``) or stall (sleep past its lease) — by the
+task's :class:`~repro.resilience.gates.WorkerSiteSchedule`, the same
+schedule the serial backend's pre-task gate runs.  The supervisor only
+drives it, one step per observed death or lease expiry, so the
 fault-log sequence per task (injected → retried… → recovered /
-exhausted → quarantined) is emitted exactly as the serial backend's
-pre-task gate (:func:`repro.resilience.gates.gate_worker_sites`) emits
-it, so outputs *and fault counters* stay identical across backends.
+exhausted → quarantined) and with it outputs *and fault counters* stay
+identical across backends.  Re-dispatch is immediate: the backoff the
+schedule returns is not slept.
 """
 
 from __future__ import annotations
@@ -47,21 +50,13 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar
 
-from repro.errors import (
-    FaultInjected,
-    ParallelError,
-    RetryExhausted,
-)
+from repro.errors import ParallelError
 from repro.faults.injector import FaultInjector
-from repro.faults.log import (
-    ACTION_EXHAUSTED,
-    ACTION_RECOVERED,
-    ACTION_RESPAWNED,
-    ACTION_RETRIED,
-)
+from repro.faults.log import ACTION_RESPAWNED, ACTION_RETRIED
 from repro.faults.plan import SITE_TASK_HANG, SITE_WORKER_CRASH
 from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import require_process_backend
+from repro.resilience.gates import WorkerSiteSchedule, worker_sites_armed
 from repro.xfer.segments import SegmentLost
 from repro.xfer.transport import PipeTransport, ShmTransport
 
@@ -76,11 +71,6 @@ _CRASH_EXIT = 37
 #: main loop cannot normally reach; this only guards against a hang).
 _IDLE_WAKE_S = 1.0
 
-#: Dispatch modes a worker understands.
-_MODE_RUN = "run"
-_MODE_CRASH = "crash"
-_MODE_HANG = "hang"
-
 
 def _scope_str(scope: Hashable) -> str:
     return repr(scope) if scope != () else ""
@@ -92,17 +82,12 @@ class _TaskState:
 
     index: int
     scope: Hashable
-    #: Per-site retry attempt counters (mirror the serial gate's
-    #: independent retry loops).
-    crash_attempt: int = 0
-    hang_attempt: int = 0
-    #: A site is resolved once one of its checks passed clean.
-    crash_resolved: bool = False
-    hang_resolved: bool = False
+    #: The task's worker-fault schedule; None when neither site is armed.
+    sites: WorkerSiteSchedule | None = None
     #: Genuine (non-injected) dispatch failures, bounded separately.
     organic_failures: int = 0
-    #: Mode of the in-flight dispatch (only meaningful while running).
-    mode: str = _MODE_RUN
+    #: The site the in-flight dispatch was told to fail at, if any.
+    fault: str | None = None
     #: Set once the per-task ``pre_run`` hook has been invoked.
     pre_run_done: bool = False
     #: The packed task payload, built once at first real dispatch and
@@ -155,10 +140,11 @@ def _worker_main(
 ) -> None:
     """Worker body: serve dispatches until the ``None`` sentinel.
 
-    ``(epoch, index, mode, frame)`` messages run one task each.
-    ``crash`` exits the process without cleanup (the deterministic
-    stand-in for an OOM kill); ``hang`` sleeps past any lease (a wedged
-    I/O call); ``run`` unpacks the task frame and posts
+    ``(epoch, index, fault, frame)`` messages run one task each.  A
+    ``worker.crash`` fault exits the process without cleanup (the
+    deterministic stand-in for an OOM kill); ``task.hang`` sleeps past
+    any lease (a wedged I/O call); no fault unpacks the task frame and
+    posts
     ``(epoch, index, ok, payload)`` back through the transport, packing
     synchronously so unpicklable results downgrade to a transportable
     :class:`~repro.errors.ParallelError`.
@@ -167,10 +153,10 @@ def _worker_main(
         msg = inbox.get()
         if msg is None:
             return
-        epoch, index, mode, task_frame = msg
-        if mode == _MODE_CRASH:
+        epoch, index, fault, task_frame = msg
+        if fault == SITE_WORKER_CRASH:
             os._exit(_CRASH_EXIT)
-        if mode == _MODE_HANG:
+        if fault == SITE_TASK_HANG:
             while True:  # pragma: no cover - killed by the supervisor
                 time.sleep(3600)
         try:
@@ -329,16 +315,19 @@ class Supervisor:
         self._items = list(items)
         self._policy = policy
         self._injector = injector
-        self._allow_skip = allow_skip
         self._pre_run = pre_run
         self._n_workers = max(
             1, min(workers, len(self._items) or 1, (os.cpu_count() or 1) * 4)
         )
-        scope = scope_of or (lambda i: (i,))
-        self._states = [
-            _TaskState(index=i, scope=scope(i))
-            for i in range(len(self._items))
-        ]
+        scope_of = scope_of or (lambda i: (i,))
+        armed = worker_sites_armed(injector)
+        self._states = []
+        for i, item in enumerate(self._items):
+            scope = scope_of(i)
+            sites = WorkerSiteSchedule(
+                injector, scope, allow_skip, repr(item).encode()
+            ) if armed else None
+            self._states.append(_TaskState(i, scope, sites))
         self._pending: list[int] = list(range(len(self._items)))
         self._done: set[int] = set()
         self._skipped: set[int] = set()
@@ -369,94 +358,20 @@ class Supervisor:
 
     # -- fault protocol ----------------------------------------------------
 
-    def _decide_mode(self, state: _TaskState) -> str:
-        """Resolve the task's fault sites for this dispatch (parent side).
+    def _failed(self, state: _TaskState, site: str, detail: str) -> None:
+        """The task's worker died at ``site``: re-dispatch it or skip it.
 
-        Mirrors the serial gate exactly: the crash site's retry loop
-        runs to resolution before the hang site is consulted, each with
-        its own attempt counter, and a clean check after a failed
-        attempt logs the recovery.
+        The task's own injected fault steps its schedule, which retries
+        it or quarantines it as poison; any other death is organic.
         """
-        injector = self._injector
-        if injector is None:
-            return _MODE_RUN
-        if not state.crash_resolved:
-            if injector.armed(SITE_WORKER_CRASH):
-                decision = injector.check(
-                    SITE_WORKER_CRASH, state.scope, state.crash_attempt
-                )
-                if decision is not None:
-                    return _MODE_CRASH
-                if state.crash_attempt > 0:
-                    injector.log.record(
-                        SITE_WORKER_CRASH, ACTION_RECOVERED,
-                        f"succeeded on attempt {state.crash_attempt + 1}",
-                        scope=_scope_str(state.scope),
-                        attempt=state.crash_attempt,
-                    )
-            state.crash_resolved = True
-        if not state.hang_resolved:
-            if injector.armed(SITE_TASK_HANG):
-                decision = injector.check(
-                    SITE_TASK_HANG, state.scope, state.hang_attempt
-                )
-                if decision is not None:
-                    return _MODE_HANG
-                if state.hang_attempt > 0:
-                    injector.log.record(
-                        SITE_TASK_HANG, ACTION_RECOVERED,
-                        f"succeeded on attempt {state.hang_attempt + 1}",
-                        scope=_scope_str(state.scope),
-                        attempt=state.hang_attempt,
-                    )
-            state.hang_resolved = True
-        return _MODE_RUN
-
-    def _site_failure(self, state: _TaskState, site: str, attempt: int) -> None:
-        """An injected fault killed/hung the dispatch; retry or give up.
-
-        Emits the same log sequence as the serial gate's
-        ``injector.retrying`` loop: ``retried`` while budget remains,
-        ``exhausted`` (then quarantine, when allowed) past it.
-        """
-        injector = self._injector
-        assert injector is not None
-        if attempt < self._policy.max_retries:
-            delay = self._policy.backoff_s(attempt)
-            injector.log.record(
-                site, ACTION_RETRIED,
-                f"attempt {attempt + 1} failed (injected {site}); "
-                f"backing off {delay:.3g}s",
-                scope=_scope_str(state.scope), attempt=attempt,
-            )
-            if site == SITE_WORKER_CRASH:
-                state.crash_attempt += 1
-            else:
-                state.hang_attempt += 1
-            self._redispatches += 1
-            self._pending.append(state.index)
-            return
-        injector.log.record(
-            site, ACTION_EXHAUSTED,
-            f"giving up after {attempt + 1} attempt(s): injected {site}",
-            scope=_scope_str(state.scope), attempt=attempt,
-        )
-        if self._allow_skip:
-            injector.quarantine(
-                site,
-                repr(self._items[state.index]).encode()[:64],
-                scope=state.scope,
-            )
+        if state.fault != site:
+            self._organic_failure(state, detail)
+        elif state.sites.failed() is None:
             self._skipped.add(state.index)
             self._done.add(state.index)
             return
-        raise RetryExhausted(
-            f"{site}: {attempt + 1} attempt(s) failed "
-            f"(retry budget {self._policy.max_retries}); "
-            f"last error: injected {site}",
-            site=site,
-            attempts=attempt + 1,
-        ) from FaultInjected(f"injected {site}", site=site)
+        self._redispatches += 1
+        self._pending.append(state.index)
 
     def _organic_failure(self, state: _TaskState, detail: str) -> None:
         """A worker died (or hung) with no injected fault to blame."""
@@ -474,13 +389,11 @@ class Supervisor:
                 scope=_scope_str(state.scope),
                 attempt=state.organic_failures - 1,
             )
-        self._redispatches += 1
-        self._pending.append(state.index)
 
     # -- dispatch / wait / sweep -------------------------------------------
 
     def _dispatch_ready(self) -> None:
-        """Hand pending tasks to idle workers, resolving fault modes."""
+        """Hand pending tasks to idle workers, deciding each one's fault."""
         for worker in self._pool.workers:
             if not worker.idle:
                 continue
@@ -489,8 +402,8 @@ class Supervisor:
                 state = self._states[index]
                 if index in self._done:
                     continue
-                mode = self._decide_mode(state)
-                if mode == _MODE_RUN:
+                state.fault = state.sites.fault() if state.sites else None
+                if state.fault is None:
                     if not state.pre_run_done:
                         state.pre_run_done = True
                         if self._pre_run is not None:
@@ -504,12 +417,13 @@ class Supervisor:
                         state.frame = self._transport.pack(
                             self._items[index], keep=True
                         )
-                state.mode = mode
                 worker.busy = state
                 worker.lease_expiry = (
                     time.monotonic() + self._policy.lease_timeout_s
                 )
-                worker.inbox.put((self._epoch, index, mode, state.frame))
+                worker.inbox.put(
+                    (self._epoch, index, state.fault, state.frame)
+                )
                 break
 
     def _wait(self) -> None:
@@ -550,7 +464,7 @@ class Supervisor:
             state = worker.busy
             if (
                 state is not None
-                and state.mode == _MODE_CRASH
+                and state.fault == SITE_WORKER_CRASH
                 and worker.proc.is_alive()
             ):
                 # An injected crash is certain death (the worker
@@ -563,36 +477,24 @@ class Supervisor:
             state = worker.busy
             if not worker.proc.is_alive():
                 self._crashes += 1
-                detail = (
+                site, detail = SITE_WORKER_CRASH, (
                     f"{worker.proc.name} exited with code "
                     f"{worker.proc.exitcode}"
                 )
-                if state is not None:
-                    worker.busy = None
-                    if state.mode == _MODE_CRASH:
-                        self._site_failure(
-                            state, SITE_WORKER_CRASH, state.crash_attempt
-                        )
-                    else:
-                        self._organic_failure(state, detail)
-                self._respawn_after(worker, SITE_WORKER_CRASH, detail)
-                continue
-            if state is not None and time.monotonic() > worker.lease_expiry:
+            elif state is not None and time.monotonic() > worker.lease_expiry:
                 self._hangs += 1
                 worker.proc.kill()
                 worker.proc.join(timeout=5.0)
-                detail = (
+                site, detail = SITE_TASK_HANG, (
                     f"{worker.proc.name} exceeded its "
                     f"{self._policy.lease_timeout_s:.3g}s lease"
                 )
-                worker.busy = None
-                if state.mode == _MODE_HANG:
-                    self._site_failure(
-                        state, SITE_TASK_HANG, state.hang_attempt
-                    )
-                else:
-                    self._organic_failure(state, detail)
-                self._respawn_after(worker, SITE_TASK_HANG, detail)
+            else:
+                continue
+            worker.busy = None
+            if state is not None:
+                self._failed(state, site, detail)
+            self._respawn_after(worker, site, detail)
 
     def _collect(self) -> None:
         """Drain every result frame the queue currently holds."""

@@ -901,15 +901,6 @@ class JobService:
             if watchers and queue in watchers:
                 watchers.remove(queue)
 
-    # -- convenience ---------------------------------------------------------
-
-    @property
-    def fault_events(self) -> list:
-        """Service-site fault-log events (for status/tests)."""
-        if self._injector is None:
-            return []
-        return list(self._injector.log.events)
-
 
 async def serve(config: ServiceConfig) -> None:
     """Run a daemon until SIGTERM/shutdown; the ``repro serve`` body."""

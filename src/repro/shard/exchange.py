@@ -29,7 +29,6 @@ an unsharded run would have produced.
 from __future__ import annotations
 
 import shutil
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Sequence
@@ -223,8 +222,3 @@ def collect_worker_events(log: Any, events: Iterable[EventRow]) -> None:
     """Replay worker-side event rows into the coordinator's fault log."""
     for site, action, detail, scope, attempt in events:
         log.record(site, action, detail, scope=scope, attempt=attempt)
-
-
-def elapsed_since(started: float) -> float:
-    """Seconds since ``started`` on the perf-counter clock."""
-    return time.perf_counter() - started

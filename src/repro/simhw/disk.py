@@ -135,11 +135,6 @@ class Raid0:
             nbytes, tag="write", priority=priority
         )
 
-    @property
-    def alive_members(self) -> int:
-        """Member disks still contributing bandwidth."""
-        return self._alive
-
     def degrade(self, factor: float) -> None:
         """Scale the array's channels to ``factor`` of current capacity."""
         if factor <= 0:

@@ -79,9 +79,5 @@ class MemoryBus:
         return self._chan.transfer(nbytes, cap=per_thread_bw, tag="scan")
 
     @property
-    def bus_utilization(self) -> float:
-        return self._chan.utilization
-
-    @property
     def active_scans(self) -> int:
         return self._chan.active_flows

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.core.result import PhaseTimings
-from repro.errors import SimulationError
 from repro.simhw.machine import ScaleUpMachine
 from repro.simhw.monitor import UtilizationSample
 from repro.simhw.process import AllOf
@@ -57,13 +56,6 @@ class PhaseLog:
         """Total duration across all spans with this name."""
         return sum(s.duration for s in self.spans if s.name == name)
 
-    def span_bounds(self, name: str) -> tuple[float, float]:
-        """(first start, last end) across spans with this name."""
-        matches = [s for s in self.spans if s.name == name]
-        if not matches:
-            raise SimulationError(f"no phase named {name!r} was recorded")
-        return matches[0].start, matches[-1].end
-
 
 @dataclass
 class SimJobResult:
@@ -77,13 +69,6 @@ class SimJobResult:
     samples: list[UtilizationSample]
     spans: list[PhaseSpan]
     extras: dict[str, Any] = field(default_factory=dict)
-
-    def mean_total_utilization(self, t0: float = 0.0, t1: float = float("inf")) -> float:
-        """Mean total utilization % over a window."""
-        window = [s for s in self.samples if t0 <= s.time <= t1]
-        if not window:
-            return 0.0
-        return sum(s.total_pct for s in window) / len(window)
 
 
 # -- phase processes (generators; spawn with sim.process or yield from) -----

@@ -3,8 +3,7 @@
 Every retry loop in the tree (the fault injector's bounded retries, the
 service client's reconnect loops) sleeps through this one helper, so
 backoff semantics cannot drift between subsystems.  The delay grows
-exponentially with the attempt number and is capped, like
-:meth:`repro.faults.policy.RecoveryPolicy.backoff_s` — but with *equal
+exponentially with the attempt number and is capped, with *equal
 jitter* layered on top: attempt ``k`` sleeps a uniform draw from
 ``[raw/2, raw)`` where ``raw = min(base * factor**k, cap)``, which
 de-synchronizes retry storms (many clients hammering a recovering
