@@ -8,8 +8,10 @@ onto :func:`run_mapper_wave` / :func:`run_reducers` here.
 Work goes where the bytes are.  Map input is on disk and any process
 can ``mmap`` it, so the map phase honors ``options.executor_backend``:
 ``serial`` and ``thread`` drive the parent-side ``pool``, while
-``process`` runs supervised workers (:mod:`repro.resilience.supervisor`)
-that read their splits through ``mmap``, combine locally, and ship back
+``process`` runs every wave on the job's one pre-forked, supervised
+pool (:mod:`repro.resilience.supervisor`), whose workers read their
+splits through ``mmap`` (or receive the window when the parent already
+holds the bytes), combine locally, and ship back
 :class:`~repro.containers.base.ContainerDelta` objects the parent
 absorbs in task order.  That is the one time a record crosses the
 process boundary.  Reduce input is the parent's container and merge
@@ -36,11 +38,7 @@ from repro.io.span import ByteSpan, as_span
 from repro.parallel.backends import ExecutorBackend
 from repro.parallel.splits import ChunkHandle, SplitRef, split_refs_for_chunk
 from repro.resilience.gates import gate_worker_sites
-from repro.resilience.supervisor import (
-    SupervisionResult,
-    WorkerPool,
-    supervised_fork_map,
-)
+from repro.resilience.supervisor import SupervisionResult, WorkerPool
 from repro.shard.exchange import reduce_partition
 from repro.sortlib.merge_sort import pairwise_merge_sort
 from repro.sortlib.pway import pway_merge
@@ -115,8 +113,10 @@ def job_task_handler(job: JobSpec) -> "Any":
     A :class:`~repro.resilience.supervisor.WorkerPool` is forked once
     per job around this handler — ``job`` (map function, codec,
     container factory) rides into every worker copy-on-write — and each
-    wave then sends small ``(task_id, chunk_index, split)`` map-task
-    descriptors through the command channel instead of re-forking.
+    wave then sends ``(task_id, chunk_index, split)`` map-task
+    descriptors through the command channel instead of re-forking; the
+    split is a :class:`~repro.parallel.splits.SplitRef` or the task's
+    own window of bytes the parent already holds.
     """
 
     def handle(task: tuple) -> Any:
@@ -155,7 +155,6 @@ class ProcessPoolContext:
                 job_task_handler(self.job),
                 self.options.num_mappers,
                 transport=self.transport,
-                worker_name="repro-job",
             )
         return self._pool
 
@@ -316,12 +315,13 @@ def run_mapper_wave(
     failures injected *before* the user map function executes (so a
     retried task never double-emits).
 
-    Under the ``process`` backend ``data`` may be a
-    :class:`~repro.parallel.splits.ChunkHandle` — a chunk the parent has
-    *not* loaded; the wave then plans ``(path, offset, length)`` split
-    refs and each forked worker mmaps its own range (zero-copy ingest).
-    Armed fault plans force the loaded-bytes path, because injector
-    bookkeeping must stay in the parent process.
+    Under the ``process`` backend the wave runs on ``xfer``'s pool, and
+    ``data`` may be a :class:`~repro.parallel.splits.ChunkHandle` — a
+    chunk the parent has *not* loaded; the wave then plans
+    ``(path, offset, length)`` split refs and each worker mmaps its own
+    range (zero-copy ingest).  Armed fault plans load the chunk in the
+    parent, because injector bookkeeping must stay there; the same pool
+    then receives each task's window as bytes.
     """
     container.begin_round()
     if injector is not None and injector.armed(SITE_RECORD_CORRUPT):
@@ -376,87 +376,59 @@ def _run_mapper_wave_process(
     chunk_index: int,
     task_id_base: int,
     injector: FaultInjector | None,
-    wave_stats: "dict[str, int] | None" = None,
-    xfer: "ProcessPoolContext | None" = None,
+    wave_stats: "dict[str, int] | None",
+    xfer: ProcessPoolContext,
 ) -> int:
-    """The process backend's wave: dispatch to the pool (or fork),
+    """The process backend's wave: dispatch to the job's pool,
     map+combine in-worker, absorb.
 
-    Splits are either :class:`~repro.parallel.splits.SplitRef` ranges
-    (unloaded chunks — workers mmap their own bytes) or zero-copy spans
-    over parent-loaded data (inherited copy-on-write by the fork).  Each
-    worker task runs against a private container so combining happens
-    before serialization, and the parent absorbs the resulting deltas
-    *in task order* — making the wave's effect on the shared container
-    deterministic and identical to the serial backend's.
-
-    With an ``xfer`` pool and ``SplitRef`` splits the wave is
-    dispatched as descriptors to the already-forked workers — no forks,
-    no COW dependency.  Parent-loaded spans fork per wave: the buffer
-    reaches the workers copy-on-write for free, which no transport can
-    beat.
+    Every wave runs on the one pool ``xfer`` forked at job start, as
+    ``(task_id, chunk_index, split)`` descriptors.  The payload is the
+    only choice: an unloaded single-source chunk ships
+    :class:`~repro.parallel.splits.SplitRef` ranges (each worker mmaps
+    its own bytes); anything already in the parent — an armed run's
+    loaded chunk, a multi-source chunk, screened or cached bytes —
+    ships each task its own record-aligned window, pickled as just that
+    window.  Each worker task runs against a private container so
+    combining happens before serialization, and the parent absorbs the
+    resulting deltas *in task order* — making the wave's effect on the
+    shared container deterministic and identical to the serial
+    backend's.
     """
     delimiter = job.codec.delimiter
-    splits: "Sequence[SplitRef | ByteSpan]"
-    ref_splits = False
+    splits: "Sequence[SplitRef | ByteSpan] | None" = None
     if isinstance(data, ChunkHandle):
-        refs = split_refs_for_chunk(data.chunk, options.num_mappers, delimiter)
-        if refs is None:
-            # Multi-source chunk: load in the parent; the forked workers
-            # still see the buffer for free via copy-on-write.
-            splits = split_for_mappers(data.load(), options.num_mappers, delimiter)
-        else:
-            splits = refs
-            ref_splits = True
-    else:
+        splits = split_refs_for_chunk(data.chunk, options.num_mappers, delimiter)
+        if splits is None:
+            # Multi-source chunk: no one file range to name, so load it
+            # here and ship each task its window.
+            data = data.load()
+    if splits is None:
         splits = split_for_mappers(data, options.num_mappers, delimiter)
     if not splits:
         return 0
-
-    def map_task(item: "tuple[int, SplitRef | ByteSpan]") -> Any:
-        i, split = item
-        return run_map_task(job, split, task_id_base + i, chunk_index)
-
     # Worker-fault sites are decided at dispatch (killing/hanging real
     # workers under the same per-scope schedule the serial gate
     # replays), orphaned tasks re-dispatch, poison tasks quarantine, and
     # the map.task gate runs as the pre-dispatch hook so per-task site
     # ordering matches serial.
-    pre_run = (
-        (lambda i: gate_map_task(injector, chunk_index, task_id_base + i))
-        if injector is not None else None
+    outcome = xfer.pool().run_wave(
+        [
+            (task_id_base + i, chunk_index, split)
+            for i, split in enumerate(splits)
+        ],
+        workers=options.num_mappers,
+        policy=options.recovery,
+        injector=injector,
+        scope_of=lambda i: (chunk_index, task_id_base + i),
+        allow_skip=True,
+        pre_run=(
+            (lambda i: gate_map_task(injector, chunk_index, task_id_base + i))
+            if injector is not None else None
+        ),
     )
-    if xfer is not None and ref_splits:
-        # Descriptor dispatch: the pool's workers were forked once at
-        # job start; each task ships as a tiny SplitRef frame and the
-        # worker mmaps its own byte range.
-        outcome = xfer.pool().run_wave(
-            [
-                (task_id_base + i, chunk_index, split)
-                for i, split in enumerate(splits)
-            ],
-            workers=options.num_mappers,
-            policy=options.recovery,
-            injector=injector,
-            scope_of=lambda i: (chunk_index, task_id_base + i),
-            allow_skip=True,
-            pre_run=pre_run,
-        )
-    else:
-        outcome = supervised_fork_map(
-            map_task,
-            list(enumerate(splits)),
-            options.num_mappers,
-            policy=options.recovery,
-            injector=injector,
-            scope_of=lambda i: (chunk_index, task_id_base + i),
-            allow_skip=True,
-            pre_run=pre_run,
-            transport=xfer.transport if xfer is not None else None,
-        )
     accumulate_wave_stats(wave_stats, outcome)
-    deltas = outcome.completed()
-    for delta in deltas:
+    for delta in outcome.completed():
         container.absorb(delta)
     return len(splits)
 

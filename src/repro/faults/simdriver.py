@@ -101,7 +101,12 @@ class SimFaultDriver:
         at = spec.at_s or 0.0
 
         def strike() -> None:
-            survivors = disk.fail_member()
+            try:
+                survivors = disk.fail_member()
+            except SimulationError as exc:
+                # Degraded mode draws the line at the last spindle.
+                self.log.record(spec.site, ACTION_DEGRADED, f"refused: {exc}")
+                return
             self.log.record(
                 spec.site, ACTION_INJECTED,
                 f"disk member lost at t={self.sim.now:g}s; "

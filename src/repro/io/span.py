@@ -93,6 +93,11 @@ class ByteSpan:
     def __bytes__(self) -> bytes:
         return self.tobytes()
 
+    def __reduce__(self) -> tuple:
+        # Only the window crosses a pickle: never the whole base, which
+        # may be megabytes of chunk or an unpicklable ``mmap``.
+        return (ByteSpan, (self.tobytes(),))
+
     def split(self, sep: bytes | None = None) -> list[bytes]:
         """``bytes.split`` over the window (materializes the pieces)."""
         return self.tobytes().split(sep)

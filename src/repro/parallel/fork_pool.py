@@ -9,9 +9,10 @@ inherited copy-on-write; only *results* cross a pipe back to the
 parent, through a :mod:`repro.xfer` transport.
 
 It is one supervised wave of a fresh
-:class:`~repro.resilience.supervisor.WorkerPool`: a worker death is
-retried like in any supervised wave, and only a task that keeps killing
-its worker raises :class:`~repro.errors.ParallelError`.
+:class:`~repro.resilience.supervisor.WorkerPool`, closed however the
+wave ends: a worker death is retried like in any supervised wave, and
+only a task that keeps killing its worker raises
+:class:`~repro.errors.ParallelError`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ def fork_map(
     """
     # Imported here: the supervisor imports repro.parallel.backends,
     # and this module loads with the repro.parallel package.
-    from repro.resilience.supervisor import supervised_fork_map
+    from repro.resilience.supervisor import WorkerPool
 
-    return supervised_fork_map(fn, items, workers, transport=transport).results
+    items = list(items)
+    pool = WorkerPool(lambda i: fn(items[i]), workers, transport=transport)
+    try:
+        return pool.run_wave(range(len(items))).results
+    finally:
+        pool.close()

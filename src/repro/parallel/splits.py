@@ -14,11 +14,11 @@ itself and runs the *same* ``split_for_mappers`` over a zero-copy
 candidate boundary actually fault in.  Because planner and worker share
 one splitting function, their boundaries agree by construction.
 
-Chunks backed by multiple file ranges (interfile chunking over many
-small inputs) have no single contiguous window to describe, so
-:func:`split_refs_for_chunk` declines (returns ``None``) and the caller
-falls back to loading bytes in the parent — still parallel, just not
-zero-copy.
+Chunks backed by multiple file ranges (intra-file chunking packs many
+small inputs into one chunk) have no single contiguous window to
+describe, so :func:`split_refs_for_chunk` declines (returns ``None``)
+and the caller loads the bytes in the parent and ships each task its
+own window through the same pool — still parallel, just not zero-copy.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class ChunkHandle:
     should not materialize those bytes at all — the workers read them
     through :class:`SplitRef` windows — so the pipeline carries this
     handle instead.  It knows its length (the pipeline and the wave size
-    splits from it) and still knows how to produce real bytes when a
-    fallback path needs them.
+    splits from it) and still produces real bytes when a chunk has no
+    one file range to name.
     """
 
     __slots__ = ("chunk",)
@@ -79,7 +79,7 @@ class ChunkHandle:
         return self.chunk.length
 
     def load(self) -> bytes:
-        """Materialize the chunk's bytes (fallback paths only)."""
+        """Materialize the chunk's bytes (multi-source chunks)."""
         return bytes(self.chunk.load())
 
     def __repr__(self) -> str:
@@ -93,7 +93,7 @@ def split_refs_for_chunk(
 
     Returns ``None`` when the chunk cannot be described as one
     contiguous file range (multi-source chunks, vanished files) — the
-    caller then falls back to parent-loaded bytes.  Boundary planning
+    caller then loads the bytes in the parent.  Boundary planning
     reuses :func:`~repro.core.execution.split_for_mappers` over an
     mmap-backed span, so the cuts are byte-identical to what the
     load-everything path would produce.

@@ -29,11 +29,7 @@ from repro.resilience.degrade import (
 )
 from repro.resilience.gates import gate_worker_sites, worker_sites_armed
 from repro.resilience.journal import JobJournal, job_fingerprint
-from repro.resilience.supervisor import (
-    SupervisionResult,
-    Supervisor,
-    supervised_fork_map,
-)
+from repro.resilience.supervisor import SupervisionResult, Supervisor
 
 __all__ = [
     "Deadline",
@@ -44,6 +40,5 @@ __all__ = [
     "job_fingerprint",
     "next_backend",
     "run_with_degradation",
-    "supervised_fork_map",
     "worker_sites_armed",
 ]

@@ -2,9 +2,8 @@
 
 The one engine that forks map workers.  :class:`WorkerPool` forks its
 workers **once**, around a handler closure that COW-inherits whatever
-it captures (the job, the loaded input, the container factory); each
-wave then feeds them small picklable task descriptors over their
-inboxes.  :class:`Supervisor` drives one wave over one pool: the parent
+it captures (the job, its container factory); each wave then feeds them
+picklable task descriptors over their inboxes.  :class:`Supervisor` drives one wave over one pool: the parent
 keeps a **lease** per dispatched task (deadline + the result queue as
 the heartbeat), detects dead or hung workers, respawns them with fresh
 inboxes, and re-dispatches orphaned tasks with a bounded attempt count.
@@ -12,9 +11,10 @@ Results are epoch-tagged, so a lease-killed straggler's late frame can
 never bleed into the next wave.  A task that repeatedly kills its
 worker is *poison*: once the retry budget is spent it goes through the
 injector's skip-budget quarantine (when the wave allows skips) instead
-of failing the job.  :func:`supervised_fork_map` (and
-:func:`~repro.parallel.fork_pool.fork_map`, its results) is one wave of
-a pool forked around ``fn(items[i])``: only indices cross the inboxes.
+of failing the job.  The runtime forks one pool per job and runs every
+map wave on it; :func:`~repro.parallel.fork_pool.fork_map` is one wave
+of a pool forked around ``fn(items[i])``: only indices cross the
+inboxes.
 
 Results travel through a :mod:`repro.xfer` transport, so under shared
 memory a multi-megabyte container delta crosses as a segment name
@@ -48,7 +48,7 @@ import queue as queue_mod
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.errors import ParallelError
 from repro.faults.injector import FaultInjector
@@ -59,9 +59,6 @@ from repro.parallel.backends import require_process_backend
 from repro.resilience.gates import WorkerSiteSchedule, worker_sites_armed
 from repro.xfer.segments import SegmentLost
 from repro.xfer.transport import PipeTransport, ShmTransport
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Exit code a worker uses when told to crash (distinct from genuine
 #: faults' codes so logs can tell injected deaths from organic ones).
@@ -155,6 +152,12 @@ def _worker_main(
             return
         epoch, index, fault, task_frame = msg
         if fault == SITE_WORKER_CRASH:
+            # The results queue and its write lock are shared by the
+            # whole pool, and this worker's last frame may still hold
+            # the lock: let the feeder finish before dying, or every
+            # survivor blocks in ``put`` until its lease runs out.
+            results.close()
+            results.join_thread()
             os._exit(_CRASH_EXIT)
         if fault == SITE_TASK_HANG:
             while True:  # pragma: no cover - killed by the supervisor
@@ -182,8 +185,8 @@ class WorkerPool:
     """A persistent pool of forked workers serving task descriptors.
 
     Forked lazily, once, around ``handler`` — a job-level closure that
-    COW-inherits whatever it captures (the job, the loaded input, the
-    container factory) exactly as a per-wave fork would.  Waves are then
+    COW-inherits whatever it captures (the job, its container factory,
+    or :func:`~repro.parallel.fork_pool.fork_map`'s items).  Waves are then
     driven through :meth:`run_wave`, which pays only a queue round-trip
     per task instead of ``workers`` forks per wave.  The pool survives
     worker deaths (the supervisor respawns through :meth:`spawn`) and is
@@ -196,7 +199,6 @@ class WorkerPool:
         workers: int,
         *,
         transport: "PipeTransport | ShmTransport | None" = None,
-        worker_name: str = "repro-pool",
     ) -> None:
         if workers < 1:
             raise ParallelError("WorkerPool needs at least one worker")
@@ -204,7 +206,6 @@ class WorkerPool:
         self._handler = handler
         self.requested = workers
         self.transport = transport or PipeTransport()
-        self._worker_name = worker_name
         self._ctx = multiprocessing.get_context("fork")
         self.results_q = self._ctx.Queue()
         self.workers: list[_Worker] = []
@@ -228,7 +229,7 @@ class WorkerPool:
             target=_worker_main,
             args=(self._handler, inbox, self.results_q, self.transport),
             daemon=True,
-            name=f"{self._worker_name}-{wid}",
+            name=f"repro-pool-{wid}",
         )
         proc.start()
         worker = _Worker(proc=proc, inbox=inbox)
@@ -559,55 +560,3 @@ class Supervisor:
             hangs=self._hangs,
             redispatches=self._redispatches,
         )
-
-
-def supervised_fork_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    workers: int,
-    *,
-    policy: RecoveryPolicy | None = None,
-    injector: FaultInjector | None = None,
-    scope_of: Callable[[int], Hashable] | None = None,
-    allow_skip: bool = False,
-    pre_run: Callable[[int], None] | None = None,
-    transport: "PipeTransport | ShmTransport | None" = None,
-) -> SupervisionResult:
-    """Run ``fn`` over ``items`` as one supervised wave of a fresh pool.
-
-    The pool is forked around ``fn(items[i])``, so ``fn``, ``items`` and
-    their closures are inherited copy-on-write and only indices cross
-    the inboxes; it is closed when the wave ends, however it ends.
-    Worker death does not abort the wave: orphaned tasks are
-    re-dispatched (bounded by ``policy.max_retries``), dead workers are
-    respawned (bounded by
-    ``policy.worker_respawn_budget``), and a hung task is killed when
-    its ``policy.lease_timeout_s`` lease expires.  With an armed
-    ``injector``, the ``worker.crash`` / ``task.hang`` sites are decided
-    here in the parent per ``scope_of(index)`` — emitting the identical
-    fault-log sequence the serial gate emits — and a poison task is
-    quarantined against the skip budget when ``allow_skip`` is set.
-
-    ``pre_run(index)`` runs in the parent exactly once per task, after
-    its worker-fault sites resolved clean and before its first real
-    dispatch (the hook point for the ``map.task`` gate, preserving the
-    serial backend's site ordering).
-    """
-    items = list(items)
-    if not items:
-        return SupervisionResult(results=[])
-    pool = WorkerPool(
-        lambda index: fn(items[index]), workers,
-        transport=transport, worker_name="repro-sup",
-    )
-    try:
-        return pool.run_wave(
-            range(len(items)),
-            policy=policy,
-            injector=injector,
-            scope_of=scope_of,
-            allow_skip=allow_skip,
-            pre_run=pre_run,
-        )
-    finally:
-        pool.close()

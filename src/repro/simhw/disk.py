@@ -114,6 +114,7 @@ class Raid0:
         self.read_bw = sum(d.read_bw for d in disks)
         self.write_bw = sum(d.write_bw for d in disks)
         self._alive = len(disks)
+        self._factor = 1.0
         # Striping interleaves every stream across all members, so the
         # array behaves as one channel with the summed rate.
         self._read_chan = BandwidthResource(
@@ -136,16 +137,23 @@ class Raid0:
         )
 
     def degrade(self, factor: float) -> None:
-        """Scale the array's channels to ``factor`` of current capacity."""
+        """Scale the array's channels to ``factor`` of its bandwidth.
+
+        The factor holds until :meth:`restore`, across member losses.
+        """
         if factor <= 0:
             raise SimulationError(f"{self.name}: degrade factor must be > 0")
-        self._read_chan.set_rate(self.read_bw * factor)
-        self._write_chan.set_rate(self.write_bw * factor)
+        self._factor = factor
+        self._apply_rates()
 
     def restore(self) -> None:
         """Return the array to its full (alive-member) bandwidth."""
-        self._read_chan.set_rate(self.read_bw)
-        self._write_chan.set_rate(self.write_bw)
+        self._factor = 1.0
+        self._apply_rates()
+
+    def _apply_rates(self) -> None:
+        self._read_chan.set_rate(self.read_bw * self._factor)
+        self._write_chan.set_rate(self.write_bw * self._factor)
 
     def fail_member(self) -> int:
         """Lose one spindle; returns how many survive.
@@ -154,16 +162,16 @@ class Raid0:
         the model is softer on purpose: it represents the recovery mode
         of re-reading from a mirror/backup at the surviving spindles'
         aggregate rate, which is what degraded-mode experiments measure.
+        A :meth:`degrade` in progress still applies to the survivors.
         """
         if self._alive <= 1:
             raise SimulationError(f"{self.name}: cannot fail the last member")
-        per_disk_read = self.read_bw / len(self.disks)
-        per_disk_write = self.write_bw / len(self.disks)
+        per_disk_read = self.read_bw / self._alive
+        per_disk_write = self.write_bw / self._alive
         self._alive -= 1
         self.read_bw = per_disk_read * self._alive
         self.write_bw = per_disk_write * self._alive
-        self._read_chan.set_rate(self.read_bw)
-        self._write_chan.set_rate(self.write_bw)
+        self._apply_rates()
         return self._alive
 
     @property

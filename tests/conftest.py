@@ -38,18 +38,18 @@ def pytest_collection_modifyitems(items):
             item.add_marker(strict)
 
 
-_WORKER_PREFIXES = ("repro-sup-", "repro-shard-", "repro-agent-shard-")
+_WORKER_PREFIXES = ("repro-pool-", "repro-shard-", "repro-agent-shard-")
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_worker_processes():
     """Fail any test that leaves fork-pool workers behind.
 
-    Covers the one-wave pools of ``fork_map`` / ``supervised_fork_map``
-    — including workers the supervisor *respawned* after a crash or
-    lease kill (``repro-sup-*``) — and shard workers.  A short grace
-    loop absorbs the instant between a pool returning and its children
-    being reaped.
+    Covers every ``WorkerPool`` — a job's map pool and ``fork_map``'s
+    one-wave pools, including workers the supervisor *respawned* after
+    a crash or lease kill (``repro-pool-*``) — and shard workers.  A
+    short grace loop absorbs the instant between a pool returning and
+    its children being reaped.
     """
     yield
     deadline = time.monotonic() + 5.0

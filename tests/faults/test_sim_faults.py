@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.faults.log import FaultLog
 from repro.faults.plan import (
     SITE_SIM_DATANODE_LOSS,
+    SITE_SIM_DISK_FAIL,
     SITE_SIM_DISK_SLOW,
     SITE_SIM_NET_FLAP,
     SITE_SIM_STRAGGLER,
@@ -18,6 +19,7 @@ from repro.faults.policy import RecoveryPolicy
 from repro.faults.simdriver import SimFaultDriver
 from repro.simhw.events import Simulator
 from repro.simhw.hdfs import HdfsCluster, HdfsSpec
+from repro.simhw.machine import paper_machine
 from repro.simrt.costmodel import GB_SI, PAPER_WORDCOUNT
 from repro.simrt.hdfs_case import simulate_hdfs_case_study
 from repro.simrt.supmr_sim import simulate_supmr_job
@@ -45,6 +47,49 @@ class TestDiskFaults:
         assert log.count("injected", site=SITE_SIM_DISK_SLOW) == 1
         assert log.count("recovered", site=SITE_SIM_DISK_SLOW) == 1
         assert slowed.timings.total_s > clean.timings.total_s
+
+    def test_member_loss_keeps_a_slowdown_in_progress(self):
+        slow = FaultSpec(site=SITE_SIM_DISK_SLOW, at_s=2.0,
+                         duration_s=100.0, factor=0.25)
+        fail = FaultSpec(site=SITE_SIM_DISK_FAIL, at_s=5.0)
+        clean = _run()
+        failed = _run(fault_plan=FaultPlan(seed=0, specs=(fail,)))
+        slowed = _run(fault_plan=FaultPlan(seed=0, specs=(slow,)))
+        both = _run(fault_plan=FaultPlan(seed=0, specs=(slow, fail)))
+        log = both.extras["fault_log"]
+        assert log.count("injected", site=SITE_SIM_DISK_FAIL) == 1
+        assert log.count("degraded", site=SITE_SIM_DISK_FAIL) == 1
+        assert failed.timings.total_s > clean.timings.total_s
+        # Losing a spindle under a slowdown can only make it worse.
+        assert both.timings.total_s >= slowed.timings.total_s
+
+    def test_restore_after_member_loss_is_the_survivors_bandwidth(self):
+        machine = paper_machine(Simulator())
+        disk = machine.disk
+        per_spindle = disk.read_bw / len(disk.disks)
+        disk.degrade(0.25)
+        disk.fail_member()
+        assert disk._read_chan.total_rate == pytest.approx(per_spindle * 2 * 0.25)
+        disk.fail_member()
+        disk.restore()
+        assert disk._read_chan.total_rate == pytest.approx(per_spindle)
+
+    def test_last_spindle_is_refused_not_fatal(self):
+        machine = paper_machine(Simulator(), monitor_interval=INTERVAL,
+                                data_disks=1)
+        plan = FaultPlan(seed=0, specs=(
+            FaultSpec(site=SITE_SIM_DISK_FAIL, at_s=5.0),
+        ))
+        result = _run(fault_plan=plan, machine=machine)
+        log = result.extras["fault_log"]
+        assert log.count("injected", site=SITE_SIM_DISK_FAIL) == 0
+        refusals = [
+            e for e in log.events
+            if e.site == SITE_SIM_DISK_FAIL and e.action == "degraded"
+            and e.detail.startswith("refused")
+        ]
+        assert len(refusals) == 1
+        assert machine.disk.read_bw == machine.spec.disk_read_bw
 
 
 class TestDatanodeLoss:

@@ -28,7 +28,7 @@ from repro.faults.log import (
 from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import fork_available
 from repro.resilience.gates import gate_worker_sites
-from repro.resilience.supervisor import supervised_fork_map
+from repro.resilience.supervisor import WorkerPool
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
@@ -38,6 +38,16 @@ SCOPES = [(0, task_id) for task_id in range(12)]
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _one_wave(fn, items, workers, **wave_kw):
+    """One supervised wave of a fresh pool forked around ``fn(items[i])``."""
+    items = list(items)
+    pool = WorkerPool(lambda i: fn(items[i]), workers)
+    try:
+        return pool.run_wave(range(len(items)), **wave_kw)
+    finally:
+        pool.close()
 
 
 def _armed(seed: int):
@@ -62,7 +72,7 @@ def test_gate_and_supervisor_write_the_same_rows_per_scope(fault_seed):
     ran = [gate_worker_sites(gate, scope, allow_skip=True) for scope in SCOPES]
 
     supervised = _armed(fault_seed)
-    outcome = supervised_fork_map(
+    outcome = _one_wave(
         _square, range(len(SCOPES)), workers=2,
         policy=supervised.policy, injector=supervised,
         scope_of=SCOPES.__getitem__, allow_skip=True,

@@ -26,6 +26,7 @@ from repro.core.supmr import SupMRRuntime
 from repro.faults import parse_faults
 from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import fork_available
+from repro.resilience.supervisor import WorkerPool
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -45,13 +46,26 @@ def numbers_file(tmp_path_factory: pytest.TempPathFactory) -> Path:
     return path
 
 
+#: The multi-source job: small files packed into intra-file chunks, so
+#: every chunk spans several files and has no one range to mmap.  Three
+#: per chunk, because ``ingest.read=once`` fails each source of a chunk
+#: once and the whole chunk is the retry unit: N sources cost N retries.
+_MULTI = "wordcount-multi"
+
+
 def _options(
     backend: str, *, budget: bool = False, faults: bool = False,
-    mappers: int = 4, reducers: int = 3,
+    mappers: int = 4, reducers: int = 3, job_name: str = "",
 ):
-    opts = RuntimeOptions.supmr_interfile(
-        "16KB", num_mappers=mappers, num_reducers=reducers
-    ).with_(executor_backend=backend)
+    if job_name == _MULTI:
+        opts = RuntimeOptions.supmr_intrafile(
+            3, num_mappers=mappers, num_reducers=reducers
+        )
+    else:
+        opts = RuntimeOptions.supmr_interfile(
+            "16KB", num_mappers=mappers, num_reducers=reducers
+        )
+    opts = opts.with_(executor_backend=backend)
     if budget:
         opts = opts.with_(memory_budget="96KB")
     if faults:
@@ -63,9 +77,11 @@ def _options(
     return opts
 
 
-def _job(name: str, text_file, terasort_file, numbers_file):
+def _job(name: str, text_file, terasort_file, numbers_file, small_files=()):
     if name == "wordcount":
         return make_wordcount_job([text_file])
+    if name == _MULTI:
+        return make_wordcount_job(small_files)
     if name == "sort":
         return make_sort_job([terasort_file])
     if name == "histogram":
@@ -83,15 +99,19 @@ _FAULT_COUNTERS = ("faults_injected", "fault_retries", "records_quarantined")
 @needs_fork
 @pytest.mark.parametrize("budget", [False, True], ids=["no-budget", "budget"])
 @pytest.mark.parametrize(
-    "job_name", ["wordcount", "sort", "histogram", "histogram-fixed"]
+    "job_name", ["wordcount", "sort", "histogram", "histogram-fixed", _MULTI]
 )
 class TestSupMRBackendEquivalence:
     def test_outputs_byte_identical(
-        self, job_name, budget, text_file, terasort_file, numbers_file
+        self, job_name, budget, text_file, terasort_file, numbers_file,
+        small_files,
     ):
         results = {
-            backend: SupMRRuntime(_options(backend, budget=budget)).run(
-                _job(job_name, text_file, terasort_file, numbers_file)
+            backend: SupMRRuntime(
+                _options(backend, budget=budget, job_name=job_name)
+            ).run(
+                _job(job_name, text_file, terasort_file, numbers_file,
+                     small_files)
             )
             for backend in BACKENDS
         }
@@ -142,14 +162,43 @@ def test_pool_is_sized_by_mappers_alone(text_file):
 
 
 @needs_fork
-@pytest.mark.parametrize("job_name", ["wordcount", "sort"])
+def test_every_wave_runs_on_the_jobs_one_pool(text_file, monkeypatch):
+    """An armed plan that never fires still maps every round on the one
+    pool the job forked: ``num_mappers`` forks for the whole job."""
+    pools, forks = [], []
+    init, spawn = WorkerPool.__init__, WorkerPool.spawn
+
+    def counting_init(self, *args, **kwargs):
+        pools.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_spawn(self):
+        forks.append(self)
+        return spawn(self)
+
+    monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+    monkeypatch.setattr(WorkerPool, "spawn", counting_spawn)
+    opts = _options("process").with_(
+        fault_plan=parse_faults("worker.crash=0", seed=1)
+    )
+    result = SupMRRuntime(opts).run(make_wordcount_job([text_file]))
+    assert result.counters["pipeline_rounds"] >= 4
+    assert len(pools) == 1
+    assert len(forks) == opts.num_mappers
+
+
+@needs_fork
+@pytest.mark.parametrize("job_name", ["wordcount", "sort", _MULTI])
 class TestFaultedBackendEquivalence:
     def test_outputs_and_fault_schedule_identical(
-        self, job_name, text_file, terasort_file, numbers_file
+        self, job_name, text_file, terasort_file, numbers_file, small_files
     ):
         results = {
-            backend: SupMRRuntime(_options(backend, faults=True)).run(
-                _job(job_name, text_file, terasort_file, numbers_file)
+            backend: SupMRRuntime(
+                _options(backend, faults=True, job_name=job_name)
+            ).run(
+                _job(job_name, text_file, terasort_file, numbers_file,
+                     small_files)
             )
             for backend in BACKENDS
         }

@@ -80,5 +80,5 @@ class TestForkMap:
                 os._exit(13)
             return x
 
-        with pytest.raises(ParallelError, match=r"repro-sup-\d+ exited with code 13"):
+        with pytest.raises(ParallelError, match=r"repro-pool-\d+ exited with code 13"):
             fork_map(task, range(3), 2)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.io.records import RecordCodec, TeraRecordCodec
 from repro.io.span import ByteSpan, as_span, materialize
+from repro.parallel.splits import SplitRef
 
 
 class TestConstruction:
@@ -99,6 +102,26 @@ class TestNarrowing:
     def test_bad_subspan_raises(self):
         with pytest.raises(ValueError):
             ByteSpan(b"abcd").span(1, 9)
+
+
+class TestPickling:
+    """A span crosses a pickle as its window, never as its base."""
+
+    def test_pickles_only_the_window(self):
+        span = ByteSpan(b"x" * 2_000_000, 5_000, 6_000)
+        blob = pickle.dumps(span, protocol=5)
+        assert len(blob) < 1_100
+        clone = pickle.loads(blob)
+        assert isinstance(clone, ByteSpan)
+        assert bytes(clone) == bytes(span)
+
+    def test_mmap_backed_span_round_trips(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"0123456789")
+        span = SplitRef(str(path), 3, 4).resolve()
+        clone = pickle.loads(pickle.dumps(span, protocol=5))
+        assert bytes(clone) == b"3456"
+        assert clone.find(b"5") == 2
 
 
 class TestCodecCompatibility:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import threading
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -16,13 +18,23 @@ from repro.faults.log import (
 from repro.faults.plan import SITE_TASK_HANG, SITE_WORKER_CRASH
 from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import fork_available
-from repro.resilience.supervisor import supervised_fork_map
+from repro.resilience.supervisor import _CRASH_EXIT, WorkerPool
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _one_wave(fn, items, workers, **wave_kw):
+    """One supervised wave of a fresh pool forked around ``fn(items[i])``."""
+    items = list(items)
+    pool = WorkerPool(lambda i: fn(items[i]), workers)
+    try:
+        return pool.run_wave(range(len(items)), **wave_kw)
+    finally:
+        pool.close()
 
 
 def _armed(spec: str, seed: int, **policy_kw):
@@ -34,13 +46,13 @@ def _armed(spec: str, seed: int, **policy_kw):
 
 class TestHappyPath:
     def test_results_in_item_order(self):
-        outcome = supervised_fork_map(_square, range(17), workers=4)
+        outcome = _one_wave(_square, range(17), workers=4)
         assert outcome.results == [x * x for x in range(17)]
         assert outcome.skipped == ()
         assert outcome.respawns == 0
 
     def test_empty_items(self):
-        assert supervised_fork_map(_square, [], workers=4).results == []
+        assert _one_wave(_square, [], workers=4).results == []
 
     def test_worker_exception_propagates(self):
         def boom(x: int) -> int:
@@ -49,7 +61,7 @@ class TestHappyPath:
             return x
 
         with pytest.raises(ValueError, match="cursed"):
-            supervised_fork_map(boom, range(6), workers=2)
+            _one_wave(boom, range(6), workers=2)
 
 
 class TestInjectedCrashes:
@@ -58,7 +70,7 @@ class TestInjectedCrashes:
         # that is four seeded worker kills — well past the >= 2 the
         # acceptance criteria ask for — each retried and respawned.
         policy, injector = _armed("worker.crash=once", seed=3)
-        outcome = supervised_fork_map(
+        outcome = _one_wave(
             _square, range(4), workers=2, policy=policy, injector=injector
         )
         assert outcome.results == [0, 1, 4, 9]
@@ -74,7 +86,7 @@ class TestInjectedCrashes:
 
     def test_injected_hang_is_lease_killed_and_retried(self):
         policy, injector = _armed("task.hang=once", seed=5, lease_timeout_s=0.3)
-        outcome = supervised_fork_map(
+        outcome = _one_wave(
             _square, range(3), workers=2, policy=policy, injector=injector
         )
         assert outcome.results == [0, 1, 4]
@@ -92,7 +104,7 @@ class TestInjectedCrashes:
             "worker.crash=1.0", seed=1, max_retries=2,
             worker_respawn_budget=50,
         )
-        outcome = supervised_fork_map(
+        outcome = _one_wave(
             _square, range(3), workers=2,
             policy=policy, injector=injector, allow_skip=True,
         )
@@ -104,7 +116,7 @@ class TestInjectedCrashes:
     def test_poison_task_fails_wave_without_skip_budget(self):
         policy, injector = _armed("worker.crash=1.0", seed=1, max_retries=1)
         with pytest.raises(RetryExhausted, match=SITE_WORKER_CRASH):
-            supervised_fork_map(
+            _one_wave(
                 _square, range(2), workers=2,
                 policy=policy, injector=injector, allow_skip=False,
             )
@@ -114,7 +126,7 @@ class TestInjectedCrashes:
             "worker.crash=1.0", seed=2, max_retries=5, worker_respawn_budget=1
         )
         with pytest.raises(ParallelError, match="respawn budget"):
-            supervised_fork_map(
+            _one_wave(
                 _square, range(2), workers=1,
                 policy=policy, injector=injector, allow_skip=True,
             )
@@ -130,7 +142,7 @@ class TestOrganicCrashes:
                 os._exit(11)
             return x * 10
 
-        outcome = supervised_fork_map(die_once, range(3), workers=2)
+        outcome = _one_wave(die_once, range(3), workers=2)
         assert outcome.results == [0, 10, 20]
         assert outcome.crashes >= 1
         assert outcome.respawns >= 1
@@ -141,14 +153,14 @@ class TestOrganicCrashes:
 
         policy = RecoveryPolicy(max_retries=1, lease_timeout_s=5.0)
         with pytest.raises(ParallelError, match="out of retries"):
-            supervised_fork_map(always_dies, [0], workers=1, policy=policy)
+            _one_wave(always_dies, [0], workers=1, policy=policy)
 
 
 class TestPreRunHook:
     def test_pre_run_called_once_per_task_before_dispatch(self):
         calls: list[int] = []
         policy, injector = _armed("worker.crash=once", seed=3)
-        supervised_fork_map(
+        _one_wave(
             _square, range(4), workers=2,
             policy=policy, injector=injector, pre_run=calls.append,
         )
@@ -160,4 +172,59 @@ class TestPreRunHook:
             raise RetryExhausted("map.task gate gave up", site="map.task")
 
         with pytest.raises(RetryExhausted, match="gave up"):
-            supervised_fork_map(_square, range(2), workers=2, pre_run=hook)
+            _one_wave(_square, range(2), workers=2, pre_run=hook)
+
+
+class TestCrashAfterDelivery:
+    #: Four pipe buffers' worth: the feeder blocks mid-frame, holding
+    #: the pool's shared write lock, until somebody reads.
+    BIG = 4 * 65536
+
+    def test_an_injected_crash_never_strands_the_results_lock(self):
+        """A worker told to crash while its last result is still in the
+        pipe lets that frame finish first.  Dying mid-frame would keep
+        the results queue's write lock, shared by the whole pool, and
+        every other worker would block in ``put`` until its lease ran
+        out.  No sleeps: the result is larger than the pipe's buffer and
+        nothing reads it until the crash is under way, so the feeder
+        holds the lock at that moment on every run."""
+        big = self.BIG
+        pool = WorkerPool(lambda task: b"x" * big if task else b"small", 2)
+        flushing_r, flushing_w = os.pipe()
+        flush = pool.results_q.join_thread
+
+        def join_thread() -> None:
+            # Runs in the dying worker: the parent may start reading.
+            os.write(flushing_w, b"!")
+            flush()
+
+        pool.results_q.join_thread = join_thread
+        payloads: list[bytes] = []
+
+        def read_two() -> None:
+            for _ in range(2):
+                frame = pool.results_q.get()
+                payloads.append(pool.transport.unpack(frame)[3])
+
+        try:
+            pool.ensure_started(2)
+            dying, survivor = pool.workers
+            dying.inbox.put((1, 0, None, pool.transport.pack(True)))
+            # Bytes in the pipe: the feeder holds the lock mid-frame.
+            pool.results_q._reader.poll(None)
+            dying.inbox.put((1, 1, SITE_WORKER_CRASH, None))
+            wait([dying.proc.sentinel, flushing_r])
+            survivor.inbox.put((1, 2, None, pool.transport.pack(False)))
+            reader = threading.Thread(target=read_two, daemon=True)
+            reader.start()
+            reader.join(30.0)
+            assert [len(p) for p in payloads] == [big, len(b"small")], (
+                "the survivor's result never arrived: the crashed worker "
+                "kept the results queue's write lock"
+            )
+            dying.proc.join(30.0)
+            assert dying.proc.exitcode == _CRASH_EXIT
+        finally:
+            pool.close()
+            os.close(flushing_r)
+            os.close(flushing_w)
