@@ -77,9 +77,10 @@ class Chunk:
         """Read the chunk into memory (the ingest-phase work).
 
         With an armed ``injector`` this is the retry *unit* for the
-        ``ingest.read`` fault site: injected errors propagate and
-        injected short reads are detected against the planned chunk
-        length, so the runtime's bounded retry re-loads the whole chunk.
+        ``ingest.read`` fault site: every source is checked on each
+        attempt before the first injected error fails it, and injected
+        short reads are detected against the planned chunk length, so
+        the runtime's bounded retry re-loads the whole chunk.
 
         With a ``throttle`` (:class:`repro.qos.throttle.TokenBucket`)
         the chunk's bytes are charged against the job's I/O budget
@@ -99,14 +100,18 @@ class Chunk:
             if len(self.sources) == 1:
                 return self._load_single_mmap(self.sources[0])
             return self._load_multi_readinto()
-        parts = [
-            read_slice(
-                src.path, src.offset, src.length,
-                injector=injector, scope=(self.index, i), attempt=attempt,
-                throttle=throttle,
-            )
-            for i, src in enumerate(self.sources)
-        ]
+        parts, failed = [], None
+        for i, src in enumerate(self.sources):
+            try:
+                parts.append(read_slice(
+                    src.path, src.offset, src.length,
+                    injector=injector, scope=(self.index, i),
+                    attempt=attempt, throttle=throttle,
+                ))
+            except FaultInjected as exc:
+                failed = failed or exc
+        if failed is not None:
+            raise failed
         data = parts[0] if len(parts) == 1 else b"".join(parts)
         if len(data) != self.length:
             from repro.faults.plan import SITE_INGEST_READ

@@ -21,9 +21,10 @@ deduplicated here, result frames carry ``rseq`` and are kept until the
 coordinator acks them (piggybacked on pings), resent across reconnects,
 and deduplicated there; a lost control connection starts a
 **grace timer** — workers survive a reconnect inside it, and are killed
-(no orphans) once it expires or the agent exits.  Forked workers also
-watch the agent's pid and die with it, so even ``SIGKILL`` of the agent
-leaks nothing.
+(no orphans) once it expires or the agent exits.  Forked workers (a
+:class:`~repro.resilience.supervisor.LocalHandle` each) also watch the
+agent's pid and die with it, so even ``SIGKILL`` of the agent leaks
+nothing.
 
 The seeded ``net.host.loss`` and ``net.partition`` sites are commanded
 *into* the agent by the coordinator (``die`` / ``mute``) — the same
@@ -34,6 +35,7 @@ so a fault run replays identically wherever the workers land.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import pickle
 import shutil
@@ -43,12 +45,9 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from queue import Empty
 from typing import Any
-
-import multiprocessing
 
 from repro.errors import ProtocolError, ReproError
 from repro.faults.log import ACTION_REAPED, FaultLog
@@ -56,12 +55,8 @@ from repro.faults.plan import SITE_NET_AGENT_REAP
 from repro.net.exchange import serve_fetch_session
 from repro.net.jobs import chunks_from_wire, job_from_wire, options_from_wire
 from repro.net.peers import format_addr, split_addr
-from repro.parallel.shard_worker import (
-    MSG_MAP,
-    MSG_REDUCE,
-    SHARD_CRASH_EXIT,
-    shard_worker_main,
-)
+from repro.parallel.shard_worker import MSG_MAP, MSG_REDUCE, shard_worker_main
+from repro.resilience.supervisor import LocalHandle, die
 from repro.service.protocol import recv_frame, send_frame
 from repro.util.atomic import publish
 from repro.util.logging import get_logger
@@ -74,11 +69,14 @@ FRAME_STALL_S = 30.0
 DEFAULT_GRACE_S = 10.0
 
 
-def _watch_parent(parent_pid: int) -> None:
+def _watch_parent(parent_pid: int, results: Any) -> None:
     """Die with the agent: a re-parented worker is an orphan, not work."""
     while True:
         if os.getppid() != parent_pid:
-            os._exit(SHARD_CRASH_EXIT)
+            # Nobody reads the results queue any more: a frame stuck in
+            # its pipe would never finish, so the death does not wait.
+            results.cancel_join_thread()
+            die(results)
         time.sleep(0.2)
 
 
@@ -91,17 +89,9 @@ def _worker_shell(parent_pid: int, *args: Any) -> None:
     ungraceful death paths.
     """
     threading.Thread(
-        target=_watch_parent, args=(parent_pid,), daemon=True
+        target=_watch_parent, args=(parent_pid, args[-1]), daemon=True
     ).start()
     shard_worker_main(*args)
-
-
-@dataclass
-class _WorkerRec:
-    """One hosted shard worker process and its command inbox."""
-
-    proc: multiprocessing.process.BaseProcess
-    inbox: Any
 
 
 class AgentServer:
@@ -143,7 +133,7 @@ class AgentServer:
         #: a result blob pumped out of the queue just before the switch
         #: can never be posted to the new owner.
         self._epoch = 0
-        self.workers: dict[tuple[int, int], _WorkerRec] = {}
+        self.workers: dict[tuple[int, int], LocalHandle] = {}
         self._ctl: "socket.socket | None" = None
         #: Current control-session owner token (None until a coordinator
         #: that identifies itself attaches, or for legacy/anonymous
@@ -165,8 +155,7 @@ class AgentServer:
         if accept_control:
             # A fetch-only instance (the coordinator's own run exporter)
             # never forks workers, so it skips the worker plumbing.
-            self.ctx = multiprocessing.get_context("fork")
-            self.results = self.ctx.Queue()
+            self.results = multiprocessing.get_context("fork").Queue()
             for target in (self._pump, self._reap):
                 t = threading.Thread(target=target, daemon=True)
                 t.start()
@@ -311,14 +300,10 @@ class AgentServer:
         previous, self._owner = self._owner, owner
         if not had_state:
             return
-        with self._lock:
-            keys = list(self.workers)
-        for key in keys:
-            self._kill(key, reaped=True, detail=(
-                f"control session taken over by a new coordinator "
-                f"(previous owner {previous or 'anonymous'}); "
-                f"killed worker {key[0]}.{key[1]}"
-            ))
+        self._kill_all(
+            f"control session taken over by a new coordinator "
+            f"(previous owner {previous or 'anonymous'})"
+        )
         # The killed workers are joined, so nothing new lands in the
         # results queue; drain what already did.
         while True:
@@ -347,7 +332,9 @@ class AgentServer:
                 "agent %s: no coordinator for %.3gs; reaping workers",
                 self.addr, self.grace_s,
             )
-            self._kill_all(reaped=True)
+            self._kill_all(
+                f"grace {self.grace_s:.3g}s expired with no coordinator"
+            )
 
     def _handle(self, cmd: dict) -> None:
         ack = cmd.get("ack")
@@ -393,25 +380,20 @@ class AgentServer:
                                f"job: {exc}")
             ))
             return
-        inbox = self.ctx.Queue()
-        proc = self.ctx.Process(
-            target=_worker_shell,
-            args=(
-                os.getpid(), sid, job, options, chunks,
-                int(cmd["num_partitions"]), inbox, self.results,
-            ),
-            daemon=True,
-            name=f"repro-agent-shard-{sid}.{wid}",
+        handle = LocalHandle(
+            _worker_shell,
+            (os.getpid(), sid, job, options, chunks,
+             int(cmd["num_partitions"])),
+            self.results, f"repro-agent-shard-{sid}.{wid}",
         )
-        proc.start()
         with self._lock:
-            self.workers[(sid, wid)] = _WorkerRec(proc=proc, inbox=inbox)
+            self.workers[(sid, wid)] = handle
 
     def _relay(self, cmd: dict) -> None:
         sid, wid = int(cmd["sid"]), int(cmd["wid"])
         with self._lock:
-            rec = self.workers.get((sid, wid))
-        if rec is None:
+            handle = self.workers.get((sid, wid))
+        if handle is None:
             return
         msg = cmd["msg"]
         if isinstance(msg, dict):
@@ -427,44 +409,35 @@ class AgentServer:
             elif msg.get("kind") == MSG_REDUCE:
                 msg["workdir"] = str(self.workdir / f"in-{sid}.{wid}")
                 msg["self_addr"] = self.addr
-        rec.inbox.put(msg)
+        handle.send(msg)
 
-    def _kill(
-        self,
-        key: tuple[int, int],
-        reaped: bool = False,
-        detail: "str | None" = None,
-    ) -> None:
+    def _kill(self, key: tuple[int, int], reap: "str | None" = None) -> None:
+        """Kill one hosted worker; ``reap`` says why, when nobody asked."""
         with self._lock:
-            rec = self.workers.pop(key, None)
-        if rec is None:
+            handle = self.workers.pop(key, None)
+        if handle is None:
             return
-        rec.proc.kill()
-        rec.proc.join(timeout=5.0)
-        rec.inbox.cancel_join_thread()
-        rec.inbox.close()
-        if reaped:
-            # A grace-expiry (or takeover) kill is an *event*, not an
-            # order: nobody asked for it, so post-mortems need the audit
-            # row to tell "the agent cleaned up abandoned workers" apart
-            # from "the coordinator commanded a kill".
-            self.counters["agent_reaped"] += 1
-            self.fault_log.record(
-                SITE_NET_AGENT_REAP, ACTION_REAPED,
-                detail or (
-                    f"grace {self.grace_s:.3g}s expired with no "
-                    f"coordinator; killed worker {key[0]}.{key[1]}"
-                ),
-                scope=f"{key[0]}.{key[1]}",
-            )
-        else:
+        handle.kill()
+        handle.discard()
+        if reap is None:
             self.counters["agent_killed"] += 1
+            return
+        # A grace-expiry (or takeover) kill is an *event*, not an order:
+        # nobody asked for it, so post-mortems need the audit row to
+        # tell "the agent cleaned up abandoned workers" apart from "the
+        # coordinator commanded a kill".
+        self.counters["agent_reaped"] += 1
+        self.fault_log.record(
+            SITE_NET_AGENT_REAP, ACTION_REAPED,
+            f"{reap}; killed worker {key[0]}.{key[1]}",
+            scope=f"{key[0]}.{key[1]}",
+        )
 
-    def _kill_all(self, reaped: bool = False) -> None:
+    def _kill_all(self, reap: "str | None" = None) -> None:
         with self._lock:
             keys = list(self.workers)
         for key in keys:
-            self._kill(key, reaped=reaped)
+            self._kill(key, reap)
 
     # -- outbound ------------------------------------------------------------
 
@@ -533,16 +506,14 @@ class AgentServer:
         while not self._stop.is_set():
             with self._lock:
                 items = list(self.workers.items())
-            for (sid, wid), rec in items:
-                if not rec.proc.is_alive():
-                    rec.proc.join(timeout=0.1)
+            for (sid, wid), handle in items:
+                if not handle.alive():
                     with self._lock:
                         self.workers.pop((sid, wid), None)
-                    rec.inbox.cancel_join_thread()
-                    rec.inbox.close()
+                    handle.discard()
                     self._post({
                         "type": "worker-exit", "sid": sid, "wid": wid,
-                        "exitcode": rec.proc.exitcode,
+                        "exitcode": handle.proc.exitcode,
                     })
             time.sleep(0.05)
 

@@ -17,8 +17,8 @@ discarded with the socket.  Every wait on this path is bounded; the
 link can never hang the coordinator.
 
 :class:`RemoteHandle` is the per-worker facade over a link, exposing
-the same ``send``/``alive``/``kill`` surface the coordinator's local
-fork handles expose.
+the same surface as :class:`~repro.resilience.supervisor.LocalHandle`,
+the handle of every forked worker on this host.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ class AgentLink:
 
 
 class RemoteHandle:
-    """One remote shard worker, behind the local-handle interface."""
+    """One remote shard worker, behind :class:`LocalHandle`'s interface."""
 
     is_remote = True
     #: Remote pids are agent-host facts; the coordinator's pid files

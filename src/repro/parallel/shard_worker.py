@@ -1,15 +1,17 @@
 """Shard worker entrypoint: one supervised process group member.
 
 Each shard of a :class:`~repro.shard.coordinator.ShardedRuntime` job is
-one forked process running :func:`shard_worker_main`.  The contract
-mirrors the resilience supervisor's worker protocol — the job, options,
-and chunk block ride into the fork copy-on-write; only small command
-dicts and pickled result blobs cross the queues — but a shard worker is
-long-lived and *phased*: it serves a ``map`` command (map its contiguous
-chunk block, publish per-partition exchange runs to its outbox), then
-any number of ``reduce`` commands (fetch + CRC-verify the named
-partitions' runs from every shard's outbox and reduce them), until the
-``None`` sentinel.
+one forked process running :func:`shard_worker_main`, forked by the
+map pool's :class:`~repro.resilience.supervisor.LocalHandle` and killed
+on command by its :func:`~repro.resilience.supervisor.die`.  The
+contract mirrors the resilience supervisor's worker protocol — the job,
+options, and chunk block ride into the fork copy-on-write; only small
+command dicts and pickled result blobs cross the queues — but a shard
+worker is long-lived and *phased*: it serves a ``map`` command (map its
+contiguous chunk block, publish per-partition exchange runs to its
+outbox), then any number of ``reduce`` commands (fetch + CRC-verify the
+named partitions' runs from every shard's outbox and reduce them),
+until the ``None`` sentinel.
 
 Fault-site split: the **shard-level** sites (``shard.worker_loss``,
 ``shard.straggler``, ``shard.exchange_corrupt``) are decided by the
@@ -24,11 +26,10 @@ fault events are shipped back for replay into the coordinator's log.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from pathlib import Path
-from typing import Any, NoReturn, Sequence
+from typing import Any, Sequence
 
 from repro.chunking.chunk import Chunk
 from repro.core.driver import JobRun
@@ -37,6 +38,7 @@ from repro.core.options import RuntimeOptions
 from repro.errors import ParallelError
 from repro.parallel.backends import ExecutorBackend
 from repro.resilience.journal import job_fingerprint
+from repro.resilience.supervisor import die
 from repro.shard.exchange import (
     EventRow,
     fetch_run,
@@ -45,10 +47,6 @@ from repro.shard.exchange import (
     run_name,
     write_partition_runs,
 )
-
-#: Exit code for a commanded (injected) shard-worker death — same value
-#: the task supervisor uses, so process post-mortems read uniformly.
-SHARD_CRASH_EXIT = 37
 
 #: Message kinds the worker understands.
 MSG_MAP = "map"
@@ -80,20 +78,6 @@ def _post(results: Any, payload: tuple) -> None:
     results.put(blob)
 
 
-def _die(results: Any) -> NoReturn:
-    """A commanded death: flush this worker's frames, then exit.
-
-    The results queue is shared by every worker of the job, and its
-    feeder thread holds the queue's write lock while a frame is in the
-    pipe.  An ``os._exit`` that lands mid-write would keep that lock
-    forever and leave every other worker blocked in ``put``; closing and
-    joining the feeder first lets the frame finish and the lock go.
-    """
-    results.close()
-    results.join_thread()
-    os._exit(SHARD_CRASH_EXIT)
-
-
 def _log_rows(injector: Any) -> list[EventRow]:
     """The worker injector's fault events as transportable rows."""
     if injector is None:
@@ -117,7 +101,7 @@ def _serve_map(
     mode = msg.get("mode", MODE_RUN)
     if mode == MODE_LOSS and not chunks:
         # Nothing to checkpoint first: die straight away.
-        _die(results)
+        die(results)
     straggle_s = float(msg.get("straggle_s") or 0.0)
     attempt = msg.get("attempt", 0)
 
@@ -128,7 +112,7 @@ def _serve_map(
         if mode == MODE_LOSS:
             # Die *after* the first journaled round, exactly the window
             # the checkpoint/resume path has to cover.
-            _die(results)
+            die(results)
 
     # The shard's block runs the one-shot runtimes' round loop, serially
     # and without read-ahead (its fault events ship back in program
@@ -158,7 +142,7 @@ def _serve_map(
             # has already consumed the shard.worker_loss injection, so
             # honor it anyway to keep the seeded schedule and fault log
             # in step.
-            _die(results)
+            die(results)
         manifest = write_partition_runs(
             run.container, num_partitions, msg["outbox"]
         )
@@ -195,7 +179,7 @@ def _serve_reduce(
 ) -> None:
     """Fetch, verify, merge, and reduce the commanded partitions."""
     if msg.get("mode", MODE_RUN) == MODE_LOSS:
-        _die(results)
+        die(results)
     sources: dict[int, str] = msg["sources"]
     corrupt: dict[tuple[int, int], list[int]] = msg.get("corrupt", {})
     # Multi-host extras: where each source outbox actually lives.  A

@@ -1,12 +1,16 @@
 """Supervised fork pool: leases, respawn, and poison-task quarantine.
 
-The one engine that forks map workers.  :class:`WorkerPool` forks its
-workers **once**, around a handler closure that COW-inherits whatever
-it captures (the job, its container factory); each wave then feeds them
-picklable task descriptors over their inboxes.  :class:`Supervisor` drives one wave over one pool: the parent
-keeps a **lease** per dispatched task (deadline + the result queue as
-the heartbeat), detects dead or hung workers, respawns them with fresh
-inboxes, and re-dispatches orphaned tasks with a bounded attempt count.
+The one forked worker: :class:`LocalHandle` forks every worker process
+of this host (pool, shard, agent-hosted), :func:`shut_down` tears them
+down and :func:`die` is their commanded death.  :class:`WorkerPool`
+forks its workers **once**, around a handler closure that COW-inherits
+whatever it captures (the job, its container factory); each wave then
+feeds them picklable task descriptors over their inboxes.
+:class:`Supervisor` drives one wave over one pool: the parent keeps a
+**lease** per dispatched task (:mod:`repro.resilience.core`; the result
+queue is the heartbeat), detects dead or hung workers, respawns them
+with fresh inboxes, and re-dispatches orphaned tasks with a bounded
+attempt count.
 Results are epoch-tagged, so a lease-killed straggler's late frame can
 never bleed into the next wave.  A task that repeatedly kills its
 worker is *poison*: once the retry budget is spent it goes through the
@@ -30,7 +34,7 @@ happen.
 
 Determinism contract: the ``worker.crash`` / ``task.hang`` fault sites
 are decided **in the parent at dispatch time** — the worker is merely
-told to die (``os._exit``) or stall (sleep past its lease) — by the
+told to :func:`die` or stall (sleep past its lease) — by the
 task's :class:`~repro.resilience.gates.WorkerSiteSchedule`, the same
 schedule the serial backend's pre-task gate runs.  The supervisor only
 drives it, one step per observed death or lease expiry, so the
@@ -48,7 +52,7 @@ import queue as queue_mod
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterable, NoReturn, Sequence
 
 from repro.errors import ParallelError
 from repro.faults.injector import FaultInjector
@@ -56,13 +60,14 @@ from repro.faults.log import ACTION_RESPAWNED, ACTION_RETRIED
 from repro.faults.plan import SITE_TASK_HANG, SITE_WORKER_CRASH
 from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import require_process_backend
+from repro.resilience.core import Tally, Worker, casualties
 from repro.resilience.gates import WorkerSiteSchedule, worker_sites_armed
 from repro.xfer.segments import SegmentLost
 from repro.xfer.transport import PipeTransport, ShmTransport
 
 #: Exit code a worker uses when told to crash (distinct from genuine
 #: faults' codes so logs can tell injected deaths from organic ones).
-_CRASH_EXIT = 37
+CRASH_EXIT = 37
 
 #: Fallback wake-up interval when nothing is in flight (a state the
 #: main loop cannot normally reach; this only guards against a hang).
@@ -93,20 +98,6 @@ class _TaskState:
 
 
 @dataclass
-class _Worker:
-    """One supervised worker process and its dispatch inbox."""
-
-    proc: multiprocessing.process.BaseProcess
-    inbox: Any
-    busy: _TaskState | None = None
-    lease_expiry: float = 0.0
-
-    @property
-    def idle(self) -> bool:
-        return self.busy is None
-
-
-@dataclass
 class SupervisionResult:
     """What one supervised wave produced, plus its survival record."""
 
@@ -129,19 +120,102 @@ class SupervisionResult:
         return [r for i, r in enumerate(self.results) if i not in skipped]
 
 
+def die(results: Any) -> NoReturn:
+    """A commanded death: flush this worker's frames, then exit.
+
+    The results queue is shared by every worker of a pool or a sharded
+    job, and its feeder thread holds the queue's write lock while a
+    frame is in the pipe.  An ``os._exit`` that lands mid-write would
+    keep that lock forever and leave every other worker blocked in
+    ``put`` until its lease ran out; closing and joining the feeder
+    first lets the frame finish and the lock go.
+    """
+    results.close()
+    results.join_thread()
+    os._exit(CRASH_EXIT)
+
+
+class LocalHandle:
+    """One forked worker process and its inbox.
+
+    Runs ``target(*args, inbox, results)``; :class:`~repro.net.remote.
+    RemoteHandle` is the same surface for a worker on another host.
+    """
+
+    is_remote = False
+
+    def __init__(
+        self, target: Callable[..., None], args: tuple, results: Any, name: str
+    ) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self.inbox = ctx.Queue()
+        self.proc = ctx.Process(
+            target=target, args=(*args, self.inbox, results),
+            daemon=True, name=name,
+        )
+        self.proc.start()
+        self.name, self.pid = name, self.proc.pid
+        self.sentinel = self.proc.sentinel
+
+    def send(self, msg: Any) -> None:
+        """Put one command on the worker's inbox."""
+        self.inbox.put(msg)
+
+    def alive(self) -> bool:
+        """Whether the process is still running."""
+        return self.proc.is_alive()
+
+    def kill(self) -> None:
+        """SIGKILL the process and reap it."""
+        self.proc.kill()
+        self.proc.join(timeout=5.0)
+
+    def stop(self) -> None:
+        """The graceful ``None`` sentinel."""
+        try:
+            self.inbox.put(None)
+        except (ValueError, OSError):  # pragma: no cover - closed inbox
+            pass
+
+    def join(self, timeout: "float | None" = None) -> None:
+        """Wait for the process to exit."""
+        self.proc.join(timeout=timeout)
+
+    def discard(self) -> None:
+        """Release the inbox of a worker that is gone or going."""
+        self.inbox.cancel_join_thread()
+        self.inbox.close()
+
+    def describe_exit(self) -> str:
+        """How the process exited, for recovery log lines."""
+        return f"exited with code {self.proc.exitcode}"
+
+
+def shut_down(handles: Iterable[Any]) -> None:
+    """Sentinel, join, kill stragglers, release: every worker's teardown."""
+    handles = list(handles)
+    for handle in handles:
+        handle.stop()
+    for handle in handles:
+        if not handle.is_remote:
+            handle.join(timeout=5.0)
+            if handle.alive():
+                handle.kill()  # pragma: no cover - defensive
+        handle.discard()
+
+
 def _worker_main(
     handler: Callable[[Any], Any],
+    transport: "PipeTransport | ShmTransport",
     inbox: Any,
     results: Any,
-    transport: "PipeTransport | ShmTransport",
 ) -> None:
     """Worker body: serve dispatches until the ``None`` sentinel.
 
     ``(epoch, index, fault, frame)`` messages run one task each.  A
-    ``worker.crash`` fault exits the process without cleanup (the
-    deterministic stand-in for an OOM kill); ``task.hang`` sleeps past
-    any lease (a wedged I/O call); no fault unpacks the task frame and
-    posts
+    ``worker.crash`` fault is a commanded :func:`die` (the deterministic
+    stand-in for an OOM kill); ``task.hang`` sleeps past any lease (a
+    wedged I/O call); no fault unpacks the task frame and posts
     ``(epoch, index, ok, payload)`` back through the transport, packing
     synchronously so unpicklable results downgrade to a transportable
     :class:`~repro.errors.ParallelError`.
@@ -152,13 +226,7 @@ def _worker_main(
             return
         epoch, index, fault, task_frame = msg
         if fault == SITE_WORKER_CRASH:
-            # The results queue and its write lock are shared by the
-            # whole pool, and this worker's last frame may still hold
-            # the lock: let the feeder finish before dying, or every
-            # survivor blocks in ``put`` until its lease runs out.
-            results.close()
-            results.join_thread()
-            os._exit(_CRASH_EXIT)
+            die(results)
         if fault == SITE_TASK_HANG:
             while True:  # pragma: no cover - killed by the supervisor
                 time.sleep(3600)
@@ -206,9 +274,9 @@ class WorkerPool:
         self._handler = handler
         self.requested = workers
         self.transport = transport or PipeTransport()
-        self._ctx = multiprocessing.get_context("fork")
-        self.results_q = self._ctx.Queue()
-        self.workers: list[_Worker] = []
+        self.results_q = multiprocessing.get_context("fork").Queue()
+        #: Leased workers; ``busy`` holds the dispatched task's state.
+        self.workers: list[Worker] = []
         self._next_worker_id = 0
         self.epoch = 0
         self._closed = False
@@ -220,32 +288,25 @@ class WorkerPool:
         while len(self.workers) < min(workers, self.requested):
             self.spawn()
 
-    def spawn(self) -> _Worker:
+    def spawn(self) -> Worker:
         """Fork one worker (initial fill and post-death respawn)."""
-        inbox = self._ctx.Queue()
         wid = self._next_worker_id
         self._next_worker_id += 1
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(self._handler, inbox, self.results_q, self.transport),
-            daemon=True,
-            name=f"repro-pool-{wid}",
-        )
-        proc.start()
-        worker = _Worker(proc=proc, inbox=inbox)
+        worker = Worker(handle=LocalHandle(
+            _worker_main, (self._handler, self.transport), self.results_q,
+            f"repro-pool-{wid}",
+        ))
         self.workers.append(worker)
         return worker
 
-    def discard(self, worker: _Worker) -> None:
+    def discard(self, worker: Worker) -> None:
         """Drop a dead/killed worker, its inbox, and its stray segments."""
-        pid = worker.proc.pid
-        worker.inbox.cancel_join_thread()
-        worker.inbox.close()
+        worker.handle.discard()
         self.workers.remove(worker)
         # The worker is confirmed dead, so any segment it created and
         # never delivered is unreachable; unlink before its replacement
         # starts writing.
-        self.transport.reap(pid)
+        self.transport.reap(worker.handle.pid)
 
     def begin_wave(self) -> int:
         """Advance the wave epoch (stale-frame fencing) and return it."""
@@ -278,20 +339,7 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        for worker in self.workers:
-            try:
-                worker.inbox.put(None)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        for worker in self.workers:
-            worker.proc.join(timeout=5.0)
-        for worker in self.workers:
-            if worker.proc.is_alive():  # pragma: no cover - defensive
-                worker.proc.kill()
-                worker.proc.join(timeout=1.0)
-        for worker in self.workers:
-            worker.inbox.cancel_join_thread()
-            worker.inbox.close()
+        shut_down(worker.handle for worker in self.workers)
         self.results_q.close()
         self.workers.clear()
 
@@ -335,20 +383,19 @@ class Supervisor:
         self._failures: dict[int, BaseException] = {}
         self._out: list[Any] = [None] * len(self._items)
         self._respawns = 0
-        self._crashes = 0
-        self._hangs = 0
+        self._tally = Tally()
         self._redispatches = 0
         self._epoch = 0
 
     # -- worker lifecycle --------------------------------------------------
 
-    def _respawn_after(self, worker: _Worker, site: str, detail: str) -> None:
+    def _respawn_after(self, worker: Worker, site: str, detail: str) -> None:
         self._pool.discard(worker)
         self._respawns += 1
         if self._injector is not None:
             self._injector.log.record(
                 site, ACTION_RESPAWNED,
-                f"worker {worker.proc.name} replaced: {detail}",
+                f"worker {worker.handle.name} replaced: {detail}",
             )
         if self._respawns > self._policy.worker_respawn_budget:
             raise ParallelError(
@@ -396,7 +443,7 @@ class Supervisor:
     def _dispatch_ready(self) -> None:
         """Hand pending tasks to idle workers, deciding each one's fault."""
         for worker in self._pool.workers:
-            if not worker.idle:
+            if worker.busy:
                 continue
             while self._pending:
                 index = self._pending.pop(0)
@@ -418,11 +465,8 @@ class Supervisor:
                         state.frame = self._transport.pack(
                             self._items[index], keep=True
                         )
-                worker.busy = state
-                worker.lease_expiry = (
-                    time.monotonic() + self._policy.lease_timeout_s
-                )
-                worker.inbox.put(
+                worker.engage(time.monotonic(), state)
+                worker.handle.send(
                     (self._epoch, index, state.fault, state.frame)
                 )
                 break
@@ -437,9 +481,10 @@ class Supervisor:
         reader = self._pool.results_q._reader
         if reader.poll():
             return
-        sentinels = [w.proc.sentinel for w in self._pool.workers]
+        sentinels = [w.handle.sentinel for w in self._pool.workers]
         expiries = [
-            w.lease_expiry for w in self._pool.workers if w.busy is not None
+            w.last_heard + self._policy.lease_timeout_s
+            for w in self._pool.workers if w.busy
         ]
         if expiries:
             timeout = max(0.0, min(expiries) - time.monotonic()) + 0.005
@@ -455,47 +500,36 @@ class Supervisor:
         two simultaneously-dead workers must produce fault-log rows in
         the same task order a fresh fork-per-wave pool would — the
         fault-sequence determinism contract of the transport matrix.
+        Each worker is tested against a fresh clock, so a lease that
+        lapses while the one before it is recovered is buried in this
+        sweep too.
         """
-        snapshot = sorted(
-            enumerate(self._pool.workers),
-            key=lambda pos_w: (0, pos_w[1].busy.index)
-            if pos_w[1].busy is not None else (1, pos_w[0]),
+        snapshot = sorted(  # stable: idle workers keep list order
+            self._pool.workers,
+            key=lambda w: w.busy.index if w.busy else len(self._items),
         )
-        for _pos, worker in snapshot:
-            state = worker.busy
-            if (
-                state is not None
-                and state.fault == SITE_WORKER_CRASH
-                and worker.proc.is_alive()
+        for worker in snapshot:
+            if worker.busy and worker.busy.fault == SITE_WORKER_CRASH:
+                # An injected crash is certain death (the worker dies on
+                # receipt).  Wait for it here so that simultaneous
+                # crashes are all recovered in this sweep — in task
+                # order — instead of whichever subset the OS happened to
+                # have reaped first.
+                worker.handle.join(timeout=5.0)
+        for worker in snapshot:
+            for _, expired in casualties(
+                time.monotonic(), [worker], lambda w: w.handle.alive(),
+                self._policy.lease_timeout_s, self._tally,
             ):
-                # An injected crash is certain death (the worker
-                # ``os._exit``s on receipt).  Wait for it here so that
-                # simultaneous crashes are all recovered in this sweep —
-                # in task order — instead of whichever subset the OS
-                # happened to have reaped first.
-                worker.proc.join(timeout=5.0)
-        for _pos, worker in snapshot:
-            state = worker.busy
-            if not worker.proc.is_alive():
-                self._crashes += 1
-                site, detail = SITE_WORKER_CRASH, (
-                    f"{worker.proc.name} exited with code "
-                    f"{worker.proc.exitcode}"
-                )
-            elif state is not None and time.monotonic() > worker.lease_expiry:
-                self._hangs += 1
-                worker.proc.kill()
-                worker.proc.join(timeout=5.0)
-                site, detail = SITE_TASK_HANG, (
-                    f"{worker.proc.name} exceeded its "
-                    f"{self._policy.lease_timeout_s:.3g}s lease"
-                )
-            else:
-                continue
-            worker.busy = None
-            if state is not None:
-                self._failed(state, site, detail)
-            self._respawn_after(worker, site, detail)
+                if expired:
+                    worker.handle.kill()
+                site = SITE_TASK_HANG if expired else SITE_WORKER_CRASH
+                why = expired or worker.handle.describe_exit()
+                detail = f"{worker.handle.name} {why}"
+                state, worker.busy = worker.busy, False
+                if state:
+                    self._failed(state, site, detail)
+                self._respawn_after(worker, site, detail)
 
     def _collect(self) -> None:
         """Drain every result frame the queue currently holds."""
@@ -518,8 +552,8 @@ class Supervisor:
             if epoch != self._epoch:
                 continue  # straggler from an earlier wave on this pool
             for worker in self._pool.workers:
-                if worker.busy is not None and worker.busy.index == index:
-                    worker.busy = None
+                if worker.busy and worker.busy.index == index:
+                    worker.busy = False
                     break
             if index in self._done:
                 continue  # stale duplicate from a lease-killed straggler
@@ -556,7 +590,7 @@ class Supervisor:
             results=self._out,
             skipped=tuple(sorted(self._skipped)),
             respawns=self._respawns,
-            crashes=self._crashes,
-            hangs=self._hangs,
+            crashes=self._tally.crashes,
+            hangs=self._tally.lease_expiries,
             redispatches=self._redispatches,
         )

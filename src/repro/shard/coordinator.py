@@ -16,17 +16,19 @@ on remote ``supmr agent`` daemons over the CRC-framed transport
 process queues, and reduce-phase run fetches go through resumable,
 verify-then-refetch range requests.  The recovery machinery is
 **placement-blind** — every worker hides behind one handle interface
-(``send``/``alive``/``kill``), so leases, respawns, speculation, and
-reassignment work identically for a forked child and a worker two hosts
-away.
+(``send``/``alive``/``kill``: a local fork's is the map pool's
+:class:`~repro.resilience.supervisor.LocalHandle`), so leases, respawns,
+speculation, and reassignment work identically for a forked child and a
+worker two hosts away.
 
 This module is the **shell**: processes, the results queue, the fault
 injector and log, and one receive-and-sweep loop both phases run
-through.  Every decision — leases, respawns, host loss, stragglers,
-reassignment — and the one table of per-shard rows it is taken over
-live in :mod:`repro.shard.core`; docs/sharding.md "Failure protocol"
-has the table.  The ``shard.*`` and ``net.*`` fault sites are rolled
-here, so a seeded plan replays the same failure schedule on every run.
+through.  Every decision — leases (:mod:`repro.resilience.core`, as
+the map pool's), respawns, host loss, stragglers, reassignment — and
+the one table of per-shard rows it is taken over live in
+:mod:`repro.shard.core`; docs/sharding.md "Failure protocol" has the
+table.  The ``shard.*`` and ``net.*`` fault sites are rolled here, so a
+seeded plan replays the same failure schedule on every run.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ from repro.parallel.shard_worker import (
     MSG_REDUCE,
     shard_worker_main,
 )
+from repro.resilience.core import casualties
+from repro.resilience.supervisor import LocalHandle, shut_down
 from repro.shard import core
 from repro.shard.core import Shard, Worker
 from repro.shard.exchange import collect_worker_events
@@ -81,46 +85,6 @@ _POLL_S = 0.05
 #: A shard is never declared a straggler before running this long —
 #: speculation on sub-second jobs would only burn forks.
 _SPECULATE_FLOOR_S = 1.0
-
-
-class _LocalHandle:
-    """One forked shard worker behind the placement-blind interface."""
-
-    is_remote = False
-
-    def __init__(
-        self, proc: multiprocessing.process.BaseProcess, inbox: Any
-    ) -> None:
-        self.proc = proc
-        self.inbox = inbox
-        self.name = proc.name
-        self.pid = proc.pid
-
-    def send(self, msg: Any) -> None:
-        self.inbox.put(msg)
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def kill(self) -> None:
-        self.proc.kill()
-        self.proc.join(timeout=5.0)
-
-    def stop(self) -> None:
-        try:
-            self.inbox.put(None)
-        except (ValueError, OSError):  # pragma: no cover - closed inbox
-            pass
-
-    def join(self, timeout: "float | None" = None) -> None:
-        self.proc.join(timeout=timeout)
-
-    def discard(self) -> None:
-        self.inbox.cancel_join_thread()
-        self.inbox.close()
-
-    def describe_exit(self) -> str:
-        return f"exited with code {self.proc.exitcode}"
 
 
 class _Coordinator:
@@ -147,8 +111,7 @@ class _Coordinator:
         self.self_addr = self_addr
         #: Every ``now`` the core is handed (a test seam, not an option).
         self.clock = clock
-        self.ctx = multiprocessing.get_context("fork")
-        self.results_q = self.ctx.Queue()
+        self.results_q = multiprocessing.get_context("fork").Queue()
         #: One row per shard id: everything known about that shard.
         self.shards: dict[int, Shard] = {
             spec.shard_id: Shard(spec.shard_id) for spec in plan.shards
@@ -209,23 +172,16 @@ class _Coordinator:
             handle: Any = RemoteHandle(link, sid, wid)
             fetch_addr = link.addr
         else:
-            inbox = self.ctx.Queue()
-            proc = self.ctx.Process(
-                target=shard_worker_main,
-                args=(
-                    sid, self.job, self.worker_options,
-                    self.plan.chunks_for(sid),
-                    self.plan.num_partitions, inbox, self.results_q,
-                ),
-                daemon=True,
-                name=f"repro-shard-{sid}.{wid}",
+            handle = LocalHandle(
+                shard_worker_main,
+                (sid, self.job, self.worker_options,
+                 self.plan.chunks_for(sid), self.plan.num_partitions),
+                self.results_q, f"repro-shard-{sid}.{wid}",
             )
-            proc.start()
-            handle = _LocalHandle(proc, inbox)
             # In a ``--peers`` run remote reducers pull this host's
             # runs from the coordinator's own fetch exporter.
             fetch_addr = self.self_addr
-        return Worker(sid, wid, handle, fetch_addr)
+        return Worker(sid, wid, fetch_addr, handle=handle)
 
     def _write_pid(self, worker: Worker) -> None:
         """Publish the shard's current worker pid (for kill-based tests).
@@ -240,22 +196,14 @@ class _Coordinator:
         )
 
     def shutdown(self) -> None:
-        """Supervisor-style teardown: sentinel, join, kill stragglers.
+        """The map pool's worker teardown, then the links.
 
         The results queue closes last, after every link's reader thread
         is gone — a late agent frame must not find a closed queue.
         """
-        handles = [
+        shut_down(
             w.handle for row in self.shards.values() for w in row.workers()
-        ]
-        for handle in handles:
-            handle.stop()
-        for handle in handles:
-            if not handle.is_remote:
-                handle.join(timeout=5.0)
-                if handle.alive():
-                    handle.kill()  # pragma: no cover - defensive
-            handle.discard()
+        )
         for link in self.links:
             link.close()
         self.results_q.cancel_join_thread()
@@ -320,15 +268,17 @@ class _Coordinator:
                         f"{msg[2]}"
                     )
             watched = [
-                row for row in self.shards.values()
+                w for row in self.shards.values()
                 if phase == "reduce" or row.done is None
+                for w in row.workers()
             ]
-            for worker, expired in core.casualties(
+            for worker, expired in casualties(
                 self.clock(), watched, lambda w: w.handle.alive(),
-                self.policy, self.tally,
+                self.policy.lease_timeout_s, self.tally,
             ):
                 if expired:
                     worker.handle.kill()
+                worker.handle.discard()
                 why = expired or worker.handle.describe_exit()
                 on_death(worker, f"{worker.handle.name} {why}")
             if tick is not None:
@@ -417,7 +367,6 @@ class _Coordinator:
         arm, entry = core.map_death(
             row, worker, detail, lost_host, self.policy, self.tally
         )
-        handle.discard()
         self._log(entry)
         if arm == core.TWIN_PROMOTED:
             self._write_pid(row.primary)
@@ -512,7 +461,6 @@ class _Coordinator:
 
     def _on_reduce_death(self, worker: Worker, detail: str) -> None:
         """Move a dead reducer's partitions to their ring successors."""
-        worker.handle.discard()
         for owner, partitions, dispatch, entry in core.reassign(
             self.clock(), self.shards, self.plan.ring, worker.sid, detail,
             self.tally,

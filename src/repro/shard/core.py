@@ -10,12 +10,14 @@ row; what it *decides* is one function each:
 
 * :func:`seat`, :func:`renew`, :func:`mapped` — a worker starts its
   map block, is heard from, finishes it (first ``map_done`` wins);
-* :func:`casualties` — the workers to bury this sweep, both phases;
 * :func:`map_death` — what becomes of a shard whose worker died mid-map;
 * :func:`stragglers` — which shards get a speculative twin;
 * :func:`assign`, :func:`reduced`, :func:`reassign` — partitions in
   flight on a shard, queued behind it, orphaned by its death;
 * :func:`fetch_faults` — the pre-rolled fetch-fault tables of a dispatch.
+
+A worker's lease and its sweep are the map pool's too
+(:mod:`repro.resilience.core`).
 
 A round's result is a function of the messages delivered, not of their
 order, so any interleaving of these transitions must end with every
@@ -28,7 +30,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from repro.errors import ParallelError
 from repro.faults.log import (
@@ -43,29 +45,20 @@ from repro.faults.plan import (
     SITE_SHARD_WORKER_LOSS,
 )
 from repro.faults.policy import RecoveryPolicy
+from repro.resilience import core as lease
 from repro.shard.hashring import ShardMap
 
 
 @dataclass
-class Worker:
+class Worker(lease.Worker):
     """One shard worker process (local fork or remote) and its lease."""
 
     sid: int
     wid: int
-    #: The shell's way to reach the process; the core never touches it.
-    handle: Any = None
     #: Where this worker's published runs can be fetched from: empty in
     #: a single-host run (plain file copies), else its host's exporter.
     fetch_addr: str = ""
     attempt: int = 0
-    busy: bool = False
-    started: float = 0.0
-    last_heard: float = 0.0
-
-    def engage(self, now: float) -> None:
-        """A command was sent: the lease starts over."""
-        self.busy = True
-        self.started = self.last_heard = now
 
 
 @dataclass
@@ -95,12 +88,10 @@ class Shard:
 
 
 @dataclass
-class Tally:
+class Tally(lease.Tally):
     """Survival counters that are sums (per-shard facts live in rows)."""
 
     respawns: int = 0
-    crashes: int = 0
-    lease_expiries: int = 0
     refetches: int = 0
     reassigned_partitions: int = 0
     host_losses: int = 0
@@ -139,7 +130,7 @@ def renew(row: Shard, attempt: int, now: float) -> None:
     spoke = [w for w in row.workers() if w.attempt == attempt]
     worker = spoke[0] if spoke else row.primary
     if worker is not None:
-        worker.last_heard = now
+        worker.renew(now)
 
 
 def mapped(
@@ -165,34 +156,6 @@ def mapped(
         primary.busy = False
         row.via = primary.fetch_addr
     return twin, False
-
-
-def casualties(
-    now: float,
-    rows: Iterable[Shard],
-    alive: Callable[[Worker], bool],
-    policy: RecoveryPolicy,
-    tally: Tally,
-) -> list[tuple[Worker, str]]:
-    """The workers to bury this sweep, as ``(worker, lease text)``.
-
-    In shard-id order, primary before twin.  A dead worker comes with
-    an empty text (the shell asks its handle how it exited); one that
-    is alive but silent past its lease with the text for the log — the
-    shell kills it first.
-    """
-    found = []
-    for row in rows:
-        for worker in row.workers():
-            if not alive(worker):
-                tally.crashes += 1
-                found.append((worker, ""))
-            elif worker.busy and now - worker.last_heard > policy.lease_timeout_s:
-                tally.lease_expiries += 1
-                found.append((
-                    worker, f"exceeded its {policy.lease_timeout_s:.3g}s lease"
-                ))
-    return found
 
 
 #: :func:`map_death` verdicts.  The last three leave the shard without
@@ -297,7 +260,7 @@ def reduced(row: Shard, got: Iterable[int], now: float) -> list[int]:
         return []
     got = set(got)
     row.primary.busy = False
-    row.primary.last_heard = now
+    row.primary.renew(now)
     row.in_flight = [p for p in row.in_flight if p not in got]
     batch, row.queued = row.queued, []
     if batch:

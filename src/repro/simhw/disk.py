@@ -64,18 +64,6 @@ class Disk:
             nbytes, tag="write", priority=priority
         )
 
-    def degrade(self, factor: float) -> None:
-        """Scale both channels to ``factor`` of nominal (fault injection)."""
-        if factor <= 0:
-            raise SimulationError(f"{self.name}: degrade factor must be > 0")
-        self._read_chan.set_rate(self.read_bw * factor)
-        self._write_chan.set_rate(self.write_bw * factor)
-
-    def restore(self) -> None:
-        """Return both channels to nominal bandwidth."""
-        self._read_chan.set_rate(self.read_bw)
-        self._write_chan.set_rate(self.write_bw)
-
     @property
     def read_utilization(self) -> float:
         return self._read_chan.utilization

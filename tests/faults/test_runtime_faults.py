@@ -11,6 +11,7 @@ from repro.core.supmr import run_ingest_mr
 from repro.errors import RetryExhausted, SpillError
 from repro.faults.log import ACTION_RESPILLED
 from repro.faults.plan import (
+    SITE_INGEST_READ,
     SITE_MAP_TASK,
     SITE_SPILL_CORRUPT,
     FaultPlan,
@@ -79,6 +80,29 @@ class TestSpillCorruption:
         assert result.counters["spill_runs"] > 0
         assert result.fault_log.count(ACTION_RESPILLED) > 0
         assert dict(result.output) == reference_wordcount([text_file])
+
+
+class TestIngestReadRetryUnit:
+    def test_once_costs_one_retry_per_chunk_not_per_file(
+        self, small_files, fault_seed
+    ):
+        """Eight small files per chunk: ``once`` fails every file of a
+        chunk on its first attempt, and the chunk retries once — well
+        inside the default retry budget."""
+        plan = FaultPlan(seed=fault_seed, specs=(
+            FaultSpec(site=SITE_INGEST_READ, once_per_scope=True),
+        ))
+        options = RuntimeOptions.supmr_intrafile(8).with_(
+            fault_plan=plan, recovery=_fast_policy(),
+        )
+        result = run_ingest_mr(make_wordcount_job(small_files), options)
+        chunks = result.n_chunks
+        assert chunks == -(-len(small_files) // 8)
+        assert result.counters["fault_retries"] == chunks
+        assert result.fault_log.count(
+            "injected", site=SITE_INGEST_READ
+        ) == len(small_files)
+        assert dict(result.output) == reference_wordcount(small_files)
 
 
 class TestMapTaskFaults:

@@ -47,9 +47,7 @@ def numbers_file(tmp_path_factory: pytest.TempPathFactory) -> Path:
 
 
 #: The multi-source job: small files packed into intra-file chunks, so
-#: every chunk spans several files and has no one range to mmap.  Three
-#: per chunk, because ``ingest.read=once`` fails each source of a chunk
-#: once and the whole chunk is the retry unit: N sources cost N retries.
+#: every chunk spans several files and has no one range to mmap.
 _MULTI = "wordcount-multi"
 
 
@@ -59,7 +57,7 @@ def _options(
 ):
     if job_name == _MULTI:
         opts = RuntimeOptions.supmr_intrafile(
-            3, num_mappers=mappers, num_reducers=reducers
+            8, num_mappers=mappers, num_reducers=reducers
         )
     else:
         opts = RuntimeOptions.supmr_interfile(

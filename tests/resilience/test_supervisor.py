@@ -18,7 +18,7 @@ from repro.faults.log import (
 from repro.faults.plan import SITE_TASK_HANG, SITE_WORKER_CRASH
 from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import fork_available
-from repro.resilience.supervisor import _CRASH_EXIT, WorkerPool
+from repro.resilience.supervisor import CRASH_EXIT, WorkerPool
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
@@ -208,7 +208,7 @@ class TestCrashAfterDelivery:
 
         try:
             pool.ensure_started(2)
-            dying, survivor = pool.workers
+            dying, survivor = (w.handle for w in pool.workers)
             dying.inbox.put((1, 0, None, pool.transport.pack(True)))
             # Bytes in the pipe: the feeder holds the lock mid-frame.
             pool.results_q._reader.poll(None)
@@ -223,7 +223,7 @@ class TestCrashAfterDelivery:
                 "kept the results queue's write lock"
             )
             dying.proc.join(30.0)
-            assert dying.proc.exitcode == _CRASH_EXIT
+            assert dying.proc.exitcode == CRASH_EXIT
         finally:
             pool.close()
             os.close(flushing_r)

@@ -24,10 +24,10 @@ def test_two_waves_on_one_pool_fork_once():
     pool = WorkerPool(_pid, 2)
     try:
         first = pool.run_wave(range(4)).results
-        forked = sorted(w.proc.pid for w in pool.workers)
+        forked = sorted(w.handle.proc.pid for w in pool.workers)
         second = pool.run_wave(range(4)).results
         assert sorted(set(first)) == sorted(set(second)) == forked
-        assert sorted(w.proc.pid for w in pool.workers) == forked
+        assert sorted(w.handle.proc.pid for w in pool.workers) == forked
     finally:
         pool.close()
 
@@ -48,7 +48,7 @@ def test_a_stale_epoch_frame_is_dropped():
 def test_close_leaves_no_live_child():
     pool = WorkerPool(_times_ten, 2)
     pool.run_wave(range(4))
-    procs = [w.proc for w in pool.workers]
+    procs = [w.handle.proc for w in pool.workers]
     assert len(procs) == 2 and all(p.is_alive() for p in procs)
     pool.close()
     assert not any(p.is_alive() for p in procs)

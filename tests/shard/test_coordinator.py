@@ -34,11 +34,11 @@ from repro.parallel.shard_worker import (
     MODE_LOSS,
     MODE_RUN,
     MSG_MAP,
-    SHARD_CRASH_EXIT,
     shard_fingerprint,
     shard_worker_main,
 )
 from repro.resilience.journal import JobJournal
+from repro.resilience.supervisor import CRASH_EXIT
 from repro.shard import ShardedRuntime, run_sharded
 from repro.shard.coordinator import _Coordinator
 from repro.shard.plan import ShardPlan
@@ -338,12 +338,12 @@ class TestCommandedLossAlwaysFires:
 
         # Attempt 0: maps the only chunk, journals it, then dies.
         code, _ = self._run_worker(job, options, chunks, msg(MODE_LOSS, False))
-        assert code == SHARD_CRASH_EXIT
+        assert code == CRASH_EXIT
         # Attempt 1: the journal restores the whole block, so the
         # per-chunk death window never opens — the commanded loss must
         # fire anyway.
         code, _ = self._run_worker(job, options, chunks, msg(MODE_LOSS, True))
-        assert code == SHARD_CRASH_EXIT
+        assert code == CRASH_EXIT
         # Attempt 2: a clean run still resumes from the same journal.
         code, rows = self._run_worker(
             job, options, chunks, msg(MODE_RUN, True)

@@ -39,6 +39,7 @@ from repro.faults.plan import (
     SITE_SHARD_WORKER_LOSS,
 )
 from repro.faults.policy import RecoveryPolicy
+from repro.resilience.core import casualties
 from repro.shard.core import Shard, Tally, Worker
 from repro.shard.hashring import ShardMap
 
@@ -103,6 +104,8 @@ def test_renew_finds_the_speaker_or_falls_back_to_the_primary():
 
 
 # -- casualties -----------------------------------------------------------------
+# The lease rule itself is tests/resilience/test_core.py's property; here a
+# shard's rows feed it the way the coordinator does, primary before twin.
 
 #: (seconds since last heard, busy, alive) -> buried?, lease text?
 CASUALTY_TABLE = [
@@ -120,8 +123,8 @@ def test_casualties(silent_s, busy, alive, expected):
     row = seated(1)[0]
     row.primary.busy = busy
     tally = Tally()
-    found = core.casualties(
-        silent_s, [row], lambda w: alive, POLICY, tally
+    found = casualties(
+        silent_s, row.workers(), lambda w: alive, LEASE, tally
     )
     if expected is None:
         assert found == [] and (tally.crashes, tally.lease_expiries) == (0, 0)
@@ -137,14 +140,15 @@ def test_casualties_sweep_in_shard_order_primary_before_twin():
     twins = {sid: twin_of(rows[sid], 0.0) for sid in (0, 2)}
     # a respawn replaces a primary; the sweep order does not move
     core.seat(rows[0], Worker(0, wid=50), 0.0)
-    found = core.casualties(
-        0.0, rows.values(), lambda w: False, POLICY, Tally()
+    found = casualties(
+        0.0, [w for row in rows.values() for w in row.workers()],
+        lambda w: False, LEASE, Tally(),
     )
     assert [w for w, _ in found] == [
         rows[0].primary, twins[0], rows[1].primary, rows[2].primary, twins[2],
     ]
     # only the rows handed in are swept (a mapped shard is not, mid-map)
-    assert core.casualties(0.0, [], lambda w: False, POLICY, Tally()) == []
+    assert casualties(0.0, [], lambda w: False, LEASE, Tally()) == []
 
 
 # -- mapped ---------------------------------------------------------------------
@@ -489,7 +493,7 @@ class Interleavings(RuleBasedStateMachine):
 
     def spawn(self, sid, speculative=False):
         self.wids += 1
-        worker = Worker(sid, self.wids, FakeHandle())
+        worker = Worker(sid, self.wids, handle=FakeHandle())
         core.seat(self.rows[sid], worker, self.now, twin=speculative)
 
     def workers(self, **want):
@@ -535,13 +539,14 @@ class Interleavings(RuleBasedStateMachine):
 
     def sweep(self):
         watched = [
-            r for r in self.rows.values()
+            w for r in self.rows.values()
             if self.phase == "reduce" or r.done is None
+            for w in r.workers()
         ]
         try:
-            for worker, _ in core.casualties(
-                self.now, watched, lambda w: w.handle.alive, self.policy,
-                self.tally,
+            for worker, _ in casualties(
+                self.now, watched, lambda w: w.handle.alive,
+                self.policy.lease_timeout_s, self.tally,
             ):
                 worker.handle.alive = False  # an expired lease is a kill
                 self.on_death(worker, "died")

@@ -5,7 +5,7 @@ a worker's feeder thread holds the queue's cross-process write lock for
 as long as a frame is in flight.  A commanded death (``MODE_LOSS``) that
 exits while its feeder is mid-write would keep that lock forever: every
 other worker would then block in ``put`` until its lease expired.
-``_die`` is the one way such a death exits.  No sleeps: the frame is
+``die`` is the one way such a death exits.  No sleeps: the frame is
 larger than the pipe's buffer and nothing reads it until the dying
 worker has committed to exiting, so the feeder is blocked holding the
 lock at that moment on every run.
@@ -20,7 +20,7 @@ from multiprocessing.connection import wait
 import pytest
 
 from repro.parallel.backends import fork_available
-from repro.parallel.shard_worker import SHARD_CRASH_EXIT, _die
+from repro.resilience.supervisor import CRASH_EXIT, die
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
@@ -47,7 +47,7 @@ def _die_mid_write(results, dying_w: int) -> None:
         flush()
 
     results.join_thread = join_thread
-    _die(results)
+    die(results)
 
 
 def _put(results, blob: bytes) -> None:
@@ -88,7 +88,7 @@ def test_a_commanded_death_does_not_wedge_the_other_workers():
         )
         for proc in (dying, survivor):
             proc.join(_BOUND_S)
-        assert dying.exitcode == SHARD_CRASH_EXIT
+        assert dying.exitcode == CRASH_EXIT
         assert survivor.exitcode == 0
     finally:
         for proc in procs:
