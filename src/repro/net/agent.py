@@ -5,7 +5,7 @@ distinguished by the first (JSON) frame:
 
 * ``{"type": "hello"}`` — the coordinator's **control session**.
   Subsequent frames are pickled command dicts (spawn a shard worker,
-  relay a map/reduce command to its inbox, kill, ping); the agent
+  relay a map/reduce command down its pipe, kill, ping); the agent
   streams back rseq-stamped ``("res", rseq, payload)`` frames whose
   payloads are the workers' pickled result blobs — heartbeats,
   ``map_done`` wave stats, fault event rows — plus small control dicts
@@ -22,9 +22,11 @@ coordinator acks them (piggybacked on pings), resent across reconnects,
 and deduplicated there; a lost control connection starts a
 **grace timer** — workers survive a reconnect inside it, and are killed
 (no orphans) once it expires or the agent exits.  Forked workers (a
-:class:`~repro.resilience.supervisor.LocalHandle` each) also watch the
-agent's pid and die with it, so even ``SIGKILL`` of the agent leaks
-nothing.
+:class:`~repro.resilience.supervisor.LocalHandle` each, with its own
+pipe) also watch the agent's pid and die with it, so even ``SIGKILL``
+of the agent leaks nothing.  One pump thread is the only reader of
+those pipes: it relays each blob, and a pipe that ends is its worker's
+exit report.
 
 The seeded ``net.host.loss`` and ``net.partition`` sites are commanded
 *into* the agent by the coordinator (``die`` / ``mute``) — the same
@@ -35,7 +37,6 @@ so a fault run replays identically wherever the workers land.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import pickle
 import shutil
@@ -45,8 +46,8 @@ import tempfile
 import threading
 import time
 from collections import deque
+from multiprocessing import connection as mp_connection
 from pathlib import Path
-from queue import Empty
 from typing import Any
 
 from repro.errors import ProtocolError, ReproError
@@ -69,15 +70,11 @@ FRAME_STALL_S = 30.0
 DEFAULT_GRACE_S = 10.0
 
 
-def _watch_parent(parent_pid: int, results: Any) -> None:
+def _watch_parent(parent_pid: int) -> None:
     """Die with the agent: a re-parented worker is an orphan, not work."""
-    while True:
-        if os.getppid() != parent_pid:
-            # Nobody reads the results queue any more: a frame stuck in
-            # its pipe would never finish, so the death does not wait.
-            results.cancel_join_thread()
-            die(results)
+    while os.getppid() == parent_pid:
         time.sleep(0.2)
+    die()
 
 
 def _worker_shell(parent_pid: int, *args: Any) -> None:
@@ -89,7 +86,7 @@ def _worker_shell(parent_pid: int, *args: Any) -> None:
     ungraceful death paths.
     """
     threading.Thread(
-        target=_watch_parent, args=(parent_pid, args[-1]), daemon=True
+        target=_watch_parent, args=(parent_pid,), daemon=True
     ).start()
     shard_worker_main(*args)
 
@@ -130,7 +127,7 @@ class AgentServer:
         self._rseq = 0
         self._sent_upto = -1
         #: Ownership epoch: bumped (under the send lock) on takeover so
-        #: a result blob pumped out of the queue just before the switch
+        #: a result blob pumped out of a worker just before the switch
         #: can never be posted to the new owner.
         self._epoch = 0
         self.workers: dict[tuple[int, int], LocalHandle] = {}
@@ -143,7 +140,6 @@ class AgentServer:
         self._mute_until = 0.0
         self._die_after: "int | None" = None
         self._relays = 0
-        self._threads: list[threading.Thread] = []
         #: Post-mortem surface: the grace reaper logs every orphan kill
         #: here (site ``net.agent.reap``), and the counters separate
         #: grace-expiry reaps from commanded kills — both are exposed
@@ -155,19 +151,13 @@ class AgentServer:
         if accept_control:
             # A fetch-only instance (the coordinator's own run exporter)
             # never forks workers, so it skips the worker plumbing.
-            self.results = multiprocessing.get_context("fork").Queue()
-            for target in (self._pump, self._reap):
-                t = threading.Thread(target=target, daemon=True)
-                t.start()
-                self._threads.append(t)
+            threading.Thread(target=self._pump, daemon=True).start()
 
     # -- accept loop ---------------------------------------------------------
 
     def start(self) -> "AgentServer":
         """Serve in a background thread (tests, embedded fetch server)."""
-        t = threading.Thread(target=self.serve_forever, daemon=True)
-        t.start()
-        self._threads.append(t)
+        threading.Thread(target=self.serve_forever, daemon=True).start()
         return self
 
     def serve_forever(self) -> None:
@@ -304,13 +294,6 @@ class AgentServer:
             f"control session taken over by a new coordinator "
             f"(previous owner {previous or 'anonymous'})"
         )
-        # The killed workers are joined, so nothing new lands in the
-        # results queue; drain what already did.
-        while True:
-            try:
-                self.results.get_nowait()
-            except (Empty, OSError, ValueError):
-                break
         with self._send_lock:
             self._epoch += 1
             self._unsent.clear()
@@ -375,7 +358,7 @@ class AgentServer:
             chunks = chunks_from_wire(cmd["chunks"])
         except ReproError as exc:
             # Surface as the worker-error row a local fork would produce.
-            self.results.put(pickle.dumps(
+            self._post(pickle.dumps(
                 ("error", sid, f"agent {self.addr} could not rebuild the "
                                f"job: {exc}")
             ))
@@ -384,7 +367,7 @@ class AgentServer:
             _worker_shell,
             (os.getpid(), sid, job, options, chunks,
              int(cmd["num_partitions"])),
-            self.results, f"repro-agent-shard-{sid}.{wid}",
+            f"repro-agent-shard-{sid}.{wid}",
         )
         with self._lock:
             self.workers[(sid, wid)] = handle
@@ -412,7 +395,11 @@ class AgentServer:
         handle.send(msg)
 
     def _kill(self, key: tuple[int, int], reap: "str | None" = None) -> None:
-        """Kill one hosted worker; ``reap`` says why, when nobody asked."""
+        """Kill one hosted worker; ``reap`` says why, when nobody asked.
+
+        The worker leaves the table first, so the pump never reads its
+        channel again and reports no exit for it.
+        """
         with self._lock:
             handle = self.workers.pop(key, None)
         if handle is None:
@@ -482,40 +469,56 @@ class AgentServer:
             self._sent_upto = rseq
 
     def _pump(self) -> None:
-        """Relay worker result blobs; honors mute and commanded death."""
+        """Relay worker result blobs and report worker exits.
+
+        The only reader of the hosted workers' channels.  A channel that
+        ends while its worker is still in the table is that worker's
+        exit: join it, then post ``worker-exit`` with its code.  Honors
+        mute and commanded death.
+        """
         while not self._stop.is_set():
             if time.monotonic() < self._mute_until:
                 time.sleep(0.02)
                 continue
             epoch = self._epoch
-            try:
-                blob = self.results.get(timeout=0.1)
-            except (Empty, OSError, ValueError):
-                continue
-            self._post(blob, epoch=epoch)
-            self._relays += 1
-            if self._die_after is not None and self._relays >= self._die_after:
-                # Injected net.host.loss: the whole "host" goes away
-                # mid-phase — workers die with the agent, abruptly.
-                logger.debug("agent %s: injected host loss", self.addr)
-                self._kill_all()
-                os._exit(1)
-
-    def _reap(self) -> None:
-        """Report worker exits so the coordinator can settle quickly."""
-        while not self._stop.is_set():
             with self._lock:
-                items = list(self.workers.items())
-            for (sid, wid), handle in items:
-                if not handle.alive():
-                    with self._lock:
-                        self.workers.pop((sid, wid), None)
+                workers = dict(self.workers)
+            try:
+                ready = mp_connection.wait(
+                    [handle.conn for handle in workers.values()], timeout=0.1
+                )
+            except OSError:
+                continue  # a channel a kill closed since the snapshot
+            for (sid, wid), handle in workers.items():
+                if handle.conn not in ready:
+                    continue
+                with self._lock:
+                    if self.workers.get((sid, wid)) is not handle:
+                        continue  # killed since the snapshot
+                    try:
+                        blob = handle.conn.recv_bytes()
+                    except (EOFError, OSError):
+                        blob = None
+                        del self.workers[(sid, wid)]
+                if blob is None:
+                    handle.join(timeout=5.0)
                     handle.discard()
                     self._post({
                         "type": "worker-exit", "sid": sid, "wid": wid,
                         "exitcode": handle.proc.exitcode,
                     })
-            time.sleep(0.05)
+                    continue
+                self._post(blob, epoch=epoch)
+                self._relays += 1
+                if (
+                    self._die_after is not None
+                    and self._relays >= self._die_after
+                ):
+                    # Injected net.host.loss: the whole "host" goes away
+                    # mid-phase — workers die with the agent, abruptly.
+                    logger.debug("agent %s: injected host loss", self.addr)
+                    self._kill_all()
+                    os._exit(1)
 
     # -- teardown ------------------------------------------------------------
 
@@ -528,8 +531,6 @@ class AgentServer:
             pass
         if self.accept_control:
             self._kill_all()
-            self.results.cancel_join_thread()
-            self.results.close()
         with self._send_lock:
             if self._ctl is not None:
                 try:

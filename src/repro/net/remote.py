@@ -3,10 +3,11 @@
 :class:`AgentLink` owns the control connection to one ``supmr agent``:
 it relays spawn/command/kill traffic out (seq-stamped, retried over a
 fresh socket with jittered backoff when a frame is dropped or torn),
-and pumps the agent's result frames into the coordinator's existing
-result queue — so the lease/respawn/speculation machinery in
-:mod:`repro.shard.coordinator` is *unchanged* whether a worker blob
-crossed a process boundary or a host boundary.
+and writes the agent's worker result blobs into one pipe that the
+coordinator reads like a local worker's channel — so the
+lease/respawn/speculation machinery in :mod:`repro.shard.coordinator`
+is *unchanged* whether a worker blob crossed a process boundary or a
+host boundary.
 
 Liveness is active, not assumed: a pinger thread expects pong traffic
 within ``net_timeout_s``; silence past it (an injected or genuine
@@ -23,11 +24,12 @@ the handle of every forked worker on this host.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import threading
 import time
 import uuid
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ProtocolError
 from repro.net import wire
@@ -64,7 +66,9 @@ class AgentLink:
         self._dead = False
         self._closing = False
         self._dead_reason = ""
-        self._sink: "Callable[[bytes], None] | None" = None
+        #: Worker result blobs: the reader thread writes ``_sink``, the
+        #: coordinator reads ``conn``.
+        self.conn, self._sink = multiprocessing.Pipe(duplex=False)
         self._injector: Any = None
         self._send_lock = threading.RLock()
         self._last_heard = time.monotonic()
@@ -92,9 +96,8 @@ class AgentLink:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def attach(self, sink: "Callable[[bytes], None]", injector: Any = None) -> None:
-        """Start relaying: worker blobs go to ``sink``, faults arm sends."""
-        self._sink = sink
+    def attach(self, injector: Any = None) -> None:
+        """Start relaying: worker blobs go to :attr:`conn`, faults arm sends."""
         self._injector = injector
         for target in (self._read_loop, self._ping_loop):
             t = threading.Thread(target=target, daemon=True)
@@ -107,7 +110,11 @@ class AgentLink:
         return not self._dead and not self._closing
 
     def close(self) -> None:
-        """Best-effort worker cleanup, then sever the connection."""
+        """Best-effort worker cleanup, then sever the connection.
+
+        The blob pipe closes after the reader thread is joined (a reader
+        still blocked on a full pipe gets ``EPIPE`` and returns).
+        """
         if self._closing:
             return
         if not self._dead:
@@ -116,6 +123,8 @@ class AgentLink:
         self._drop_socket()
         for t in self._threads:
             t.join(timeout=1.0)
+        self.conn.close()
+        self._sink.close()
 
     def _drop_socket(self) -> None:
         with self._send_lock:
@@ -255,8 +264,10 @@ class AgentLink:
                 continue  # resent tail after a reconnect; already seen
             self._last_rseq = rseq
             if isinstance(payload, bytes):
-                if self._sink is not None:
-                    self._sink(payload)
+                try:
+                    self._sink.send_bytes(payload)
+                except OSError:
+                    return  # closed under us: nobody reads any more
             elif payload.get("type") == "worker-exit":
                 self.exited[(int(payload["sid"]), int(payload["wid"]))] = (
                     payload.get("exitcode")
@@ -293,7 +304,7 @@ class RemoteHandle:
         self.name = f"repro-shard-{sid}.{wid}@{link.addr}"
 
     def send(self, msg: Any) -> None:
-        """Relay one command dict to the worker's inbox on its host."""
+        """Relay one command dict down the worker's pipe on its host."""
         self.link.send({
             "cmd": "send", "sid": self.sid, "wid": self.wid, "msg": msg,
         })
@@ -307,7 +318,7 @@ class RemoteHandle:
         self.link.send({"cmd": "kill", "sid": self.sid, "wid": self.wid})
 
     def stop(self) -> None:
-        """The graceful sentinel a local worker gets on its inbox."""
+        """The graceful sentinel a local worker gets on its pipe."""
         self.send(None)
 
     def join(self, timeout: "float | None" = None) -> None:

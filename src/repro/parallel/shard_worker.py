@@ -6,12 +6,12 @@ map pool's :class:`~repro.resilience.supervisor.LocalHandle` and killed
 on command by its :func:`~repro.resilience.supervisor.die`.  The
 contract mirrors the resilience supervisor's worker protocol — the job,
 options, and chunk block ride into the fork copy-on-write; only small
-command dicts and pickled result blobs cross the queues — but a shard
-worker is long-lived and *phased*: it serves a ``map`` command (map its
-contiguous chunk block, publish per-partition exchange runs to its
-outbox), then any number of ``reduce`` commands (fetch + CRC-verify the
-named partitions' runs from every shard's outbox and reduce them),
-until the ``None`` sentinel.
+command dicts and pickled result blobs cross the worker's own pipe —
+but a shard worker is long-lived and *phased*: it serves a ``map``
+command (map its contiguous chunk block, publish per-partition exchange
+runs to its outbox), then any number of ``reduce`` commands (fetch +
+CRC-verify the named partitions' runs from every shard's outbox and
+reduce them), until the ``None`` sentinel.
 
 Fault-site split: the **shard-level** sites (``shard.worker_loss``,
 ``shard.straggler``, ``shard.exchange_corrupt``) are decided by the
@@ -66,7 +66,7 @@ def shard_fingerprint(job: JobSpec, options: RuntimeOptions, shard_id: int) -> s
     return f"{job_fingerprint(job, options)}:shard-{shard_id}"
 
 
-def _post(results: Any, payload: tuple) -> None:
+def _post(conn: Any, payload: tuple) -> None:
     """Ship one result tuple, downgrading unpicklables to an error."""
     try:
         blob = pickle.dumps(payload)
@@ -75,7 +75,7 @@ def _post(results: Any, payload: tuple) -> None:
             "error", payload[1] if len(payload) > 1 else -1,
             f"shard result could not be pickled: {exc!r}",
         ))
-    results.put(blob)
+    conn.send_bytes(blob)
 
 
 def _log_rows(injector: Any) -> list[EventRow]:
@@ -95,24 +95,24 @@ def _serve_map(
     chunks: Sequence[Chunk],
     num_partitions: int,
     msg: dict,
-    results: Any,
+    conn: Any,
 ) -> None:
     """Map the shard's chunk block and publish its exchange runs."""
     mode = msg.get("mode", MODE_RUN)
     if mode == MODE_LOSS and not chunks:
         # Nothing to checkpoint first: die straight away.
-        die(results)
+        die()
     straggle_s = float(msg.get("straggle_s") or 0.0)
     attempt = msg.get("attempt", 0)
 
     def after_round(chunk: Chunk) -> None:
         if mode == MODE_STRAGGLE and straggle_s > 0:
             time.sleep(straggle_s)
-        _post(results, ("hb", shard_id, attempt, chunk.index))
+        _post(conn, ("hb", shard_id, attempt, chunk.index))
         if mode == MODE_LOSS:
             # Die *after* the first journaled round, exactly the window
             # the checkpoint/resume path has to cover.
-            die(results)
+            die()
 
     # The shard's block runs the one-shot runtimes' round loop, serially
     # and without read-ahead (its fault events ship back in program
@@ -142,14 +142,14 @@ def _serve_map(
             # has already consumed the shard.worker_loss injection, so
             # honor it anyway to keep the seeded schedule and fault log
             # in step.
-            die(results)
+            die()
         manifest = write_partition_runs(
             run.container, num_partitions, msg["outbox"]
         )
         run.commit()
     stats = run.container.stats()
     spill = run.spill_mgr.stats() if run.spill_mgr is not None else None
-    _post(results, (
+    _post(conn, (
         "map_done", shard_id, attempt,
         {
             "manifest": manifest,
@@ -175,11 +175,11 @@ def _serve_reduce(
     job: JobSpec,
     options: RuntimeOptions,
     msg: dict,
-    results: Any,
+    conn: Any,
 ) -> None:
     """Fetch, verify, merge, and reduce the commanded partitions."""
     if msg.get("mode", MODE_RUN) == MODE_LOSS:
-        die(results)
+        die()
     sources: dict[int, str] = msg["sources"]
     corrupt: dict[tuple[int, int], list[int]] = msg.get("corrupt", {})
     # Multi-host extras: where each source outbox actually lives.  A
@@ -227,8 +227,8 @@ def _serve_reduce(
             refetches += attempts
             readers.append(reader)
         parts[p] = reduce_partition(job, merged_partition_groups(readers))
-        _post(results, ("hb", shard_id, 0, p))
-    _post(results, (
+        _post(conn, ("hb", shard_id, 0, p))
+    _post(conn, (
         "reduce_done", shard_id,
         {"parts": parts, "events": events, "refetches": refetches},
     ))
@@ -240,31 +240,31 @@ def shard_worker_main(
     options: RuntimeOptions,
     chunks: Sequence[Chunk],
     num_partitions: int,
-    inbox: Any,
-    results: Any,
+    conn: Any,
 ) -> None:
     """Worker body: serve map/reduce commands until the ``None`` sentinel.
 
     Everything positional is inherited by the fork (never pickled);
-    commands are small dicts, results are pre-pickled blobs.  Exceptions
-    are transported back as ``("error", shard_id, detail)`` rows rather
+    commands arrive on ``conn`` as small dicts, results leave on it as
+    pre-pickled blobs (``send_bytes``: pickled once).  Exceptions are
+    transported back as ``("error", shard_id, detail)`` rows rather
     than killing the process — only a commanded loss exits.
     """
     while True:
-        msg = inbox.get()
+        msg = conn.recv()
         if msg is None:
             return
         try:
             if msg["kind"] == MSG_MAP:
                 _serve_map(
                     shard_id, job, options, chunks, num_partitions,
-                    msg, results,
+                    msg, conn,
                 )
             elif msg["kind"] == MSG_REDUCE:
-                _serve_reduce(shard_id, job, options, msg, results)
+                _serve_reduce(shard_id, job, options, msg, conn)
             else:
                 raise ParallelError(
                     f"shard worker got an unknown command {msg['kind']!r}"
                 )
         except BaseException as exc:  # noqa: BLE001 - transported to parent
-            _post(results, ("error", shard_id, f"{type(exc).__name__}: {exc}"))
+            _post(conn, ("error", shard_id, f"{type(exc).__name__}: {exc}"))

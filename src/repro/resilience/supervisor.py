@@ -1,24 +1,26 @@
 """Supervised fork pool: leases, respawn, and poison-task quarantine.
 
 The one forked worker: :class:`LocalHandle` forks every worker process
-of this host (pool, shard, agent-hosted), :func:`shut_down` tears them
-down and :func:`die` is their commanded death.  :class:`WorkerPool`
-forks its workers **once**, around a handler closure that COW-inherits
-whatever it captures (the job, its container factory); each wave then
-feeds them picklable task descriptors over their inboxes.
-:class:`Supervisor` drives one wave over one pool: the parent keeps a
-**lease** per dispatched task (:mod:`repro.resilience.core`; the result
-queue is the heartbeat), detects dead or hung workers, respawns them
-with fresh inboxes, and re-dispatches orphaned tasks with a bounded
-attempt count.
-Results are epoch-tagged, so a lease-killed straggler's late frame can
-never bleed into the next wave.  A task that repeatedly kills its
+of this host (pool, shard, agent-hosted) with one duplex pipe as its
+only channel, :func:`shut_down` tears them down and :func:`die` is
+their commanded death.  No two workers share a channel, so a worker
+killed halfway through a frame breaks its own pipe and nobody else's.
+:class:`WorkerPool` forks its workers **once**, around a handler
+closure that COW-inherits whatever it captures (the job, its container
+factory); each wave then feeds them picklable task descriptors over
+their channels.  :class:`Supervisor` drives one wave over one pool:
+the parent keeps a **lease** per dispatched task
+(:mod:`repro.resilience.core`; the reply is the heartbeat), detects
+dead or hung workers, respawns them, and re-dispatches orphaned tasks
+with a bounded attempt count.  A discarded worker's channel is closed
+with it, so its late frames can never reach a later task or wave, and
+a wave that raises closes its pool.  A task that repeatedly kills its
 worker is *poison*: once the retry budget is spent it goes through the
 injector's skip-budget quarantine (when the wave allows skips) instead
 of failing the job.  The runtime forks one pool per job and runs every
 map wave on it; :func:`~repro.parallel.fork_pool.fork_map` is one wave
 of a pool forked around ``fn(items[i])``: only indices cross the
-inboxes.
+channels.
 
 Results travel through a :mod:`repro.xfer` transport, so under shared
 memory a multi-megabyte container delta crosses as a segment name
@@ -28,9 +30,8 @@ through here: a map task's input is a file range any process can
 and shipping it out and back costs more than the work.
 
 The parent never polls: it blocks in ``multiprocessing.connection.wait``
-on the result pipe, every worker sentinel, and the earliest lease
-expiry, so results, deaths, and hangs each wake it exactly when they
-happen.
+on every worker's channel and sentinel, and the earliest lease expiry,
+so results, deaths, and hangs each wake it exactly when they happen.
 
 Determinism contract: the ``worker.crash`` / ``task.hang`` fault sites
 are decided **in the parent at dispatch time** — the worker is merely
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -62,7 +62,6 @@ from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import require_process_backend
 from repro.resilience.core import Tally, Worker, casualties
 from repro.resilience.gates import WorkerSiteSchedule, worker_sites_armed
-from repro.xfer.segments import SegmentLost
 from repro.xfer.transport import PipeTransport, ShmTransport
 
 #: Exit code a worker uses when told to crash (distinct from genuine
@@ -120,46 +119,43 @@ class SupervisionResult:
         return [r for i, r in enumerate(self.results) if i not in skipped]
 
 
-def die(results: Any) -> NoReturn:
-    """A commanded death: flush this worker's frames, then exit.
-
-    The results queue is shared by every worker of a pool or a sharded
-    job, and its feeder thread holds the queue's write lock while a
-    frame is in the pipe.  An ``os._exit`` that lands mid-write would
-    keep that lock forever and leave every other worker blocked in
-    ``put`` until its lease ran out; closing and joining the feeder
-    first lets the frame finish and the lock go.
-    """
-    results.close()
-    results.join_thread()
+def die() -> NoReturn:
+    """A commanded death (exit code :data:`CRASH_EXIT`)."""
     os._exit(CRASH_EXIT)
 
 
 class LocalHandle:
-    """One forked worker process and its inbox.
+    """One forked worker process and its channel.
 
-    Runs ``target(*args, inbox, results)``; :class:`~repro.net.remote.
-    RemoteHandle` is the same surface for a worker on another host.
+    Runs ``target(*args, conn)``: ``conn`` is the worker's end of a
+    duplex pipe, and :attr:`conn` the parent's.  Commands go down it,
+    replies come back up it, and no other process writes to it.
+    :class:`~repro.net.remote.RemoteHandle` is the same surface for a
+    worker on another host.
     """
 
     is_remote = False
 
     def __init__(
-        self, target: Callable[..., None], args: tuple, results: Any, name: str
+        self, target: Callable[..., None], args: tuple, name: str
     ) -> None:
         ctx = multiprocessing.get_context("fork")
-        self.inbox = ctx.Queue()
+        self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
-            target=target, args=(*args, self.inbox, results),
-            daemon=True, name=name,
+            target=target, args=(*args, child), daemon=True, name=name,
         )
         self.proc.start()
+        # Only the worker holds its end: its death ends the channel.
+        child.close()
         self.name, self.pid = name, self.proc.pid
         self.sentinel = self.proc.sentinel
 
     def send(self, msg: Any) -> None:
-        """Put one command on the worker's inbox."""
-        self.inbox.put(msg)
+        """Send one command; a dead worker's channel is the sweep's to find."""
+        try:
+            self.conn.send(msg)
+        except OSError:
+            pass
 
     def alive(self) -> bool:
         """Whether the process is still running."""
@@ -172,19 +168,15 @@ class LocalHandle:
 
     def stop(self) -> None:
         """The graceful ``None`` sentinel."""
-        try:
-            self.inbox.put(None)
-        except (ValueError, OSError):  # pragma: no cover - closed inbox
-            pass
+        self.send(None)
 
     def join(self, timeout: "float | None" = None) -> None:
         """Wait for the process to exit."""
         self.proc.join(timeout=timeout)
 
     def discard(self) -> None:
-        """Release the inbox of a worker that is gone or going."""
-        self.inbox.cancel_join_thread()
-        self.inbox.close()
+        """Close the channel of a worker that is gone or going."""
+        self.conn.close()
 
     def describe_exit(self) -> str:
         """How the process exited, for recovery log lines."""
@@ -207,46 +199,42 @@ def shut_down(handles: Iterable[Any]) -> None:
 def _worker_main(
     handler: Callable[[Any], Any],
     transport: "PipeTransport | ShmTransport",
-    inbox: Any,
-    results: Any,
+    conn: Any,
 ) -> None:
     """Worker body: serve dispatches until the ``None`` sentinel.
 
-    ``(epoch, index, fault, frame)`` messages run one task each.  A
+    ``(index, fault, frame)`` messages run one task each.  A
     ``worker.crash`` fault is a commanded :func:`die` (the deterministic
     stand-in for an OOM kill); ``task.hang`` sleeps past any lease (a
-    wedged I/O call); no fault unpacks the task frame and posts
-    ``(epoch, index, ok, payload)`` back through the transport, packing
-    synchronously so unpicklable results downgrade to a transportable
+    wedged I/O call); no fault unpacks the task frame and replies
+    ``(ok, payload)`` through the transport, packing synchronously so
+    unpicklable results downgrade to a transportable
     :class:`~repro.errors.ParallelError`.
     """
     while True:
-        msg = inbox.get()
+        msg = conn.recv()
         if msg is None:
             return
-        epoch, index, fault, task_frame = msg
+        index, fault, task_frame = msg
         if fault == SITE_WORKER_CRASH:
-            die(results)
+            die()
         if fault == SITE_TASK_HANG:
             while True:  # pragma: no cover - killed by the supervisor
                 time.sleep(3600)
         try:
             task = transport.unpack(task_frame)
-            payload = (epoch, index, True, handler(task))
+            payload = (True, handler(task))
         except BaseException as exc:  # noqa: BLE001 - transported to parent
-            payload = (epoch, index, False, exc)
+            payload = (False, exc)
         try:
             frame = transport.pack(payload)
         except Exception:  # noqa: BLE001 - unpicklable result or error
-            kind = "result" if payload[2] else "error"
-            frame = transport.pack((
-                epoch, index, False,
-                ParallelError(
-                    f"worker {kind} for item {index} could not be pickled: "
-                    f"{payload[3]!r}"
-                ),
-            ))
-        results.put(frame)
+            kind = "result" if payload[0] else "error"
+            frame = transport.pack((False, ParallelError(
+                f"worker {kind} for item {index} could not be pickled: "
+                f"{payload[1]!r}"
+            )))
+        conn.send(frame)
 
 
 class WorkerPool:
@@ -255,10 +243,10 @@ class WorkerPool:
     Forked lazily, once, around ``handler`` — a job-level closure that
     COW-inherits whatever it captures (the job, its container factory,
     or :func:`~repro.parallel.fork_pool.fork_map`'s items).  Waves are then
-    driven through :meth:`run_wave`, which pays only a queue round-trip
+    driven through :meth:`run_wave`, which pays only a pipe round-trip
     per task instead of ``workers`` forks per wave.  The pool survives
     worker deaths (the supervisor respawns through :meth:`spawn`) and is
-    closed once per job via :meth:`close`.
+    closed once per job via :meth:`close`, or by a wave that raises.
     """
 
     def __init__(
@@ -274,11 +262,9 @@ class WorkerPool:
         self._handler = handler
         self.requested = workers
         self.transport = transport or PipeTransport()
-        self.results_q = multiprocessing.get_context("fork").Queue()
         #: Leased workers; ``busy`` holds the dispatched task's state.
         self.workers: list[Worker] = []
         self._next_worker_id = 0
-        self.epoch = 0
         self._closed = False
 
     def ensure_started(self, workers: int) -> None:
@@ -293,25 +279,19 @@ class WorkerPool:
         wid = self._next_worker_id
         self._next_worker_id += 1
         worker = Worker(handle=LocalHandle(
-            _worker_main, (self._handler, self.transport), self.results_q,
-            f"repro-pool-{wid}",
+            _worker_main, (self._handler, self.transport), f"repro-pool-{wid}"
         ))
         self.workers.append(worker)
         return worker
 
     def discard(self, worker: Worker) -> None:
-        """Drop a dead/killed worker, its inbox, and its stray segments."""
+        """Drop a dead/killed worker, its channel, and its stray segments."""
         worker.handle.discard()
         self.workers.remove(worker)
-        # The worker is confirmed dead, so any segment it created and
-        # never delivered is unreachable; unlink before its replacement
-        # starts writing.
+        # The worker is confirmed dead and its channel closed, so any
+        # segment it created is undeliverable; unlink before its
+        # replacement starts writing.
         self.transport.reap(worker.handle.pid)
-
-    def begin_wave(self) -> int:
-        """Advance the wave epoch (stale-frame fencing) and return it."""
-        self.epoch += 1
-        return self.epoch
 
     def run_wave(
         self,
@@ -324,23 +304,30 @@ class WorkerPool:
         allow_skip: bool = False,
         pre_run: "Callable[[int], None] | None" = None,
     ) -> SupervisionResult:
-        """Run one supervised wave of ``handler(task)`` over this pool."""
-        return Supervisor(
-            self, list(tasks), workers or self.requested,
-            policy=policy or RecoveryPolicy(),
-            injector=injector,
-            scope_of=scope_of,
-            allow_skip=allow_skip,
-            pre_run=pre_run,
-        ).run()
+        """Run one supervised wave of ``handler(task)`` over this pool.
+
+        A wave that raises closes the pool first: a worker still busy
+        with it must never answer a later wave.
+        """
+        try:
+            return Supervisor(
+                self, list(tasks), workers or self.requested,
+                policy=policy or RecoveryPolicy(),
+                injector=injector,
+                scope_of=scope_of,
+                allow_skip=allow_skip,
+                pre_run=pre_run,
+            ).run()
+        except BaseException:
+            self.close()
+            raise
 
     def close(self) -> None:
-        """Shut every worker down and drop the queues (once per job)."""
+        """Shut every worker down (once per job)."""
         if self._closed:
             return
         self._closed = True
         shut_down(worker.handle for worker in self.workers)
-        self.results_q.close()
         self.workers.clear()
 
 
@@ -385,7 +372,6 @@ class Supervisor:
         self._respawns = 0
         self._tally = Tally()
         self._redispatches = 0
-        self._epoch = 0
 
     # -- worker lifecycle --------------------------------------------------
 
@@ -445,31 +431,27 @@ class Supervisor:
         for worker in self._pool.workers:
             if worker.busy:
                 continue
-            while self._pending:
-                index = self._pending.pop(0)
-                state = self._states[index]
-                if index in self._done:
-                    continue
-                state.fault = state.sites.fault() if state.sites else None
-                if state.fault is None:
-                    if not state.pre_run_done:
-                        state.pre_run_done = True
-                        if self._pre_run is not None:
-                            # Hook failures (e.g. an exhausted map.task
-                            # gate) propagate: they fail the wave exactly
-                            # as the serial backend's in-task gate would.
-                            self._pre_run(index)
-                    if state.frame is None:
-                        # Packed once; re-dispatches reuse the same
-                        # frame (and, under shm, the same segment).
-                        state.frame = self._transport.pack(
-                            self._items[index], keep=True
-                        )
-                worker.engage(time.monotonic(), state)
-                worker.handle.send(
-                    (self._epoch, index, state.fault, state.frame)
-                )
-                break
+            if not self._pending:
+                return
+            index = self._pending.pop(0)
+            state = self._states[index]
+            state.fault = state.sites.fault() if state.sites else None
+            if state.fault is None:
+                if not state.pre_run_done:
+                    state.pre_run_done = True
+                    if self._pre_run is not None:
+                        # Hook failures (e.g. an exhausted map.task gate)
+                        # propagate: they fail the wave exactly as the
+                        # serial backend's in-task gate would.
+                        self._pre_run(index)
+                if state.frame is None:
+                    # Packed once; re-dispatches reuse the same frame
+                    # (and, under shm, the same segment).
+                    state.frame = self._transport.pack(
+                        self._items[index], keep=True
+                    )
+            worker.engage(time.monotonic(), state)
+            worker.handle.send((index, state.fault, state.frame))
 
     def _wait(self) -> None:
         """Block until a result frame, a worker death, or a lease expiry.
@@ -478,19 +460,20 @@ class Supervisor:
         interval — so an idle supervisor costs nothing and a hang is
         detected the moment its lease lapses.
         """
-        reader = self._pool.results_q._reader
-        if reader.poll():
-            return
-        sentinels = [w.handle.sentinel for w in self._pool.workers]
+        workers = self._pool.workers
         expiries = [
             w.last_heard + self._policy.lease_timeout_s
-            for w in self._pool.workers if w.busy
+            for w in workers if w.busy
         ]
         if expiries:
             timeout = max(0.0, min(expiries) - time.monotonic()) + 0.005
         else:
             timeout = _IDLE_WAKE_S
-        mp_connection.wait([reader, *sentinels], timeout=timeout)
+        mp_connection.wait(
+            [w.handle.conn for w in workers]
+            + [w.handle.sentinel for w in workers],
+            timeout=timeout,
+        )
 
     def _sweep(self) -> None:
         """Detect dead workers and expired leases; recover each.
@@ -532,31 +515,25 @@ class Supervisor:
                 self._respawn_after(worker, site, detail)
 
     def _collect(self) -> None:
-        """Drain every result frame the queue currently holds."""
-        while True:
-            try:
-                frame = self._pool.results_q.get_nowait()
-            except queue_mod.Empty:
-                return
-            try:
-                epoch, index, ok, payload = self._transport.unpack(frame)
-            except SegmentLost:
-                # Posted by a worker that died after delivery and whose
-                # segments were reaped; its task was re-dispatched (or
-                # already done), so the frame is droppable by design.
+        """Take the reply of every busy worker whose channel has one.
+
+        A channel that ends instead (the worker died, perhaps halfway
+        through a frame) is left for the sweep to bury.
+        """
+        for worker in self._pool.workers:
+            if not (worker.busy and worker.handle.conn.poll()):
                 continue
+            try:
+                frame = worker.handle.conn.recv()
+            except (EOFError, OSError):
+                continue
+            try:
+                ok, payload = self._transport.unpack(frame)
             except Exception as exc:  # noqa: BLE001 - corrupt transport
                 raise ParallelError(
                     f"could not decode a supervised worker result: {exc!r}"
                 ) from exc
-            if epoch != self._epoch:
-                continue  # straggler from an earlier wave on this pool
-            for worker in self._pool.workers:
-                if worker.busy and worker.busy.index == index:
-                    worker.busy = False
-                    break
-            if index in self._done:
-                continue  # stale duplicate from a lease-killed straggler
+            index, worker.busy = worker.busy.index, False
             self._done.add(index)
             if ok:
                 self._out[index] = payload
@@ -569,7 +546,6 @@ class Supervisor:
         """Drive the wave to completion."""
         if not self._items:
             return SupervisionResult(results=[])
-        self._epoch = self._pool.begin_wave()
         try:
             self._pool.ensure_started(self._n_workers)
             while len(self._done) < len(self._items):

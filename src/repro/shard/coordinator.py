@@ -13,7 +13,7 @@ runtimes.
 With ``options.peers`` set, shard worker groups are placed round-robin
 on remote ``supmr agent`` daemons over the CRC-framed transport
 (:mod:`repro.net`): commands and result blobs cross the wire instead of
-process queues, and reduce-phase run fetches go through resumable,
+a worker's pipe, and reduce-phase run fetches go through resumable,
 verify-then-refetch range requests.  The recovery machinery is
 **placement-blind** — every worker hides behind one handle interface
 (``send``/``alive``/``kill``: a local fork's is the map pool's
@@ -21,24 +21,24 @@ verify-then-refetch range requests.  The recovery machinery is
 speculation, and reassignment work identically for a forked child and a
 worker two hosts away.
 
-This module is the **shell**: processes, the results queue, the fault
-injector and log, and one receive-and-sweep loop both phases run
-through.  Every decision — leases (:mod:`repro.resilience.core`, as
-the map pool's), respawns, host loss, stragglers, reassignment — and
-the one table of per-shard rows it is taken over live in
-:mod:`repro.shard.core`; docs/sharding.md "Failure protocol" has the
-table.  The ``shard.*`` and ``net.*`` fault sites are rolled here, so a
-seeded plan replays the same failure schedule on every run.
+This module is the **shell**: processes, their channels (one pipe per
+local worker, one per agent link), the fault injector and log, and one
+receive-and-sweep loop both phases run through.  Every decision —
+leases (:mod:`repro.resilience.core`, as the map pool's), respawns,
+host loss, stragglers, reassignment — and the one table of per-shard
+rows it is taken over live in :mod:`repro.shard.core`;
+docs/sharding.md "Failure protocol" has the table.  The ``shard.*`` and
+``net.*`` fault sites are rolled here, so a seeded plan replays the
+same failure schedule on every run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
-import queue as queue_mod
 import shutil
 import tempfile
 import time
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Callable, Hashable, Sequence
 
@@ -111,7 +111,6 @@ class _Coordinator:
         self.self_addr = self_addr
         #: Every ``now`` the core is handed (a test seam, not an option).
         self.clock = clock
-        self.results_q = multiprocessing.get_context("fork").Queue()
         #: One row per shard id: everything known about that shard.
         self.shards: dict[int, Shard] = {
             spec.shard_id: Shard(spec.shard_id) for spec in plan.shards
@@ -143,9 +142,9 @@ class _Coordinator:
             self._job_wire = job_to_wire(job)
             self._options_wire = options_to_wire(self.worker_options)
             for link in self.links:
-                # Worker result blobs flow into the same queue local
-                # forks use; the collect/lease machinery cannot tell.
-                link.attach(self.results_q.put, injector)
+                # A link is one more channel of worker result blobs; the
+                # collect/lease machinery cannot tell it from a fork's.
+                link.attach(injector)
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -176,7 +175,7 @@ class _Coordinator:
                 shard_worker_main,
                 (sid, self.job, self.worker_options,
                  self.plan.chunks_for(sid), self.plan.num_partitions),
-                self.results_q, f"repro-shard-{sid}.{wid}",
+                f"repro-shard-{sid}.{wid}",
             )
             # In a ``--peers`` run remote reducers pull this host's
             # runs from the coordinator's own fetch exporter.
@@ -196,32 +195,39 @@ class _Coordinator:
         )
 
     def shutdown(self) -> None:
-        """The map pool's worker teardown, then the links.
-
-        The results queue closes last, after every link's reader thread
-        is gone — a late agent frame must not find a closed queue.
-        """
+        """The map pool's worker teardown, then the links."""
         shut_down(
             w.handle for row in self.shards.values() for w in row.workers()
         )
         for link in self.links:
             link.close()
-        self.results_q.cancel_join_thread()
-        self.results_q.close()
 
     # -- transport, faults, log ---------------------------------------------
 
     def _collect(self) -> "tuple | None":
-        try:
-            blob = self.results_q.get(timeout=_POLL_S)
-        except queue_mod.Empty:
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception as exc:  # noqa: BLE001 - corrupt transport
-            raise ParallelError(
-                f"could not decode a shard worker result: {exc!r}"
-            ) from exc
+        """One message, waiting at most :data:`_POLL_S` for it.
+
+        Read from the channel of every busy local worker (only a worker
+        with a command out ever speaks) and of every agent link.  A
+        channel that ends instead — its worker died, perhaps halfway
+        through a frame — yields nothing: the sweep buries the worker.
+        """
+        channels = [
+            w.handle.conn for row in self.shards.values()
+            for w in row.workers() if w.busy and not w.handle.is_remote
+        ] + [link.conn for link in self.links]
+        for conn in mp_connection.wait(channels, timeout=_POLL_S):
+            try:
+                blob = conn.recv_bytes()
+            except (EOFError, OSError):
+                continue
+            try:
+                return pickle.loads(blob)
+            except Exception as exc:  # noqa: BLE001 - corrupt transport
+                raise ParallelError(
+                    f"could not decode a shard worker result: {exc!r}"
+                ) from exc
+        return None
 
     def _fired(self, site: str, scope: Hashable, attempt: int = 0) -> bool:
         """Roll one seeded fault site (never fires without a plan)."""

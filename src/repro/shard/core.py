@@ -1,8 +1,8 @@
 """The sharded coordinator's decisions, as transitions over one table.
 
-No process, no queue, no file, no clock — the style of
+No process, no channel, no file, no clock — the style of
 :mod:`repro.cluster.health` and :mod:`repro.service.core`.  The shell
-(:mod:`repro.shard.coordinator`) owns the processes, the results queue
+(:mod:`repro.shard.coordinator`) owns the processes, their channels
 and the fault injector; it feeds what happened in here with an explicit
 ``now`` and carries out what comes back (spawn, kill, send, log, raise).
 What the coordinator *knows* about shard ``sid`` is one :class:`Shard`

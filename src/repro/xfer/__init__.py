@@ -1,15 +1,14 @@
 """repro.xfer — zero-copy shared-memory result transport.
 
-The process backend's original result path pushed every pickled
-:class:`~repro.containers.base.ContainerDelta` and reduced run through a
-``multiprocessing.Queue`` pipe: the worker's feeder thread writes the
-bytes into a 64 KiB kernel pipe, the parent reads them back out, and
-megabytes of combined map output cross the kernel twice.  This package
-moves the payload out of the pipe: workers write one pickle
-(protocol 5, out-of-band buffers included) into a
-``multiprocessing.shared_memory`` segment and post only a tiny control
-frame — the segment name and layout — through the queue.  The parent
-maps the segment and unpickles straight out of it.
+The process backend's plain result path pushes every pickled
+:class:`~repro.containers.base.ContainerDelta` through the worker's
+pipe: the worker writes the bytes into a kernel socket buffer, the
+parent reads them back out, and megabytes of combined map output cross
+the kernel twice.  This package moves the payload out of the pipe:
+workers write one pickle (protocol 5, out-of-band buffers included)
+into a ``multiprocessing.shared_memory`` segment and post only a tiny
+control frame — the segment name and layout — through the pipe.  The
+parent maps the segment and unpickles straight out of it.
 
 :mod:`repro.xfer.segments` owns segment naming and the leak-proof
 lifecycle (ref-counted :class:`~repro.xfer.segments.SegmentPool`,

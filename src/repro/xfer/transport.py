@@ -2,11 +2,11 @@
 
 Both halves of a forked worker pair share one transport object (it rides
 the fork); :meth:`pack` runs on whichever side produces a payload and
-:meth:`unpack` on whichever side consumes it, with the queue between
-them carrying only the small control frames pack returns.
+:meth:`unpack` on whichever side consumes it, with the worker's pipe
+between them carrying only the small control frames pack returns.
 
-:class:`PipeTransport` is the PR-3 behaviour: the whole pickled payload
-is the control frame and rides the queue's pipe.  :class:`ShmTransport`
+:class:`PipeTransport` is the plain path: the whole pickled payload is
+the control frame and rides the worker's pipe.  :class:`ShmTransport`
 pickles with protocol 5 — out-of-band buffers included, so a NumPy
 histogram delta's cells are never copied into the pickle stream — and
 writes ``[pickle blob | buffer 0 | buffer 1 | …]`` into one
@@ -18,7 +18,7 @@ Receiving is one ``mmap`` and one ``pickle.loads`` straight out of the
 segment.  Out-of-band buffers are copied into parent-owned bytearrays
 during the load — deliberately, so no reconstructed object can alias a
 segment after it is unlinked — which still halves the copies of the
-pipe path (pipe: feeder-thread write + parent read; shm: one read).
+pipe path (pipe: worker write + parent read; shm: one read).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ TRANSPORT_AUTO = "auto"
 
 _TRANSPORTS = (TRANSPORT_AUTO, TRANSPORT_PIPE, TRANSPORT_SHM)
 
-#: Payloads smaller than this ride the queue pipe even under shm.
+#: Payloads smaller than this ride the worker's pipe even under shm.
 DEFAULT_INLINE_MAX = 16 * 1024
 
 #: Control-frame tags.
@@ -78,7 +78,7 @@ def resolve_transport(value: "str | None") -> str:
 
 
 class PipeTransport:
-    """The synchronous-pickle-over-the-queue baseline transport."""
+    """The synchronous-pickle-over-the-pipe baseline transport."""
 
     kind = TRANSPORT_PIPE
 

@@ -24,8 +24,8 @@ settings.register_profile(
     "soak", max_examples=2000, derandomize=True, deadline=None
 )
 
-#: Suites whose threads (link readers, pingers, queue feeders) must not
-#: die with a traceback: there it is a teardown-order bug, not noise.
+#: Suites whose threads (link readers, pingers, the agent's pump) must
+#: not die with a traceback: there it is a teardown-order bug, not noise.
 _THREAD_STRICT = ("tests/net/", "tests/shard/")
 
 

@@ -121,7 +121,7 @@ class TestAgentLink:
     def test_pings_keep_the_link_usable(self, agent):
         link = AgentLink(agent.addr, net_timeout_s=0.8)
         try:
-            link.attach(lambda blob: None)
+            link.attach()
             time.sleep(1.6)  # two timeout windows of pure idle
             assert link.usable
         finally:
@@ -129,14 +129,14 @@ class TestAgentLink:
 
     def test_dead_agent_marks_the_link_unusable(self, agent):
         link = AgentLink(agent.addr, net_timeout_s=0.5, retries=1)
-        link.attach(lambda blob: None)
+        link.attach()
         agent.close()
         assert _wait_until(lambda: not link.usable)
         link.close()
 
     def test_injected_partition_is_indistinguishable_from_death(self, agent):
         link = AgentLink(agent.addr, net_timeout_s=0.5, retries=1)
-        link.attach(lambda blob: None)
+        link.attach()
         try:
             assert link.inject_partition(duration_s=30.0)
             # The agent is alive but silent: past net_timeout_s that is
@@ -156,7 +156,7 @@ class TestAgentLink:
 
     def test_send_after_death_returns_false(self, agent):
         link = AgentLink(agent.addr, net_timeout_s=0.5, retries=0)
-        link.attach(lambda blob: None)
+        link.attach()
         agent.close()
         assert _wait_until(lambda: not link.usable)
         assert link.send({"cmd": "ping"}) is False
@@ -177,7 +177,7 @@ class TestHostedWorkers:
     def test_worker_exit_is_reported_over_the_link(self, agent, text_file):
         job_w, opt_w, chunks_w, parts = self._spawn_args(text_file)
         link = AgentLink(agent.addr, net_timeout_s=5.0)
-        link.attach(lambda blob: None)
+        link.attach()
         try:
             assert link.spawn(0, 0, job_w, opt_w, chunks_w, parts)
             handle = RemoteHandle(link, sid=0, wid=0)
@@ -194,7 +194,7 @@ class TestHostedWorkers:
     def test_grace_reaper_kills_orphaned_workers(self, agent, text_file):
         job_w, opt_w, chunks_w, parts = self._spawn_args(text_file)
         link = AgentLink(agent.addr, net_timeout_s=5.0)
-        link.attach(lambda blob: None)
+        link.attach()
         assert link.spawn(0, 0, job_w, opt_w, chunks_w, parts)
         assert _wait_until(lambda: (0, 0) in agent.workers)
         proc = agent.workers[(0, 0)].proc

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import threading
-from multiprocessing.connection import wait
 
 import pytest
 
@@ -18,7 +17,13 @@ from repro.faults.log import (
 from repro.faults.plan import SITE_TASK_HANG, SITE_WORKER_CRASH
 from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import fork_available
-from repro.resilience.supervisor import CRASH_EXIT, WorkerPool
+from repro.resilience.supervisor import WorkerPool
+from tests.resilience.midframe import (
+    BIG,
+    BOUND_S,
+    kill_mid_frame,
+    large_writes_paused,
+)
 
 pytestmark = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
@@ -176,55 +181,41 @@ class TestPreRunHook:
 
 
 class TestCrashAfterDelivery:
-    #: Four pipe buffers' worth: the feeder blocks mid-frame, holding
-    #: the pool's shared write lock, until somebody reads.
-    BIG = 4 * 65536
-
     def test_an_injected_crash_never_strands_the_results_lock(self):
-        """A worker told to crash while its last result is still in the
-        pipe lets that frame finish first.  Dying mid-frame would keep
-        the results queue's write lock, shared by the whole pool, and
-        every other worker would block in ``put`` until its lease ran
-        out.  No sleeps: the result is larger than the pipe's buffer and
-        nothing reads it until the crash is under way, so the feeder
-        holds the lock at that moment on every run."""
-        big = self.BIG
-        pool = WorkerPool(lambda task: b"x" * big if task else b"small", 2)
-        flushing_r, flushing_w = os.pipe()
-        flush = pool.results_q.join_thread
+        """A worker SIGKILLed halfway through sending a result breaks only
+        its own channel.  The other worker's result still arrives, the
+        dead worker's task runs again, and the wave ends with no lease
+        expired.  Were the pool's results one shared queue, the kill
+        would strand its write lock and the parent's half-read frame,
+        and the wave would never end.  No sleeps: the parent is inside
+        task 1's dispatch hook, not reading, when task 0's worker is
+        killed mid-frame."""
+        report_r, report_w = os.pipe()
+        pool = WorkerPool(lambda big: b"x" * BIG if big else b"small", 2)
 
-        def join_thread() -> None:
-            # Runs in the dying worker: the parent may start reading.
-            os.write(flushing_w, b"!")
-            flush()
+        def kill_task_0_mid_frame(index: int) -> None:
+            if index == 1:
+                kill_mid_frame(report_r)
 
-        pool.results_q.join_thread = join_thread
-        payloads: list[bytes] = []
-
-        def read_two() -> None:
-            for _ in range(2):
-                frame = pool.results_q.get()
-                payloads.append(pool.transport.unpack(frame)[3])
-
+        outcome = []
+        wave = threading.Thread(
+            target=lambda: outcome.append(
+                pool.run_wave([True, False], pre_run=kill_task_0_mid_frame)
+            ),
+            daemon=True,
+        )
         try:
-            pool.ensure_started(2)
-            dying, survivor = (w.handle for w in pool.workers)
-            dying.inbox.put((1, 0, None, pool.transport.pack(True)))
-            # Bytes in the pipe: the feeder holds the lock mid-frame.
-            pool.results_q._reader.poll(None)
-            dying.inbox.put((1, 1, SITE_WORKER_CRASH, None))
-            wait([dying.proc.sentinel, flushing_r])
-            survivor.inbox.put((1, 2, None, pool.transport.pack(False)))
-            reader = threading.Thread(target=read_two, daemon=True)
-            reader.start()
-            reader.join(30.0)
-            assert [len(p) for p in payloads] == [big, len(b"small")], (
-                "the survivor's result never arrived: the crashed worker "
-                "kept the results queue's write lock"
+            with large_writes_paused(report_w):
+                pool.ensure_started(2)
+            wave.start()
+            wave.join(BOUND_S)
+            assert outcome, (
+                "the wave never ended: the killed worker wedged the others"
             )
-            dying.proc.join(30.0)
-            assert dying.proc.exitcode == CRASH_EXIT
+            assert [len(r) for r in outcome[0].results] == [BIG, len(b"small")]
+            assert outcome[0].hangs == 0
+            assert outcome[0].crashes == outcome[0].respawns == 1
         finally:
             pool.close()
-            os.close(flushing_r)
-            os.close(flushing_w)
+            os.close(report_r)
+            os.close(report_w)

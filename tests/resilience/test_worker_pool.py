@@ -6,6 +6,9 @@ import os
 
 import pytest
 
+from repro.errors import ParallelError, RetryExhausted
+from repro.faults import parse_faults
+from repro.faults.policy import RecoveryPolicy
 from repro.parallel.backends import fork_available
 from repro.resilience.supervisor import WorkerPool
 
@@ -33,16 +36,43 @@ def test_two_waves_on_one_pool_fork_once():
 
 
 def test_a_stale_epoch_frame_is_dropped():
-    pool = WorkerPool(_times_ten, 1)
-    try:
-        assert pool.run_wave([1, 2]).results == [10, 20]
-        # a straggler of wave 1 claiming wave 2's first index, already
-        # in the pipe when wave 2 starts
-        pool.results_q.put(pool.transport.pack((pool.epoch, 0, True, "stale")))
-        assert pool.results_q._reader.poll(10.0)
-        assert pool.run_wave([5, 6]).results == [50, 60]
-    finally:
-        pool.close()
+    """A wave that raises closes its pool: none of its workers, busy or
+    not, can answer a later wave."""
+    pool = WorkerPool(_times_ten, 2)
+    assert pool.run_wave([1, 2]).results == [10, 20]
+    procs = [w.handle.proc for w in pool.workers]
+
+    def hook(index: int) -> None:
+        if index == 1:
+            raise RetryExhausted("map.task gate gave up", site="map.task")
+
+    with pytest.raises(RetryExhausted):
+        pool.run_wave([3, 4, 5], pre_run=hook)
+    assert pool.workers == []
+    assert not any(p.is_alive() for p in procs)
+    with pytest.raises(ParallelError, match="worker pool is closed"):
+        pool.run_wave([5, 6])
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_respawns_and_close_leave_no_descriptor_open():
+    before = _open_fds()
+    policy = RecoveryPolicy(lease_timeout_s=0.3)
+    injector = parse_faults("worker.crash=once,task.hang=once", seed=5).arm(
+        policy
+    )
+    pool = WorkerPool(_times_ten, 2)
+    outcome = pool.run_wave(range(3), policy=policy, injector=injector)
+    pool.close()
+    assert outcome.results == [0, 10, 20]
+    assert outcome.crashes >= 1 and outcome.hangs >= 1
+    assert _open_fds() == before
 
 
 def test_close_leaves_no_live_child():

@@ -9,8 +9,8 @@ output.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
-import queue as queue_mod
 
 import pytest
 
@@ -160,6 +160,19 @@ class TestRecovery:
         assert ACTION_RESPAWNED in actions
         assert ACTION_REASSIGNED in actions
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_worker_loss_leaves_no_descriptor_open(self, text_file):
+        job = _wordcount(text_file)
+        before = len(os.listdir("/proc/self/fd"))
+        result = run_sharded(job, _options(
+            2, fault_plan=parse_faults("shard.worker_loss=once", seed=9)
+        ))
+        assert result.counters["shard_respawns"] == 2
+        assert result.counters["shards_lost"] == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_journaled_shard_resumes_after_loss(self, text_file, tmp_path):
         job = _wordcount(text_file)
         reference = run_sharded(job, _options(1))
@@ -300,22 +313,25 @@ class TestCommandedLossAlwaysFires:
 
     def _run_worker(self, job, options, chunks, msg):
         ctx = multiprocessing.get_context("fork")
-        inbox, results = ctx.Queue(), ctx.Queue()
-        inbox.put(msg)
-        inbox.put(None)  # sentinel, for the surviving MODE_RUN case
+        conn, child = ctx.Pipe()
+        conn.send(msg)
+        conn.send(None)  # sentinel, for the surviving MODE_RUN case
         proc = ctx.Process(
             target=shard_worker_main,
-            args=(0, job, options, chunks, 4, inbox, results),
+            args=(0, job, options, chunks, 4, child),
         )
         proc.start()
+        child.close()
+        rows = []
+        # A death with the sentinel unread ends the read with a reset.
+        while conn.poll(60):
+            try:
+                rows.append(pickle.loads(conn.recv_bytes()))
+            except (EOFError, ConnectionResetError):
+                break
+        conn.close()
         proc.join(timeout=60)
         assert proc.exitcode is not None, "shard worker hung"
-        rows = []
-        while True:
-            try:
-                rows.append(pickle.loads(results.get(timeout=0.2)))
-            except queue_mod.Empty:
-                break
         return proc.exitcode, rows
 
     def test_loss_fires_even_when_journal_covers_all_rounds(

@@ -1,100 +1,79 @@
-"""A commanded shard death leaves the shared results queue usable.
+"""A shard worker killed mid-frame leaves the other workers' channels usable.
 
-Every shard worker of a job posts to one ``multiprocessing`` queue, and
-a worker's feeder thread holds the queue's cross-process write lock for
-as long as a frame is in flight.  A commanded death (``MODE_LOSS``) that
-exits while its feeder is mid-write would keep that lock forever: every
-other worker would then block in ``put`` until its lease expired.
-``die`` is the one way such a death exits.  No sleeps: the frame is
-larger than the pipe's buffer and nothing reads it until the dying
-worker has committed to exiting, so the feeder is blocked holding the
-lock at that moment on every run.
+Every shard worker of a job has its own pipe to the coordinator.  A
+worker ``SIGKILL``ed halfway through a frame leaves part of that frame
+in its own pipe, and nothing in anyone else's: the survivor's reply
+must still reach the coordinator.  Were the replies one shared queue,
+the kill would strand its write lock and the coordinator's half-read
+frame, and no survivor would be heard again.  No sleeps: the dying
+worker reports itself once its frame is partly written and the rest is
+blocked on the full pipe.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from multiprocessing.connection import wait
+import threading
 
 import pytest
 
+from repro.apps.wordcount import make_wordcount_job
+from repro.chunking.planner import plan_chunks
+from repro.core.options import RuntimeOptions
 from repro.parallel.backends import fork_available
-from repro.resilience.supervisor import CRASH_EXIT, die
+from repro.shard import core
+from repro.shard.coordinator import _Coordinator
+from repro.shard.plan import ShardPlan
+from tests.resilience.midframe import (
+    BIG,
+    BOUND_S,
+    kill_mid_frame,
+    large_writes_paused,
+)
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs os.fork")
 
-#: Four pipe buffers' worth (64 KiB each on Linux): the feeder blocks
-#: mid-frame, holding the write lock, until somebody reads.
-_BIG = 4 * 65536
-
-#: How long the survivor's frame may take to arrive.
-_BOUND_S = 30.0
-
-
-def _die_mid_write(results, dying_w: int) -> None:
-    """Post a frame that cannot fit in the pipe, then take the commanded
-    death while the feeder is stuck inside it."""
-    results.put(b"x" * _BIG)
-    # Bytes in the pipe mean the feeder has taken the write lock and is
-    # now blocked on the rest of the frame.
-    results._reader.poll(None)
-    flush = results.join_thread
-
-    def join_thread() -> None:
-        # The exit is due: tell the parent it may start reading.
-        os.write(dying_w, b"!")
-        flush()
-
-    results.join_thread = join_thread
-    die(results)
-
-
-def _put(results, blob: bytes) -> None:
-    results.put(blob)
-
-
-def _drain(results) -> None:
-    """Exit 0 once the big frame and then the survivor's have arrived."""
-    first, second = results.get(), results.get()
-    os._exit(0 if (len(first), second) == (_BIG, b"survivor") else 1)
-
 
 @needs_fork
-def test_a_commanded_death_does_not_wedge_the_other_workers():
-    ctx = multiprocessing.get_context("fork")
-    results = ctx.Queue()
-    dying_r, dying_w = os.pipe()
-    dying = ctx.Process(
-        target=_die_mid_write, args=(results, dying_w),
-        name="repro-shard-dying",
+def test_a_commanded_death_does_not_wedge_the_other_workers(text_file, tmp_path):
+    job = make_wordcount_job([text_file])
+    options = RuntimeOptions.supmr_interfile("32KB", 2, 4).with_(num_shards=2)
+    plan = ShardPlan(
+        plan_chunks(job.inputs, job.codec, options), 2, options.num_reducers
     )
-    survivor = ctx.Process(
-        target=_put, args=(results, b"survivor"), name="repro-shard-survivor"
-    )
-    reader = ctx.Process(target=_drain, args=(results,), name="repro-shard-reader")
-    procs = (dying, survivor, reader)
+    coordinator = _Coordinator(job, options, plan, tmp_path, injector=None)
+    report_r, report_w = os.pipe()
+    heard: list[tuple] = []
+    stop = threading.Event()
+
+    def collect_until_the_survivor_speaks() -> None:
+        while not heard and not stop.is_set():
+            msg = coordinator._collect()
+            if msg is not None and msg[1] == 1:
+                heard.append(msg)
+
+    reader = threading.Thread(target=collect_until_the_survivor_speaks)
+    reader.daemon = True
     try:
-        dying.start()
-        # Nothing reads until the death is under way: the worker has
-        # either exited already (os._exit straight away) or is flushing.
-        wait([dying.sentinel, dying_r])
-        survivor.start()
+        with large_writes_paused(report_w):
+            dying = coordinator._spawn(0, False, False)
+        survivor = coordinator._spawn(1, False, False)
+        for worker in (dying, survivor):
+            core.seat(coordinator.shards[worker.sid], worker, coordinator.clock())
+        # An unknown command comes back as an error row that names it.
+        dying.handle.send({"kind": "x" * BIG})
+        kill_mid_frame(report_r)
+        survivor.handle.send({"kind": "survivor"})
         reader.start()
-        reader.join(_BOUND_S)
-        assert reader.exitcode == 0, (
-            "the survivor's frame never arrived: the dead worker kept the "
-            "results queue's write lock"
+        reader.join(BOUND_S)
+        assert heard, (
+            "the survivor's frame never arrived: the killed worker wedged "
+            "the coordinator's read"
         )
-        for proc in (dying, survivor):
-            proc.join(_BOUND_S)
-        assert dying.exitcode == CRASH_EXIT
-        assert survivor.exitcode == 0
+        kind, _, detail = heard[0]
+        assert kind == "error" and "'survivor'" in detail
     finally:
-        for proc in procs:
-            if proc.pid is not None and proc.exitcode is None:
-                proc.kill()
-                proc.join()
-        os.close(dying_r)
-        os.close(dying_w)
-        results.close()
+        stop.set()
+        coordinator.shutdown()
+        os.close(report_r)
+        os.close(report_w)
