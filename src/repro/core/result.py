@@ -87,7 +87,7 @@ class JobResult:
         """A sha256 digest of the ordered output pairs.
 
         Two runs produced byte-identical output iff their digests match;
-        the crash/resume tests and the CI smoke job diff this instead of
+        the crash/resume tests and the CI soak legs diff this instead of
         shipping full outputs around.
         """
         import hashlib

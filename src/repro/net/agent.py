@@ -82,7 +82,7 @@ def _worker_shell(parent_pid: int, *args: Any) -> None:
 
     The watchdog is what makes ``SIGKILL`` of the agent equivalent to
     losing the whole host — every worker notices the re-parenting and
-    exits, so the smoke tests' no-orphan check holds even for the
+    exits, so the soak's no-orphan check holds even for the
     ungraceful death paths.
     """
     threading.Thread(

@@ -28,9 +28,7 @@ from repro.chunking.chunk import Chunk, ChunkSource
 from repro.core.job import JobSpec
 from repro.core.options import WIRE_FIELDS, RuntimeOptions
 from repro.errors import ConfigError
-
-#: Apps a remote spawn may name (the job-service registry).
-KNOWN_APPS = ("wordcount", "sort")
+from repro.service.jobspec import KNOWN_APPS, build_app_job
 
 
 def job_to_wire(job: JobSpec) -> dict[str, Any]:
@@ -46,16 +44,9 @@ def job_to_wire(job: JobSpec) -> dict[str, Any]:
 def job_from_wire(data: dict[str, Any]) -> JobSpec:
     """Rebuild the executable job from its wire form."""
     app = data.get("app")
-    inputs = data.get("inputs") or ()
-    if app == "wordcount":
-        from repro.apps.wordcount import make_wordcount_job
-
-        return make_wordcount_job(inputs)
-    if app == "sort":
-        from repro.apps.sortapp import make_sort_job
-
-        return make_sort_job(list(inputs))
-    raise ConfigError(f"unknown remote app {app!r}")
+    if app not in KNOWN_APPS:
+        raise ConfigError(f"unknown remote app {app!r}")
+    return build_app_job(app, data.get("inputs") or ())
 
 
 def _json_safe(value: Any) -> Any:

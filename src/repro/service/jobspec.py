@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import importlib
 import json
 import types
 import typing
@@ -29,8 +30,14 @@ from repro.core.job import JobSpec
 from repro.core.options import RuntimeOptions
 from repro.errors import ConfigError
 
-#: Applications a spec may name, mapped to their job factories.
-KNOWN_APPS = ("wordcount", "sort")
+#: Applications a spec or a remote spawn may name, mapped to the module
+#: and factory that build their job.  Imported only when a job is
+#: built, so the daemon never imports an app.
+_APP_FACTORIES = {
+    "wordcount": ("repro.apps.wordcount", "make_wordcount_job"),
+    "sort": ("repro.apps.sortapp", "make_sort_job"),
+}
+KNOWN_APPS = tuple(_APP_FACTORIES)
 
 #: Fields of options that no longer exist.  An older build wrote them
 #: into every ``spec.json``; :meth:`ServiceJobSpec.from_dict` drops them
@@ -211,10 +218,10 @@ class ServiceJobSpec:
 
     def build_job(self) -> JobSpec:
         """The executable :class:`~repro.core.job.JobSpec`."""
-        if self.app == "wordcount":
-            from repro.apps.wordcount import make_wordcount_job
+        return build_app_job(self.app, self.inputs)
 
-            return make_wordcount_job(self.inputs)
-        from repro.apps.sortapp import make_sort_job
 
-        return make_sort_job(list(self.inputs))
+def build_app_job(app: str, inputs: typing.Sequence[str]) -> JobSpec:
+    """The job of known app ``app`` over ``inputs``."""
+    module, factory = _APP_FACTORIES[app]
+    return getattr(importlib.import_module(module), factory)(inputs)

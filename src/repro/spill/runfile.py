@@ -6,10 +6,10 @@ deliberately dumb and verifiable:
 
 * a fixed-size **checksummed header** — magic, version, record count,
   payload length, CRC-32 of the payload section;
-* a payload of block frames (:class:`repro.io.writer.FramedRecordWriter`
-  framing: pickle length, record count, pickle), each frame the pickle
-  of a *list* of flat ``(key, value)`` records, **sorted stably by
-  key**, equal keys adjacent, within and across blocks.
+* a payload of block frames (pickle length, record count, pickle),
+  each frame the pickle of a *list* of flat ``(key, value)`` records,
+  **sorted stably by key**, equal keys adjacent, within and across
+  blocks.
 
 A record is stored as it was emitted: nothing between the budget gate
 and the reducer wraps it in a group.  That all of a key's values still
@@ -52,7 +52,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Hashable, Iterable, Iterator
 
 from repro.errors import SpillError
-from repro.io.writer import _FRAME_PREFIX, FramedRecordWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.qos.throttle import TokenBucket
@@ -72,6 +71,12 @@ BLOCK_BYTES = 256 * 1024
 #: magic(4s) version(H) reserved(H) records(Q) payload_len(Q) crc32(I)
 _HEADER = struct.Struct(">4sHHQQI")
 HEADER_BYTES = _HEADER.size
+#: payload_len(I) records(I): one frame carries a block of records, and
+#: its count sits outside the payload so a scan can total the counts
+#: without decoding anything.
+_FRAME_PREFIX = struct.Struct(">II")
+#: Buffered frame bytes that go to the file in one write.
+_FLUSH_BYTES = 1 << 20
 
 Pair = tuple[Hashable, Any]
 #: "No block read yet" for the reader's no-split check (``None`` is a key).
@@ -95,6 +100,40 @@ def finish_key(block: list[Pair], records: Iterator[Pair]) -> Pair | None:
     return None
 
 
+class _FrameWriter:
+    """The encoder of the framing :meth:`RunReader._frames` decodes.
+
+    Buffers frames for one binary file object and keeps the header's
+    three totals: ``records``, ``payload_bytes`` and ``crc32``.
+    """
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._fh = fh
+        self._buf: list[bytes] = []
+        self._buffered = 0
+        self.records = 0
+        self.payload_bytes = 0
+        self.crc32 = 0
+
+    def write(self, payload: bytes, records: int) -> None:
+        """Append one frame whose payload encodes ``records`` records."""
+        prefix = _FRAME_PREFIX.pack(len(payload), records)
+        self.crc32 = zlib.crc32(payload, zlib.crc32(prefix, self.crc32))
+        self._buf += (prefix, payload)
+        size = len(prefix) + len(payload)
+        self._buffered += size
+        self.records += records
+        self.payload_bytes += size
+        if self._buffered >= _FLUSH_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        """Push buffered frames to the file."""
+        if self._buf:
+            self._fh.write(b"".join(self._buf))
+            self._buf, self._buffered = [], 0
+
+
 class RunWriter:
     """Writes one sorted run file; use as a context manager.
 
@@ -115,7 +154,7 @@ class RunWriter:
         self._throttle = throttle
         self._fh: BinaryIO | None = open(self.path, "wb")
         self._fh.write(b"\0" * HEADER_BYTES)  # placeholder header
-        self._framer = FramedRecordWriter(self._fh)
+        self._framer = _FrameWriter(self._fh)
         self._block: list[Pair] = []
         self._limit = BLOCK_RECORDS
 

@@ -18,7 +18,7 @@ from repro.workloads import (
 
 
 # ``--hypothesis-profile soak``: thousands of seeded schedules per state
-# machine, the same ones every run (CI's shard-smoke job); tier-1 keeps
+# machine, the same ones every run (CI's soak job, shard leg); tier-1 keeps
 # the default profile.
 settings.register_profile(
     "soak", max_examples=2000, derandomize=True, deadline=None

@@ -1,7 +1,7 @@
 """Fixtures for the fault-injection test package.
 
 CI runs this package twice with different ``FAULT_SEED`` values (the
-fault-matrix job); locally the seed defaults to 0.  Every test that
+``faults`` leg of the soak job); locally the seed defaults to 0.  Every test that
 builds a :class:`~repro.faults.plan.FaultPlan` should take the
 ``fault_seed`` fixture so the whole package is exercised under each
 seed without per-test plumbing.

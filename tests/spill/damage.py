@@ -13,9 +13,15 @@ import struct
 import zlib
 from pathlib import Path
 
-from repro.io.writer import _FRAME_PREFIX
 from repro.spill.manager import group_sorted_pairs
-from repro.spill.runfile import _HEADER, HEADER_BYTES, MAGIC, VERSION, RunReader
+from repro.spill.runfile import (
+    _FRAME_PREFIX,
+    _HEADER,
+    HEADER_BYTES,
+    MAGIC,
+    VERSION,
+    RunReader,
+)
 
 
 def _flip(path: Path, offset: int) -> None:

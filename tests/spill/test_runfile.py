@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -201,6 +202,25 @@ class TestBlocks:
                 assert writer.payload_bytes > 0
             writer.write_group(b"l", (0,))
         assert [len(b) for b in RunReader(path).blocks()] == [41]
+
+
+class TestBytesOnDisk:
+    def test_format_3_bytes_are_pinned(self, tmp_path):
+        # A run of three blocks and an empty run, hashed: any change to
+        # the header, the frame prefix, the CRC or the block cut shows.
+        full = tmp_path / "full.spl"
+        with RunWriter(full) as writer:
+            writer.write_records(
+                (i // 3, i * 7) for i in range(2 * BLOCK_RECORDS + 100)
+            )
+        empty = write_run(tmp_path / "empty.spl", groups=[])
+        assert len(list(RunReader(full).blocks())) == 3
+        assert hashlib.sha256(full.read_bytes()).hexdigest() == (
+            "f6b874f8ce4e095fa8037e317ffda8141a48d040297613cd61ca70274892cb1c"
+        )
+        assert hashlib.sha256(empty.read_bytes()).hexdigest() == (
+            "cc8e3597cd7e0e06adaf3e4b546e2af1a75476604a3a186d04f79a017f06b24e"
+        )
 
 
 class TestNoBlockEndsInsideAKey:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -103,4 +104,38 @@ class TestRepoDocuments:
         current = (REPO / "docs" / "options.md").read_text()
         assert current == gen.render_options(), (
             "docs/options.md is stale; run python tools/gen_api_docs.py"
+        )
+
+    def test_named_tools_exist(self):
+        # The dated benchmark report names scripts of its time.
+        docs = [
+            REPO / "README.md",
+            REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+            REPO / ".github" / "workflows" / "ci.yml",
+            *(path for path in sorted((REPO / "docs").glob("*.md"))
+              if path.name != "pr25-benchmark-report.md"),
+        ]
+        missing = sorted(
+            f"{doc.relative_to(REPO)}: {name}"
+            for doc in docs
+            for name in re.findall(r"(?<![\w/.])tools/[\w-]+\.py",
+                                   doc.read_text())
+            if not (REPO / name).is_file()
+        )
+        assert not missing, missing
+
+    def test_ci_soak_matrix_runs_every_leg(self):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "soak", REPO / "tools" / "soak.py"
+        )
+        soak = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(soak)
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+        job = ci[ci.index("\n  soak:\n"):]
+        legs = re.search(r"^ +leg: \[(.*)\]$", job, re.MULTILINE)
+        assert legs, "ci.yml's soak job has no leg matrix"
+        assert [leg.strip() for leg in legs.group(1).split(",")] == list(
+            soak.LEGS
         )
