@@ -161,7 +161,7 @@ class AgentHealth:
                 self.next_probe_at = now + self.policy.suspect_retry_s
         else:  # already quarantined: back off further
             self.backoff_attempt += 1
-            self.next_probe_at = now + self._backoff()
+            self.next_probe_at = now + self._reprobe_delay()
         return self.state
 
     def mark_lost(self, now: float, reason: str) -> str:
@@ -186,9 +186,9 @@ class AgentHealth:
     def _quarantine(self, now: float) -> None:
         self.state = STATE_QUARANTINED
         self.backoff_attempt = 0
-        self.next_probe_at = now + self._backoff()
+        self.next_probe_at = now + self._reprobe_delay()
 
-    def _backoff(self) -> float:
+    def _reprobe_delay(self) -> float:
         """Jittered quarantine re-probe delay, deterministic per agent."""
         return exponential_jitter(
             self.backoff_attempt,

@@ -3,11 +3,12 @@
 One agent process serves one listen port with two connection types,
 distinguished by the first (JSON) frame:
 
-* ``{"type": "hello"}`` — the coordinator's **control session**.
-  Subsequent frames are pickled command dicts (spawn a shard worker,
-  relay a map/reduce command down its pipe, kill, ping); the agent
-  streams back rseq-stamped ``("res", rseq, payload)`` frames whose
-  payloads are the workers' pickled result blobs — heartbeats,
+* ``{"type": "hello", "owner": token}`` — the coordinator's **control
+  session** (a hello without an owner is refused).  Subsequent frames
+  are pickled command dicts (spawn a shard worker, relay a map/reduce
+  command down its pipe, kill, ping); the agent streams back
+  rseq-stamped ``("res", rseq, payload)`` frames whose payloads are
+  the workers' pickled result blobs — heartbeats,
   ``map_done`` wave stats, fault event rows — plus small control dicts
   (``pong``, ``worker-exit``), so the coordinator's lease/respawn/
   speculation machinery sees exactly what a local fork would have sent.
@@ -103,6 +104,7 @@ class AgentServer:
         accept_control: bool = True,
     ) -> None:
         self.listener = socket.create_server((host, port))
+        self.listener.settimeout(0.2)
         self.host = host
         self.port = self.listener.getsockname()[1]
         self.addr = format_addr(host, self.port)
@@ -132,9 +134,8 @@ class AgentServer:
         self._epoch = 0
         self.workers: dict[tuple[int, int], LocalHandle] = {}
         self._ctl: "socket.socket | None" = None
-        #: Current control-session owner token (None until a coordinator
-        #: that identifies itself attaches, or for legacy/anonymous
-        #: sessions, which keep reconnect semantics).
+        #: Current control-session owner token (None until the first
+        #: coordinator attaches).
         self._owner: "str | None" = None
         self._last_seq = -1
         self._mute_until = 0.0
@@ -162,7 +163,6 @@ class AgentServer:
 
     def serve_forever(self) -> None:
         """Accept connections until :meth:`close`."""
-        self.listener.settimeout(0.2)
         while not self._stop.is_set():
             try:
                 conn, _peer = self.listener.accept()
@@ -186,8 +186,8 @@ class AgentServer:
                 serve_fetch_session(conn, self.workdir, FRAME_STALL_S)
             finally:
                 conn.close()
-        elif kind == "hello" and self.accept_control:
-            self._control_session(conn, owner=hello.get("owner"))
+        elif kind == "hello" and self.accept_control and hello.get("owner"):
+            self._control_session(conn, str(hello["owner"]))
         elif kind == "ping":
             self._ping_session(conn)
         else:
@@ -225,10 +225,8 @@ class AgentServer:
 
     # -- control session -----------------------------------------------------
 
-    def _control_session(
-        self, conn: socket.socket, owner: "str | None" = None
-    ) -> None:
-        if owner is not None and owner != self._owner:
+    def _control_session(self, conn: socket.socket, owner: str) -> None:
+        if owner != self._owner:
             # A *different* coordinator is taking the agent over (a new
             # job, or a relaunched attempt of the same one).  Workers
             # and queued results belong to the previous owner: handing
@@ -236,8 +234,7 @@ class AgentServer:
             # exchange data into another's digest.  Kill the leftovers
             # (audited as reaps), drop the unacked tail, and reset the
             # inbound dedup watermark — the new owner's seq starts at 0.
-            # Anonymous hellos (owner None) keep the legacy reconnect
-            # semantics: same session, tail resent.
+            # The same owner reconnecting keeps its session: tail resent.
             self._takeover(owner)
         with self._send_lock:
             old, self._ctl = self._ctl, conn
@@ -283,16 +280,12 @@ class AgentServer:
 
     def _takeover(self, owner: str) -> None:
         """Transfer control-session ownership to a new coordinator."""
-        had_state = (
-            self._owner is not None or bool(self.workers)
-            or self._last_seq >= 0
-        )
         previous, self._owner = self._owner, owner
-        if not had_state:
-            return
+        if previous is None:
+            return  # the first owner: nothing to take over
         self._kill_all(
             f"control session taken over by a new coordinator "
-            f"(previous owner {previous or 'anonymous'})"
+            f"(previous owner {previous})"
         )
         with self._send_lock:
             self._epoch += 1
@@ -526,9 +519,11 @@ class AgentServer:
         """Stop accepting, kill workers, release the workdir."""
         self._stop.set()
         try:
-            self.listener.close()
+            # Wakes a blocked accept: nothing is accepted once we return.
+            self.listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self.listener.close()
         if self.accept_control:
             self._kill_all()
         with self._send_lock:

@@ -31,11 +31,11 @@ import time
 import uuid
 from typing import Any
 
-from repro.errors import ProtocolError
+from repro.errors import PeerUnreachable, ProtocolError
 from repro.net import wire
 from repro.service.protocol import recv_frame, send_frame
-from repro.util.backoff import exponential_jitter
 from repro.util.logging import get_logger
+from repro.util.retry import Retry
 
 logger = get_logger(__name__)
 
@@ -78,12 +78,18 @@ class AgentLink:
         self._threads: list[threading.Thread] = []
         # Startup connect is the one failure that is *not* degraded
         # around: an unreachable peer on the command line is a usage
-        # error (exit 2), surfaced by PeerUnreachable from with_retries.
-        self._sock = wire.with_retries(
-            lambda _attempt: self._dial(),
-            retries=retries, seed=index,
-            label=f"connect to agent {addr}", peer=addr,
-        )
+        # error (exit 2), surfaced as PeerUnreachable.
+        retry = Retry(retries, base_s=0.05, seed=index)
+        while True:
+            try:
+                self._sock = self._dial()
+                break
+            except OSError as exc:
+                if not retry.again(exc):
+                    raise PeerUnreachable(
+                        f"connect to agent {addr}: {retry.failures} "
+                        f"attempt(s) failed; last error: {exc}", peer=addr,
+                    ) from exc
 
     def _dial(self):
         sock = wire.connect(self.addr, timeout_s=self.net_timeout_s)
@@ -152,8 +158,10 @@ class AgentLink:
         or ``net.partial.write``) is retried over a fresh connection
         under jittered backoff; the agent deduplicates by ``seq``, so a
         resend of a frame that did arrive is a no-op.  Exhaustion marks
-        the link unusable and returns ``False`` — callers never see an
-        exception, the coordinator's sweep sees a dead worker instead.
+        the link unusable and returns ``False``, as does damage a fresh
+        connection cannot cure (an oversize command) at once — callers
+        never see an exception, the coordinator's sweep sees a dead
+        worker instead.
         """
         with self._send_lock:
             if self._dead or self._closing:
@@ -162,34 +170,25 @@ class AgentLink:
             cmd["seq"] = self._seq
             self._seq += 1
             payload = pickle.dumps(cmd)
-            for attempt in range(self.retries + 1):
-                if attempt:
-                    time.sleep(exponential_jitter(
-                        attempt - 1, base=0.02, cap=0.2,
-                        seed=self.index * 7919 + cmd["seq"],
-                    ))
+            retry = Retry(
+                self.retries, base_s=0.02, seed=self.index * 7919 + cmd["seq"],
+            )
+            while True:
                 sock = self._sock
-                if sock is None:
-                    try:
-                        sock = self._dial()
-                    except OSError:
-                        continue
-                    self._sock = sock
                 try:
+                    if sock is None:
+                        sock = self._sock = self._dial()
                     wire.send_frame_faulted(
                         sock, payload, self._injector,
                         scope=("ctl", self.index, cmd["seq"]),
                     )
                     return True
-                except (OSError, ProtocolError):
-                    if self._sock is sock:
-                        self._sock = None
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
+                except (OSError, ProtocolError) as exc:
+                    self._drop_socket()
+                    if not retry.again(exc):
+                        break
             self._mark_dead(
-                f"{self.retries + 1} send attempt(s) failed for command "
+                f"{retry.failures} send attempt(s) failed for command "
                 f"{cmd.get('cmd')!r}"
             )
             return False

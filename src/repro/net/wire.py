@@ -2,7 +2,7 @@
 
 Thin wrappers over :mod:`repro.service.protocol`'s encode/decode core —
 the net layer and the job service speak byte-identical frames — adding
-the three things a multi-host coordinator needs:
+the two things a multi-host coordinator needs:
 
 * **per-call deadlines** — every connect, send, and recv is bounded, so
   a partitioned peer can never hang a caller (the coordinator's only
@@ -11,35 +11,22 @@ the three things a multi-host coordinator needs:
   the frame is written) and ``net.partial.write`` (half a frame is
   written, then the socket dies) fire deterministically from the armed
   :class:`~repro.faults.injector.FaultInjector`, exercising the exact
-  failure surfaces real networks produce;
-* **jittered bounded retries** — :func:`with_retries` runs any network
-  call through :func:`repro.util.backoff.exponential_jitter`, raising
-  :class:`~repro.errors.PeerUnreachable` only on exhaustion.
+  failure surfaces real networks produce.
+
+Reconnecting after either is the caller's, on :mod:`repro.util.retry`.
 """
 
 from __future__ import annotations
 
 import socket
-import time
-from typing import Any, Callable, TypeVar
+from typing import Any
 
-from repro.errors import PeerUnreachable, ProtocolError
 from repro.faults.plan import SITE_NET_CONN_DROP, SITE_NET_PARTIAL_WRITE
 from repro.net.peers import split_addr
 from repro.service.protocol import encode_frame
-from repro.util.backoff import exponential_jitter
-
-T = TypeVar("T")
 
 #: Default per-call deadline when options carry none.
 DEFAULT_TIMEOUT_S = 10.0
-#: First retry delay for reconnect loops (grows exponentially, capped).
-RETRY_BASE_S = 0.05
-
-#: ProtocolError reasons that mean "the connection was damaged in
-#: transit" — retryable over a fresh socket, unlike structural garbage
-#: (bad magic, version skew) which would be garbage again.
-TRANSIENT_REASONS = ("truncated", "stalled", "bad-crc")
 
 
 def connect(addr: str, timeout_s: float = DEFAULT_TIMEOUT_S) -> socket.socket:
@@ -98,40 +85,3 @@ def _sever(sock: socket.socket) -> None:
         sock.close()
     except OSError:  # pragma: no cover - already dead
         pass
-
-
-def with_retries(
-    fn: "Callable[[int], T]",
-    retries: int = 3,
-    seed: int = 0,
-    label: str = "",
-    peer: str = "",
-    base_s: float = RETRY_BASE_S,
-    sleep: "Callable[[float], None]" = time.sleep,
-) -> T:
-    """Run ``fn(attempt)`` with jittered backoff over transient failures.
-
-    Retryable: any ``OSError`` (connect refused, reset, timeout), a
-    clean ``EOFError`` mid-exchange, and transport damage
-    (``truncated`` / ``stalled`` / ``bad-crc`` frames).  Exhaustion
-    raises :class:`~repro.errors.PeerUnreachable` chained to the last
-    underlying failure.
-    """
-    last: Exception | None = None
-    for attempt in range(retries + 1):
-        if attempt:
-            sleep(exponential_jitter(
-                attempt - 1, base=base_s, cap=base_s * 8, seed=seed,
-            ))
-        try:
-            return fn(attempt)
-        except (EOFError, OSError) as exc:
-            last = exc
-        except ProtocolError as exc:
-            if exc.reason not in TRANSIENT_REASONS:
-                raise
-            last = exc
-    raise PeerUnreachable(
-        f"{label or 'network call'}: {retries + 1} attempt(s) failed; "
-        f"last error: {last}", peer=peer,
-    ) from last

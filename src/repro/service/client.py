@@ -30,7 +30,7 @@ from repro.errors import (
 from repro.service import protocol
 from repro.service.jobspec import ServiceJobSpec
 from repro.service.state import JobRecord, ServiceState
-from repro.util.backoff import exponential_jitter
+from repro.util.retry import Retry, transient
 
 #: Error codes that map to AdmissionError.
 _ADMISSION_CODES = (
@@ -41,39 +41,22 @@ _ADMISSION_CODES = (
     protocol.ERR_DRAINING,
 )
 
+#: The reconnect budget of every exchange: three retries after the
+#: first failure, backing off from 50 ms.  Every client uses seed 0, so
+#: a fleet that saw the same drop backs off in lockstep rather than
+#: decorrelated; a budget this small keeps that storm to four
+#: connections per client.
+_RETRIES = 3
+_RETRY_BASE_S = 0.05
+
 
 class ServiceClient:
     """Blocking client bound to one daemon endpoint."""
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout_s: float = 30.0,
-        max_retries: int = 3,
-        retry_delay_s: float = 0.05,
-        retry_seed: int = 0,
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout_s: float = 30.0) -> None:
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.retry_delay_s = retry_delay_s
-        self.retry_seed = retry_seed
-
-    def _backoff(self, attempt: int) -> float:
-        """Seeded exponential backoff with jitter for retry ``attempt``.
-
-        Jitter decorrelates a fleet of clients that all saw the same
-        drop (no thundering-herd reconnect); the seed keeps each
-        client's delays reproducible under test.
-        """
-        return exponential_jitter(
-            attempt,
-            base=self.retry_delay_s,
-            cap=self.retry_delay_s * 8,
-            seed=self.retry_seed,
-        )
 
     @classmethod
     def from_state_dir(cls, state_dir: "str | Path", **kw: Any) -> "ServiceClient":
@@ -83,52 +66,54 @@ class ServiceClient:
 
     # -- transport -----------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
-        """A fresh connection; raises raw ``OSError`` on failure so the
-        retry loops treat a refused/reset *connect* exactly like a
-        severed mid-stream read — both get a fresh socket and another
-        attempt, and only exhaustion surfaces a typed ServiceError."""
-        return socket.create_connection(
-            (self.host, self.port), timeout=self.timeout_s
-        )
+    def _rpc(
+        self,
+        msg: dict[str, Any],
+        done: "Callable[[dict[str, Any]], bool] | None" = None,
+        deadline: float | None = None,
+    ) -> dict[str, Any]:
+        """Send ``msg`` and read replies until ``done(reply)`` (the first
+        reply, by default), over a fresh connection after each drop.
 
-    def _rpc(self, msg: dict[str, Any]) -> dict[str, Any]:
-        """One request/reply exchange, retried over a fresh socket.
-
-        Retryable: connect failures (``ConnectionRefusedError``…), a
-        mid-stream ``ECONNRESET``/``EOF`` during the response read, a
-        socket timeout, and frames torn (``truncated``) or stalled
-        (``stalled``) mid-transfer — every RPC is idempotent, so a
-        reply lost in transit is safe to re-request.  Frame *damage*
-        (bad CRC, bad magic, version skew) is not retried: garbage from
-        a live peer will be garbage again.
+        Every request is idempotent, so a refused connect, a reset or a
+        timeout, and a reply torn (``truncated``) or ``stalled`` in
+        transit are all retried alike, on :mod:`repro.util.retry`'s
+        budget; a stream's budget resets with every reply it delivers.
+        Frame *damage* (bad CRC, bad magic, version skew) is re-raised:
+        garbage from a live peer will be garbage again.  Past
+        ``deadline`` every connect and read is cut short and
+        ``TimeoutError`` is raised.
         """
-        drops = 0
+        retry = Retry(_RETRIES, base_s=_RETRY_BASE_S)
         while True:
             try:
-                with self._connect() as sock:
+                with socket.create_connection(
+                    (self.host, self.port), timeout=self._left(deadline)
+                ) as sock:
                     protocol.send_frame(sock, msg)
-                    reply = protocol.recv_frame(sock)
+                    while True:
+                        reply = self._check_reply(protocol.recv_frame(
+                            sock, timeout_s=self._left(deadline),
+                        ))
+                        if done is None or done(reply):
+                            return reply
+                        retry.reset()
             except (EOFError, OSError, ProtocolError) as exc:
-                drops += 1
-                self._dropped(
-                    exc, drops, f"service at {self.host}:{self.port} was "
-                    "unreachable or dropped the connection",
-                )
-            else:
-                return self._check_reply(reply)
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise TimeoutError(str(exc)) from exc
+                if not retry.again(exc):
+                    if not transient(exc):
+                        raise
+                    raise ServiceError(
+                        f"{msg['type']} to service at {self.host}:"
+                        f"{self.port} failed {retry.failures} time(s): {exc}"
+                    ) from exc
 
-    def _dropped(self, exc: Exception, drops: int, what: str) -> None:
-        """An exchange failed, the ``drops``-th time in a row: re-raise
-        what a fresh socket cannot cure, give up past ``max_retries``,
-        else back off and let the caller go again."""
-        if isinstance(exc, ProtocolError) and exc.reason not in (
-            "truncated", "stalled"
-        ):
-            raise exc
-        if drops > self.max_retries:
-            raise ServiceError(f"{what} {drops} time(s): {exc}") from exc
-        time.sleep(self._backoff(drops - 1))
+    def _left(self, deadline: float | None) -> float:
+        """The socket timeout: the client's, or less when a deadline nears."""
+        if deadline is None:
+            return self.timeout_s
+        return max(1e-3, min(self.timeout_s, deadline - time.monotonic()))
 
     @staticmethod
     def _check_reply(reply: "dict[str, Any] | bytes") -> dict[str, Any]:
@@ -204,37 +189,34 @@ class ServiceClient:
 
         Uses the server's ``watch`` stream; a dropped stream re-watches
         (transitions may be re-observed, never lost).  ``on_transition``
-        fires once per distinct observed state.
+        fires once per distinct observed state.  ``timeout_s`` bounds
+        the whole wait, a silent stream included.
         """
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
         last_state: str | None = None
-        drops = 0
-        while True:
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServiceError(
-                    f"timed out waiting for job {job_id} "
-                    f"(last state: {last_state})"
-                )
-            try:
-                with self._connect() as sock:
-                    protocol.send_frame(sock, protocol.request(
-                        protocol.REQ_WATCH, job_id=job_id,
-                    ))
-                    while True:
-                        reply = self._check_reply(protocol.recv_frame(sock))
-                        record = JobRecord.from_dict(reply["job"])
-                        drops = 0
-                        if record.state != last_state:
-                            last_state = record.state
-                            if on_transition is not None:
-                                on_transition(record)
-                        if record.finished:
-                            return record
-            except (EOFError, OSError, ProtocolError) as exc:
-                drops += 1
-                self._dropped(exc, drops, f"watch stream for {job_id} dropped")
+
+        def observe(reply: dict[str, Any]) -> bool:
+            nonlocal last_state
+            record = JobRecord.from_dict(reply["job"])
+            if record.state != last_state:
+                last_state = record.state
+                if on_transition is not None:
+                    on_transition(record)
+            return record.finished
+
+        try:
+            reply = self._rpc(
+                protocol.request(protocol.REQ_WATCH, job_id=job_id),
+                done=observe, deadline=deadline,
+            )
+        except TimeoutError:
+            raise ServiceError(
+                f"timed out waiting for job {job_id} "
+                f"(last state: {last_state})"
+            ) from None
+        return JobRecord.from_dict(reply["job"])
 
     def submit_and_wait(
         self,

@@ -1,20 +1,24 @@
 """Shared retry backoff: exponential growth with deterministic jitter.
 
-Every retry loop in the tree (the fault injector's bounded retries, the
-service client's reconnect loops) sleeps through this one helper, so
-backoff semantics cannot drift between subsystems.  The delay grows
-exponentially with the attempt number and is capped, with *equal
-jitter* layered on top: attempt ``k`` sleeps a uniform draw from
-``[raw/2, raw)`` where ``raw = min(base * factor**k, cap)``, which
-de-synchronizes retry storms (many clients hammering a recovering
-daemon) without ever collapsing the delay to zero.
+Every backoff in the tree sleeps through this one helper, so backoff
+semantics cannot drift between subsystems.  It has three users:
+:mod:`repro.util.retry` (the network reconnect budget of the agent link
+and the service client), ``faults/injector.Attempts`` (fault-site
+retries) and ``cluster/health`` (quarantined-agent re-probes).
+
+The delay grows exponentially with the attempt number and is capped,
+with *equal jitter* layered on top: attempt ``k`` sleeps a uniform draw
+from ``[raw/2, raw)`` where ``raw = min(base * factor**k, cap)``, which
+spreads out retriers with distinct seeds without ever collapsing the
+delay to zero.
 
 The jitter is **deterministic under a seed**: the uniform draw is the
 same process-stable FNV hash (:func:`repro.util.hashing.stable_hash`)
 the fault plans roll with, keyed on ``(seed, attempt)``.  Fault-matrix
 tests that pin exact retry timelines stay reproducible — same seed,
-same sleeps — while distinct seeds (distinct fault plans, distinct
-clients) spread out.
+same sleeps — while distinct seeds (distinct fault plans, agent links,
+health-probed agents) spread out.  Service clients all use seed 0, so a
+fleet that saw the same drop backs off in lockstep.
 """
 
 from __future__ import annotations

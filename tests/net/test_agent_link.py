@@ -42,9 +42,9 @@ def _wait_until(predicate, timeout_s: float = 5.0) -> bool:
 class _RawControl:
     """A hand-rolled coordinator side, for protocol-level assertions."""
 
-    def __init__(self, addr: str) -> None:
+    def __init__(self, addr: str, owner: str = "raw-test") -> None:
         self.sock = wire.connect(addr, timeout_s=5.0)
-        send_frame(self.sock, {"type": "hello"})
+        send_frame(self.sock, {"type": "hello", "owner": owner})
 
     def command(self, **cmd) -> None:
         send_frame(self.sock, pickle.dumps(cmd))
@@ -116,6 +116,36 @@ class TestControlProtocol:
         finally:
             ctl2.close()
 
+    def test_takeover_drops_the_tail_and_resets_the_watermark(self, agent):
+        ctl = _RawControl(agent.addr, owner="first")
+        ctl.command(cmd="ping", seq=0)
+        first = ctl.recv_res()
+        ctl.close()
+        # The same owner reconnecting is a network blip: tail resent.
+        again = _RawControl(agent.addr, owner="first")
+        assert again.recv_res() == first
+        again.close()
+        # A second owner is a new job: the first owner's unacked tail
+        # is dropped, and its seq 0 is new, not a duplicate.
+        other = _RawControl(agent.addr, owner="second")
+        try:
+            assert other.recv_res(timeout_s=0.5) is None
+            other.command(cmd="ping", seq=0)
+            rseq, payload = other.recv_res()
+            assert rseq > first[0]
+            assert payload == {"type": "pong", "seq": 0}
+        finally:
+            other.close()
+
+    def test_hello_without_an_owner_is_refused(self, agent):
+        sock = wire.connect(agent.addr, timeout_s=5.0)
+        try:
+            send_frame(sock, {"type": "hello"})
+            with pytest.raises(EOFError):
+                recv_frame(sock, timeout_s=2.0)
+        finally:
+            sock.close()
+
 
 class TestAgentLink:
     def test_pings_keep_the_link_usable(self, agent):
@@ -153,6 +183,37 @@ class TestAgentLink:
 
         with pytest.raises(PeerUnreachable):
             AgentLink(f"127.0.0.1:{port}", net_timeout_s=0.5, retries=1)
+
+    def test_send_redials_after_a_dropped_socket(self, agent):
+        # No attach(): no pinger, so the send path alone must re-dial.
+        link = AgentLink(agent.addr, net_timeout_s=2.0)
+        try:
+            assert link.send({"cmd": "ping"})
+            link._drop_socket()
+            assert link.send({"cmd": "ping"})
+            assert _wait_until(lambda: agent._last_seq == 1)
+            assert link.usable
+        finally:
+            link.close()
+
+    def test_send_dials_retries_plus_one_times_then_gives_up(self, agent):
+        link = AgentLink(agent.addr, net_timeout_s=0.5, retries=2)
+        dials = []
+        dial = link._dial
+
+        def counting_dial():
+            dials.append(1)
+            return dial()
+
+        link._dial = counting_dial
+        agent.close()
+        link._drop_socket()
+        try:
+            assert link.send({"cmd": "ping"}) is False
+            assert len(dials) == 3
+            assert not link.usable
+        finally:
+            link.close()
 
     def test_send_after_death_returns_false(self, agent):
         link = AgentLink(agent.addr, net_timeout_s=0.5, retries=0)

@@ -162,7 +162,7 @@ class TestAgentSessionSurvivesDamage:
         # still accept and serve a brand-new control session.
         ctl = wire.connect(agent.addr, timeout_s=2.0)
         try:
-            send_frame(ctl, {"type": "hello"})
+            send_frame(ctl, {"type": "hello", "owner": "damage-test"})
             send_frame(ctl, pickle.dumps({"cmd": "ping", "seq": 0}))
             frame = recv_frame(ctl, timeout_s=5.0)
             tag, rseq, payload = pickle.loads(frame)

@@ -1,4 +1,4 @@
-"""Wire-level primitives: bounded retries and seeded send faults."""
+"""Wire-level primitives: the reconnect budget and seeded send faults."""
 
 from __future__ import annotations
 
@@ -15,7 +15,9 @@ from repro.faults.plan import (
 )
 from repro.faults.policy import RecoveryPolicy
 from repro.net import wire
+from repro.net.remote import AgentLink
 from repro.service.protocol import recv_frame, send_frame
+from repro.util.retry import Retry
 
 
 def _armed(site: str):
@@ -25,7 +27,20 @@ def _armed(site: str):
     return plan.arm(RecoveryPolicy())
 
 
+def _retrying(fn, retry: Retry):
+    """A reconnect loop on ``retry``: call ``fn(attempt)`` until it
+    returns, re-raising what the budget refuses."""
+    while True:
+        try:
+            return fn(retry.failures)
+        except (EOFError, OSError, ProtocolError) as exc:
+            if not retry.again(exc):
+                raise
+
+
 class TestWithRetries:
+    """The one reconnect budget every network retry loop runs on."""
+
     def _no_sleep(self, _s: float) -> None:
         pass
 
@@ -38,7 +53,8 @@ class TestWithRetries:
                 raise ConnectionResetError("flap")
             return "ok"
 
-        assert wire.with_retries(fn, retries=3, sleep=self._no_sleep) == "ok"
+        retry = Retry(3, base_s=0.05, sleep=self._no_sleep)
+        assert _retrying(fn, retry) == "ok"
         assert calls == [0, 1, 2]
 
     def test_eof_and_transient_protocol_damage_retry(self):
@@ -46,7 +62,6 @@ class TestWithRetries:
             EOFError("closed"),
             ProtocolError("torn", reason="truncated"),
             ProtocolError("stalled", reason="stalled"),
-            ProtocolError("crc", reason="bad-crc"),
         ]
 
         def fn(attempt: int) -> int:
@@ -54,49 +69,45 @@ class TestWithRetries:
                 raise errors[attempt]
             return attempt
 
-        assert wire.with_retries(fn, retries=4, sleep=self._no_sleep) == 4
+        retry = Retry(3, base_s=0.05, sleep=self._no_sleep)
+        assert _retrying(fn, retry) == 3
 
     def test_structural_damage_is_not_retried(self):
-        calls = []
+        for reason in ("bad-magic", "bad-crc"):
+            calls = []
 
-        def fn(attempt: int) -> None:
-            calls.append(attempt)
-            raise ProtocolError("garbage", reason="bad-magic")
+            def fn(attempt: int) -> None:
+                calls.append(attempt)
+                raise ProtocolError("garbage", reason=reason)
 
-        with pytest.raises(ProtocolError):
-            wire.with_retries(fn, retries=3, sleep=self._no_sleep)
-        assert calls == [0]
+            retry = Retry(3, base_s=0.05, sleep=self._no_sleep)
+            with pytest.raises(ProtocolError):
+                _retrying(fn, retry)
+            assert calls == [0], reason
 
     def test_exhaustion_raises_peer_unreachable_with_peer(self):
-        def fn(attempt: int) -> None:
-            raise ConnectionRefusedError("nope")
+        listener = socket.create_server(("127.0.0.1", 0))
+        addr = f"127.0.0.1:{listener.getsockname()[1]}"
+        listener.close()
 
         with pytest.raises(PeerUnreachable) as exc:
-            wire.with_retries(
-                fn, retries=2, label="connect to agent h:1",
-                peer="h:1", sleep=self._no_sleep,
-            )
-        assert exc.value.peer == "h:1"
-        assert "3 attempt(s)" in str(exc.value)
+            AgentLink(addr, net_timeout_s=0.5, retries=2)
+        assert exc.value.peer == addr
+        assert f"connect to agent {addr}: 3 attempt(s)" in str(exc.value)
 
     def test_backoff_delays_are_seeded_and_bounded(self):
-        delays: list[float] = []
-
         def fn(attempt: int) -> None:
             raise OSError("down")
 
-        with pytest.raises(PeerUnreachable):
-            wire.with_retries(
-                fn, retries=3, seed=7, base_s=0.05, sleep=delays.append
-            )
+        delays: list[float] = []
+        with pytest.raises(OSError):
+            _retrying(fn, Retry(3, base_s=0.05, seed=7, sleep=delays.append))
         assert len(delays) == 3
         assert all(0 <= d <= 0.05 * 8 for d in delays)
         # Same seed, same schedule: determinism is the whole point.
         replay: list[float] = []
-        with pytest.raises(PeerUnreachable):
-            wire.with_retries(
-                fn, retries=3, seed=7, base_s=0.05, sleep=replay.append
-            )
+        with pytest.raises(OSError):
+            _retrying(fn, Retry(3, base_s=0.05, seed=7, sleep=replay.append))
         assert replay == delays
 
 

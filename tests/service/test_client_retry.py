@@ -1,9 +1,9 @@
 """Client-side retry: idempotent RPCs survive severed connections.
 
 A scripted fake daemon plays one misbehaviour per accepted connection
-(drop before reply, drop mid-frame, damaged CRC, plain success), so
-every test pins exactly how many fresh sockets the client opened and
-which failures it refused to retry.
+(drop before reply, drop mid-frame, damaged CRC, plain success, a watch
+stream that drops or goes silent), so every test pins exactly how many
+fresh sockets the client opened and which failures it refused to retry.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.service.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.service.state import JobRecord
 
 
 def _rst_close(sock: socket.socket) -> None:
@@ -77,6 +79,19 @@ class _ScriptedServer:
         elif behaviour == "ok":
             send_frame(conn, ok_reply(pong=True))
             conn.close()
+        elif behaviour.startswith("watch:"):
+            # "watch:<state>,...[:reset|:silent]" streams job records.
+            _, states, *end = behaviour.split(":")
+            for state in states.split(","):
+                send_frame(conn, ok_reply(
+                    job=JobRecord(job_id="j", state=state).to_dict()
+                ))
+            if end == ["reset"]:
+                _rst_close(conn)
+                return
+            if end == ["silent"]:
+                conn.recv(1)  # until the client hangs up
+            conn.close()
         else:  # pragma: no cover - script typo guard
             raise AssertionError(behaviour)
 
@@ -89,11 +104,8 @@ class _ScriptedServer:
         self._thread.join(timeout=2.0)
 
 
-def _client(server: _ScriptedServer, retries: int = 3) -> ServiceClient:
-    return ServiceClient(
-        "127.0.0.1", server.port,
-        timeout_s=5.0, max_retries=retries, retry_delay_s=0.01,
-    )
+def _client(server: _ScriptedServer) -> ServiceClient:
+    return ServiceClient("127.0.0.1", server.port, timeout_s=5.0)
 
 
 class TestIdempotentRetry:
@@ -122,11 +134,11 @@ class TestIdempotentRetry:
             server.close()
 
     def test_exhaustion_raises_service_error_with_attempt_count(self):
-        server = _ScriptedServer(["reset-before-reply"] * 3)
+        server = _ScriptedServer(["reset-before-reply"] * 4)
         try:
-            with pytest.raises(ServiceError, match="3 time"):
-                _client(server, retries=2).ping()
-            assert server.connections == 3
+            with pytest.raises(ServiceError, match="4 time"):
+                _client(server).ping()
+            assert server.connections == 4
         finally:
             server.close()
 
@@ -134,11 +146,8 @@ class TestIdempotentRetry:
         probe = socket.create_server(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        client = ServiceClient(
-            "127.0.0.1", port, timeout_s=1.0,
-            max_retries=1, retry_delay_s=0.01,
-        )
-        with pytest.raises(ServiceError, match="2 time"):
+        client = ServiceClient("127.0.0.1", port, timeout_s=1.0)
+        with pytest.raises(ServiceError, match="4 time"):
             client.ping()
 
     def test_frame_damage_is_not_retried(self):
@@ -150,5 +159,56 @@ class TestIdempotentRetry:
                 _client(server).ping()
             assert exc.value.reason == "bad-crc"
             assert server.connections == 1
+        finally:
+            server.close()
+
+
+class TestWatchRetry:
+    def test_a_dropped_stream_rewatches_without_losing_a_transition(self):
+        server = _ScriptedServer([
+            "watch:queued,running:reset", "watch:running,done",
+        ])
+        seen: list[str] = []
+        try:
+            record = _client(server).wait(
+                "j", on_transition=lambda r: seen.append(r.state)
+            )
+            assert record.state == "done"
+            assert seen == ["queued", "running", "done"]
+            assert server.connections == 2
+        finally:
+            server.close()
+
+    def test_every_frame_resets_the_budget(self):
+        # Four drops, each after a frame: progress every time, so the
+        # budget of three never runs out.
+        server = _ScriptedServer(["watch:running:reset"] * 4 + ["watch:done"])
+        try:
+            assert _client(server).wait("j").state == "done"
+            assert server.connections == 5
+        finally:
+            server.close()
+
+    def test_four_drops_in_a_row_exhaust_the_budget(self):
+        # The stream that delivered a frame drops, then three fresh
+        # connections drop before any frame: four in a row.
+        server = _ScriptedServer(
+            ["watch:running:reset"] + ["reset-before-reply"] * 3
+        )
+        try:
+            with pytest.raises(ServiceError, match="4 time"):
+                _client(server).wait("j")
+            assert server.connections == 4
+        finally:
+            server.close()
+
+    def test_a_silent_stream_cannot_outlast_the_deadline(self):
+        server = _ScriptedServer(["watch:running:silent"])
+        client = ServiceClient("127.0.0.1", server.port, timeout_s=4.0)
+        try:
+            start = time.monotonic()
+            with pytest.raises(ServiceError, match="timed out .*running"):
+                client.wait("j", timeout_s=0.5)
+            assert time.monotonic() - start < 1.5
         finally:
             server.close()
