@@ -6,6 +6,10 @@ model in :mod:`repro.simrt.costmodel` — this is how the repository
 regenerates the paper's 60-155 GB experiments (Table II, Figs. 1/3/5/6/7)
 on hardware that cannot natively run them (see DESIGN.md, substitution
 note).
+
+A model that predicts this repository's own code carries a sim-vs-real
+test, as :mod:`repro.simrt.qos_model` does (``tests/qos/test_sim_vs_real.py``);
+the rest are paper-scale and are checked against the paper's cells.
 """
 
 from repro.simrt.costmodel import (
@@ -16,16 +20,6 @@ from repro.simrt.costmodel import (
     MB_SI,
 )
 from repro.simrt.hdfs_case import simulate_hdfs_case_study
-from repro.simrt.netmodel import (
-    LAN_1G,
-    LAN_10G,
-    NetProfile,
-    crossover_hosts,
-    exchange_s,
-    multi_host_runtime_s,
-    remote_fetch_s,
-    speedup,
-)
 from repro.simrt.openmp_sim import simulate_openmp_sort
 from repro.simrt.phases import PhaseSpan, SimJobResult
 from repro.simrt.phoenix_sim import simulate_phoenix_job
@@ -39,14 +33,6 @@ __all__ = [
     "GB_SI",
     "PhaseSpan",
     "SimJobResult",
-    "NetProfile",
-    "LAN_1G",
-    "LAN_10G",
-    "remote_fetch_s",
-    "exchange_s",
-    "multi_host_runtime_s",
-    "speedup",
-    "crossover_hosts",
     "simulate_phoenix_job",
     "simulate_supmr_job",
     "simulate_openmp_sort",

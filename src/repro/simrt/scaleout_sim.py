@@ -23,18 +23,11 @@ node-local reads — Hadoop's happy path):
   straggler slack) that scale-up does not pay.
 
 Energy: node power model x N x job duration.
-
-The module also models the *sharded* scale-up runtime
-(:mod:`repro.shard`) analytically — :class:`ShardedSpec` /
-:func:`estimate_sharded_job` — so the fault-tolerance tax (the
-intermediate-state exchange, respawn and straggler slack) can be placed
-against both the plain scale-up run and the Hadoop-shaped cluster.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 from repro.simrt.costmodel import AppCostProfile, GB_SI, MB_SI
@@ -134,137 +127,6 @@ def estimate_scaleout_job(
     )
 
 
-@dataclass(frozen=True)
-class ShardedSpec:
-    """The sharded scale-up runtime's split, exchange and fault knobs.
-
-    One machine, ``contexts`` hardware contexts split evenly across
-    ``shards`` supervised worker process groups (``repro.shard``).  The
-    exchange moves the intermediate set between shard outboxes through
-    the local disk at ``exchange_bw``; fault knobs describe *expected*
-    failures, so the estimate is the mean job time, not a tail bound.
-    """
-
-    shards: int = 4
-    contexts: int = 32
-    #: Run-file exchange rate (write + CRC-verified adoption read).
-    exchange_bw: float = 500 * MB_SI
-    #: Probability any given shard worker dies once during the map phase.
-    shard_loss_prob: float = 0.0
-    #: Coordinator cost per death: fork + re-dispatch (+ journal restore).
-    respawn_overhead_s: float = 0.5
-    #: Whether completed ingest rounds are journaled; without a journal a
-    #: respawned shard redoes its whole map share, with one it resumes.
-    journaled: bool = True
-    #: Probability any given shard straggles, and how much slower it runs.
-    straggler_prob: float = 0.0
-    straggler_slowdown: float = 1.5
-    #: Speculative twins: a straggler is raced by a fresh copy launched at
-    #: roughly the healthy-shard finish time, capping the tail at ~2x.
-    speculative: bool = True
-    #: Fixed coordinator overhead (spawn, heartbeat sweeps, lease checks).
-    coordination_s: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.shards < 1 or self.contexts < 1:
-            raise ConfigError("shards and contexts must be >= 1")
-        if self.exchange_bw <= 0:
-            raise ConfigError("exchange_bw must be positive")
-        if not 0.0 <= self.shard_loss_prob <= 1.0:
-            raise ConfigError("shard_loss_prob must be a probability")
-        if not 0.0 <= self.straggler_prob <= 1.0:
-            raise ConfigError("straggler_prob must be a probability")
-        if self.straggler_slowdown < 1.0:
-            raise ConfigError("straggler_slowdown must be >= 1.0")
-
-    @property
-    def contexts_per_shard(self) -> int:
-        """Contexts each shard's mapper pool gets (floor, at least 1)."""
-        return max(1, self.contexts // self.shards)
-
-
-@dataclass(frozen=True)
-class ShardedEstimate:
-    """Expected phase breakdown for one sharded scale-up job."""
-
-    shards: int
-    map_s: float
-    exchange_s: float
-    reduce_merge_s: float
-    recovery_s: float
-    coordination_s: float
-
-    @property
-    def total_s(self) -> float:
-        return (self.map_s + self.exchange_s + self.reduce_merge_s
-                + self.recovery_s + self.coordination_s)
-
-
-def estimate_sharded_job(
-    profile: AppCostProfile,
-    input_bytes: float,
-    spec: ShardedSpec | None = None,
-) -> ShardedEstimate:
-    """Expected phase times for the fault-tolerant sharded runtime.
-
-    All shards share one machine, so the map phase is bounded below by
-    the single ingest device (``profile.ingest_bw``) regardless of the
-    shard count — sharding buys fault isolation, not ingest bandwidth.
-    The exchange writes the intermediate set as run files and reads it
-    back under CRC verification (two passes at ``exchange_bw``).
-    Failure costs enter as expectations: each shard dies with
-    ``shard_loss_prob`` and pays a respawn (plus redoing half its map
-    share on average when not journaled); a straggling shard stretches
-    the map tail by ``straggler_slowdown``, capped near 2x when a
-    speculative twin races it from the healthy-shard finish line.
-    """
-    spec = spec or ShardedSpec()
-    if input_bytes <= 0:
-        raise ConfigError("input_bytes must be positive")
-    share = input_bytes / spec.shards
-
-    # Map: per-shard mapper pools, all fed by one ingest device.
-    shard_map_s = profile.map_wall_s(share, spec.contexts_per_shard)
-    map_s = max(input_bytes / profile.ingest_bw, shard_map_s)
-
-    # Exchange: the intermediate set crosses the local disk twice
-    # (outbox write, CRC-verified adoption read).
-    inter = profile.intermediate_bytes(input_bytes)
-    exchange_s = 2.0 * inter / spec.exchange_bw
-
-    # Reduce + merge over each shard's owned partitions, concurrent.
-    inter_share = inter / spec.shards
-    reduce_s = profile.reduce_s_per_gb * (share / GB_SI)
-    block_sort_s = (inter_share / spec.contexts_per_shard
-                    / profile.sort_block_bw)
-    pway_s = inter_share / (
-        spec.contexts_per_shard * profile.pway_scan_bw(spec.shards)
-    )
-    reduce_merge_s = reduce_s + block_sort_s + pway_s
-
-    # Expected recovery: respawns, journal-dependent redo, straggler tail.
-    expected_losses = spec.shards * spec.shard_loss_prob
-    redo_s = 0.0 if spec.journaled else 0.5 * shard_map_s
-    recovery_s = expected_losses * (spec.respawn_overhead_s + redo_s)
-    if spec.straggler_prob > 0.0 and spec.shards > 1:
-        any_straggler = 1.0 - (1.0 - spec.straggler_prob) ** spec.shards
-        stretch = spec.straggler_slowdown
-        if spec.speculative:
-            # The twin starts when the healthy shards finish (~1x) and
-            # redoes the share from scratch; first result wins.
-            stretch = min(stretch, 2.0)
-        recovery_s += any_straggler * (stretch - 1.0) * shard_map_s
-
-    return ShardedEstimate(
-        shards=spec.shards,
-        map_s=map_s,
-        exchange_s=exchange_s,
-        reduce_merge_s=reduce_merge_s,
-        recovery_s=recovery_s,
-        coordination_s=spec.coordination_s,
-    )
-
-
 def crossover_nodes(
     profile: AppCostProfile,
     input_bytes: float,
@@ -280,15 +142,7 @@ def crossover_nodes(
     """
     spec = spec or ScaleOutSpec()
     for n in range(1, max_nodes + 1):
-        candidate = ScaleOutSpec(
-            nodes=n,
-            contexts_per_node=spec.contexts_per_node,
-            node_disk_bw=spec.node_disk_bw,
-            node_nic_bw=spec.node_nic_bw,
-            node_idle_w=spec.node_idle_w,
-            node_active_w_per_ctx=spec.node_active_w_per_ctx,
-            coordination_s=spec.coordination_s,
-        )
+        candidate = replace(spec, nodes=n)
         if estimate_scaleout_job(profile, input_bytes, candidate).total_s \
                 < scaleup_total_s:
             return n

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,9 @@ pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
 )
 
+#: The checkout under test; its agents must import this tree's code.
+_ROOT = Path(__file__).resolve().parents[2]
+
 
 def _options(**overrides) -> RuntimeOptions:
     return RuntimeOptions.supmr_interfile("32KB", 2, 4).with_(
@@ -56,8 +60,8 @@ class _AgentProc:
                 "--addr-file", str(addr_file),
                 "--grace", "2.0",
             ],
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd="/root/repo",
+            env={**os.environ, "PYTHONPATH": str(_ROOT / "src")},
+            cwd=_ROOT,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )

@@ -8,10 +8,8 @@ from repro.errors import ConfigError
 from repro.simrt.costmodel import GB_SI, PAPER_SORT, PAPER_WORDCOUNT
 from repro.simrt.scaleout_sim import (
     ScaleOutSpec,
-    ShardedSpec,
     crossover_nodes,
     estimate_scaleout_job,
-    estimate_sharded_job,
 )
 
 
@@ -69,67 +67,6 @@ class TestEstimate:
     def test_invalid_input_bytes(self):
         with pytest.raises(ConfigError):
             estimate_scaleout_job(PAPER_SORT, 0)
-
-
-class TestShardedSpec:
-    def test_contexts_split_across_shards(self):
-        assert ShardedSpec(shards=4, contexts=32).contexts_per_shard == 8
-        assert ShardedSpec(shards=64, contexts=32).contexts_per_shard == 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ShardedSpec(shards=0)
-        with pytest.raises(ConfigError):
-            ShardedSpec(shard_loss_prob=1.5)
-        with pytest.raises(ConfigError):
-            ShardedSpec(straggler_slowdown=0.5)
-        with pytest.raises(ConfigError):
-            ShardedSpec(exchange_bw=0)
-
-
-class TestShardedEstimate:
-    def test_map_phase_ingest_bound_regardless_of_shards(self):
-        # One machine, one ingest device: sharding must not speed the scan.
-        one = estimate_sharded_job(PAPER_WORDCOUNT, 155 * GB_SI,
-                                   ShardedSpec(shards=1))
-        many = estimate_sharded_job(PAPER_WORDCOUNT, 155 * GB_SI,
-                                    ShardedSpec(shards=8))
-        assert many.map_s >= one.map_s * 0.99
-
-    def test_exchange_charges_two_passes(self):
-        spec = ShardedSpec(shards=4)
-        est = estimate_sharded_job(PAPER_SORT, 60 * GB_SI, spec)
-        inter = PAPER_SORT.intermediate_bytes(60 * GB_SI)
-        assert est.exchange_s == pytest.approx(
-            2 * inter / spec.exchange_bw, rel=1e-9
-        )
-
-    def test_fault_free_run_has_no_recovery_cost(self):
-        est = estimate_sharded_job(PAPER_WORDCOUNT, 155 * GB_SI,
-                                   ShardedSpec(shards=4))
-        assert est.recovery_s == 0.0
-
-    def test_losses_cost_more_without_a_journal(self):
-        lossy = ShardedSpec(shards=4, shard_loss_prob=0.2)
-        journaled = estimate_sharded_job(PAPER_SORT, 60 * GB_SI, lossy)
-        bare = estimate_sharded_job(
-            PAPER_SORT, 60 * GB_SI,
-            ShardedSpec(shards=4, shard_loss_prob=0.2, journaled=False),
-        )
-        assert journaled.recovery_s > 0.0
-        assert bare.recovery_s > journaled.recovery_s
-
-    def test_speculation_caps_the_straggler_tail(self):
-        slow = dict(shards=4, straggler_prob=0.3, straggler_slowdown=4.0)
-        raced = estimate_sharded_job(PAPER_SORT, 60 * GB_SI,
-                                     ShardedSpec(**slow, speculative=True))
-        unraced = estimate_sharded_job(PAPER_SORT, 60 * GB_SI,
-                                       ShardedSpec(**slow, speculative=False))
-        assert raced.recovery_s < unraced.recovery_s
-
-    def test_invalid_input_bytes(self):
-        with pytest.raises(ConfigError):
-            estimate_sharded_job(PAPER_SORT, 0, ShardedSpec())
 
 
 class TestCrossover:

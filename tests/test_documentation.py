@@ -106,6 +106,22 @@ class TestRepoDocuments:
             "docs/options.md is stale; run python tools/gen_api_docs.py"
         )
 
+    def test_subprocesses_run_the_tree_under_test(self):
+        # A child started with a fixed absolute cwd, or a PYTHONPATH
+        # relative to one, imports whatever checkout sits there: run from
+        # any other copy, the test would pass against the wrong code.
+        pinned = re.compile(
+            r"\bcwd\s*=\s*[rbf]?[\"']/"
+            r"|PYTHONPATH[\"']?\]?\s*[:=]\s*[rbf]?[\"'](?!/)"
+        )
+        offenders = sorted(
+            f"{path.relative_to(REPO)}:{lineno}: {line.strip()}"
+            for path in (REPO / "tests").rglob("*.py")
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if pinned.search(line)
+        )
+        assert not offenders, offenders
+
     def test_named_tools_exist(self):
         # The dated benchmark report names scripts of its time.
         docs = [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -36,7 +37,8 @@ class TestStableHash:
             subprocess.run(
                 [sys.executable, "-c", code], capture_output=True, text=True,
                 env={"PYTHONHASHSEED": str(seed), "PATH": "/usr/bin:/bin"},
-                cwd="/root/repo/src", check=True,
+                cwd=Path(__file__).resolve().parents[1] / "src",
+                check=True,
             ).stdout.strip()
             for seed in (1, 2)
         }
