@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from repro._version import __version__
@@ -34,6 +35,7 @@ from repro.core.supmr import run_job
 from repro.errors import ReproError
 from repro.exitcodes import classify_exception, classify_result
 from repro.experiments import available_experiments, run_experiment
+from repro.service.core import ServiceConfig
 from repro.util.units import fmt_bytes, fmt_seconds, parse_size
 from repro.workloads import (
     generate_small_files,
@@ -294,70 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the long-lived multi-job daemon"
     )
     add_state_dir(p_serve)
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="TCP port (default 0: pick a free one and "
-                              "advertise it in the state dir)")
-    p_serve.add_argument("--max-jobs", type=int, default=2, metavar="N",
-                         help="jobs allowed to run concurrently")
-    p_serve.add_argument("--queue-depth", type=int, default=16, metavar="N",
-                         help="queued jobs before submissions are "
-                              "rejected with queue-full")
-    p_serve.add_argument("--service-budget", metavar="SIZE",
-                         help="cap on the sum of admitted jobs' memory "
-                              "budgets, e.g. 1GB; submissions past it are "
-                              "rejected with budget-exceeded")
-    p_serve.add_argument("--retention", type=int, default=4, metavar="N",
-                         help="finished jobs whose checkpoint dirs are "
-                              "kept after result retrieval")
-    p_serve.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                         help="runner launches per job before it is failed")
-    p_serve.add_argument("--job-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="hard wall-clock cap per runner attempt")
-    p_serve.add_argument("--node-bandwidth", metavar="RATE",
-                         help="aggregate node I/O bandwidth in bytes/s, "
-                              "e.g. 200MB; enables dispatch-time fair-share "
-                              "assignment and overload shedding")
-    p_serve.add_argument("--qos-policy", default="max-min",
-                         choices=("fair-share", "max-min", "priority"),
-                         help="bandwidth allocation policy used at dispatch "
-                              "(default max-min water-filling)")
-    p_serve.add_argument("--tenant-budget", metavar="SIZE",
-                         help="per-tenant cap on the sum of admitted memory "
-                              "budgets; past it submissions are rejected "
-                              "with tenant-budget-exceeded")
-    p_serve.add_argument("--tenant-jobs", type=int, default=None,
-                         metavar="N",
-                         help="per-tenant cap on queued+running jobs")
-    p_serve.add_argument("--default-job-budget", metavar="SIZE",
-                         help="memory budget charged to jobs that declare "
-                              "none (default: such jobs are rejected when "
-                              "--service-budget is set)")
-    p_serve.add_argument("--aging-every", type=int, default=None,
-                         metavar="N",
-                         help="bump a waiting job's effective priority "
-                              "every N dispatches (starvation bound)")
-    p_serve.add_argument("--shed-factor", type=float, default=None,
-                         help="shed new work once declared I/O demand "
-                              "exceeds this multiple of --node-bandwidth "
-                              "(default 2.0)")
-    p_serve.add_argument("--agents", metavar="HOST:PORT,...",
-                         help="seed the agent pool: remote 'supmr agent' "
-                              "endpoints sharded jobs may be placed on "
-                              "(more can register at runtime)")
-    p_serve.add_argument("--health-interval", type=float, default=None,
-                         metavar="SECONDS",
-                         help="steady-state gap between agent health "
-                              "probes (default 1.0)")
-    p_serve.add_argument("--probe-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-probe ping deadline before an agent "
-                              "counts as failed (default 2.0)")
-    p_serve.add_argument("--net-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="liveness/transfer deadline handed to placed "
-                              "jobs' runners")
+    for f in fields(ServiceConfig):
+        if "flag" in f.metadata:
+            help_text = f.metadata["help"]
+            if f.default is not None:
+                help_text += f" (default {f.default})"
+            p_serve.add_argument(
+                f.metadata["flag"], dest=f.name, default=None,
+                help=help_text, **f.metadata["argparse"],
+            )
     p_serve.add_argument("--faults",
                          help="service-site fault plan, e.g. "
                               "'service.conn.drop=0.2,service.job.crash=once'")

@@ -15,7 +15,6 @@ from repro.cluster.health import (
     STATE_QUARANTINED,
     STATE_SUSPECT,
     AgentHealth,
-    HealthPolicy,
 )
 from repro.cluster.registry import AgentRecord, AgentRegistry
 
@@ -23,7 +22,6 @@ __all__ = [
     "AgentHealth",
     "AgentRecord",
     "AgentRegistry",
-    "HealthPolicy",
     "HEALTH_STATES",
     "STATE_HEALTHY",
     "STATE_QUARANTINED",

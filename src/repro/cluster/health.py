@@ -12,27 +12,30 @@ The states:
   Re-probed every ``probe_interval_s``.
 * **suspect** — a probe failed (or a runner reported the host lost
   mid-job).  No new work lands here, but the agent gets quick retries
-  (``suspect_retry_s``): one success restores it, ``quarantine_after``
-  consecutive failures condemn it.
+  (:data:`SUSPECT_RETRY_S`): one success restores it,
+  :data:`QUARANTINE_AFTER` consecutive failures condemn it.
 * **quarantined** — repeatedly failing *or* flapping.  Re-probes back
   off exponentially with deterministic per-agent jitter
   (:func:`repro.util.backoff.exponential_jitter` seeded from the
   address), so a large pool of dead agents does not synchronize its
-  probe storms.  Recovery demands ``recover_after`` consecutive
+  probe storms.  Recovery demands :data:`RECOVER_AFTER` consecutive
   successful probes — one lucky pong does not un-quarantine a flapper.
 
 Flap damping: every ``healthy → suspect`` fall counts as one flap, and
-an agent that accumulates ``flap_quarantine`` of them goes straight to
+an agent that accumulates :data:`FLAP_QUARANTINE` of them goes straight to
 quarantine on its next fall instead of bouncing through suspect again —
 the registry stops handing work to a host that keeps coming back just
 long enough to lose it.  A full quarantine recovery clears the tally.
+
+Only the healthy cadence is a setting (the daemon's
+``--health-interval``); the other numbers of the machine are the module
+constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import ConfigError
 from repro.util.backoff import exponential_jitter
 from repro.util.hashing import stable_hash
 
@@ -46,40 +49,20 @@ STATE_QUARANTINED = "quarantined"
 
 HEALTH_STATES = (STATE_HEALTHY, STATE_SUSPECT, STATE_QUARANTINED)
 
-
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Knobs for the probe cadence and the state transitions."""
-
-    #: Seconds between probes of a healthy agent.
-    probe_interval_s: float = 1.0
-    #: Seconds between the quick retries of a suspect agent.
-    suspect_retry_s: float = 0.25
-    #: Consecutive failures that turn suspect into quarantined.
-    quarantine_after: int = 3
-    #: Consecutive successes a quarantined agent needs to recover.
-    recover_after: int = 2
-    #: ``healthy → suspect`` falls before the next fall quarantines.
-    flap_quarantine: int = 3
-    #: Base / cap of the quarantined re-probe backoff.
-    backoff_base_s: float = 0.5
-    backoff_cap_s: float = 15.0
-
-    def __post_init__(self) -> None:
-        if self.probe_interval_s <= 0:
-            raise ConfigError("probe_interval_s must be positive")
-        if self.suspect_retry_s <= 0:
-            raise ConfigError("suspect_retry_s must be positive")
-        if self.quarantine_after < 1:
-            raise ConfigError("quarantine_after must be >= 1")
-        if self.recover_after < 1:
-            raise ConfigError("recover_after must be >= 1")
-        if self.flap_quarantine < 1:
-            raise ConfigError("flap_quarantine must be >= 1")
-        if not 0 < self.backoff_base_s <= self.backoff_cap_s:
-            raise ConfigError(
-                "backoff_base_s must be positive and <= backoff_cap_s"
-            )
+#: Default seconds between probes of a healthy agent (the daemon's
+#: ``--health-interval``).
+DEFAULT_PROBE_INTERVAL_S = 1.0
+#: Seconds between the quick retries of a suspect agent.
+SUSPECT_RETRY_S = 0.25
+#: Consecutive failures that turn suspect into quarantined.
+QUARANTINE_AFTER = 3
+#: Consecutive successes a quarantined agent needs to recover.
+RECOVER_AFTER = 2
+#: ``healthy → suspect`` falls before the next fall quarantines.
+FLAP_QUARANTINE = 3
+#: Base / cap of the quarantined re-probe backoff.
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 15.0
 
 
 @dataclass
@@ -87,7 +70,8 @@ class AgentHealth:
     """One agent's live health record (owned by the registry)."""
 
     addr: str
-    policy: HealthPolicy = field(default_factory=HealthPolicy)
+    #: Seconds between probes of a healthy agent.
+    probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S
     #: New agents start *suspect*: unproven hosts take no work until
     #: their first probe answers, so a typo'd ``--agents`` entry never
     #: receives a job.
@@ -122,23 +106,23 @@ class AgentHealth:
         self.last_latency_s = latency_s
         self.last_error = ""
         if self.state == STATE_HEALTHY:
-            self.next_probe_at = now + self.policy.probe_interval_s
+            self.next_probe_at = now + self.probe_interval_s
         elif self.state == STATE_SUSPECT:
             # suspicion was transient — one answer restores service
             self.state = STATE_HEALTHY
             self.consecutive_successes = 0
             self.backoff_attempt = 0
-            self.next_probe_at = now + self.policy.probe_interval_s
+            self.next_probe_at = now + self.probe_interval_s
         else:  # quarantined: demand sustained good behaviour
             self.consecutive_successes += 1
-            if self.consecutive_successes >= self.policy.recover_after:
+            if self.consecutive_successes >= RECOVER_AFTER:
                 self.state = STATE_HEALTHY
                 self.consecutive_successes = 0
                 self.backoff_attempt = 0
                 self.flaps = 0  # a full recovery earns a clean slate
-                self.next_probe_at = now + self.policy.probe_interval_s
+                self.next_probe_at = now + self.probe_interval_s
             else:
-                self.next_probe_at = now + self.policy.suspect_retry_s
+                self.next_probe_at = now + SUSPECT_RETRY_S
         return self.state
 
     def record_failure(self, now: float, error: str) -> str:
@@ -149,16 +133,16 @@ class AgentHealth:
         self.last_error = error
         if self.state == STATE_HEALTHY:
             self.flaps += 1
-            if self.flaps >= self.policy.flap_quarantine:
+            if self.flaps >= FLAP_QUARANTINE:
                 self._quarantine(now)
             else:
                 self.state = STATE_SUSPECT
-                self.next_probe_at = now + self.policy.suspect_retry_s
+                self.next_probe_at = now + SUSPECT_RETRY_S
         elif self.state == STATE_SUSPECT:
-            if self.consecutive_failures >= self.policy.quarantine_after:
+            if self.consecutive_failures >= QUARANTINE_AFTER:
                 self._quarantine(now)
             else:
-                self.next_probe_at = now + self.policy.suspect_retry_s
+                self.next_probe_at = now + SUSPECT_RETRY_S
         else:  # already quarantined: back off further
             self.backoff_attempt += 1
             self.next_probe_at = now + self._reprobe_delay()
@@ -176,7 +160,7 @@ class AgentHealth:
         if self.state == STATE_HEALTHY:
             self.consecutive_failures = max(self.consecutive_failures, 1)
             self.flaps += 1
-            if self.flaps >= self.policy.flap_quarantine:
+            if self.flaps >= FLAP_QUARANTINE:
                 self._quarantine(now)
                 return self.state
             self.state = STATE_SUSPECT
@@ -192,7 +176,7 @@ class AgentHealth:
         """Jittered quarantine re-probe delay, deterministic per agent."""
         return exponential_jitter(
             self.backoff_attempt,
-            base=self.policy.backoff_base_s,
-            cap=self.policy.backoff_cap_s,
+            base=BACKOFF_BASE_S,
+            cap=BACKOFF_CAP_S,
             seed=stable_hash(self.addr),
         )

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.cluster.health import (
+    DEFAULT_PROBE_INTERVAL_S,
     STATE_HEALTHY,
     AgentHealth,
-    HealthPolicy,
 )
 from repro.faults.plan import SITE_CLUSTER_AGENT_FLAP
 from repro.net.peers import format_addr, split_addr
@@ -71,13 +71,13 @@ class AgentRegistry:
     def __init__(
         self,
         agents: "tuple[str, ...] | list[str]" = (),
-        policy: "HealthPolicy | None" = None,
+        probe_interval_s: float = DEFAULT_PROBE_INTERVAL_S,
         probe_timeout_s: float = DEFAULT_PROBE_TIMEOUT_S,
         injector: Any = None,
         pinger: "Callable[[str, float], tuple[float, dict]] | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.policy = policy or HealthPolicy()
+        self.probe_interval_s = probe_interval_s
         self.probe_timeout_s = probe_timeout_s
         self._injector = injector
         self._pinger = pinger or _default_pinger
@@ -108,7 +108,9 @@ class AgentRegistry:
             if canonical in self._agents:
                 return canonical, False
             self._agents[canonical] = AgentRecord(
-                health=AgentHealth(addr=canonical, policy=self.policy),
+                health=AgentHealth(
+                    addr=canonical, probe_interval_s=self.probe_interval_s
+                ),
                 index=self._next_index,
             )
             self._next_index += 1

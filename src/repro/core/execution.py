@@ -197,7 +197,6 @@ def build_container(
         budget_bytes=options.memory_budget,
         spill_dir=spill_dir,
         combiner=job.spill_combiner,
-        merge_fan_in=options.spill_merge_fan_in,
         injector=injector,
         throttle=throttle,
     )
@@ -476,8 +475,6 @@ def merge_outputs(
         merged, rounds = pairwise_merge_sort(runs, key=job.output_key)
         return merged, rounds
     if options.merge_algorithm is MergeAlgorithm.PWAY:
-        merged = pway_merge(
-            runs, options.effective_merge_parallelism, key=job.output_key
-        )
+        merged = pway_merge(runs, options.num_reducers, key=job.output_key)
         return merged, 1 if len([r for r in runs if r]) > 1 else 0
     raise RuntimeStateError(f"unknown merge algorithm {options.merge_algorithm!r}")

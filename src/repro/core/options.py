@@ -89,17 +89,12 @@ class RuntimeOptions:
     merge_algorithm: MergeAlgorithm = _opt(
         MergeAlgorithm.PAIRWISE, wire=MergeAlgorithm, fingerprint=5
     )
-    #: Output ranges the p-way merge cuts (default: ``num_reducers``).
-    #: A partitioning knob: the ranges are merged in the parent.
-    merge_parallelism: int | None = _opt(None)
     pipelined_ingest: bool = _opt(True)
     #: Byte budget for the intermediate container ("64MB" accepted);
     #: None keeps the paper's everything-in-RAM behaviour.  When set,
     #: both runtimes wrap the job's container in the out-of-core spill
     #: subsystem (:mod:`repro.spill`).
     memory_budget: int | str | None = _opt(None, wire=True, fingerprint=6)
-    #: Streams per external-merge pass over spill runs (>= 2).
-    spill_merge_fan_in: int = _opt(8, wire=True)
     #: Seeded fault-injection plan (:mod:`repro.faults`); None runs
     #: clean with zero checking overhead.  The runtime arms a fresh
     #: injector per run, so the same options object replays the same
@@ -108,9 +103,13 @@ class RuntimeOptions:
         None, wire=FaultPlan.from_wire, fingerprint=7
     )
     #: How injected (and genuine transient) faults are answered: bounded
-    #: retry with backoff, record quarantine, verify-then-re-spill.
+    #: retry with backoff, record quarantine, verify-then-re-spill.  A
+    #: policy key the receiving build does not declare is dropped.
     recovery: RecoveryPolicy = _opt(
-        RecoveryPolicy(), wire=lambda data: RecoveryPolicy(**data)
+        RecoveryPolicy(),
+        wire=lambda data: RecoveryPolicy(**{
+            f.name: data[f.name] for f in fields(RecoveryPolicy) if f.name in data
+        }),
     )
     #: How map tasks execute (``"serial"`` | ``"thread"`` |
     #: ``"process"``; see :mod:`repro.parallel.backends`).  ``thread``
@@ -132,10 +131,6 @@ class RuntimeOptions:
     #: runtime stops admitting new ingest rounds and returns the partial
     #: result with ``counters["degraded"]`` set.  None never expires.
     job_deadline_s: float | None = _opt(None)
-    #: Step the executor backend down (process -> thread -> serial) and
-    #: re-run the job when a pool failure escapes the supervisor,
-    #: instead of propagating :class:`~repro.errors.ParallelError`.
-    degrade_on_pool_failure: bool = _opt(True)
     #: Split the job over this many fault-tolerant shard worker processes
     #: (:mod:`repro.shard`): each shard maps a contiguous block of ingest
     #: chunks and reduces the partitions a consistent-hash map assigns
@@ -207,8 +202,6 @@ class RuntimeOptions:
         if self.chunk_strategy is ChunkStrategy.HYBRID:
             if not self.chunk_bytes or self.chunk_bytes < 1:
                 raise ConfigError("hybrid chunking requires chunk_bytes >= 1")
-        if self.merge_parallelism is not None and self.merge_parallelism < 1:
-            raise ConfigError("merge_parallelism must be >= 1")
         if self.checkpoint_dir is not None:
             object.__setattr__(self, "checkpoint_dir", str(self.checkpoint_dir))
         if self.resume and self.checkpoint_dir is None:
@@ -219,8 +212,6 @@ class RuntimeOptions:
             raise ConfigError("num_shards must be >= 1")
         if self.shard_dir is not None:
             object.__setattr__(self, "shard_dir", str(self.shard_dir))
-        if self.spill_merge_fan_in < 2:
-            raise ConfigError("spill_merge_fan_in must be >= 2")
         if self.memory_budget is not None:
             budget = parse_size(self.memory_budget)
             if budget < 1:
@@ -269,10 +260,6 @@ class RuntimeOptions:
         """Bytes of the largest ingest chunk these options plan (0 when
         the strategy names no size) — what a memory budget must exceed."""
         return max([self.chunk_bytes or 0, *(self.chunk_schedule or ())])
-
-    @property
-    def effective_merge_parallelism(self) -> int:
-        return self.merge_parallelism or self.num_reducers
 
     def with_(self, **changes: Any) -> "RuntimeOptions":
         """A modified copy (frozen dataclass convenience)."""

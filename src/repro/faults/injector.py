@@ -36,6 +36,10 @@ from repro.util.backoff import exponential_jitter
 
 T = TypeVar("T")
 
+#: Cap on one retry backoff; the delay doubles per attempt from
+#: ``RecoveryPolicy.backoff_base_s`` until it reaches this.
+BACKOFF_MAX_S = 0.25
+
 #: ``fn(attempt)`` body run under :meth:`FaultInjector.retrying`.
 AttemptFn = Callable[[int], T]
 
@@ -222,9 +226,8 @@ class Attempts:
         delay = exponential_jitter(
             attempt,
             base=policy.backoff_base_s,
-            cap=policy.backoff_max_s,
+            cap=BACKOFF_MAX_S,
             seed=injector.plan.seed,
-            factor=policy.backoff_factor,
         )
         injector.log.record(
             site, ACTION_RETRIED,

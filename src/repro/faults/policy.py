@@ -8,8 +8,9 @@ implements, so a single knob on :class:`~repro.core.options.RuntimeOptions`
   and injected map-task faults are retried up to ``max_retries`` times;
 * **bad-record quarantine** — detected-corrupt records are skipped and
   logged, up to ``skip_budget`` per job (Hadoop's skip-bad-records);
-* **checksum-verify-then-re-spill** — spill runs are re-read and
-  re-written when their CRC does not survive the disk;
+* **checksum-verify-then-re-spill** — under a plan that arms
+  ``spill.corrupt``, every spill run is re-read after it is written and
+  re-written when its CRC did not survive the disk;
 * **speculative re-execution** — the simulator launches a backup copy of
   a straggling map task once it exceeds ``straggler_threshold`` times
   the expected wall time.
@@ -36,19 +37,13 @@ class RecoveryPolicy:
     #: transient fault raises :class:`~repro.errors.RetryExhausted`).
     max_retries: int = 3
     #: First backoff delay: attempt ``k`` waits an equal-jitter draw in
-    #: ``[raw/2, raw)`` with ``raw = min(base * factor**k, backoff_max_s)``
-    #: (:func:`repro.util.backoff.exponential_jitter`).  The default is
-    #: tiny so deterministic tests stay fast; production callers raise it.
+    #: ``[raw/2, raw)`` with ``raw = min(base * 2**k, 0.25 s)``
+    #: (:data:`repro.faults.injector.BACKOFF_MAX_S`).  The default is
+    #: tiny so seeded fault runs stay fast; 0 retries without waiting.
     backoff_base_s: float = 0.001
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 0.25
     #: Quarantined records allowed per job before
     #: :class:`~repro.errors.QuarantineOverflow` aborts the run.
     skip_budget: int = 1000
-    #: Re-read every spill run after writing and re-spill on checksum
-    #: mismatch (only exercised when a fault plan arms ``spill.corrupt``;
-    #: clean runs never pay the verify read).
-    verify_spills: bool = True
     #: Simulator: launch a backup copy of straggling map tasks.
     speculative: bool = True
     #: Simulator: a task is a straggler once it runs this multiple of
@@ -65,10 +60,8 @@ class RecoveryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ConfigError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigError("backoff_factor must be >= 1.0")
+        if self.backoff_base_s < 0:
+            raise ConfigError("backoff_base_s must be >= 0")
         if self.skip_budget < 0:
             raise ConfigError("skip_budget must be >= 0")
         if self.straggler_threshold < 1.0:

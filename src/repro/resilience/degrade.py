@@ -113,7 +113,7 @@ def run_with_degradation(
             result = run_once(job, current)
         except ParallelError as exc:
             fallback = next_rung(current)
-            if fallback is None or not options.degrade_on_pool_failure:
+            if fallback is None:
                 raise
             if fallback.executor_backend is current.executor_backend:
                 step = (

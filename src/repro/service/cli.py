@@ -25,41 +25,25 @@ from repro.service.server import ServiceConfig, serve
 from repro.service.state import STATE_DONE, JobRecord
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the daemon in the foreground until SIGTERM/shutdown."""
-    fault_plan = None
+def config_from_args(args: argparse.Namespace) -> ServiceConfig:
+    """The daemon's config from a ``serve`` namespace: every field the
+    command line set, the rest defaulted; ``--faults`` / ``--fault-seed``
+    lower to the fault plan."""
+    names = {f.name for f in dataclasses.fields(ServiceConfig)}
+    values = {
+        name: value for name, value in vars(args).items()
+        if name in names and value is not None
+    }
     if args.faults:
         from repro.faults import parse_faults
 
-        fault_plan = parse_faults(args.faults, seed=args.fault_seed)
-    # flags that, left unset, keep the ServiceConfig default
-    optional = {
-        "aging_every": args.aging_every,
-        "shed_factor": args.shed_factor,
-        "agents": args.agents,
-        "health_interval_s": args.health_interval,
-        "probe_timeout_s": args.probe_timeout,
-        "net_timeout_s": args.net_timeout,
-    }
-    config = ServiceConfig(
-        state_dir=args.state_dir,
-        host=args.host,
-        port=args.port,
-        max_concurrent=args.max_jobs,
-        max_queue_depth=args.queue_depth,
-        service_budget=args.service_budget,
-        retention=args.retention,
-        max_attempts=args.max_attempts,
-        job_timeout_s=args.job_timeout,
-        fault_plan=fault_plan,
-        node_bandwidth=args.node_bandwidth,
-        qos_policy=args.qos_policy,
-        tenant_budget=args.tenant_budget,
-        tenant_max_concurrent=args.tenant_jobs,
-        default_job_budget=args.default_job_budget,
-        **{k: v for k, v in optional.items() if v not in (None, "")},
-    )
-    asyncio.run(serve(config))
+        values["fault_plan"] = parse_faults(args.faults, seed=args.fault_seed)
+    return ServiceConfig(**values)
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the daemon in the foreground until SIGTERM/shutdown."""
+    asyncio.run(serve(config_from_args(args)))
     return EXIT_OK
 
 

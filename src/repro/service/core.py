@@ -15,9 +15,11 @@ daemon's :class:`ServiceConfig` and:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Mapping
 
+from repro.cluster.health import DEFAULT_PROBE_INTERVAL_S
+from repro.cluster.registry import DEFAULT_PROBE_TIMEOUT_S
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
 from repro.net.peers import parse_peers
@@ -39,68 +41,116 @@ from repro.service.state import (
 from repro.util.units import parse_size
 
 
+def _flag(default: Any, flag: str, help: str, **argparse: Any) -> Any:
+    """Declare one :class:`ServiceConfig` field as a ``supmr serve`` flag.
+
+    ``flag`` is its spelling (``"--max-jobs"``), ``help`` the one text
+    that documents the field, ``serve --help`` and ``docs/options.md``,
+    and ``argparse`` the extra ``add_argument`` keywords (``type``,
+    ``metavar``, ``choices``).  :mod:`repro.cli` builds the ``serve``
+    parser by looping over the fields, and a flag left off the command
+    line keeps the default declared here.
+    """
+    return field(
+        default=default,
+        metadata={"flag": flag, "help": help, "argparse": argparse},
+    )
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Daemon knobs (the ``repro serve`` flags)."""
+    """Daemon knobs: every field but two is a ``supmr serve`` flag."""
 
+    #: ``--state-dir``, the flag every service subcommand shares.
     state_dir: str
-    host: str = "127.0.0.1"
-    #: 0 asks the kernel for a free port; the bound port is advertised
-    #: in ``state_dir/endpoint.json``.
-    port: int = 0
-    #: Runners allowed to execute at once.
-    max_concurrent: int = 2
-    #: Queued (not yet running) jobs allowed before ``queue-full``.
-    max_queue_depth: int = 16
-    #: Cap on the sum of admitted jobs' ``memory_budget`` ("1GB" ok);
-    #: None disables budget admission control.
-    service_budget: int | str | None = None
-    #: Finished jobs whose checkpoint dirs are retained after their
-    #: result has been fetched; older ones are purged.
-    retention: int = 4
-    #: Runner launches per job before it is failed outright.
-    max_attempts: int = 3
-    #: Hard wall-clock cap per runner attempt; None trusts the job's
-    #: own ``job_deadline`` knob.
-    job_timeout_s: float | None = None
-    #: Seeded service-site fault plan (``service.conn.drop`` /
-    #: ``service.job.crash`` / ``qos.tenant.surge``).
+    host: str = _flag("127.0.0.1", "--host", "address to listen on")
+    port: int = _flag(
+        0, "--port", "TCP port; 0 picks a free one and advertises it in "
+        "the state dir's endpoint.json", type=int,
+    )
+    max_concurrent: int = _flag(
+        2, "--max-jobs", "jobs allowed to run concurrently",
+        type=int, metavar="N",
+    )
+    max_queue_depth: int = _flag(
+        16, "--queue-depth", "queued jobs before submissions are rejected "
+        "with queue-full", type=int, metavar="N",
+    )
+    service_budget: int | str | None = _flag(
+        None, "--service-budget", "cap on the sum of admitted jobs' memory "
+        "budgets, e.g. 1GB; submissions past it are rejected with "
+        "budget-exceeded (default: no cap)", metavar="SIZE",
+    )
+    retention: int = _flag(
+        4, "--retention", "finished jobs whose checkpoint dirs are kept "
+        "after result retrieval; older ones are purged",
+        type=int, metavar="N",
+    )
+    max_attempts: int = _flag(
+        3, "--max-attempts", "runner launches per job before it is failed",
+        type=int, metavar="N",
+    )
+    job_timeout_s: float | None = _flag(
+        None, "--job-timeout", "hard wall-clock cap per runner attempt "
+        "(default: the job's own --job-deadline only)",
+        type=float, metavar="SECONDS",
+    )
+    #: The seeded service-site fault plan (``service.conn.drop`` /
+    #: ``service.job.crash`` / ``qos.tenant.surge``), which ``--faults``
+    #: and ``--fault-seed`` lower to.
     fault_plan: FaultPlan | None = None
-    #: The node's disk bandwidth in bytes/second ("200MB" ok); enables
-    #: dispatch-time bandwidth share assignment (jobs that declared an
-    #: ``io_budget`` get an allocator share of this) and overload
-    #: shedding.  None disables both.
-    node_bandwidth: int | str | None = None
-    #: Bandwidth allocation policy for dispatch-time shares
-    #: (:data:`repro.qos.allocator.POLICIES`).
-    qos_policy: str = "max-min"
-    #: Per-tenant cap on the sum of admitted jobs' memory budgets;
-    #: None disables the per-tenant budget check.
-    tenant_budget: int | str | None = None
-    #: Per-tenant cap on admitted-but-unfinished (queued + running)
-    #: jobs; None disables the per-tenant concurrency check.
-    tenant_max_concurrent: int | None = None
-    #: Memory budget charged to jobs submitted *without* one when the
-    #: service enforces ``service_budget``/``tenant_budget``.  None
-    #: keeps the strict behaviour: budgetless submissions are rejected.
-    default_job_budget: int | str | None = None
-    #: Dispatches per priority step of queue aging (0 disables aging).
-    aging_every: int = DEFAULT_AGING_EVERY
-    #: Overload shedding threshold: submissions are shed once the sum of
-    #: declared ``io_budget`` demand would exceed
-    #: ``node_bandwidth * shed_factor``.
-    shed_factor: float = 2.0
-    #: Bootstrap agent pool (``--agents host:port,...``); parsed to a
-    #: canonical tuple.  More agents can join/leave at runtime via the
-    #: register/deregister RPCs, so () still enables the registry.
-    agents: "str | tuple[str, ...] | None" = None
-    #: Seconds between health probes of a healthy agent.
-    health_interval_s: float = 1.0
-    #: Deadline for one agent probe (connect + ping + pong).
-    probe_timeout_s: float = 2.0
-    #: ``--net-timeout`` handed to placed runners (None keeps the
-    #: runtime default).
-    net_timeout_s: float | None = None
+    node_bandwidth: int | str | None = _flag(
+        None, "--node-bandwidth", "aggregate node I/O bandwidth in bytes/s, "
+        "e.g. 200MB; enables dispatch-time bandwidth shares for jobs that "
+        "declare --io-budget, and overload shedding", metavar="RATE",
+    )
+    qos_policy: str = _flag(
+        "max-min", "--qos-policy", "bandwidth allocation policy used at "
+        "dispatch", choices=tuple(sorted(POLICIES)),
+    )
+    tenant_budget: int | str | None = _flag(
+        None, "--tenant-budget", "per-tenant cap on the sum of admitted "
+        "memory budgets; past it submissions are rejected with "
+        "tenant-budget-exceeded (default: no cap)", metavar="SIZE",
+    )
+    tenant_max_concurrent: int | None = _flag(
+        None, "--tenant-jobs", "per-tenant cap on queued+running jobs "
+        "(default: no cap)", type=int, metavar="N",
+    )
+    default_job_budget: int | str | None = _flag(
+        None, "--default-job-budget", "memory budget charged to jobs that "
+        "declare none (default: such jobs are rejected when a budget cap "
+        "is set)", metavar="SIZE",
+    )
+    aging_every: int = _flag(
+        DEFAULT_AGING_EVERY, "--aging-every", "bump a waiting job's "
+        "effective priority every N dispatches, a starvation bound; 0 "
+        "disables aging)", type=int, metavar="N",
+    )
+    shed_factor: float = _flag(
+        2.0, "--shed-factor", "shed new work once declared I/O demand "
+        "exceeds this multiple of --node-bandwidth", type=float,
+    )
+    agents: "str | tuple[str, ...] | None" = _flag(
+        None, "--agents", "seed the agent pool: remote 'supmr agent' "
+        "endpoints sharded jobs may be placed on (more can register at "
+        "runtime)", metavar="HOST:PORT,...",
+    )
+    health_interval_s: float = _flag(
+        DEFAULT_PROBE_INTERVAL_S, "--health-interval", "steady-state gap "
+        "between health probes of a healthy agent",
+        type=float, metavar="SECONDS",
+    )
+    probe_timeout_s: float = _flag(
+        DEFAULT_PROBE_TIMEOUT_S, "--probe-timeout", "per-probe ping "
+        "deadline before an agent counts as failed",
+        type=float, metavar="SECONDS",
+    )
+    net_timeout_s: float | None = _flag(
+        None, "--net-timeout", "liveness/transfer deadline handed to placed "
+        "jobs' runners (default: the runtime's own)",
+        type=float, metavar="SECONDS",
+    )
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
@@ -111,10 +161,15 @@ class ServiceConfig:
             raise ConfigError("retention must be >= 0")
         if self.max_attempts < 1:
             raise ConfigError("max_attempts must be >= 1")
-        if self.service_budget is not None:
-            object.__setattr__(
-                self, "service_budget", parse_size(self.service_budget)
-            )
+        # a zero timeout kills every runner before it can start
+        if self.job_timeout_s is not None and self.job_timeout_s <= 0:
+            raise ConfigError("job_timeout_s must be positive")
+        for name in ("service_budget", "tenant_budget", "default_job_budget"):
+            if getattr(self, name) is not None:
+                budget = parse_size(getattr(self, name))
+                if budget < 1:
+                    raise ConfigError(f"{name} must be >= 1 byte")
+                object.__setattr__(self, name, budget)
         if self.node_bandwidth is not None:
             node_bw = parse_size(self.node_bandwidth)
             if node_bw < 1:
@@ -125,16 +180,8 @@ class ServiceConfig:
                 f"unknown qos_policy {self.qos_policy!r}; known policies: "
                 + ", ".join(sorted(POLICIES))
             )
-        if self.tenant_budget is not None:
-            object.__setattr__(
-                self, "tenant_budget", parse_size(self.tenant_budget)
-            )
         if self.tenant_max_concurrent is not None and self.tenant_max_concurrent < 1:
             raise ConfigError("tenant_max_concurrent must be >= 1")
-        if self.default_job_budget is not None:
-            object.__setattr__(
-                self, "default_job_budget", parse_size(self.default_job_budget)
-            )
         if self.aging_every < 0:
             raise ConfigError("aging_every must be >= 0")
         if self.shed_factor <= 0:

@@ -82,7 +82,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.cluster.health import HealthPolicy
 from repro.cluster.registry import AgentRegistry
 from repro.errors import AdmissionError, ConfigError, JobNotFound, ProtocolError
 from repro.faults.log import ACTION_RESPAWNED
@@ -191,9 +190,7 @@ class JobService:
         #: only engages while it is non-empty.
         self._registry = AgentRegistry(
             agents=self.config.agents or (),
-            policy=HealthPolicy(
-                probe_interval_s=self.config.health_interval_s,
-            ),
+            probe_interval_s=self.config.health_interval_s,
             probe_timeout_s=self.config.probe_timeout_s,
             injector=self._injector,
         )

@@ -289,9 +289,7 @@ class SpillManager:
         header.  A verification failure raises
         :class:`~repro.errors.SpillError` into the bounded retry loop,
         which re-spills the materialized records — the
-        checksum-verify-then-re-spill answer.  With
-        ``policy.verify_spills`` off, corruption sails through here and
-        the merge-time streaming CRC check aborts the job instead.
+        checksum-verify-then-re-spill answer.
         """
         index = self._next_index
         self._next_index += 1
@@ -306,18 +304,16 @@ class SpillManager:
             )
             if decision is not None:
                 _flip_byte(path, HEADER_BYTES + payload // 2)
-            if injector.policy.verify_spills:
-                if not RunReader(path).verify():
-                    raise SpillError(
-                        f"{path}: post-spill checksum verification failed"
-                    )
-                if attempt > 0:
-                    injector.log.record(
-                        SITE_SPILL_CORRUPT, ACTION_RESPILLED,
-                        f"run {index} rewritten cleanly on attempt "
-                        f"{attempt + 1}",
-                        scope=f"run-{index}", attempt=attempt,
-                    )
+            if not RunReader(path).verify():
+                raise SpillError(
+                    f"{path}: post-spill checksum verification failed"
+                )
+            if attempt > 0:
+                injector.log.record(
+                    SITE_SPILL_CORRUPT, ACTION_RESPILLED,
+                    f"run {index} rewritten cleanly on attempt {attempt + 1}",
+                    scope=f"run-{index}", attempt=attempt,
+                )
             return RunInfo(
                 index=index, path=path, records=count,
                 payload_bytes=payload,

@@ -2,41 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster.health import (
+    BACKOFF_CAP_S,
+    FLAP_QUARANTINE,
+    QUARANTINE_AFTER,
+    RECOVER_AFTER,
     STATE_HEALTHY,
     STATE_QUARANTINED,
     STATE_SUSPECT,
+    SUSPECT_RETRY_S,
     AgentHealth,
-    HealthPolicy,
-)
-from repro.errors import ConfigError
-
-POLICY = HealthPolicy(
-    probe_interval_s=1.0, suspect_retry_s=0.25,
-    quarantine_after=3, recover_after=2, flap_quarantine=3,
-    backoff_base_s=0.5, backoff_cap_s=15.0,
 )
 
 
 def fresh(addr: str = "a:1") -> AgentHealth:
-    return AgentHealth(addr=addr, policy=POLICY)
-
-
-class TestPolicyValidation:
-    @pytest.mark.parametrize("kw", [
-        {"probe_interval_s": 0.0},
-        {"suspect_retry_s": -1.0},
-        {"quarantine_after": 0},
-        {"recover_after": 0},
-        {"flap_quarantine": 0},
-        {"backoff_base_s": 0.0},
-        {"backoff_base_s": 20.0, "backoff_cap_s": 15.0},
-    ])
-    def test_bad_knobs_are_typed_errors(self, kw):
-        with pytest.raises(ConfigError):
-            HealthPolicy(**kw)
+    return AgentHealth(addr=addr)
 
 
 class TestStateMachine:
@@ -60,17 +40,17 @@ class TestStateMachine:
         assert h.record_failure(1.0, "boom") == STATE_SUSPECT
         assert h.flaps == 1
         assert not h.placeable
-        assert h.due(1.0 + POLICY.suspect_retry_s)
+        assert h.due(1.0 + SUSPECT_RETRY_S)
 
     def test_consecutive_suspect_failures_quarantine(self):
         h = fresh()
-        for _ in range(POLICY.quarantine_after - 1):
+        for _ in range(QUARANTINE_AFTER - 1):
             assert h.record_failure(0.0, "down") == STATE_SUSPECT
         assert h.record_failure(0.0, "down") == STATE_QUARANTINED
 
     def test_quarantine_recovery_demands_sustained_successes(self):
         h = fresh()
-        for _ in range(POLICY.quarantine_after):
+        for _ in range(QUARANTINE_AFTER):
             h.record_failure(0.0, "down")
         assert h.state == STATE_QUARANTINED
         # one lucky pong is not enough
@@ -84,10 +64,10 @@ class TestStateMachine:
         h.record_success(0.0, 0.001)
         h.record_failure(1.0, "flap")           # healthy -> suspect
         assert h.flaps == 1
-        for _ in range(POLICY.quarantine_after):
+        for _ in range(QUARANTINE_AFTER):
             h.record_failure(1.5, "down")
         assert h.state == STATE_QUARANTINED
-        for _ in range(POLICY.recover_after):
+        for _ in range(RECOVER_AFTER):
             h.record_success(30.0, 0.001)
         assert h.state == STATE_HEALTHY
         assert h.flaps == 0
@@ -95,10 +75,10 @@ class TestStateMachine:
     def test_flapping_goes_straight_to_quarantine(self):
         h = fresh()
         now = 0.0
-        for flap in range(POLICY.flap_quarantine):
+        for flap in range(FLAP_QUARANTINE):
             h.record_success(now, 0.001)
             state = h.record_failure(now + 0.5, "flap")
-            if flap < POLICY.flap_quarantine - 1:
+            if flap < FLAP_QUARANTINE - 1:
                 assert state == STATE_SUSPECT
                 now += 1.0
         # the final fall skipped suspect entirely
@@ -120,8 +100,8 @@ class TestStateMachine:
 
 class TestQuarantineBackoff:
     def _quarantined(self, addr: str) -> AgentHealth:
-        h = AgentHealth(addr=addr, policy=POLICY)
-        for _ in range(POLICY.quarantine_after):
+        h = fresh(addr)
+        for _ in range(QUARANTINE_AFTER):
             h.record_failure(0.0, "down")
         return h
 
@@ -133,7 +113,7 @@ class TestQuarantineBackoff:
             delays.append(h.next_probe_at - now)
             now = h.next_probe_at
             h.record_failure(now, "still down")
-        assert all(0 < d <= POLICY.backoff_cap_s for d in delays)
+        assert all(0 < d <= BACKOFF_CAP_S for d in delays)
         # exponential at the front: later delays dwarf the first
         assert max(delays[4:]) > delays[0]
 

@@ -5,20 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.health import (
+    DEFAULT_PROBE_INTERVAL_S,
+    QUARANTINE_AFTER,
     STATE_HEALTHY,
     STATE_QUARANTINED,
     STATE_SUSPECT,
-    HealthPolicy,
+    SUSPECT_RETRY_S,
 )
 from repro.cluster.registry import AgentRegistry
 from repro.errors import ConfigError
 from repro.faults.plan import SITE_CLUSTER_AGENT_FLAP, FaultPlan, FaultSpec
-
-POLICY = HealthPolicy(
-    probe_interval_s=1.0, suspect_retry_s=0.25,
-    quarantine_after=2, recover_after=2, flap_quarantine=2,
-)
-
 
 class FakeClock:
     def __init__(self) -> None:
@@ -49,7 +45,7 @@ class FakePinger:
 def registry(outcomes: dict, **kw) -> tuple[AgentRegistry, FakeClock]:
     clock = FakeClock()
     reg = AgentRegistry(
-        agents=tuple(outcomes), policy=POLICY,
+        agents=tuple(outcomes),
         pinger=FakePinger(outcomes), clock=clock, **kw,
     )
     return reg, clock
@@ -92,14 +88,14 @@ class TestProbing:
         reg.probe_round()
         # not due again until the healthy cadence elapses
         assert reg.probe_round() == 0
-        clock.advance(POLICY.probe_interval_s)
+        clock.advance(DEFAULT_PROBE_INTERVAL_S)
         assert reg.probe_round() == 1
 
     def test_dead_agent_quarantines_then_backs_off(self):
         reg, clock = registry({"a:1": ConnectionRefusedError()})
-        for _ in range(POLICY.quarantine_after):
+        for _ in range(QUARANTINE_AFTER):
             assert reg.probe_round() == 1
-            clock.advance(POLICY.suspect_retry_s)
+            clock.advance(SUSPECT_RETRY_S)
         row = reg.snapshot()[0]
         assert row["state"] == STATE_QUARANTINED
         # immediately after quarantining the next probe is not yet due,
@@ -134,9 +130,9 @@ class TestProbing:
         rounds = 0
         while reg.snapshot()[0]["state"] != STATE_QUARANTINED:
             assert reg.probe_round() == 1
-            clock.advance(POLICY.suspect_retry_s)
+            clock.advance(SUSPECT_RETRY_S)
             rounds += 1
-            assert rounds <= POLICY.quarantine_after
+            assert rounds <= QUARANTINE_AFTER
         assert reg.snapshot()[0]["last_error"].startswith("injected")
 
 

@@ -42,17 +42,14 @@ CHANGED = {
     "files_per_chunk": 3,
     "chunk_schedule": (4096, 8192),
     "merge_algorithm": MergeAlgorithm.PAIRWISE,
-    "merge_parallelism": 3,
     "pipelined_ingest": False,
     "memory_budget": 1 << 20,
-    "spill_merge_fan_in": 4,
     "fault_plan": parse_faults("ingest.read=once,map.task=0.5", seed=7),
     "recovery": RecoveryPolicy(max_retries=1, skip_budget=5),
     "executor_backend": ExecutorBackend.SERIAL,
     "checkpoint_dir": "/tmp/other-ckpt",
     "resume": True,
     "job_deadline_s": 5.0,
-    "degrade_on_pool_failure": False,
     "num_shards": 3,
     "shard_dir": "/tmp/shards",
     "io_budget": 2 << 20,
@@ -81,7 +78,7 @@ class TestCompleteness:
                 != getattr(BASE, name), name
 
     def test_no_knob_added(self):
-        assert len(FIELDS) == 27
+        assert len(FIELDS) == 24
         assert len(dataclasses.fields(ServiceJobSpec)) == 23
         # the 24 shared flags plus wordcount's --files-per-chunk / --top
         assert len(RUNTIME_FLAGS) == 26
@@ -125,7 +122,7 @@ class TestCompleteness:
     def test_marks_match_the_parent_commit(self):
         assert {f.name for f in WIRE_FIELDS} == {
             "num_mappers", "num_reducers", "memory_budget",
-            "spill_merge_fan_in", "merge_algorithm", "io_budget", "io_burst",
+            "merge_algorithm", "io_budget", "io_burst",
             "tenant", "io_priority", "recovery", "fault_plan",
         }
         # slot order is frozen: it is the order of the hashed tuple
@@ -154,6 +151,17 @@ class TestWire:
         # without a fault plan the key is absent, not null
         assert set(options_to_wire(BASE)) \
             == {f.name for f in WIRE_FIELDS} - {"fault_plan"}
+
+    def test_keys_from_an_older_sender_are_ignored(self):
+        # these were settable, and rode the wire, until they became
+        # constants
+        current = options_to_wire(BASE)
+        wire = {
+            **current, "spill_merge_fan_in": 4,
+            "recovery": {**current["recovery"], "verify_spills": False,
+                         "backoff_factor": 3.0, "backoff_max_s": 1.0},
+        }
+        assert options_from_wire(wire) == options_from_wire(current)
 
 
 class TestFingerprint:

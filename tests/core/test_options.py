@@ -28,15 +28,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RuntimeOptions(chunk_strategy=ChunkStrategy.INTRA_FILE)
 
-    def test_merge_parallelism_validated(self):
-        with pytest.raises(ConfigError):
-            RuntimeOptions(merge_parallelism=0)
-
-    def test_effective_merge_parallelism_defaults_to_reducers(self):
-        opts = RuntimeOptions(num_reducers=6)
-        assert opts.effective_merge_parallelism == 6
-        assert opts.with_(merge_parallelism=3).effective_merge_parallelism == 3
-
 
 class TestConstructors:
     def test_baseline(self):
@@ -95,10 +86,3 @@ class TestMemoryBudget:
             memory_budget="64KB"
         )
         assert opts.memory_budget == 64 * 1024
-
-    def test_fan_in_validated(self):
-        with pytest.raises(ConfigError):
-            RuntimeOptions(spill_merge_fan_in=1)
-
-    def test_fan_in_default(self):
-        assert RuntimeOptions().spill_merge_fan_in == 8

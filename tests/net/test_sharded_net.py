@@ -66,7 +66,16 @@ class _AgentProc:
             stderr=subprocess.DEVNULL,
         )
         deadline = time.monotonic() + 10.0
-        while not addr_file.exists() and time.monotonic() < deadline:
+        while not addr_file.exists():
+            status = self.proc.poll()
+            if status is not None:
+                raise RuntimeError(
+                    f"agent {name} exited with status {status} before it "
+                    "wrote its address"
+                )
+            if time.monotonic() > deadline:
+                self.close()
+                raise TimeoutError(f"agent {name} wrote no address in 10 s")
             time.sleep(0.05)
         self.addr = addr_file.read_text().strip()
 
@@ -82,7 +91,12 @@ class _AgentProc:
 
 @pytest.fixture
 def agents(tmp_path):
-    pair = (_AgentProc(tmp_path, "agent-a"), _AgentProc(tmp_path, "agent-b"))
+    first = _AgentProc(tmp_path, "agent-a")
+    try:
+        pair = (first, _AgentProc(tmp_path, "agent-b"))
+    except BaseException:
+        first.close()
+        raise
     yield pair
     for srv in pair:
         srv.close()

@@ -118,19 +118,6 @@ class TestLadder:
         with pytest.raises(ParallelError, match="even serial"):
             run_with_degradation(run_once, job, options)
 
-    def test_opt_out_disables_the_ladder(self, text_file):
-        job = make_wordcount_job([text_file])
-        options = RuntimeOptions.supmr_interfile("32KB", 2, 2).with_(
-            executor_backend=ExecutorBackend.PROCESS,
-            degrade_on_pool_failure=False,
-        )
-
-        def run_once(j, opts):
-            raise ParallelError("pool blew up")
-
-        with pytest.raises(ParallelError):
-            run_with_degradation(run_once, job, options)
-
 
 @needs_fork
 class TestEndToEnd:

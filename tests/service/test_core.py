@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro.service.core as core
+from repro.errors import ConfigError
 from repro.service.core import (
     Outcome,
     admission_verdict,
@@ -57,6 +58,23 @@ def test_the_core_imports_no_io():
     assert not imported & {
         "asyncio", "socket", "os", "pathlib", "time", "subprocess", "signal",
     }
+
+
+# -- ServiceConfig ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("knob", [
+    # a zero timeout SIGKILLs every runner before it can start
+    {"job_timeout_s": 0},
+    {"job_timeout_s": -1.0},
+    # a zero cap rejects every submission that declares a budget
+    {"service_budget": 0},
+    {"tenant_budget": "0KB"},
+    {"default_job_budget": 0},
+])
+def test_config_refuses_settings_that_wedge_the_daemon(knob):
+    with pytest.raises(ConfigError, match=next(iter(knob))):
+        config(**knob)
 
 
 # -- admission_verdict --------------------------------------------------------

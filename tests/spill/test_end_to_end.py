@@ -21,6 +21,7 @@ from repro.apps.wordcount import make_wordcount_job
 from repro.core.options import RuntimeOptions
 from repro.core.phoenix import PhoenixRuntime
 from repro.core.supmr import SupMRRuntime
+from repro.spill import DEFAULT_MERGE_FAN_IN
 
 
 def check_spilled(result, baseline, min_runs=3):
@@ -106,15 +107,13 @@ class TestReporting:
     def test_external_merge_bounded_fan_in(self, text_file):
         # word count is charged per folded state (about 500 per map
         # task here), not per raw emit, so the budget is small enough
-        # for more runs than one merge pass can take
+        # for more runs than one merge pass of the default fan-in takes
         result = PhoenixRuntime(
-            RuntimeOptions.baseline().with_(
-                memory_budget="24KB", spill_merge_fan_in=4
-            )
+            RuntimeOptions.baseline().with_(memory_budget="24KB")
         ).run(make_wordcount_job([text_file]))
         stats = result.spill_stats
-        assert stats.merge_fan_in == 4
-        assert stats.runs > 4
+        assert stats.merge_fan_in == DEFAULT_MERGE_FAN_IN == 8
+        assert stats.runs > 8
         assert stats.merge_passes > 1
         assert stats.merge_rewritten_bytes > 0
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Generate docs/api.md from the package's docstrings, and
-docs/options.md from the runtime-options table.
+docs/options.md from the runtime-options table and the serve flags.
 
 Walks every public module under ``repro``, collects the first docstring
 paragraph of each module and of its public classes/functions, and emits
-a single markdown reference; then renders ``RUNTIME_FLAGS`` and the
-``RuntimeOptions`` field marks as tables.  Run after API or option
+a single markdown reference; then renders ``RUNTIME_FLAGS``, the
+``RuntimeOptions`` field marks and the ``ServiceConfig`` flags as tables.  Run after API or option
 changes:
 
     python tools/gen_api_docs.py
@@ -112,6 +112,7 @@ def render_options() -> str:
     """The full options.md text."""
     from repro.core.flags import RUNTIME_FLAGS
     from repro.core.options import RuntimeOptions
+    from repro.service.core import ServiceConfig
     from repro.service.jobspec import ServiceJobSpec
 
     fields = {f.name: f for f in dataclasses.fields(RuntimeOptions)}
@@ -205,19 +206,36 @@ def render_options() -> str:
         field_rows,
     )
     lines += [
-        "## What two of them count",
+        "## What `--reducers` counts",
         "",
         "`--reducers` / `num_reducers` is a **partition** count on every",
         "backend.  Under `--backend process` the forked pool is sized by",
         "`--mappers` alone: map input is on disk and any worker can `mmap`",
         "it, but reduce input is the parent's container, so the partitions",
         "are reduced in the parent (as `serial` does) instead of being",
-        "pickled out to a worker and back.  `merge_parallelism` (default:",
-        "`num_reducers`) is the number of balanced output ranges the p-way",
-        "merge cuts with multisequence selection; the ranges are merged in",
-        "the parent on every backend — it forks nothing.",
+        "pickled out to a worker and back.  It is also the number of",
+        "balanced output ranges the p-way merge cuts with multisequence",
+        "selection; the ranges are merged in the parent on every backend —",
+        "the merge forks nothing.",
+        "",
+        "## `supmr serve` flags",
+        "",
+        "Read off the fields of `repro.service.core.ServiceConfig`: each",
+        "field declares its flag, help text and `add_argument` extras once",
+        "(`_flag`), `repro.cli` builds the `serve` parser by looping over",
+        "the fields, and a flag left off the command line keeps the field's",
+        "default.  Besides these, `--state-dir` is shared by every service",
+        "subcommand, and `--faults` / `--fault-seed` lower to `fault_plan`.",
         "",
     ]
+    lines += _table(
+        ["flag", "`ServiceConfig` field", "default", "help"],
+        [
+            [f"`{f.metadata['flag']}`", f"`{f.name}`", _cell(f.default),
+             f.metadata["help"]]
+            for f in dataclasses.fields(ServiceConfig) if "flag" in f.metadata
+        ],
+    )
     return "\n".join(lines)
 
 
