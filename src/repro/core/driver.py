@@ -241,7 +241,8 @@ class JobRun:
                 after(chunk)
 
         pipeline = PrefetchPipeline(
-            load or self.load, work, pipelined=options.pipelined_ingest
+            load or self.load, work, pipelined=options.pipelined_ingest,
+            log=self.injector.log if self.injector is not None else None,
         )
         try:
             return pipeline.run(todo)

@@ -13,8 +13,9 @@ Appends are thread-safe (mapper pools and the ingest thread both write).
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: Actions a :class:`FaultEvent` can record.
 ACTION_INJECTED = "injected"
@@ -58,6 +59,7 @@ class FaultLog:
         self._events: list[FaultEvent] = []
         self._lock = threading.Lock()
         self._clock = clock or (lambda: 0.0)
+        self._local = threading.local()
 
     def record(
         self,
@@ -72,9 +74,26 @@ class FaultLog:
             site=site, action=action, detail=detail, scope=scope,
             attempt=attempt, time_s=self._clock(),
         )
+        held = getattr(self._local, "held", None)
         with self._lock:
-            self._events.append(event)
+            (self._events if held is None else held).append(event)
         return event
+
+    @contextmanager
+    def held(self) -> Iterator[list[FaultEvent]]:
+        """Rows this thread records inside the block go to the yielded
+        list, not the log, for the caller to :meth:`extend` it with at a
+        point of the run's own order."""
+        self._local.held = rows = []
+        try:
+            yield rows
+        finally:
+            self._local.held = None
+
+    def extend(self, rows: Iterable[FaultEvent]) -> None:
+        """Append already-recorded rows, in order."""
+        with self._lock:
+            self._events.extend(rows)
 
     # -- queries -----------------------------------------------------------
 

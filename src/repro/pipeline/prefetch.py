@@ -27,6 +27,10 @@ absorption order and output digests are byte-identical in both modes,
 and the QoS token bucket is charged inside each ``load`` exactly once
 per chunk.
 
+Fault-log rows a load records are held back and appended when its
+chunk is taken, so a seeded job logs one sequence in both modes: chunk
+``i``'s ingest rows, then its map wave's.
+
 A load error (or an injector giving up) is re-raised at the round that
 *consumes* the failed chunk; any error — including a mid-wave
 ``DeadlineExceeded`` — stops and joins the reader before propagating,
@@ -35,14 +39,15 @@ so no thread or open file handle outlives the run.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.chunking.chunk import Chunk
 from repro.errors import RuntimeStateError
+from repro.faults.log import FaultLog
 from repro.util.logging import get_logger
 
 logger = get_logger(__name__)
@@ -72,12 +77,15 @@ class RoundTiming:
 
 
 class PrefetchPipeline:
-    """Drives chunks through load/work with one chunk of look-ahead."""
+    """Drives chunks through load/work with one chunk of look-ahead;
+    ``log`` is the fault log the loads write to, if any."""
 
-    def __init__(self, load: LoadFn, work: WorkFn, pipelined: bool = True) -> None:
+    def __init__(self, load: LoadFn, work: WorkFn, pipelined: bool = True,
+                 log: FaultLog | None = None) -> None:
         self._load = load
         self._work = work
         self.pipelined = pipelined
+        self._log = log
 
     def run(self, chunks: Sequence[Chunk]) -> list[RoundTiming]:
         """Drive all chunks; returns one record per round (n+1 total)."""
@@ -85,36 +93,38 @@ class PrefetchPipeline:
             raise RuntimeStateError("pipeline needs at least one chunk")
         n = len(chunks)
 
+        log = self._log
+        held = log.held if log is not None else lambda: nullcontext(())
+
         def timed_load(i: int) -> tuple:
-            """("ok", data, elapsed) or ("error", exc, elapsed)."""
+            """("ok", data, elapsed, rows) or ("error", exc, elapsed, rows),
+            ``rows`` the fault-log rows the load recorded."""
             t0 = time.perf_counter()
-            try:
-                return ("ok", self._load(chunks[i]), time.perf_counter() - t0)
-            except BaseException as exc:  # noqa: BLE001 - re-raised by owner
-                return ("error", exc, time.perf_counter() - t0)
-
-        requests: queue.SimpleQueue = queue.SimpleQueue()
-        loaded: queue.SimpleQueue = queue.SimpleQueue()
-
-        def serve() -> None:
-            for i in iter(requests.get, None):
-                loaded.put(timed_load(i))
+            with held() as rows:
+                try:
+                    data = self._load(chunks[i])
+                except BaseException as exc:  # noqa: BLE001 - re-raised by owner
+                    return ("error", exc, time.perf_counter() - t0, rows)
+            return ("ok", data, time.perf_counter() - t0, rows)
 
         # A lone chunk has nothing to overlap, so no reader starts.
         reader = None
         if self.pipelined and n > 1:
-            reader = threading.Thread(target=serve, daemon=True, name="prefetch-reader")
-            reader.start()
-            requests.put(0)
+            reader = ThreadPoolExecutor(1, thread_name_prefix="prefetch-reader")
+        ahead: list[Future] = [reader.submit(timed_load, 0)] if reader else []
 
         def take(i: int) -> tuple[Any, float]:
             """Chunk ``i``'s data and load time; the reader moves on to
             chunk ``i+1`` only now, while the mapper works on ``i``."""
-            kind, value, elapsed = loaded.get() if reader else timed_load(i)
+            kind, value, elapsed, rows = (
+                ahead.pop().result() if reader else timed_load(i)
+            )
+            if rows:
+                log.extend(rows)
             if kind == "error":
                 raise value
             if reader and i + 1 < n:
-                requests.put(i + 1)
+                ahead.append(reader.submit(timed_load, i + 1))
             return value, elapsed
 
         records: list[RoundTiming] = []
@@ -146,5 +156,7 @@ class PrefetchPipeline:
             # DeadlineExceeded): the reader finishes the load it is in,
             # if any, and exits.
             if reader is not None:
-                requests.put(None)
-                reader.join()
+                reader.shutdown()
+                for future in ahead:  # loaded, never taken
+                    if rows := future.result()[3]:
+                        log.extend(rows)

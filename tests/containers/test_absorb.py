@@ -105,7 +105,7 @@ class TestCombinerMerge:
 
 class TestHashTransport:
     def test_round_trip_matches_direct(self):
-        factory = lambda: HashContainer(SumCombiner(), shards=4)  # noqa: E731
+        factory = lambda: HashContainer(SumCombiner())  # noqa: E731
         direct = _direct(factory, _EMITS)
         via = _via_transport(factory, _EMITS, tasks=[0, 1, 2])
         assert sorted(via.partitions(3), key=str) == sorted(
@@ -315,7 +315,7 @@ class TestBulkEmitEquivalence:
     @given(pairs=_pairs, batches=_batches)
     @settings(max_examples=60, deadline=None)
     def test_hash(self, combiner_type, pairs, batches):
-        factory = lambda: HashContainer(combiner_type(), shards=4)  # noqa: E731
+        factory = lambda: HashContainer(combiner_type())  # noqa: E731
         direct = _emit_in_batches(factory(), pairs, [])
         bulk = _emit_in_batches(factory(), pairs, batches, combiner_type())
         assert bulk.partitions(3) == direct.partitions(3)
@@ -342,7 +342,7 @@ class TestBulkEmitEquivalence:
     @given(pairs=_pairs, batches=_batches)
     @settings(max_examples=40, deadline=None)
     def test_spillable_hash(self, budget, pairs, batches):
-        factory = lambda: HashContainer(SumCombiner(), shards=4)  # noqa: E731
+        factory = lambda: HashContainer(SumCombiner())  # noqa: E731
         managers = [SpillManager(budget_bytes=budget) for _ in range(2)]
         try:
             direct = _emit_in_batches(
@@ -487,12 +487,12 @@ class TestBulkEmitContract:
 class TestHashEmitCounter:
     def test_threads_on_different_shards_lose_no_counts(self):
         """Per-record emits, batches and absorbs from many threads at
-        once: every emit is counted (the old single ``_emits`` was
-        bumped under a per-shard lock, and by ``absorb`` under none)."""
+        once: every emit is counted (each path bumps the one ``_emits``
+        under the one lock that guards the cells)."""
         import sys
         import threading
 
-        container = HashContainer(SumCombiner(), shards=16)
+        container = HashContainer(SumCombiner())
         container.begin_round()
         threads_n, rounds, per_round = 8, 200, 10
         keys = [b"key-%d" % i for i in range(64)]
@@ -533,12 +533,11 @@ class TestHashAbsorbOrder:
     def test_concurrent_deltas_land_whole_in_one_order(self):
         """Deltas absorbed from many threads at once are applied one
         whole delta at a time: every key sees them in the same order
-        (numpy drops the GIL mid-hash, so without the batch lock two
-        deltas interleave shard by shard)."""
+        (``absorb`` holds the container's lock for the whole delta)."""
         import sys
         import threading
 
-        container = HashContainer(ListCombiner(), shards=8)
+        container = HashContainer(ListCombiner())
         container.begin_round()
         keys = [b"key-%d" % i for i in range(600)]
 

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from repro.containers.base import ContainerDelta
 from repro.containers.combiners import ListCombiner, SumCombiner
+from repro.containers import hash_container
 from repro.containers.hash_container import HashContainer
 from repro.errors import ContainerError
+from repro.util import hashing
 from repro.util.hashing import stable_hash
 
 
@@ -56,10 +58,6 @@ class TestLifecycle:
         all_pairs = [p for part in c.partitions(1) for p in part]
         assert all_pairs == [(b"w", [3])]
         assert c.rounds == 2
-
-    def test_invalid_shards(self):
-        with pytest.raises(ContainerError):
-            HashContainer(shards=0)
 
 
 class TestCombiningAndPartitions:
@@ -121,7 +119,7 @@ class TestCombiningAndPartitions:
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=20),
                               st.integers(min_value=-5, max_value=5))))
     def test_property_sums_match_naive(self, pairs):
-        c = HashContainer(SumCombiner(), shards=4)
+        c = HashContainer(SumCombiner())
         c.begin_round()
         fill(c, pairs)
         c.seal()
@@ -130,30 +128,6 @@ class TestCombiningAndPartitions:
         for k, v in pairs:
             expected[k] = expected.get(k, 0) + v
         assert got == expected
-
-
-def _per_key_absorb(container, delta):
-    """``absorb`` as the per-key loop it replaced: one ``stable_hash``
-    and one hold of the shard lock per key."""
-    for key, state in delta.items:
-        idx = stable_hash(key) % len(container._shards)
-        shard = container._shards[idx]
-        with container._locks[idx]:
-            if key in shard:
-                shard[key] = container.combiner.merge(shard[key], state)
-            else:
-                shard[key] = state
-    container._batch_emits += delta.emits
-
-
-def _per_key_partitions(container, n):
-    parts = [[] for _ in range(n)]
-    for shard in container._shards:
-        for key, state in shard.items():
-            parts[stable_hash(key) % n].append(
-                (key, container.combiner.finish(state))
-            )
-    return parts
 
 
 _KEY_KINDS = {
@@ -167,35 +141,115 @@ _KEY_KINDS = {
 }
 
 
-class TestColumnHashParity:
-    """``absorb`` / ``emit_combined`` / ``partitions`` hash a key column
-    (``stable_hash_many``) and take each shard lock once per batch; shard
-    membership, in-shard order, partition membership and ``stats()`` must
-    be what the per-key loop gives."""
+def _fold(combiner, pairs):
+    """A window folded the way a map task folds it: per-key states,
+    first emit first."""
+    states = {}
+    for key, value in pairs:
+        if key in states:
+            states[key] = combiner.update(states[key], value)
+        else:
+            states[key] = combiner.initial(value)
+    return states
+
+
+def _run(container, ops):
+    """Drive ``ops`` through every way into a hash container."""
+    combiner = container.combiner
+    container.begin_round()
+    for i, (how, pairs) in enumerate(ops):
+        emitter = container.emitter(i)
+        if how == "emit":
+            for key, value in pairs:
+                emitter.emit(key, value)
+        elif how == "emit_many":
+            emitter.emit_many(pairs)
+        elif how == "emit_combined":
+            emitter.emit_combined(_fold(combiner, pairs), len(pairs))
+        else:
+            container.absorb(ContainerDelta(
+                "hash", len(pairs), list(_fold(combiner, pairs).items())
+            ))
+    container.seal()
+    return container
+
+
+def _reference(combiner, ops):
+    """The same ops into a plain dict: raw emits through
+    ``initial``/``update``, folded states through ``merge``."""
+    cells = {}
+    for how, pairs in ops:
+        if how in ("emit", "emit_many"):
+            for key, value in pairs:
+                if key in cells:
+                    cells[key] = combiner.update(cells[key], value)
+                else:
+                    cells[key] = combiner.initial(value)
+            continue
+        for key, state in _fold(combiner, pairs).items():
+            if key in cells:
+                cells[key] = combiner.merge(cells[key], state)
+            else:
+                cells[key] = state
+    return cells
+
+
+_HOW = st.sampled_from(["emit", "emit_many", "emit_combined", "absorb"])
+
+
+class TestDictReferenceParity:
+    """However pairs arrive (``emit``, ``emit_many``, ``emit_combined``,
+    ``absorb``), the container holds what a plain ``dict`` folded with
+    the same combiner holds, in the same first-emit order; partition
+    ``i`` of ``n`` is the keys with ``stable_hash(key) % n == i``."""
 
     @pytest.mark.parametrize("kind", sorted(_KEY_KINDS))
     @given(data=st.data())
-    def test_matches_the_per_key_loop(self, kind, data):
+    def test_matches_a_plain_dict(self, kind, data):
         pair = st.tuples(_KEY_KINDS[kind], st.integers(-9, 9))
-        deltas = data.draw(st.lists(st.lists(pair, max_size=40), max_size=4))
-        bulk = HashContainer(SumCombiner(), shards=5)
-        loop = HashContainer(SumCombiner(), shards=5)
-        for container in (bulk, loop):
-            container.begin_round()
-        for i, items in enumerate(deltas):
-            emits = len(items)
-            if i % 2:
-                # A folded window: unique keys, handed over as a view.
-                states = dict(items)
-                bulk.emitter(i).emit_combined(states, emits)
-                items = list(states.items())
-            else:
-                bulk.absorb(ContainerDelta("hash", emits, items))
-            _per_key_absorb(loop, ContainerDelta("hash", emits, items))
-        assert [list(s.items()) for s in bulk._shards] == [
-            list(s.items()) for s in loop._shards
-        ]
-        assert bulk.stats() == loop.stats()
-        bulk.seal()
-        for n in (1, 3, 7):
-            assert bulk.partitions(n) == _per_key_partitions(loop, n)
+        ops = data.draw(st.lists(
+            st.tuples(_HOW, st.lists(pair, max_size=30)), max_size=6
+        ))
+        for combiner_type in (SumCombiner, ListCombiner):
+            container = _run(HashContainer(combiner_type()), ops)
+            combiner = combiner_type()
+            cells = _reference(combiner, ops)
+            assert container.stats().emits == sum(len(p) for _, p in ops)
+            assert container.stats().distinct_keys == len(cells) == len(container)
+            finished = [(key, combiner.finish(state)) for key, state in cells.items()]
+            assert container.partitions(1) == [finished]
+            assert container.pairs() == [
+                (key, value) for key, values in finished for value in values
+            ]
+            for n in (2, 3, 7):
+                parts = [[] for _ in range(n)]
+                for key, values in finished:
+                    parts[stable_hash(key) % n].append((key, values))
+                assert container.partitions(n) == parts
+
+
+class TestNothingHashedOnTheWayIn:
+    """The one hash a key gets is the one that cuts partitions."""
+
+    def test_emit_paths_never_hash(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("hashed a key outside partitions(n > 1)")
+
+        for name in ("stable_hash", "stable_hash_many"):
+            monkeypatch.setattr(hashing, name, refuse)
+            monkeypatch.setattr(hash_container, name, refuse, raising=False)
+        container = HashContainer(ListCombiner())
+        container.begin_round()
+        emitter = container.emitter(0)
+        emitter.emit(b"a", 1)
+        emitter.emit_many([(b"b", 2), (b"a", 3)])
+        emitter.emit_combined({b"c": [4, 5], b"a": [6]}, 3)
+        container.absorb(ContainerDelta("hash", 2, [(b"b", [7]), (b"d", [8])]))
+        assert container.drain().emits == 8
+        container.seal()
+        assert container.partitions(1) == [[
+            (b"a", [1, 3, 6]), (b"b", [2, 7]), (b"c", [4, 5]), (b"d", [8]),
+        ]]
+        assert len(container.pairs()) == 8
+        with pytest.raises(AssertionError, match="hashed a key"):
+            container.partitions(2)

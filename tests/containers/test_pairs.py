@@ -21,7 +21,6 @@ from repro.containers.hash_container import HashContainer
 from repro.errors import ContainerError
 from repro.spill.container import SpillableContainer
 from repro.spill.manager import SpillManager
-from repro.util.hashing import stable_hash
 from tests.containers.test_iter_partitions import _filled
 
 def _flattened(container):
@@ -85,11 +84,9 @@ class TestArrayPairs:
         assert all(a is b for a, b in zip(got, emitted))
 
 
-def _shard_order(emits, shards=16):
-    """Distinct keys as the hash container holds them: shard by shard
-    (``stable_hash(key) % shards``), first emit first within a shard."""
-    first_seen = list(dict.fromkeys(key for key, _value in emits))
-    return sorted(first_seen, key=lambda key: stable_hash(key) % shards)
+def _first_emit_order(emits):
+    """Distinct keys as the hash container holds them: first emit first."""
+    return list(dict.fromkeys(key for key, _value in emits))
 
 
 def _word_count_emits(seed):
@@ -109,9 +106,9 @@ def _inverted_index_emits(seed):
 
 
 class TestHashOnePartition:
-    """``partitions(1)`` and ``pairs()`` hash nothing, and keep the order
-    the hashing path gave them: every spill drain and exchange write of
-    a hash-container job goes through one of the two."""
+    """``partitions(1)`` and ``pairs()`` hash nothing, and keep the
+    container's first-emit order: every spill drain and exchange write
+    of a hash-container job goes through one of the two."""
 
     @pytest.fixture
     def no_hashing(self, monkeypatch):
@@ -135,13 +132,13 @@ class TestHashOnePartition:
         emits = _word_count_emits(seed=7)
         container = self._container(SumCombiner(), emits)
         (groups,) = container.partitions(1)
-        assert [key for key, _values in groups] == _shard_order(emits)
+        assert [key for key, _values in groups] == _first_emit_order(emits)
         totals = {}
         for key, value in emits:
             totals[key] = totals.get(key, 0) + value
-        assert groups == [(key, [totals[key]]) for key in _shard_order(emits)]
+        assert groups == [(key, [totals[key]]) for key in _first_emit_order(emits)]
         assert container.pairs() == [
-            (key, totals[key]) for key in _shard_order(emits)
+            (key, totals[key]) for key in _first_emit_order(emits)
         ]
 
     def test_seeded_inverted_index(self, no_hashing):
@@ -150,7 +147,7 @@ class TestHashOnePartition:
         postings = {}
         for word, doc in emits:
             postings.setdefault(word, []).append(doc)
-        order = _shard_order(emits)
+        order = _first_emit_order(emits)
         assert container.partitions(1) == [
             [(word, postings[word]) for word in order]
         ]
@@ -161,9 +158,9 @@ class TestHashOnePartition:
 
     def test_equals_the_hashing_path(self):
         # The n > 1 path still hashes; regrouping its partitions by the
-        # container's shard order gives back partitions(1).
+        # container's first-emit order gives back partitions(1).
         emits = _word_count_emits(seed=9)
         container = self._container(SumCombiner(), emits)
         (one,) = container.partitions(1)
         many = dict(chain.from_iterable(container.partitions(5)))
-        assert one == [(key, many[key]) for key in _shard_order(emits)]
+        assert one == [(key, many[key]) for key in _first_emit_order(emits)]

@@ -44,5 +44,5 @@ def ingest_threads() -> set[str]:
     """Names of currently-alive ingest pipeline threads."""
     return {
         t.name for t in threading.enumerate()
-        if t.name.startswith("ingest-")
+        if t.name.startswith("prefetch-reader")
     }

@@ -16,9 +16,11 @@ from repro.faults.plan import (
     SITE_SPILL_CORRUPT,
     FaultPlan,
     FaultSpec,
+    parse_faults,
 )
 from repro.faults.policy import RecoveryPolicy
 from repro.spill.manager import SpillManager
+from repro.workloads.textgen import generate_text_file
 
 
 def _fast_policy(**kw) -> RecoveryPolicy:
@@ -124,3 +126,37 @@ class TestMapTaskFaults:
         result = run_ingest_mr(make_wordcount_job([text_file]), options)
         assert result.fault_log is None
         assert "faults_injected" not in result.counters
+
+
+class TestFaultLogOrder:
+    """One seed, one fault log, row for row.  The prefetch reader loads
+    chunk ``i+1`` while chunk ``i`` maps; its ``ingest.read`` rows join
+    the log when the chunk is taken, so they sit where the unpipelined
+    run writes them, not wherever the scheduler put the reader.
+
+    The plan and seed are fixed: at seed 7 spill corruption fires and
+    recovers, so main-thread and reader rows interleave.  (Other seeds
+    can exhaust the spill retry budget instead.)"""
+
+    PLAN = "spill.corrupt=0.2,ingest.read=once,record.corrupt=0.002"
+
+    def test_one_sequence_for_one_seed(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        generate_text_file(corpus, 128 * 1024)
+
+        def run(**kw):
+            options = RuntimeOptions.supmr_interfile(
+                "25KB", memory_budget="64KB",
+                fault_plan=parse_faults(self.PLAN, seed=7), **kw,
+            )
+            result = run_ingest_mr(make_wordcount_job([corpus]), options)
+            rows = tuple(
+                (e.site, e.action, e.scope, e.attempt) for e in result.fault_log
+            )
+            return rows, result.output_digest()
+
+        runs = {run() for _ in range(5)}
+        assert len(runs) == 1
+        ((rows, _digest),) = runs
+        assert {site for site, *_ in rows} >= {SITE_INGEST_READ, SITE_SPILL_CORRUPT}
+        assert run(pipelined_ingest=False) == runs.pop()

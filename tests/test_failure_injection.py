@@ -42,7 +42,7 @@ class TestMapFailures:
 
     def test_failure_leaves_no_stuck_threads(self, text_file):
         # the pipeline joins its in-flight ingest thread before
-        # re-raising, so a failed run must leave no ingest-* thread
+        # re-raising, so a failed run must leave no prefetch-reader thread
         # behind and no monotonic growth in total thread count
         assert ingest_threads() == set()
         before = {t.ident for t in threading.enumerate()}
