@@ -48,6 +48,10 @@ class _VectorSumCombiner(Combiner):
             acc[i] += x
         return (acc, count + n)
 
+    def merge(self, state, other):
+        """A task's partial (sum, count) folds in like one more point."""
+        return self.update(state, other)
+
     def finish(self, state):
         return [(tuple(state[0]), state[1])]
 

@@ -42,6 +42,11 @@ class _ArraySumCombiner(Combiner):
         state += value
         return state
 
+    def merge(self, state: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Partial sums add (into a new array: a task's state may arrive
+        as a read-only view of its transport buffer)."""
+        return state + other
+
 
 def _array_container() -> HashContainer:
     return HashContainer(_ArraySumCombiner())

@@ -14,7 +14,10 @@ the intermediate container (paper section V.B):
 SupMR additionally requires containers to be **persistent** across map
 rounds (section III.C): `begin_round()` may be called many times, and the
 container keeps accumulating — it is created on the first mapper wave and
-only torn down after the reducers run.
+only torn down after the reducers run.  It has one writer: each map task
+emits into a private container of the same family, and the round thread
+folds the task's :meth:`~repro.containers.base.Container.drain` into it
+with :meth:`~repro.containers.base.Container.absorb`, in task order.
 """
 
 from repro.containers.array_container import ArrayContainer

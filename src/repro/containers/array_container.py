@@ -6,15 +6,15 @@ SupMR for sort (paper section V.B) — is an array all threads write
 without synchronization: "each mapper outputs to its key range in the
 array and each reducer operates only on its key range".
 
-Here each map task appends to its own private segment (no locks needed —
-segments are disjoint by construction), and ``partitions(n)`` hands
-reducers contiguous groups of segments.  Persistence across SupMR's many
-map rounds falls out naturally: segments accumulate per (round, task).
+Here each map task appends to its own segment (segments are disjoint by
+construction), the job's container adopts a task's segments whole, and
+``partitions(n)`` hands reducers contiguous groups of segments.
+Persistence across SupMR's many map rounds falls out naturally: segments
+accumulate per (round, task).
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Hashable, Iterable, Iterator, Mapping
@@ -71,13 +71,11 @@ class ArrayContainer(Container):
     def __init__(self) -> None:
         super().__init__()
         self._segments: list[list[tuple[Hashable, Any]]] = []
-        self._registry_lock = threading.Lock()
 
     def emitter(self, task_id: int) -> Emitter:
         """Register a fresh private segment for one map task."""
         segment: list[tuple[Hashable, Any]] = []
-        with self._registry_lock:  # only segment *registration* locks
-            self._segments.append(segment)
+        self._segments.append(segment)
         return _SegmentEmitter(self, task_id, segment)
 
     def _partition_segments(
@@ -132,8 +130,7 @@ class ArrayContainer(Container):
                 f"ArrayContainer cannot absorb a {delta.kind!r} delta"
             )
         self._check_open()
-        with self._registry_lock:
-            self._segments.extend(delta.items)
+        self._segments.extend(delta.items)
 
     def stats(self) -> ContainerStats:
         """Emit counters (every emit is a distinct cell here)."""

@@ -21,12 +21,13 @@ class ContainerStats:
 
 @dataclass(frozen=True)
 class ContainerDelta:
-    """A container's contents, packed to cross a process boundary.
+    """A container's contents, packed to leave a map task.
 
-    The process backend runs each map task against a private container
-    in the worker (so combining happens *before* serialization), then
-    :meth:`Container.drain`\\ s it into one of these and ships it back;
-    the parent folds it into the job's real container with
+    Every backend runs each map task against a private container (so
+    combining happens inside the task, before any serialization), then
+    :meth:`Container.drain`\\ s it into one of these — shipped back over
+    a transport when the task ran in a forked worker — and the round
+    thread folds it into the job's real container with
     :meth:`Container.absorb`.  ``kind`` names the producing container
     family so a mismatched absorb fails loudly, ``emits`` preserves the
     pre-combine emit count for stats, and ``items`` is family-specific
@@ -161,31 +162,23 @@ class Container(abc.ABC):
     def stats(self) -> ContainerStats:
         """Emit/key counters for reporting."""
 
-    # -- process-boundary transport ------------------------------------------
+    # -- task-to-job transport -----------------------------------------------
 
+    @abc.abstractmethod
     def drain(self) -> ContainerDelta:
-        """Pack this container's contents for transport to another process.
+        """Pack this container's contents as a :class:`ContainerDelta`.
 
-        Called in a forked worker after its local wave sealed.  Concrete
-        containers override; the default refuses so an unported
-        container type degrades to the parent-loaded path instead of
-        shipping wrong data.
+        Called on a map task's private container once the task sealed
+        it, in whichever process ran the task.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support drain(); "
-            "the process backend cannot transport it"
-        )
 
+    @abc.abstractmethod
     def absorb(self, delta: ContainerDelta) -> None:
-        """Fold a worker's :class:`ContainerDelta` into this container.
+        """Fold a map task's :class:`ContainerDelta` into this container.
 
-        Called in the parent, once per completed map task, in task
-        order (so order-sensitive semantics match the serial backend).
+        Called by the round thread, once per completed map task, in task
+        order, so the result does not depend on the backend.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support absorb(); "
-            "the process backend cannot transport it"
-        )
 
 
 class Emitter:

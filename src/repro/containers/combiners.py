@@ -3,7 +3,8 @@
 Phoenix++ combines on insert so the intermediate set stays small for jobs
 like word count.  A combiner is a tiny strategy object: ``initial(value)``
 builds per-key state from the first emit, ``update(state, value)`` folds
-in later emits, ``finish(state)`` yields the value list handed to reduce.
+in later emits, ``merge(state, other)`` folds a map task's per-key state
+into the job's, ``finish(state)`` yields the value list handed to reduce.
 """
 
 from __future__ import annotations
@@ -27,20 +28,16 @@ class Combiner(abc.ABC):
         """Values handed to the reducer for this key."""
         return [state]
 
+    @abc.abstractmethod
     def merge(self, state: Any, other: Any) -> Any:
         """Fold two per-key states into one (parallel partial merge).
 
-        The process backend combines per worker, then the parent merges
-        each key's partial states; ``merge`` must satisfy
-        ``merge(fold(A), fold(B)) == fold(A + B)`` for the job to be
-        backend-independent.  Order-sensitive combiners that cannot
-        offer that should leave this unimplemented, which disables
-        in-worker combining rather than silently changing results.
+        Every map task combines into a private container, then the
+        job's container merges each key's partial states in task order;
+        ``merge`` must satisfy ``merge(fold(A), fold(B)) == fold(A + B)``
+        for the job to be backend-independent.  ``state`` belongs to the
+        job's container and may be updated in place.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot merge partial states; "
-            "the process backend needs merge() for in-worker combining"
-        )
 
 
 class SumCombiner(Combiner):

@@ -4,7 +4,7 @@ Phoenix++ ships **three** container families; beyond the hash and the
 variable/unlocked arrays this reproduction already has, the third is the
 *fixed-width array*: when keys are small dense integers (histogram
 buckets, pixel values), the container is just a preallocated array of
-combined cells indexed by key — no hashing, no lookups, no locks.
+combined cells indexed by key — no hashing, no lookups.
 
 Each map task gets a private NumPy accumulator; ``partitions()`` sums
 them (a vectorized reduction) and hands reducers contiguous key ranges,
@@ -15,7 +15,6 @@ container family exists for.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Hashable, Mapping
 
 import numpy as np
@@ -41,7 +40,7 @@ class _FixedEmitter(Emitter):
         container: FixedArrayContainer = self.container  # type: ignore[assignment]
         container._check_open()
         self.cells[container._cell(key)] += value
-        container._note_emits(1)
+        container._emits += 1
 
     def emit_combined(self, states: Mapping[Hashable, Any], emits: int) -> None:
         """Add per-key partial sums to this task's cells; count once."""
@@ -49,7 +48,7 @@ class _FixedEmitter(Emitter):
         container._check_open()
         for key, state in states.items():
             self.cells[container._cell(key)] += state
-        container._note_emits(emits)
+        container._emits += emits
 
 
 class FixedArrayContainer(Container):
@@ -64,7 +63,6 @@ class FixedArrayContainer(Container):
         if self.dtype.kind not in "iuf":
             raise ContainerError("fixed array cells must be numeric")
         self._task_cells: list[np.ndarray] = []
-        self._lock = threading.Lock()  # guards registration + emit count
         self._emits = 0
 
     def _cell(self, key: Hashable) -> int:
@@ -75,15 +73,10 @@ class FixedArrayContainer(Container):
             )
         return idx
 
-    def _note_emits(self, n: int) -> None:
-        with self._lock:
-            self._emits += n
-
     def emitter(self, task_id: int) -> Emitter:
         """A per-task dense accumulator array."""
         cells = np.zeros(self.n_keys, dtype=self.dtype)
-        with self._lock:
-            self._task_cells.append(cells)
+        self._task_cells.append(cells)
         return _FixedEmitter(self, task_id, cells)
 
     def combined(self) -> np.ndarray:
@@ -137,9 +130,8 @@ class FixedArrayContainer(Container):
                 f"{self.n_keys}"
             )
         self._check_open()
-        with self._lock:
-            self._task_cells.append(np.asarray(delta.items, dtype=self.dtype))
-            self._emits += delta.emits
+        self._task_cells.append(np.asarray(delta.items, dtype=self.dtype))
+        self._emits += delta.emits
 
     def stats(self) -> ContainerStats:
         """Emit counters; distinct keys = nonzero cells."""

@@ -6,14 +6,15 @@ combines.  Good when the intermediate set is much smaller than the input
 key lookup and the reduce-phase sweep over cells are exactly the costs
 the paper calls out in section V.B.
 
-The cells are one ``dict`` under one lock, in first-emit order.  A key
-is hashed once, by ``partitions(n)``, when the reducer partitions are
-cut; nothing on the way in hashes it.
+The cells are one ``dict``, in first-emit order, with one writer: a
+map task writes its own private container, and the round thread absorbs
+the tasks' deltas into the job's.  A key is hashed once, by
+``partitions(n)``, when the reducer partitions are cut; nothing on the
+way in hashes it.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Hashable, Mapping
 
 from repro.containers.base import (
@@ -41,28 +42,26 @@ class _HashEmitter(Emitter):
 
 
 class HashContainer(Container):
-    """Thread-safe hash of key -> combined state."""
+    """Hash of key -> combined state, in first-emit order."""
 
     def __init__(self, combiner: Combiner | None = None) -> None:
         super().__init__()
         self.combiner = combiner or ListCombiner()
         self._cells: dict[Hashable, Any] = {}
         self._emits = 0
-        self._lock = threading.Lock()  # guards both
 
     def emitter(self, task_id: int) -> Emitter:
-        """A task-bound emit handle (the shared cells underneath)."""
+        """A task-bound emit handle (the container's cells underneath)."""
         return _HashEmitter(self, task_id)
 
     def _insert(self, key: Hashable, value: Any) -> None:
         self._check_open()
         cells = self._cells
-        with self._lock:
-            self._emits += 1
-            if key in cells:
-                cells[key] = self.combiner.update(cells[key], value)
-            else:
-                cells[key] = self.combiner.initial(value)
+        self._emits += 1
+        if key in cells:
+            cells[key] = self.combiner.update(cells[key], value)
+        else:
+            cells[key] = self.combiner.initial(value)
 
     def partitions(self, n: int) -> list[list[tuple[Hashable, Any]]]:
         """Reducer partitions by key hash; values are combiner-finished."""
@@ -110,14 +109,12 @@ class HashContainer(Container):
             )
         self._check_open()
         cells, merge = self._cells, self.combiner.merge
-        # One hold for the whole delta: concurrent deltas land whole.
-        with self._lock:
-            for key, state in delta.items:
-                if key in cells:
-                    cells[key] = merge(cells[key], state)
-                else:
-                    cells[key] = state
-            self._emits += delta.emits
+        for key, state in delta.items:
+            if key in cells:
+                cells[key] = merge(cells[key], state)
+            else:
+                cells[key] = state
+        self._emits += delta.emits
 
     def stats(self) -> ContainerStats:
         """Emit/key counters."""

@@ -5,25 +5,30 @@ happens relative to map waves and in which merge algorithm runs.  The
 ``run_mappers()``/``run_reducers()`` wrappers of the paper's Table I map
 onto :func:`run_mapper_wave` / :func:`run_reducers` here.
 
-Work goes where the bytes are.  Map input is on disk and any process
-can ``mmap`` it, so the map phase honors ``options.executor_backend``:
-``serial`` and ``thread`` drive the parent-side ``pool``, while
-``process`` runs every wave on the job's one pre-forked, supervised
-pool (:mod:`repro.resilience.supervisor`), whose workers read their
-splits through ``mmap`` (or receive the window when the parent already
-holds the bytes), combine locally, and ship back
-:class:`~repro.containers.base.ContainerDelta` objects the parent
-absorbs in task order.  That is the one time a record crosses the
-process boundary.  Reduce input is the parent's container and merge
-input is the reducers' runs, so on every backend both phases run in the
-parent: shipping a partition out and its run back costs two pickles per
-pair, more than any bundled reducer spends on it.
+A map task has one body on every backend (:func:`run_map_task`): it
+maps its split into a private container — the paper's per-mapper
+"unlocked storage" — combines there, and hands back a
+:class:`~repro.containers.base.ContainerDelta`.  The round thread
+resolves every task's fault sites before the wave starts and absorbs
+the deltas in task order, so the job's one persistent container has a
+single writer and a wave's effect on it does not depend on the
+backend.  ``options.executor_backend`` only picks who runs the task:
+the calling thread (``serial``), a thread pool (``thread``), or the
+job's one pre-forked, supervised pool (``process``,
+:mod:`repro.resilience.supervisor`), whose workers read their splits
+through ``mmap`` (or receive the window when the parent already holds
+the bytes) — the one time a record crosses the process boundary.
+Reduce input is the parent's container and merge input is the
+reducers' runs, so on every backend both phases run in the parent:
+shipping a partition out and its run back costs two pickles per pair,
+more than any bundled reducer spends on it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Executor
 from functools import partial
+from itertools import compress
 from typing import Any, Hashable, Sequence
 
 from repro.chunking.boundary import adjust_split_point
@@ -54,29 +59,23 @@ def run_map_task(
     split: "bytes | bytearray | ByteSpan | SplitRef",
     task_id: int,
     chunk_index: int,
-    container: Container | None = None,
-) -> "ContainerDelta | None":
+) -> ContainerDelta:
     """The one map-task body: ``job.map_fn`` over one split.
 
-    With ``container`` (serial / thread) the task emits straight into
-    the job's shared container.  Without one (a forked or pooled worker)
-    it runs against a private container, so combining happens before
-    serialization, and returns that container drained — the delta the
-    parent absorbs.  A :class:`~repro.parallel.splits.SplitRef` is
+    The task runs against a private ``job.container_factory()``
+    container, so combining happens inside the task, and returns that
+    container drained — the delta the round thread absorbs into the
+    job's container.  A :class:`~repro.parallel.splits.SplitRef` is
     resolved here, in whichever process runs the task.
     """
-    shared = container is not None
-    if not shared:
-        container = job.container_factory()
-        container.begin_round()
+    container = job.container_factory()
+    container.begin_round()
     job.map_fn(MapContext(
         data=split.resolve() if isinstance(split, SplitRef) else split,
         emitter=container.emitter(task_id),
         task_id=task_id,
         chunk_index=chunk_index,
     ))
-    if shared:
-        return None
     container.seal()
     return container.drain()
 
@@ -88,8 +87,9 @@ def gate_map_task(
 
     The site fires and retries against a no-op body, so a retried task
     never double-emits, and the gate runs in the parent on every
-    backend: before the serial / thread body, and as the process wave's
-    ``pre_run`` (injector state cannot live in a forked worker).
+    backend: in task order before a serial / thread wave dispatches, and
+    as the process wave's ``pre_run`` (injector state cannot live in a
+    forked worker).
     """
     scope = (chunk_index, task_id)
 
@@ -108,10 +108,12 @@ def gate_map_task(
 
 
 def job_task_handler(job: JobSpec) -> "Any":
-    """The persistent pool's dispatch body.
+    """Every backend's dispatch body: one ``(task_id, chunk_index,
+    split)`` descriptor in, one :class:`ContainerDelta` out.
 
-    A :class:`~repro.resilience.supervisor.WorkerPool` is forked once
-    per job around this handler — ``job`` (map function, codec,
+    A serial or thread wave maps it over its tasks on the parent-side
+    pool.  A :class:`~repro.resilience.supervisor.WorkerPool` is forked
+    once per job around it — ``job`` (map function, codec,
     container factory) rides into every worker copy-on-write — and each
     wave then sends ``(task_id, chunk_index, split)`` map-task
     descriptors through the command channel instead of re-forking; the
@@ -310,94 +312,35 @@ def run_mapper_wave(
     SupMR rounds > 1, *re-enters*) the persistent container and launches
     mapper tasks over record-aligned splits.  With an armed
     ``injector``, records are screened for injected corruption first and
-    each map task runs under the bounded retry loop with ``map.task``
-    failures injected *before* the user map function executes (so a
-    retried task never double-emits).
+    each task's worker-fault and ``map.task`` sites are resolved in the
+    parent before its body runs (so a retried task never double-emits).
 
-    Under the ``process`` backend the wave runs on ``xfer``'s pool, and
-    ``data`` may be a :class:`~repro.parallel.splits.ChunkHandle` — a
-    chunk the parent has *not* loaded; the wave then plans
-    ``(path, offset, length)`` split refs and each worker mmaps its own
-    range (zero-copy ingest).  Armed fault plans load the chunk in the
-    parent, because injector bookkeeping must stay there; the same pool
-    then receives each task's window as bytes.
+    Every backend runs the same task, :func:`run_map_task`, as
+    ``(task_id, chunk_index, split)`` through :func:`job_task_handler`,
+    and the round thread absorbs the returned deltas *in task order* —
+    the job's container has that one writer.  The backends differ only
+    in who runs the handler: ``pool`` (inline under ``serial``, a
+    thread pool under ``thread``), or ``xfer``'s supervised worker pool
+    under ``process``.  There ``data`` may be a
+    :class:`~repro.parallel.splits.ChunkHandle` — a chunk the parent has
+    *not* loaded; the wave then plans ``(path, offset, length)`` split
+    refs and each worker mmaps its own range (zero-copy ingest).
+    Anything already in the parent — an armed run's screened chunk, a
+    multi-source chunk — ships each task its own record-aligned window.
     """
     container.begin_round()
     if injector is not None and injector.armed(SITE_RECORD_CORRUPT):
         if isinstance(data, ChunkHandle):
             data = data.load()
         data = screen_records(data, job, injector, chunk_index)
-    if options.executor_backend is ExecutorBackend.PROCESS:
-        return _run_mapper_wave_process(
-            job, container, data, options, chunk_index, task_id_base,
-            injector, wave_stats, xfer,
-        )
-    if isinstance(data, ChunkHandle):
-        data = data.load()
-    splits = split_for_mappers(data, options.num_mappers, job.codec.delimiter)
-    if not splits:
-        return 0
-
-    def map_task(task_id: int, split: ByteSpan) -> bool:
-        # Resolve the worker-fault sites first (crash, then hang) — the
-        # schedule the process supervisor runs at dispatch time — then
-        # the map.task site, so the fault schedule is backend-independent.
-        # A poison task is quarantined here and never runs.
-        if injector is not None:
-            scope = (chunk_index, task_id)
-            if not gate_worker_sites(
-                injector, scope, allow_skip=True,
-                task_repr=f"map task {scope}".encode(),
-            ):
-                return False
-            gate_map_task(injector, chunk_index, task_id)
-        run_map_task(job, split, task_id, chunk_index, container)
-        return True
-
-    futures = [
-        pool.submit(map_task, task_id_base + i, split)
-        for i, split in enumerate(splits)
-    ]
-    # Propagates the first map failure; counted once every task is in.
-    ran = [future.result() for future in futures]
-    accumulate_wave_stats(wave_stats, SupervisionResult(
-        results=ran,
-        skipped=tuple(i for i, ok in enumerate(ran) if not ok),
-    ))
-    return len(splits)
-
-
-def _run_mapper_wave_process(
-    job: JobSpec,
-    container: Container,
-    data: "bytes | bytearray | ByteSpan | ChunkHandle",
-    options: RuntimeOptions,
-    chunk_index: int,
-    task_id_base: int,
-    injector: FaultInjector | None,
-    wave_stats: "dict[str, int] | None",
-    xfer: ProcessPoolContext,
-) -> int:
-    """The process backend's wave: dispatch to the job's pool,
-    map+combine in-worker, absorb.
-
-    Every wave runs on the one pool ``xfer`` forked at job start, as
-    ``(task_id, chunk_index, split)`` descriptors.  The payload is the
-    only choice: an unloaded single-source chunk ships
-    :class:`~repro.parallel.splits.SplitRef` ranges (each worker mmaps
-    its own bytes); anything already in the parent — an armed run's
-    loaded chunk, a multi-source chunk, screened or cached bytes —
-    ships each task its own record-aligned window, pickled as just that
-    window.  Each worker task runs against a private container so
-    combining happens before serialization, and the parent absorbs the
-    resulting deltas *in task order* — making the wave's effect on the
-    shared container deterministic and identical to the serial
-    backend's.
-    """
+    process = options.executor_backend is ExecutorBackend.PROCESS
     delimiter = job.codec.delimiter
     splits: "Sequence[SplitRef | ByteSpan] | None" = None
     if isinstance(data, ChunkHandle):
-        splits = split_refs_for_chunk(data.chunk, options.num_mappers, delimiter)
+        if process:
+            splits = split_refs_for_chunk(
+                data.chunk, options.num_mappers, delimiter
+            )
         if splits is None:
             # Multi-source chunk: no one file range to name, so load it
             # here and ship each task its window.
@@ -406,30 +349,58 @@ def _run_mapper_wave_process(
         splits = split_for_mappers(data, options.num_mappers, delimiter)
     if not splits:
         return 0
-    # Worker-fault sites are decided at dispatch (killing/hanging real
-    # workers under the same per-scope schedule the serial gate
-    # replays), orphaned tasks re-dispatch, poison tasks quarantine, and
-    # the map.task gate runs as the pre-dispatch hook so per-task site
-    # ordering matches serial.
-    outcome = xfer.pool().run_wave(
-        [
-            (task_id_base + i, chunk_index, split)
-            for i, split in enumerate(splits)
-        ],
-        workers=options.num_mappers,
-        policy=options.recovery,
-        injector=injector,
-        scope_of=lambda i: (chunk_index, task_id_base + i),
-        allow_skip=True,
-        pre_run=(
-            (lambda i: gate_map_task(injector, chunk_index, task_id_base + i))
-            if injector is not None else None
-        ),
-    )
-    accumulate_wave_stats(wave_stats, outcome)
-    for delta in outcome.completed():
+    tasks = [
+        (task_id_base + i, chunk_index, split)
+        for i, split in enumerate(splits)
+    ]
+    if process:
+        # Worker-fault sites are decided at dispatch (killing/hanging
+        # real workers under the same per-scope schedule the gate below
+        # replays), orphaned tasks re-dispatch, poison tasks quarantine,
+        # and the map.task gate runs as the pre-dispatch hook.
+        outcome = xfer.pool().run_wave(
+            tasks,
+            workers=options.num_mappers,
+            policy=options.recovery,
+            injector=injector,
+            scope_of=lambda i: (chunk_index, task_id_base + i),
+            allow_skip=True,
+            pre_run=(
+                (lambda i: gate_map_task(
+                    injector, chunk_index, task_id_base + i
+                ))
+                if injector is not None else None
+            ),
+        )
+        deltas = outcome.completed()
+    else:
+        runs = [
+            injector is None or _gate_task(injector, task) for task in tasks
+        ]
+        outcome = SupervisionResult(
+            results=runs,
+            skipped=tuple(i for i, ok in enumerate(runs) if not ok),
+        )
+        deltas = pool.map(job_task_handler(job), compress(tasks, runs))
+    for delta in deltas:
         container.absorb(delta)
+    accumulate_wave_stats(wave_stats, outcome)
     return len(splits)
+
+
+def _gate_task(injector: FaultInjector, task: tuple) -> bool:
+    """Resolve one task's fault sites in the parent, in the order the
+    process supervisor does at dispatch: crash, then hang, then
+    ``map.task``.  False when the task is poison and quarantined."""
+    task_id, chunk_index, _split = task
+    scope = (chunk_index, task_id)
+    if not gate_worker_sites(
+        injector, scope, allow_skip=True,
+        task_repr=f"map task {scope}".encode(),
+    ):
+        return False
+    gate_map_task(injector, chunk_index, task_id)
+    return True
 
 
 def run_reducers(

@@ -3,8 +3,8 @@
 One :class:`FaultInjector` exists per job run (armed from the plan by the
 runtime), and is the only stateful piece of the subsystem: it tracks
 per-site fire counts, which scopes already fired (for once-per-scope
-specs), and the quarantine tally, all under one lock so mapper threads
-and the ingest thread can check sites concurrently.
+specs), and the quarantine tally, all under one lock so the round
+thread and the prefetch reader can check sites concurrently.
 
 The retry protocol (:class:`Attempts`, one site's attempt count in one
 scope) is the shared recovery primitive, stepped in two ways: the

@@ -7,7 +7,8 @@ It is surfaced on :class:`~repro.core.result.JobResult` (``fault_log``)
 and in ``SimJobResult.extras`` so experiments can report time-under-
 faults against clean runs with the evidence attached.
 
-Appends are thread-safe (mapper pools and the ingest thread both write).
+Appends are thread-safe (the round thread and the prefetch reader both
+write).
 """
 
 from __future__ import annotations

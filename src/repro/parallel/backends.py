@@ -3,17 +3,21 @@
 CPython's GIL means the repo's original ``ThreadPoolExecutor`` waves are
 concurrent but not *parallel* for CPU-bound phases — the direct analog of
 the bandwidth bottleneck SupMR circumvents, one layer down.  This module
-names the three disciplines and builds their parent-side pools:
+names the three disciplines and builds their parent-side pools.  Every
+backend runs the same map task — a private container, drained into a
+delta the round thread absorbs in task order — so they differ only in
+who runs it:
 
-* ``serial`` — everything inline on the calling thread.  Zero overhead,
-  fully deterministic scheduling; the reference for equivalence tests.
+* ``serial`` — inline on the calling thread, one task at a time as the
+  wave takes its delta.  Zero overhead; the reference for equivalence
+  tests.
 * ``thread`` — the historical default: a ``ThreadPoolExecutor``.  Real
   overlap for I/O (file reads release the GIL), fake overlap for
-  CPU-bound map/merge work.
+  CPU-bound map work.
 * ``process`` — genuine multicore via forked workers
   (:mod:`repro.resilience.supervisor`): map tasks read their input splits
-  through ``mmap`` in the worker (zero-copy ingest), combine in-worker,
-  and return compact container deltas the parent absorbs.
+  through ``mmap`` in the worker (zero-copy ingest) and return their
+  deltas over a transport.
 
 The parent-side pool built here runs every backend's reduce phase (the
 partitions are already in the parent) and the serial / thread map waves;
@@ -80,9 +84,10 @@ class SerialExecutor(Executor):
     """`concurrent.futures` executor that runs everything inline.
 
     ``submit`` executes immediately on the calling thread and returns an
-    already-resolved future, so any code written against the executor
-    protocol (mapper waves, ``Executor.map``) runs serially without a
-    second code path.
+    already-resolved future, and ``map`` runs each call as its result is
+    taken, so code written against the executor protocol (mapper waves,
+    reducers) runs serially without a second code path — and a mapper
+    wave holds one task's delta at a time.
     """
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
@@ -93,6 +98,11 @@ class SerialExecutor(Executor):
         except BaseException as exc:  # noqa: BLE001 - parked on the future
             future.set_exception(exc)
         return future
+
+    def map(self, fn, *iterables, timeout=None, chunksize=1):
+        """``fn`` over ``iterables``, lazily: nothing runs before its
+        result is taken."""
+        return map(fn, *iterables)
 
 
 def make_pool(

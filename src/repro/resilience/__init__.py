@@ -17,9 +17,9 @@ survive the failures those two create room for:
   (process → thread → serial on unrecoverable pool failure) and the
   whole-job :class:`~repro.resilience.degrade.Deadline`;
 * :mod:`~repro.resilience.gates` — the per-task ``worker.crash`` /
-  ``task.hang`` schedule, stepped in place by the serial/thread gate
-  and per observed death by the supervisor, so it is identical across
-  backends.
+  ``task.hang`` schedule, stepped in place by the serial / thread wave
+  before it dispatches and per observed death by the supervisor, so it
+  is identical across backends.
 """
 
 from repro.resilience.degrade import (

@@ -8,10 +8,11 @@ backends.  :class:`WorkerSiteSchedule` is that schedule for one task: it
 resolves the crash site fully, then the hang site, each over the
 injector's retry protocol (:class:`~repro.faults.injector.Attempts`),
 and quarantines the task when its budget runs out and the wave allows
-skips.  :func:`gate_worker_sites` steps it in a blocking loop before a
-serial/thread task body: each injected fault fails at once.  The process
-supervisor (:mod:`repro.resilience.supervisor`) takes one step per
-worker it sees die or overrun its lease.  Both write the same rows.
+skips.  :func:`gate_worker_sites` steps it in a blocking loop in the
+round thread, task after task, before a serial / thread wave dispatches
+any of them: each injected fault fails at once.  The process supervisor
+(:mod:`repro.resilience.supervisor`) takes one step per worker it sees
+die or overrun its lease.  Both write the same rows, in the same order.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ under-states pressure.
 from __future__ import annotations
 
 import sys
-import threading
 from itertools import repeat
 from operator import add, itemgetter
 from typing import Any, Sequence
@@ -114,7 +113,6 @@ class MemoryAccountant:
         self._current = 0
         self._peak = 0
         self._charges = 0
-        self._lock = threading.Lock()
 
     @property
     def current(self) -> int:
@@ -149,31 +147,28 @@ class MemoryAccountant:
         larger than the whole budget is a configuration error surfaced
         the same way.
         """
-        with self._lock:
-            if self._current + nbytes > self.budget_bytes:
-                raise SpillError(
-                    f"charge of {nbytes} B would exceed the "
-                    f"{self.budget_bytes} B budget "
-                    f"({self._current} B accounted); spill first"
-                )
-            self._current += nbytes
-            self._charges += pairs
-            if self._current > self._peak:
-                self._peak = self._current
+        if self._current + nbytes > self.budget_bytes:
+            raise SpillError(
+                f"charge of {nbytes} B would exceed the "
+                f"{self.budget_bytes} B budget "
+                f"({self._current} B accounted); spill first"
+            )
+        self._current += nbytes
+        self._charges += pairs
+        if self._current > self._peak:
+            self._peak = self._current
 
     def release(self, nbytes: int) -> None:
         """Return ``nbytes`` to the budget (after a spill or teardown)."""
-        with self._lock:
-            if nbytes > self._current:
-                raise SpillError(
-                    f"release of {nbytes} B exceeds the "
-                    f"{self._current} B currently accounted"
-                )
-            self._current -= nbytes
+        if nbytes > self._current:
+            raise SpillError(
+                f"release of {nbytes} B exceeds the "
+                f"{self._current} B currently accounted"
+            )
+        self._current -= nbytes
 
     def release_all(self) -> int:
         """Zero the account (the live container was fully drained)."""
-        with self._lock:
-            released = self._current
-            self._current = 0
-            return released
+        released = self._current
+        self._current = 0
+        return released

@@ -30,7 +30,6 @@ Two properties the rest of the system relies on:
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_right
 from itertools import accumulate
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -91,7 +90,6 @@ class SpillableContainer(Container):
         self._inner_combines = hasattr(self._inner, "combiner")
         if manager.combiner is None and self._inner_combines:
             manager.combiner = self._inner.combiner  # type: ignore[attr-defined]
-        self._lock = threading.RLock()
         self._task_emitters: dict[int, Emitter] = {}
         self._emits = 0
         self._emits_at_spill = 0
@@ -105,15 +103,13 @@ class SpillableContainer(Container):
     def begin_round(self) -> None:
         """Start a mapper wave on the wrapper and the live inner container."""
         super().begin_round()
-        with self._lock:
-            self._inner.begin_round()
+        self._inner.begin_round()
 
     def seal(self) -> None:
         """No more emits; the inner container is sealed alongside."""
         super().seal()
-        with self._lock:
-            if not self._inner.sealed:
-                self._inner.seal()
+        if not self._inner.sealed:
+            self._inner.seal()
 
     # -- emit path ---------------------------------------------------------
 
@@ -140,29 +136,26 @@ class SpillableContainer(Container):
         # totals[i] = cost of batch[:i + 1]; a run file is cut wherever
         # the running total would cross what room the budget has left.
         totals = list(accumulate(estimate_pairs_bytes(batch)))
-        with self._lock:
-            self._check_open()
-            before = self._emits
-            start = charged = 0
-            while start < len(batch):
+        self._check_open()
+        before = self._emits
+        start = charged = 0
+        while start < len(batch):
+            cut = bisect_right(totals, charged + accountant.room, start)
+            if cut == start:
+                self._spill_live()
                 cut = bisect_right(totals, charged + accountant.room, start)
                 if cut == start:
-                    self._spill_live()
-                    cut = bisect_right(
-                        totals, charged + accountant.room, start
-                    )
-                    if cut == start:
-                        # Larger than the whole budget: the typed error.
-                        accountant.charge(totals[start] - charged)
-                cost = totals[cut - 1] - charged
-                accountant.charge(cost, pairs=cut - start)
-                self._live_put(task_id, batch[start:cut], combined)
-                # Per cut, so the next _spill_live sees the progress.
-                self._emits += cut - start
-                start, charged = cut, charged + cost
-            if combined:
-                # True up to the pre-combine emit count for stats parity.
-                self._emits = before + combined_from
+                    # Larger than the whole budget: the typed error.
+                    accountant.charge(totals[start] - charged)
+            cost = totals[cut - 1] - charged
+            accountant.charge(cost, pairs=cut - start)
+            self._live_put(task_id, batch[start:cut], combined)
+            # Per cut, so the next _spill_live sees the progress.
+            self._emits += cut - start
+            start, charged = cut, charged + cost
+        if combined:
+            # True up to the pre-combine emit count for stats parity.
+            self._emits = before + combined_from
 
     def _live_put(
         self, task_id: int, pairs: list[tuple[Hashable, Any]], combined: bool
@@ -195,7 +188,7 @@ class SpillableContainer(Container):
         self._task_emitters.clear()
         self._emits_at_spill = self._emits
 
-    # -- process-boundary transport ----------------------------------------
+    # -- task-to-job transport ---------------------------------------------
 
     def drain(self) -> ContainerDelta:
         """Pack the *live* inner container's contents for transport.
@@ -205,31 +198,29 @@ class SpillableContainer(Container):
         resident, post-last-spill state — exactly what a checkpoint
         snapshot needs.
         """
-        with self._lock:
-            return self._inner.drain()
+        return self._inner.drain()
 
     def absorb(self, delta: ContainerDelta) -> None:
-        """Fold a worker's delta in while honoring the memory budget.
+        """Fold a map task's delta in while honoring the memory budget.
 
-        Workers run the *unwrapped* inner container (the budget is a
-        parent-side resource), so the deltas arriving here are plain
-        hash/array/fixed deltas.  Every absorbed pair passes the same
-        charge-or-spill gate as a directly emitted one, which keeps
-        budgeted process runs within budget — and spill-file contents
-        deterministic, because absorption happens in task order.
+        Map tasks run the *unwrapped* inner container (the budget is the
+        job's), so the deltas arriving here are plain hash/array/fixed
+        deltas.  Every absorbed pair passes the same charge-or-spill
+        gate as a directly emitted one, which keeps budgeted runs within
+        budget — and spill-file contents deterministic, because
+        absorption happens in task order on every backend.
         """
-        with self._lock:
-            self._check_open()
-            if delta.kind == "hash" and self._inner_combines:
-                self._absorb_hash(delta)
-            elif delta.kind == "array":
-                self._absorb_array(delta)
-            elif delta.kind == "fixed":
-                self._absorb_fixed(delta)
-            else:
-                raise ContainerError(
-                    f"SpillableContainer cannot absorb a {delta.kind!r} delta"
-                )
+        self._check_open()
+        if delta.kind == "hash" and self._inner_combines:
+            self._absorb_hash(delta)
+        elif delta.kind == "array":
+            self._absorb_array(delta)
+        elif delta.kind == "fixed":
+            self._absorb_fixed(delta)
+        else:
+            raise ContainerError(
+                f"SpillableContainer cannot absorb a {delta.kind!r} delta"
+            )
 
     def _next_absorb_task_id(self) -> int:
         task_id = self._absorb_task_id
@@ -244,8 +235,7 @@ class SpillableContainer(Container):
     def _absorb_array(self, delta: ContainerDelta) -> None:
         # One synthetic task id per segment keeps the inner array
         # container's segment structure (and thus its reducer
-        # partitioning) identical to the serial backend's
-        # one-segment-per-task layout.
+        # partitioning) the map tasks' one-segment-per-task layout.
         for segment in delta.items:
             self._insert_each(segment, self._next_absorb_task_id())
 

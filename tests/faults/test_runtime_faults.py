@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.sortapp import make_sort_job
 from repro.apps.wordcount import make_wordcount_job, reference_wordcount
 from repro.core.options import RuntimeOptions
 from repro.core.phoenix import run_baseline
@@ -160,3 +161,34 @@ class TestFaultLogOrder:
         ((rows, _digest),) = runs
         assert {site for site, *_ in rows} >= {SITE_INGEST_READ, SITE_SPILL_CORRUPT}
         assert run(pipelined_ingest=False) == runs.pop()
+
+    @pytest.mark.parametrize("job_name", ["wordcount", "sort"])
+    def test_one_sequence_on_every_backend(
+        self, job_name, text_file, terasort_file
+    ):
+        """The round thread resolves every task's fault sites before a
+        wave dispatches, so mapper threads write no rows: the thread
+        backend logs serial's sequence every time, and so does process."""
+        job = (
+            make_wordcount_job([text_file]) if job_name == "wordcount"
+            else make_sort_job([terasort_file])
+        )
+
+        def run(backend):
+            options = RuntimeOptions.supmr_interfile(
+                "16KB", num_mappers=4, num_reducers=3,
+                executor_backend=backend,
+                fault_plan=parse_faults(
+                    "ingest.read=once,map.task=once,record.corrupt=0.005",
+                    seed=9,
+                ),
+            )
+            return tuple(
+                (e.site, e.action, e.scope, e.attempt, e.detail)
+                for e in run_ingest_mr(job, options).fault_log
+            )
+
+        serial = run("serial")
+        assert {site for site, *_ in serial} >= {SITE_INGEST_READ, SITE_MAP_TASK}
+        assert {run("thread") for _ in range(3)} == {serial}
+        assert run("process") == serial

@@ -12,6 +12,8 @@ contract.
 
 from __future__ import annotations
 
+import dataclasses
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from repro.apps.histogram import make_histogram_job
 from repro.apps.sortapp import make_sort_job
 from repro.apps.wordcount import make_wordcount_job
+from repro.containers import ArrayContainer, HashContainer, SumCombiner
 from repro.core.execution import ProcessPoolContext
 from repro.core.options import RuntimeOptions
 from repro.core.phoenix import PhoenixRuntime
@@ -119,6 +122,134 @@ class TestSupMRBackendEquivalence:
             assert results[backend].output == reference.output, (
                 f"{job_name}: {backend} output diverged from serial"
             )
+
+
+def _bundled_jobs(directory: Path, text_file, terasort_file, numbers_file):
+    """Every bundled app's job over a small input of its own format, by
+    name.  Each input is one file, so every backend chunks it alike."""
+    import numpy as np
+
+    from repro.apps.grep import make_grep_job
+    from repro.apps.inverted_index import make_inverted_index_job
+    from repro.apps.kmeans import make_kmeans_iteration_job
+    from repro.apps.linear_regression import make_linear_regression_job
+    from repro.apps.matrix_multiply import make_matmul_job, write_matrix_rows
+    from repro.apps.pca import make_covariance_job, make_mean_job
+    from repro.apps.string_match import make_string_match_job
+
+    rng = np.random.default_rng(40)
+    points = directory / "points.txt"
+    points.write_bytes(b"".join(
+        b"%f %f %f\n" % tuple(p) for p in rng.normal(0, 4, (3000, 3))
+    ))
+    line = directory / "line.txt"
+    xs = rng.uniform(-50, 50, 3000)
+    line.write_bytes(b"".join(
+        b"%f %f\n" % (x, 2.5 * x - 1 + rng.normal()) for x in xs
+    ))
+    rows = directory / "rows.txt"
+    write_matrix_rows(rows, rng.normal(0, 1, (600, 6)))
+    postings = directory / "postings.txt"
+    words = text_file.read_bytes().split(b"\n")[:1500]
+    postings.write_bytes(b"".join(
+        b"doc-%d\t%s\n" % (i % 37, text) for i, text in enumerate(words)
+    ))
+    return {
+        "wordcount": make_wordcount_job([text_file]),
+        "sort": make_sort_job([terasort_file]),
+        "grep": make_grep_job([text_file], rb"^\w+ \w+ the"),
+        "string-match": make_string_match_job(
+            [text_file], [b"the", b"and", b"of a"]
+        ),
+        "histogram": make_histogram_job([numbers_file], lo=0, hi=64,
+                                        n_buckets=64),
+        "histogram-fixed": make_histogram_job(
+            [numbers_file], lo=0, hi=64, n_buckets=64, container="fixed"
+        ),
+        "inverted-index": make_inverted_index_job([postings]),
+        "kmeans": make_kmeans_iteration_job(
+            [points], [(-3.0, 0.0, 1.0), (0.0, 3.0, 0.0), (3.0, -1.0, 2.0)]
+        ),
+        "linear-regression": make_linear_regression_job([line]),
+        "matmul": make_matmul_job([rows], rng.normal(0, 1, (6, 4))),
+        "pca-mean": make_mean_job([rows]),
+        "pca-cov": make_covariance_job([rows], np.zeros(6)),
+    }
+
+
+_BUNDLED = (
+    "wordcount", "sort", "grep", "string-match", "histogram",
+    "histogram-fixed", "inverted-index", "kmeans", "linear-regression",
+    "matmul", "pca-mean", "pca-cov",
+)
+
+
+@pytest.fixture(scope="module")
+def bundled_jobs(tmp_path_factory, text_file, terasort_file, numbers_file):
+    return _bundled_jobs(
+        tmp_path_factory.mktemp("bundled"), text_file, terasort_file,
+        numbers_file,
+    )
+
+
+@needs_fork
+@pytest.mark.parametrize("budget", [False, True], ids=["no-budget", "budget"])
+@pytest.mark.parametrize("job_name", _BUNDLED)
+def test_every_bundled_job_has_one_digest(bundled_jobs, job_name, budget):
+    """Any run of a job on any backend ends on one digest: the thread
+    backend three times over, float combiners (k-means, PCA, linear
+    regression) included.  Map tasks fold into private containers and
+    the round thread merges them in task order, so no digest depends on
+    which thread got there first."""
+    job = bundled_jobs[job_name]
+    digests = {
+        f"{backend}#{i}": SupMRRuntime(
+            _options(backend, budget=budget)
+        ).run(job).output_digest()
+        for backend, runs in (("serial", 1), ("thread", 3), ("process", 1))
+        for i in range(runs)
+    }
+    assert len(set(digests.values())) == 1, digests
+
+
+def _recording(family):
+    """``family`` that notes the thread of every emit and absorb (each
+    passes ``_check_open``), and a list of every instance made."""
+    made = []
+
+    class Recording(family):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.threads = set()
+            made.append(self)
+
+        def _check_open(self):
+            self.threads.add(threading.get_ident())
+            super()._check_open()
+
+    return Recording, made
+
+
+@needs_fork
+@pytest.mark.parametrize("budget", [False, True], ids=["no-budget", "budget"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("job_name", ["wordcount", "sort"])
+def test_only_the_round_thread_writes_the_job_container(
+    job_name, backend, budget, text_file, terasort_file, numbers_file
+):
+    """Map tasks write private containers; the job's container (the
+    first one the factory makes, or with a budget the first live inner
+    container) is written by the thread that runs the rounds alone."""
+    job = _job(job_name, text_file, terasort_file, numbers_file)
+    if job_name == "wordcount":
+        family, made = _recording(HashContainer)
+        factory = lambda: family(SumCombiner())  # noqa: E731
+    else:
+        factory, made = _recording(ArrayContainer)
+    job = dataclasses.replace(job, container_factory=factory)
+    result = SupMRRuntime(_options(backend, budget=budget)).run(job)
+    assert result.output
+    assert made[0].threads == {threading.get_ident()}
 
 
 @needs_fork

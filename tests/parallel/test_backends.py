@@ -81,3 +81,18 @@ class TestSerialExecutor:
     def test_map_protocol(self):
         with SerialExecutor() as pool:
             assert list(pool.map(lambda x: x * 2, [1, 2, 3])) == [2, 4, 6]
+
+    def test_map_runs_each_call_as_its_result_is_taken(self):
+        """A serial wave holds one map task's delta at a time."""
+        calls = []
+
+        def task(x):
+            calls.append(x)
+            return x
+
+        with SerialExecutor() as pool:
+            results = pool.map(task, [1, 2, 3])
+            assert calls == []
+            assert next(results) == 1
+            assert calls == [1]
+            assert list(results) == [2, 3]

@@ -21,8 +21,8 @@ before it shuts the daemon down.  The legs:
 
 * ``faults`` — ``tests/faults`` and ``tests/test_failure_injection.py``
   under the ``FAULT_SEED`` of the environment (0 when unset), then
-  poison tasks on the serial and the process backend: the same digest
-  and fault tally, on one file and on multi-source chunks;
+  poison tasks on the serial, thread and process backends: the same
+  digest and fault tally, on one file and on multi-source chunks;
 * ``xfer`` — crash-faulted and sharded+shard-loss word counts and a
   crash-faulted terasort under the pipe and shm transports: one digest;
 * ``crash-resume`` — SIGKILL a checkpointed word count once a round is
@@ -316,10 +316,10 @@ def agents(tmp: Path, *names: str, grace: str) -> Iterator[list[Agent]]:
 def leg_faults(tmp: Path, quick: bool) -> None:
     """The fault subsystem under this ``FAULT_SEED``, then poison tasks.
 
-    The worker-site schedule is stepped in place on serial and by the
-    supervisor on process: both must skip the same poison tasks and
-    write the same fault tally.  Crash only: the CLI's 30 s default
-    lease would dominate a hang.
+    The worker-site schedule is stepped in place on serial and thread
+    and by the supervisor on process: all three must skip the same
+    poison tasks and write the same fault tally.  Crash only: the CLI's
+    30 s default lease would dominate a hang.
     """
     pytest("fault-injection tests", "tests/faults",
            "tests/test_failure_injection.py")
@@ -340,10 +340,12 @@ def leg_faults(tmp: Path, quick: bool) -> None:
     files = gen("files", tmp / "mf", "--files", "64", "--size", "4KB")
     for job in ((str(corpus), "--chunk-size", "50KB"),
                 (*sorted(map(str, files.iterdir())), "--files-per-chunk", "8")):
-        serial, process = tally("serial", *job), tally("process", *job)
-        print(f"  serial:  {serial}\n  process: {process}")
-        if serial != process:
-            fail(f"poison tasks, seed {seed}: serial and process disagree")
+        tallies = {b: tally(b, *job) for b in ("serial", "thread", "process")}
+        for backend, line in tallies.items():
+            print(f"  {backend + ':':8} {line}")
+        if len(set(tallies.values())) != 1:
+            fail(f"poison tasks, seed {seed}: serial, thread and process "
+                 "disagree")
 
 
 def leg_xfer(tmp: Path, quick: bool) -> None:
